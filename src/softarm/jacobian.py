@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import N_ACTUATORS, RobotGeometry, as_actuator_vector
-from .kinematics import STRAIGHT_S_THRESHOLD, _fk_rp, actuator_to_config
+from .kinematics import STRAIGHT_S_THRESHOLD, bending_measures, fk_batch
 from .rotations import vee
 
 #: Central-difference step (m) for the Jacobian columns.
@@ -38,28 +38,20 @@ class Jacobian6x9:
 def jacobian(q, geom: RobotGeometry, h: float = FD_STEP) -> Jacobian6x9:
     """6x9 end-effector Jacobian at q via central finite differences.
 
-    Raises FullyStraightConfiguration when all three sections sit exactly
-    on the straight sentinel, mirroring the perturbation rule the
-    controller applies to its initial state.
+    All 19 configurations [q; q + h e_m; q - h e_m] go through one batched
+    FK call. Raises FullyStraightConfiguration when all three sections are
+    exactly straight, mirroring the perturbation rule the controller
+    applies to its initial state.
     """
     q = as_actuator_vector(q)
-    if all(
-        actuator_to_config(q[3 * i:3 * i + 3], sec).s < STRAIGHT_S_THRESHOLD
-        for i, sec in enumerate(geom.sections)
-    ):
+    if np.all(bending_measures(q) < STRAIGHT_S_THRESHOLD):
         raise FullyStraightConfiguration(
             "Jacobian undefined at the fully straight configuration")
-    _, R0 = _fk_rp(q, geom)
-    Jv = np.empty((3, N_ACTUATORS))
-    Jw = np.empty((3, N_ACTUATORS))
-    dq = np.zeros(N_ACTUATORS)
-    for m in range(N_ACTUATORS):
-        dq[m] = h
-        p_plus, R_plus = _fk_rp(q + dq, geom)
-        p_minus, R_minus = _fk_rp(q - dq, geom)
-        dq[m] = 0.0
-        Jv[:, m] = (p_plus - p_minus) / (2.0 * h)
-        Jw[:, m] = vee(((R_plus - R_minus) / (2.0 * h)) @ R0.T)
+    steps = h * np.eye(N_ACTUATORS)
+    P, R = fk_batch(q + np.vstack([np.zeros(N_ACTUATORS), steps, -steps]), geom)
+    plus, minus = slice(1, 1 + N_ACTUATORS), slice(1 + N_ACTUATORS, None)
+    Jv = ((P[plus] - P[minus]) / (2.0 * h)).T
+    Jw = vee(((R[plus] - R[minus]) / (2.0 * h)) @ R[0].T).T
     return Jacobian6x9(Jv=Jv, Jw=Jw)
 
 

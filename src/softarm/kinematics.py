@@ -1,10 +1,18 @@
 """Piecewise-constant-curvature kinematics of the 3-section arm.
 
-Two maps per section: actuator elongations -> arc parameters, and arc
-parameters -> rigid transform of the section end plate. The end-effector
-pose chains the three section transforms with the rigid plate offsets.
+Each section is written in quantities linear in its elongations
+(Della Santina, Bicchi & Rus, "On an improved state parametrization for
+soft robots with piecewise constant curvature", IEEE RA-L 2020): the
+bending vector dx = l2 + l3 - 2 l1, dy = sqrt(3) (l3 - l2) gives the
+section's rotation vector w = (-dy, dx, 0) / (3 r), whose norm is the
+bending angle phi, and the arc length is L0 + mean(l). The section
+transform is a closed form in w with sinc factors, so it has no atan2,
+no straight-section branch and is exact at straight. :func:`fk_batch`
+evaluates N configurations in one vectorized pass; the end-effector pose
+chains the three section transforms with the rigid plate offsets.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +27,10 @@ STRAIGHT_S_THRESHOLD = 1e-9
 #: Orthonormality tolerance for Pose construction.
 POSE_ORTHO_TOL = 1e-9
 
-#: FK re-orthonormalizes its rotation when drift exceeds this.
+#: FK re-orthonormalizes a rotation when its drift exceeds this.
 FK_DRIFT_TOL = 1e-12
+
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,21 @@ class SectionConfig:
         return not np.isfinite(self.lam)
 
 
+def _bending(l1, l2, l3):
+    """Bending vector (dx, dy) of elongation triples; its norm is 2 s."""
+    return l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
+
+
+def bending_measures(q) -> np.ndarray:
+    """Per-section bending measure s of an actuator vector, (9,) -> (3,).
+
+    Computed as |(dx, dy)| / 2, so equal elongations give exactly 0.
+    """
+    L = np.asarray(q, dtype=float).reshape(-1, 3)
+    dx, dy = _bending(L[..., 0], L[..., 1], L[..., 2])
+    return 0.5 * np.hypot(dx, dy)
+
+
 def actuator_to_config(lengths, section: SectionGeometry) -> SectionConfig:
     """Map the three actuator elongations of one section to arc parameters.
 
@@ -87,64 +112,100 @@ def actuator_to_config(lengths, section: SectionGeometry) -> SectionConfig:
     if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
         raise ValueError("actuator lengths must be finite")
     arc_length = section.initial_length + (l1 + l2 + l3) / 3.0
-    s = math.sqrt(max(l1 * l1 + l2 * l2 + l3 * l3 - l1 * l2 - l2 * l3 - l1 * l3, 0.0))
+    dx, dy = _bending(l1, l2, l3)
+    s = 0.5 * math.hypot(dx, dy)
     if s < STRAIGHT_S_THRESHOLD:
         return SectionConfig(s=s, phi=0.0, lam=math.inf, theta=0.0, arc_length=arc_length)
     phi = 2.0 * s / (3.0 * section.radius)
-    lam = (3.0 * section.initial_length + l1 + l2 + l3) * section.radius / (2.0 * s)
-    theta = math.atan2(math.sqrt(3.0) * (l3 - l2), l2 + l3 - 2.0 * l1)
-    return SectionConfig(s=s, phi=phi, lam=lam, theta=theta, arc_length=arc_length)
+    return SectionConfig(s=s, phi=phi, lam=arc_length / phi, theta=math.atan2(dy, dx),
+                         arc_length=arc_length)
 
 
-def _config_rp(config: SectionConfig):
-    """Section transform as a bare (position, rotation) pair."""
-    if config.is_straight:
-        return np.array([0.0, 0.0, config.arc_length]), np.eye(3)
-    ct, st = math.cos(config.theta), math.sin(config.theta)
-    cp, sp = math.cos(config.phi), math.sin(config.phi)
-    # lam*(1 - cos phi) written as 2*lam*sin^2(phi/2) to stay exact near phi=0
-    sp2 = math.sin(0.5 * config.phi)
-    reach = 2.0 * config.lam * sp2 * sp2
-    position = np.array([ct * reach, st * reach, config.lam * sp])
-    # Rot_z(theta) Rot_y(phi) Rot_z(-theta), expanded
-    ct2, st2, cs = ct * ct, st * st, ct * st
-    rotation = np.array([
-        [ct2 * cp + st2, cs * (cp - 1.0), ct * sp],
-        [cs * (cp - 1.0), st2 * cp + ct2, st * sp],
-        [-ct * sp, -st * sp, cp],
-    ])
-    return position, rotation
+#: Arguments of the two sinc factors, as multiples of phi.
+_SINC_ARGS = np.array([1.0, 0.5])
+
+#: sin(x) / x rounds to exactly 1 below x ~ 2e-8, so flooring x at the
+#: smallest normal float changes only x = 0, which gets its limit 1.
+_SINC_FLOOR = np.finfo(float).tiny
+
+
+def _arc_transforms(c, arc) -> np.ndarray:
+    """Homogeneous section end-plate transforms S+(4, 4).
+
+    ``c`` of shape (2,)+S is phi (cos theta, sin theta) = (dx, dy) / (3 r),
+    so the rotation vector is w = (-c_y, c_x, 0); ``arc`` (shape S) is the
+    arc length. With a = sinc(phi) and b = sinc^2(phi/2) / 2 (sinc x =
+    sin x / x, 1 at x = 0), R = exp(skew(w)) = I + a W + b W^2, whose
+    (3, 3) entry 1 - b phi^2 is cos phi, and p = arc (b c_x, b c_y, a).
+    """
+    phi = np.hypot(c[0], c[1])
+    x = np.maximum(np.multiply.outer(_SINC_ARGS, phi), _SINC_FLOOR)
+    a, half = np.sin(x) / x
+    b = 0.5 * half * half
+    bc, ac = b * c, a * c
+    diag = 1.0 - bc * c
+    off = -bc[0] * c[1]
+    p = arc * bc
+    zero = np.zeros(phi.shape)
+    T = np.array([[diag[0], off, ac[0], p[0]],
+                  [off, diag[1], ac[1], p[1]],
+                  [-ac[0], -ac[1], np.cos(phi), arc * a],
+                  [zero, zero, zero, zero + 1.0]])
+    return T.transpose(tuple(range(2, T.ndim)) + (0, 1))
 
 
 def config_to_transform(config: SectionConfig) -> Pose:
     """Rigid transform of a section end plate in its base-plate frame.
 
     Composition Rot_z(theta) Trans_x(lam) Rot_y(phi) Trans_x(-lam)
-    Rot_z(-theta), i.e. a circular arc of radius ``lam`` bent by ``phi``
-    in the plane at angle ``theta``. The straight sentinel is the analytic
-    limit: a pure translation by the arc length along Z.
+    Rot_z(-theta), i.e. a circular arc of length ``arc_length`` bent by
+    ``phi`` in the plane at angle ``theta``. The straight sentinel
+    (phi = 0) is the same formula: a pure translation along Z.
     """
-    position, rotation = _config_rp(config)
-    return Pose(position, rotation)
+    c = config.phi * np.array([math.cos(config.theta), math.sin(config.theta)])
+    T = _arc_transforms(c, np.array(config.arc_length))
+    return Pose(T[:3, 3], T[:3, :3])
 
 
-def _fk_rp(q, geom: RobotGeometry):
-    """Forward kinematics as a bare (position, rotation) pair.
+@functools.lru_cache(maxsize=16)
+def _section_constants(geom: RobotGeometry):
+    """Per-section 3 r, L0 and homogeneous plate transform (offset along Z,
+    then twist about Z) of a geometry."""
+    plates = np.zeros((len(geom.sections), 4, 4))
+    for plate, s in zip(plates, geom.sections):
+        plate[:3, :3] = rot_z(s.plate_offset_angle)
+        plate[:, 3] = (0.0, 0.0, s.plate_offset_length, 1.0)
+    return (np.array([3.0 * s.radius for s in geom.sections]),
+            np.array([s.initial_length for s in geom.sections]),
+            plates)
 
-    Hot path for the finite-difference Jacobian; skips Pose validation.
+
+_EYE3 = np.eye(3)
+
+
+def fk_batch(Q, geom: RobotGeometry):
+    """End-effector poses for actuator rows Q of shape (N, 9).
+
+    Returns positions (N, 3) and rotations (N, 3, 3). Each row chains the
+    section arcs with the plate offsets and twists; a rotation whose
+    orthonormality drift exceeds ``FK_DRIFT_TOL`` is re-orthonormalized.
+    Rows are not validated (see :func:`forward_kinematics`).
     """
-    position = np.zeros(3)
-    rotation = np.eye(3)
-    for i, section in enumerate(geom.sections):
-        config = actuator_to_config(q[3 * i:3 * i + 3], section)
-        p, R = _config_rp(config)
-        position = position + rotation @ p
-        rotation = rotation @ R
-        position = position + section.plate_offset_length * rotation[:, 2]
-        rotation = rotation @ rot_z(section.plate_offset_angle)
-    if rotation_drift(rotation) > FK_DRIFT_TOL:
-        rotation = orthonormalize(rotation)
-    return position, rotation
+    Q = np.asarray(Q, dtype=float)
+    three_r, initial_length, plates = _section_constants(geom)
+    L = Q.reshape(Q.shape[0], -1, 3)
+    l1, l2, l3 = L[..., 0], L[..., 1], L[..., 2]
+    T = _arc_transforms(np.array(_bending(l1, l2, l3)) / three_r,
+                        initial_length + (l1 + l2 + l3) / 3.0) @ plates
+    E = T[:, 0]
+    for i in range(1, T.shape[1]):
+        E = E @ T[:, i]
+    rotation = E[:, :3, :3]
+    defect = (rotation.transpose(0, 2, 1) @ rotation - _EYE3).reshape(-1, 9)
+    drifted = np.vecdot(defect, defect) > FK_DRIFT_TOL ** 2
+    if drifted.any():
+        rotation[drifted] = orthonormalize(rotation[drifted])
+    return E[:, :3, 3], rotation
 
 
 def forward_kinematics(q, geom: RobotGeometry) -> Pose:
@@ -154,6 +215,5 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
     the local Z, and the plate twist about Z. The last offset pair is the
     gripper mount.
     """
-    q = as_actuator_vector(q)
-    position, rotation = _fk_rp(q, geom)
-    return Pose(position, rotation)
+    position, rotation = fk_batch(as_actuator_vector(q)[None], geom)
+    return Pose(position[0], rotation[0])

@@ -92,7 +92,8 @@ class Plant:
         self._rng = np.random.default_rng(self.config.rng_seed)
         self._pos_filter = LowPassFilter(self.config.filter_cutoff, self.config.dt)
         self._rot_filtered = None
-        self._true_elongation = np.zeros(N_ACTUATORS)
+        self._true_pose = forward_kinematics(np.zeros(N_ACTUATORS),
+                                             self.config.true_geometry)
 
     def reset(self, q0) -> PlantObservation:
         """Re-seed the RNG, drive the plant to q0, and start the filters at
@@ -103,8 +104,9 @@ class Plant:
         return self.apply_command(q0)
 
     def true_pose(self) -> Pose:
-        """Noise-free pose of the physical arm (simulation ground truth)."""
-        return forward_kinematics(self._true_elongation, self.config.true_geometry)
+        """Noise-free pose of the physical arm (simulation ground truth),
+        as of the last command."""
+        return self._true_pose
 
     def apply_command(self, q_cmd) -> PlantObservation:
         q_cmd = as_actuator_vector(q_cmd)
@@ -112,8 +114,9 @@ class Plant:
         pressures = elongation_to_pressure(q_cmd)
 
         actual = q_cmd * (1.0 + self.config.length_scale_error)
-        self._true_elongation = np.clip(actual, self._limits.lower, self._limits.upper)
-        pose_true = self.true_pose()
+        pose_true = self._true_pose = forward_kinematics(
+            np.clip(actual, self._limits.lower, self._limits.upper),
+            self.config.true_geometry)
 
         position_raw = pose_true.position
         rotation_raw = pose_true.rotation

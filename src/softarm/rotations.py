@@ -38,11 +38,12 @@ def skew(w) -> np.ndarray:
 
 
 def vee(S) -> np.ndarray:
-    """Inverse of skew(); symmetrized so it is exact on exact skew input."""
+    """Inverse of skew(); symmetrized so it is exact on exact skew input.
+    S may be a stack (..., 3, 3)."""
     S = np.asarray(S, dtype=float)
-    return 0.5 * np.array([S[2, 1] - S[1, 2],
-                           S[0, 2] - S[2, 0],
-                           S[1, 0] - S[0, 1]])
+    return 0.5 * np.stack([S[..., 2, 1] - S[..., 1, 2],
+                           S[..., 0, 2] - S[..., 2, 0],
+                           S[..., 1, 0] - S[..., 0, 1]], axis=-1)
 
 
 def rotvec_to_matrix(w) -> np.ndarray:
@@ -56,10 +57,11 @@ def matrix_to_rotvec(R) -> np.ndarray:
 
 
 def orthonormalize(R) -> np.ndarray:
-    """Nearest proper rotation (Frobenius sense) via SVD."""
+    """Nearest proper rotation (Frobenius sense) via SVD; R may be a stack
+    (..., 3, 3)."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
+    U[..., :, 2] *= np.sign(np.linalg.det(U @ Vt))[..., None]
+    return U @ Vt
 
 
 def rotation_drift(R) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
 from softarm.jacobian import (
@@ -8,9 +10,11 @@ from softarm.jacobian import (
     null_projector,
     pinv,
 )
+from softarm.kinematics import actuator_to_config
 from softarm.rotations import skew, vee
 
 from oracles import fd_jacobian, random_feasible_q
+from strategies import with_straight_sections
 
 GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
@@ -22,6 +26,17 @@ def test_fully_straight_raises():
     # equal elongations are just as straight
     with pytest.raises(FullyStraightConfiguration):
         jacobian(np.full(9, 0.05), GEOM)
+
+
+def test_equal_elongations_on_a_grid_are_exactly_straight():
+    # Every equal triple on a 0.1 mm grid; s from the squared form
+    # l1^2 + l2^2 + l3^2 - l1 l2 - l2 l3 - l1 l3 rounds 99 of them above
+    # the 1e-9 m straight threshold, so they read as bent.
+    for c in np.round(np.arange(0.0, 0.0981, 0.0001), 4):
+        for sec in GEOM.sections:
+            assert actuator_to_config([c, c, c], sec).is_straight
+        with pytest.raises(FullyStraightConfiguration):
+            jacobian(np.full(9, c), GEOM)
 
 
 def test_tiny_perturbation_restores_full_rank():
@@ -61,6 +76,19 @@ def test_angular_column_for_pure_single_section_bend():
     Jw = jacobian(q, GEOM).Jw
     expected = np.array([0.0, -2.0 / (3.0 * GEOM.sections[0].radius), 0.0])
     np.testing.assert_allclose(Jw[:, 0], expected, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_straight", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_matches_fd_oracle_with_straight_sections(n_straight, data):
+    # Criterion 2's tolerance with exactly straight sections, where the
+    # finite difference sees bending of the order of the step.
+    q = data.draw(with_straight_sections(n_straight))
+    J = jacobian(q, GEOM)
+    Jv_ref, Jw_ref = fd_jacobian(q, GEOM, h=1e-6)
+    assert np.linalg.norm(J.Jv - Jv_ref) / np.linalg.norm(Jv_ref) < 1e-5
+    assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
 
 
 def test_small_random_perturbation_scale():

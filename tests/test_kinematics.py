@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softarm import kinematics
 from softarm.geometry import SectionGeometry, default_geometry
 from softarm.kinematics import (
     Pose,
     SectionConfig,
     actuator_to_config,
     config_to_transform,
+    fk_batch,
     forward_kinematics,
 )
-from softarm.rotations import rot_y, rot_z
+from softarm.rotations import orthonormalize, rot_y, rot_z
 
 from oracles import fk_reference, rotation_angle_between
+from strategies import actuator_vectors
 
 GEOM = default_geometry()
 
@@ -155,6 +160,41 @@ class TestForwardKinematics:
             cfg.lam * (1 - np.cos(cfg.phi)), 0.0, cfg.lam * np.sin(cfg.phi)])
         np.testing.assert_allclose(pose.position, rot_z(cfg.theta) @ arc_endpoint,
                                    atol=1e-12)
+
+
+class TestFkBatch:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(actuator_vectors(), min_size=1, max_size=19))
+    def test_rows_match_single_configuration_fk(self, qs):
+        P, R = fk_batch(np.array(qs), GEOM)
+        for q, p, rotation in zip(qs, P, R):
+            pose = forward_kinematics(q, GEOM)
+            assert np.max(np.abs(p - pose.position)) <= 1e-15
+            assert np.max(np.abs(rotation - pose.rotation)) <= 1e-15
+
+    def test_drifted_rows_are_reorthonormalized(self, monkeypatch):
+        Q = np.random.default_rng(14).uniform(0.0, 0.1, (19, 9))
+        P, R = fk_batch(Q, GEOM)
+        fixed = []
+        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
+        monkeypatch.setattr(kinematics, "orthonormalize",
+                            lambda Rs: fixed.append(len(Rs)) or orthonormalize(Rs))
+        P_fixed, R_fixed = fk_batch(Q, GEOM)
+        assert fixed and fixed[0] > 0
+        np.testing.assert_array_equal(P_fixed, P)
+        np.testing.assert_allclose(R_fixed, R, rtol=0.0, atol=1e-15)
+        for rotation in R_fixed:
+            assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-14
+            assert np.linalg.det(rotation) > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(actuator_vectors())
+    def test_matches_segment_sampled_reference(self, q):
+        # Includes exactly straight and near-straight sections.
+        P, R = fk_batch(q[None], GEOM)
+        p_ref, R_ref = fk_reference(q, GEOM)
+        assert np.linalg.norm(P[0] - p_ref) < 1e-6
+        assert rotation_angle_between(R[0], R_ref) < 1e-6
 
 
 class TestPose:
