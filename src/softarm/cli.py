@@ -23,12 +23,12 @@ from .config import (
     load_scenario_dict,
     parse_scenario,
     plant_config_from_dict,
+    rotation_from_dict,
     target_pose_from_dict,
     workflow_from_dict,
 )
 from .controller import DivergenceDetected, solve
 from .plant import Plant
-from .rotations import rot_x, rot_y, rot_z
 from .vision import build_registry
 from .workflow import HarvestState, run_harvest
 
@@ -265,12 +265,7 @@ def run_compare_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Harvest scenarios
 # ---------------------------------------------------------------------------
 
-_AXES = {"x": rot_x, "y": rot_y, "z": rot_z}
-
-
 def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    from .config import upright_rotation  # local to avoid cycle at import time
-
     raw = scenario.raw
     berries = raw.get("berries", [])
     if not berries:
@@ -287,13 +282,9 @@ def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         writer.writerow(HARVEST_CSV_HEADER)
         for bi, berry_cfg in enumerate(berries):
             berry = np.asarray(berry_cfg["position"], dtype=float)
-            approach_cfg = berry_cfg.get("approach", {"axis": "x", "angle_deg": -90.0})
-            axis = approach_cfg.get("axis", "x")
-            if axis not in _AXES:
-                raise ConfigError(f"approach axis must be x/y/z, got {axis!r}")
-            approach = _AXES[axis](float(np.deg2rad(approach_cfg.get("angle_deg", -90.0))))
-            if approach_cfg.get("relative_to", "upright") == "upright":
-                approach = approach @ upright_rotation(scenario.geometry)
+            approach = rotation_from_dict(
+                {"axis": "x", "angle_deg": -90.0} | berry_cfg.get("approach", {}),
+                scenario.geometry)
 
             window = berry_cfg.get("c1_occlusion_window")
             wf = workflow_from_dict(raw.get("workflow"), base_cfg)

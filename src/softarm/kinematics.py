@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RobotGeometry, SectionGeometry, as_actuator_vector
-from .rotations import orthonormalize, rot_z, rotation_drift
+from .rotations import drift_and_det, orthonormalize, rot_z
 
 #: Below this bending measure (m) a section is treated as exactly straight.
 STRAIGHT_S_THRESHOLD = 1e-9
@@ -43,9 +43,10 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
-        if rotation_drift(self.rotation) > POSE_ORTHO_TOL:
+        drift, det = drift_and_det(self.rotation)
+        if drift > POSE_ORTHO_TOL:
             raise ValueError("rotation is not orthonormal")
-        if np.linalg.det(self.rotation) < 0:
+        if det < 0:
             raise ValueError("rotation must be proper (det +1)")
 
     @staticmethod

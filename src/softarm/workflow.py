@@ -24,6 +24,7 @@ from .rotations import matrix_to_rotvec
 from .vision import (
     BerryTarget,
     FrameRegistry,
+    NoTargetEverSeen,
     berry_to_base,
     cam1_target_to_base,
     simulate_observation,
@@ -37,12 +38,6 @@ class HarvestState(enum.Enum):
     ReturnHome = "ReturnHome"
     Done = "Done"
     Failed = "Failed"
-
-
-class StageTimeout(Exception):
-    def __init__(self, stage: HarvestState):
-        super().__init__(f"stage {stage.value} exceeded its iteration budget")
-        self.stage = stage
 
 
 class Gripper:
@@ -146,8 +141,9 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
 
     The berry is fixed in the base frame; ``desired_approach_orientation``
     is the gripper rotation whose +Z axis points at the berry. Returns the
-    complete per-stage log; failures (timeouts, divergence, missed grasp)
-    are recorded rather than raised.
+    complete per-stage log; failures (timeouts, divergence, a berry the
+    camera has never seen, missed grasp) are recorded rather than raised.
+    Any other exception propagates.
     """
     berry_truth = np.asarray(berry_base_truth, dtype=float)
     approach = np.asarray(desired_approach_orientation, dtype=float)
@@ -210,7 +206,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         target = observe(iteration)
         try:
             berry_est = cam1_target_to_base(target, registry)
-        except Exception as exc:
+        except NoTargetEverSeen as exc:
             return fail(f"{stage.value}: {exc}")
         source = "c1" if target.position_c1 is not None else "c1_held"
         record(stage, berry_est, source)
@@ -246,7 +242,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         ee_in_cam1 = registry.base_in_cam1.compose(obs.pose_filtered)
         try:
             berry_est = berry_to_base(target, ee_in_cam1, registry)
-        except Exception as exc:
+        except NoTargetEverSeen as exc:
             return fail(f"{stage.value}: {exc}")
         source = "c2" if target.position_c2 is not None else "c2_held"
         record(stage, berry_est, source)

@@ -39,6 +39,19 @@ def test_equal_elongations_on_a_grid_are_exactly_straight():
             jacobian(np.full(9, c), GEOM)
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+def test_rank_next_to_fully_straight(delta):
+    # Position keeps full rank next to (and at) straight; the 6x9 stack
+    # loses the torsion direction, its smallest singular value shrinking
+    # linearly with the distance from straight. Exactly straight raises
+    # (test_fully_straight_raises).
+    q = np.full(9, 0.05)
+    q[0] += delta
+    J = jacobian(q, GEOM)
+    assert np.linalg.svd(J.Jv, compute_uv=False)[-1] == pytest.approx(1.0, rel=1e-5)
+    assert np.linalg.svd(J.J, compute_uv=False)[-1] / delta == pytest.approx(36.8, rel=2e-3)
+
+
 def test_tiny_perturbation_restores_full_rank():
     q = np.zeros(9)
     q[0] = 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softarm.controller import ControllerConfig, ControllerMode
+from softarm import workflow
 from softarm.geometry import default_geometry
 from softarm.plant import Plant, PlantConfig
 from softarm.rotations import rot_x, rot_z
@@ -100,6 +101,22 @@ class TestHarvestRun:
         assert log.final_state is HarvestState.Failed
         assert "StageTimeout(InitialPlacement)" in log.failure_reason
         assert log.stages[0].outcome == "timeout"
+
+    def test_berry_never_seen_by_c1_is_a_logged_failure(self):
+        log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
+                          make_workflow(c1_occlusion_window=(0, 10)))
+        assert log.final_state is HarvestState.Failed
+        assert log.failure_reason == ("InitialPlacement: berry occluded and "
+                                      "never seen before")
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(target, registry):
+            raise TypeError("broken frame chain")
+
+        monkeypatch.setattr(workflow, "cam1_target_to_base", broken)
+        with pytest.raises(TypeError, match="broken frame chain"):
+            run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
+                        make_workflow())
 
     def test_repeat_runs_identical(self):
         a = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
