@@ -19,7 +19,6 @@ Scenario files run from the command line: ``softarm run position_35pts``.
 from .controller import (
     ControllerConfig,
     ControllerMode,
-    DivergenceDetected,
     GainSchedule,
     JointLimitSchedule,
     TaskError,
@@ -31,10 +30,7 @@ from .controller import (
     jl_gradient,
     pose_error,
     solve,
-    step_conventional,
     step_full,
-    step_orientation_jl,
-    step_position_jl,
 )
 from .geometry import (
     JointLimits,
@@ -81,11 +77,10 @@ from .workflow import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControllerConfig", "ControllerMode", "DivergenceDetected", "GainSchedule",
-    "JointLimitSchedule", "TaskError", "Trajectory", "gains_full_default",
-    "gains_orientation_default", "gains_position_default", "jl_cost",
-    "jl_gradient", "pose_error", "solve", "step_conventional", "step_full",
-    "step_orientation_jl", "step_position_jl",
+    "ControllerConfig", "ControllerMode", "GainSchedule", "JointLimitSchedule",
+    "TaskError", "Trajectory", "gains_full_default", "gains_orientation_default",
+    "gains_position_default", "jl_cost", "jl_gradient", "pose_error", "solve",
+    "step_full",
     "JointLimits", "RobotGeometry", "SectionGeometry", "default_geometry",
     "elongation_to_pressure", "pressure_to_elongation", "validate_geometry",
     "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "null_projector",

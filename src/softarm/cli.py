@@ -27,7 +27,7 @@ from .config import (
     target_pose_from_dict,
     workflow_from_dict,
 )
-from .controller import DivergenceDetected, solve
+from .controller import solve
 from .plant import Plant
 from .vision import build_registry
 from .workflow import HarvestState, run_harvest
@@ -79,12 +79,7 @@ def _run_one_target(scenario: Scenario, target_index: int, repetition: int,
     plant_cfg = plant_config_from_dict(scenario.raw.get("plant"), scenario.geometry,
                                        derive_seed(scenario.seed, target_index,
                                                    repetition, 0x91A))
-    plant = Plant(plant_cfg)
-    try:
-        trajectory = solve(q0, desired, gains, cfg, plant)
-    except DivergenceDetected as exc:
-        trajectory = exc.trajectory
-    return trajectory, desired
+    return solve(q0, desired, gains, cfg, Plant(plant_cfg)), desired
 
 
 def _trajectory_rows(trajectory, label, repetition, stage):

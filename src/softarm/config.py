@@ -133,7 +133,6 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
         geometry=geom,
         joint_limits=geom.joint_limits(),
         mode=mode,
-        dt=float(data.get("dt", 0.05)),
         position_tolerance=float(data.get("position_tolerance", 0.8e-3)),
         orientation_tolerance=float(np.deg2rad(data.get("orientation_tolerance_deg", 0.6))),
         max_iterations=int(data.get("max_iterations", 3000)),

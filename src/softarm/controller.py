@@ -1,27 +1,28 @@
-"""Resolved-rate control laws with task-priority redundancy resolution.
+"""Resolved-rate control with task-priority redundancy resolution.
 
-Four step laws on the 9-actuator arm:
+One step law, :func:`step_full`, serves every :class:`ControllerMode`. A
+mode is an entry of :data:`TASK_STACKS`: the rows of the stacked 6-D pose
+error its tasks track, in priority order, and whether an error-norm-
+scheduled joint-limit descent (off near the goal) fills the null space
+that is left. The modes are conventional resolved rate on the 6-D error,
+position or orientation with joint-limit avoidance, position before
+orientation, and the full three-task law: position, then orientation in
+the position null space, then joint-limit avoidance.
 
-* conventional resolved rate on the stacked 6-D pose error,
-* position control with joint-limit avoidance in the position null space,
-* orientation control with joint-limit avoidance (mirror of the above),
-* the full three-task law: position, then orientation projected into the
-  position null space, then joint-limit avoidance in the remaining null
-  space, each with its own gain and an error-norm-scheduled joint-limit
-  gain that switches off near the goal.
-
-``solve`` iterates a step law in closed loop against a plant, reading the
-current pose from plant feedback rather than from the kinematic model.
+``solve`` iterates the step law in closed loop against a plant, reading
+the current pose from plant feedback rather than from the kinematic model.
 """
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import JointLimits, LIMIT_MARGIN, RobotGeometry, as_actuator_vector
 from .jacobian import SV_TOL, jacobian, pinv
-from .kinematics import Pose, forward_kinematics
+from .kinematics import Pose
 from .rotations import matrix_to_rotvec
 
 
@@ -46,6 +47,14 @@ class TaskError:
         return np.concatenate([self.e_p, self.e_zeta])
 
 
+class ErrorNorms(NamedTuple):
+    """The position (m) and orientation (rad) error norms a mode tracks; an
+    error the mode does not track reads 0."""
+
+    position_norm: float
+    orientation_norm: float
+
+
 def pose_error(desired: Pose, current: Pose) -> TaskError:
     """Base-frame task error: e_p = p_d - p_c, e_zeta = axis-angle of
     R_d R_c^T (consistent with the spatial angular Jacobian)."""
@@ -66,18 +75,15 @@ class JointLimitSchedule:
     value_far: float
     switch_threshold: float
     threshold_metric: str = "position"  # "position" (m) or "orientation" (rad)
-    value_near: float = 0.0
 
     def __post_init__(self):
         if self.threshold_metric not in ("position", "orientation"):
             raise ValueError("threshold_metric must be 'position' or 'orientation'")
-        if self.value_near != 0.0:
-            raise ValueError("value_near must be 0 (avoidance cancels near the goal)")
 
-    def gamma(self, error: TaskError) -> float:
+    def gamma(self, error: TaskError | ErrorNorms) -> float:
         norm = (error.position_norm if self.threshold_metric == "position"
                 else error.orientation_norm)
-        return self.value_far if norm > self.switch_threshold else self.value_near
+        return self.value_far if norm > self.switch_threshold else 0.0
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,9 @@ class GainSchedule:
     """Step gain plus the secondary-task gains of the redundancy laws.
 
     ``gamma_position`` and ``gamma_orientation`` weight the position and
-    orientation terms of the three-task law; ``joint_limit`` schedules the
-    avoidance gain (None disables the term entirely).
+    orientation tasks of the two-task modes (single-task modes use weight
+    1); ``joint_limit`` schedules the avoidance gain (None disables the
+    term entirely).
     """
 
     alpha: float
@@ -98,7 +105,7 @@ class GainSchedule:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
-    def gamma_jl(self, error: TaskError) -> float:
+    def gamma_jl(self, error: TaskError | ErrorNorms) -> float:
         return 0.0 if self.joint_limit is None else self.joint_limit.gamma(error)
 
 
@@ -140,12 +147,43 @@ class ControllerMode(enum.Enum):
     FullThreeTask = "FullThreeTask"
 
 
+POSITION, ORIENTATION, POSE = slice(0, 3), slice(3, 6), slice(0, 6)
+
+
+@dataclass(frozen=True)
+class TaskStack:
+    """A mode's law: one slice of the stacked error [e_p; e_zeta] per task,
+    in priority order, and whether the joint-limit descent is on."""
+
+    tasks: tuple
+    joint_limit: bool
+
+    @cached_property
+    def tracks(self) -> tuple:
+        """Whether some task tracks the position, and the orientation, error."""
+        return (any(t.start < 3 for t in self.tasks), any(t.stop > 3 for t in self.tasks))
+
+    def norms(self, e: TaskError) -> ErrorNorms:
+        """The norms of ``e``, 0 for an error no task tracks."""
+        position, orientation = self.tracks
+        return ErrorNorms(e.position_norm if position else 0.0,
+                          e.orientation_norm if orientation else 0.0)
+
+
+TASK_STACKS = {
+    ControllerMode.ConventionalRR: TaskStack((POSE,), joint_limit=False),
+    ControllerMode.PositionWithJL: TaskStack((POSITION,), joint_limit=True),
+    ControllerMode.OrientationWithJL: TaskStack((ORIENTATION,), joint_limit=True),
+    ControllerMode.PosOriPriority: TaskStack((POSITION, ORIENTATION), joint_limit=False),
+    ControllerMode.FullThreeTask: TaskStack((POSITION, ORIENTATION), joint_limit=True),
+}
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     geometry: RobotGeometry
     joint_limits: JointLimits
     mode: ControllerMode
-    dt: float = 0.05                          # s, matches the plant loop rate
     position_tolerance: float = 0.8e-3        # m
     orientation_tolerance: float = np.deg2rad(0.6)  # rad
     max_iterations: int = 3000
@@ -157,8 +195,6 @@ class ControllerConfig:
     divergence_window: int = 50
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         if not (self.position_tolerance > 0 and self.orientation_tolerance > 0):
             raise ValueError("tolerances must be positive")
 
@@ -181,108 +217,40 @@ def jl_gradient(q, limits: JointLimits) -> np.ndarray:
     return num / den
 
 
-def _current_pose(q, cfg: ControllerConfig, current: Pose | None) -> Pose:
-    return current if current is not None else forward_kinematics(q, cfg.geometry)
+def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np.ndarray:
+    """One step of the configured mode's task-priority law.
 
-
-def step_conventional(q, desired: Pose, gains: GainSchedule, cfg: ControllerConfig,
-                      current: Pose | None = None) -> np.ndarray:
-    """One conventional resolved-rate step on the stacked 6-D pose error.
-
-    No joint-limit handling and no feasibility clamp: infeasible updates
+    ``e`` is the task error at q. The recursion of Siciliano & Slotine
+    (ICAR 1991) starts from qdot = 0 and P = I; each task k, in priority
+    order, adds w_k (J_k P)^+ (e_k - J_k qdot) and shrinks P by
+    (J_k P)^+ J_k P, so it cannot disturb the rates of the tasks above it.
+    The scheduled joint-limit descent, where the mode has it, acts in the
+    null space that is left. No feasibility clamp: infeasible updates
     (negative elongation, hence negative commanded pressure) are returned
     as-is so the caller can flag them.
     """
     q = as_actuator_vector(q)
-    e = pose_error(desired, _current_pose(q, cfg, current))
+    stack = TASK_STACKS[cfg.mode]
+    gamma = gains.gamma_jl(stack.norms(e)) if stack.joint_limit else 0.0
+    weights = ((1.0,) if len(stack.tasks) == 1
+               else (gains.gamma_position, gains.gamma_orientation))
     J = jacobian(q, cfg.geometry).J
-    return q + gains.alpha * pinv(J, cfg.sv_tol) @ e.stacked
-
-
-def step_position_jl(q, desired_position, gains: GainSchedule, cfg: ControllerConfig,
-                     current: Pose | None = None) -> np.ndarray:
-    """Position task with scheduled joint-limit avoidance in its null space."""
-    q = as_actuator_vector(q)
-    pose = _current_pose(q, cfg, current)
-    e = TaskError(e_p=np.asarray(desired_position, dtype=float) - pose.position,
-                  e_zeta=np.zeros(3))
-    Jv = jacobian(q, cfg.geometry).Jv
-    Jv_pinv = pinv(Jv, cfg.sv_tol)
-    qdot = Jv_pinv @ e.e_p
-    gamma = gains.gamma_jl(e)
+    err = e.stacked
+    qdot = P = None  # qdot = 0 and P = I until the first task
+    for k, rows in enumerate(stack.tasks):
+        J_k = J[rows]
+        if P is None:
+            JP, residual = J_k, err[rows]
+        else:
+            JP, residual = J_k @ P, err[rows] - J_k @ qdot
+        JP_pinv = pinv(JP, cfg.sv_tol)
+        rate = weights[k] * (JP_pinv @ residual)
+        qdot = rate if qdot is None else qdot + rate
+        if k + 1 < len(stack.tasks) or gamma != 0.0:
+            P = (np.eye(q.size) if P is None else P) - JP_pinv @ JP
     if gamma != 0.0:
-        P = np.eye(q.size) - Jv_pinv @ Jv
         qdot = qdot + gamma * P @ jl_gradient(q, cfg.joint_limits)
     return q + gains.alpha * qdot
-
-
-def step_orientation_jl(q, desired_rotation, gains: GainSchedule, cfg: ControllerConfig,
-                        current: Pose | None = None) -> np.ndarray:
-    """Orientation task with scheduled joint-limit avoidance in its null space."""
-    q = as_actuator_vector(q)
-    pose = _current_pose(q, cfg, current)
-    e_zeta = matrix_to_rotvec(np.asarray(desired_rotation, dtype=float) @ pose.rotation.T)
-    e = TaskError(e_p=np.zeros(3), e_zeta=e_zeta)
-    Jw = jacobian(q, cfg.geometry).Jw
-    Jw_pinv = pinv(Jw, cfg.sv_tol)
-    qdot = Jw_pinv @ e.e_zeta
-    gamma = gains.gamma_jl(e)
-    if gamma != 0.0:
-        P = np.eye(q.size) - Jw_pinv @ Jw
-        qdot = qdot + gamma * P @ jl_gradient(q, cfg.joint_limits)
-    return q + gains.alpha * qdot
-
-
-def step_full(q, desired: Pose, gains: GainSchedule, cfg: ControllerConfig,
-              current: Pose | None = None, force_gamma_jl: float | None = None) -> np.ndarray:
-    """One step of the scheduled three-task law.
-
-    Position leads; the orientation task acts through J~ = Jw (I - Jv+ Jv)
-    so it cannot disturb the commanded position rate; joint-limit descent
-    is projected into the null space of both.
-    """
-    q = as_actuator_vector(q)
-    pose = _current_pose(q, cfg, current)
-    e = pose_error(desired, pose)
-    jac = jacobian(q, cfg.geometry)
-    Jv_pinv = pinv(jac.Jv, cfg.sv_tol)
-    P_v = np.eye(q.size) - Jv_pinv @ jac.Jv
-    Jt = jac.Jw @ P_v
-    Jt_pinv = pinv(Jt, cfg.sv_tol)
-
-    qdot = gains.gamma_position * (Jv_pinv @ e.e_p)
-    qdot = qdot + gains.gamma_orientation * (
-        Jt_pinv @ (e.e_zeta - jac.Jw @ Jv_pinv @ e.e_p))
-    gamma = gains.gamma_jl(e) if force_gamma_jl is None else force_gamma_jl
-    if gamma != 0.0:
-        P = P_v - Jt_pinv @ Jt
-        qdot = qdot + gamma * P @ jl_gradient(q, cfg.joint_limits)
-    return q + gains.alpha * qdot
-
-
-def _step(q, desired: Pose, gains: GainSchedule, cfg: ControllerConfig,
-          current: Pose | None) -> np.ndarray:
-    mode = cfg.mode
-    if mode is ControllerMode.ConventionalRR:
-        return step_conventional(q, desired, gains, cfg, current)
-    if mode is ControllerMode.PositionWithJL:
-        return step_position_jl(q, desired.position, gains, cfg, current)
-    if mode is ControllerMode.OrientationWithJL:
-        return step_orientation_jl(q, desired.rotation, gains, cfg, current)
-    if mode is ControllerMode.PosOriPriority:
-        # Two-task special case of the three-task law: joint-limit gain 0.
-        return step_full(q, desired, gains, cfg, current, force_gamma_jl=0.0)
-    if mode is ControllerMode.FullThreeTask:
-        return step_full(q, desired, gains, cfg, current)
-    raise ValueError(f"unknown controller mode {mode}")
-
-
-class DivergenceDetected(Exception):
-    """Raised by ``solve`` on sustained error growth; carries the trajectory."""
-
-    def __init__(self, trajectory: "Trajectory"):
-        super().__init__("controller diverged")
-        self.trajectory = trajectory
 
 
 @dataclass
@@ -311,26 +279,16 @@ class Trajectory:
         return bool(self.infeasible.any())
 
 
-def _tolerance_met(e: TaskError, cfg: ControllerConfig) -> bool:
-    mode = cfg.mode
-    if mode is ControllerMode.PositionWithJL:
-        return e.position_norm <= cfg.position_tolerance
-    if mode is ControllerMode.OrientationWithJL:
-        return e.orientation_norm <= cfg.orientation_tolerance
-    e_rot = e.e_zeta
-    if cfg.orientation_error_axes is not None:
-        e_rot = e_rot[list(cfg.orientation_error_axes)]
-    return (e.position_norm <= cfg.position_tolerance
-            and float(np.linalg.norm(e_rot)) <= cfg.orientation_tolerance)
+def _tolerance_met(e: TaskError, norms: ErrorNorms, cfg: ControllerConfig) -> bool:
+    rot = norms.orientation_norm
+    if rot and cfg.orientation_error_axes is not None:  # an untracked error reads 0
+        rot = float(np.linalg.norm(e.e_zeta[list(cfg.orientation_error_axes)]))
+    return norms.position_norm <= cfg.position_tolerance and rot <= cfg.orientation_tolerance
 
 
-def _divergence_ratio(e: TaskError, e0: TaskError, cfg: ControllerConfig) -> float:
-    ratios = []
-    if cfg.mode is not ControllerMode.OrientationWithJL and e0.position_norm > 1e-12:
-        ratios.append(e.position_norm / e0.position_norm)
-    if cfg.mode is not ControllerMode.PositionWithJL and e0.orientation_norm > 1e-12:
-        ratios.append(e.orientation_norm / e0.orientation_norm)
-    return max(ratios) if ratios else 0.0
+def _divergence_ratio(norms: ErrorNorms, norms0: ErrorNorms) -> float:
+    return max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
+               default=0.0)
 
 
 def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) -> Trajectory:
@@ -340,9 +298,9 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     ``plant`` supplies the feedback pose: any object with ``reset(q0)`` and
     ``apply_command(q)`` returning observations with ``pose_filtered``,
     ``pressures`` and ``infeasible_flags`` (see :mod:`softarm.plant`).
-    Raises DivergenceDetected (trajectory attached) when the tracked error
-    norm stays above ``divergence_factor`` times its initial value for
-    ``divergence_window`` consecutive steps.
+    Stops with ``diverged=True`` when a tracked error norm stays above
+    ``divergence_factor`` times its initial value for ``divergence_window``
+    consecutive steps.
     """
     q = as_actuator_vector(q0).copy()
     obs = plant.reset(q)
@@ -380,19 +338,21 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
             diverged=diverged,
         )
 
+    tracked_norms = TASK_STACKS[cfg.mode].norms
     e = record(q, obs)
-    e0 = e
+    norms = norms0 = tracked_norms(e)
     growth_streak = 0
     for _ in range(cfg.max_iterations):
-        if _tolerance_met(e, cfg):
+        if _tolerance_met(e, norms, cfg):
             return finish(converged=True, diverged=False)
-        q = _step(q, desired, gains, cfg, obs.pose_filtered)
+        q = step_full(q, e, gains, cfg)
         obs = plant.apply_command(q)
         e = record(q, obs)
-        if _divergence_ratio(e, e0, cfg) > cfg.divergence_factor:
+        norms = tracked_norms(e)
+        if _divergence_ratio(norms, norms0) > cfg.divergence_factor:
             growth_streak += 1
             if growth_streak >= cfg.divergence_window:
-                raise DivergenceDetected(finish(converged=False, diverged=True))
+                return finish(converged=False, diverged=True)
         else:
             growth_streak = 0
-    return finish(converged=_tolerance_met(e, cfg), diverged=False)
+    return finish(converged=_tolerance_met(e, norms, cfg), diverged=False)

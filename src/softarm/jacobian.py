@@ -32,7 +32,7 @@ class Jacobian6x9:
 
     @property
     def J(self) -> np.ndarray:
-        return np.vstack([self.Jv, self.Jw])
+        return np.concatenate((self.Jv, self.Jw))
 
 
 def jacobian(q, geom: RobotGeometry, h: float = FD_STEP) -> Jacobian6x9:

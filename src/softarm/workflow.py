@@ -16,8 +16,9 @@ from .controller import (
     ControllerConfig,
     ControllerMode,
     GainSchedule,
-    _step,
     gains_full_default,
+    pose_error,
+    step_full,
 )
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec
@@ -219,15 +220,15 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         if iteration - stage_start >= policy.max_iterations:
             close_stage(stage, stage_start, "timeout")
             return fail(f"StageTimeout({stage.value})")
-        if dist > 10.0 * initial_dist:
+        if dist > ctrl_cfg.divergence_factor * initial_dist:
             growth_streak += 1
-            if growth_streak >= 50:
+            if growth_streak >= ctrl_cfg.divergence_window:
                 close_stage(stage, stage_start, "diverged")
                 return fail(f"{stage.value}: diverged")
         else:
             growth_streak = 0
         desired = Pose(berry_est + approach @ cfg.standoff_offset, approach)
-        q = _step(q, desired, policy.gains, ctrl_cfg, obs.pose_filtered)
+        q = step_full(q, pose_error(desired, obs.pose_filtered), policy.gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1
 
@@ -253,7 +254,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             close_stage(stage, stage_start, "timeout")
             return fail(f"StageTimeout({stage.value})")
         desired = Pose(berry_est, obs.pose_filtered.rotation)
-        q = _step(q, desired, policy.gains, ctrl_cfg, obs.pose_filtered)
+        q = step_full(q, pose_error(desired, obs.pose_filtered), policy.gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1
 

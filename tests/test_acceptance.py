@@ -17,8 +17,10 @@ from softarm.controller import (
     ControllerConfig,
     ControllerMode,
     GainSchedule,
+    JointLimitSchedule,
     jl_cost,
     jl_gradient,
+    pose_error,
     step_full,
 )
 from softarm.geometry import default_geometry
@@ -122,11 +124,14 @@ def test_criterion_3_task_priority_algebra():
                                  rotvec_to_matrix(rng.uniform(-0.3, 0.3, 3))
                                  @ pose.rotation)
             full = GainSchedule(alpha=0.05, gamma_position=1.0,
-                                gamma_orientation=0.1)
+                                gamma_orientation=0.1,
+                                joint_limit=JointLimitSchedule(value_far=-5e-5,
+                                                               switch_threshold=0.0))
             pos_only = GainSchedule(alpha=0.05, gamma_position=1.0,
-                                    gamma_orientation=0.0)
-            dq_full = step_full(q, desired, full, cfg, force_gamma_jl=-5e-5) - q
-            dq_pos = step_full(q, desired, pos_only, cfg, force_gamma_jl=0.0) - q
+                                    gamma_orientation=0.0, joint_limit=None)
+            e = pose_error(desired, pose)
+            dq_full = step_full(q, e, full, cfg) - q
+            dq_pos = step_full(q, e, pos_only, cfg) - q
             rate_full = Jv @ dq_full
             rate_pos = Jv @ dq_pos
             rel = (np.linalg.norm(rate_full - rate_pos)

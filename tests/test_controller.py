@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softarm.controller import (
     ControllerConfig,
     ControllerMode,
-    DivergenceDetected,
     GainSchedule,
     JointLimitSchedule,
     TaskError,
@@ -15,18 +16,16 @@ from softarm.controller import (
     jl_gradient,
     pose_error,
     solve,
-    step_conventional,
     step_full,
-    step_orientation_jl,
-    step_position_jl,
 )
 from softarm.geometry import default_geometry
-from softarm.jacobian import jacobian
+from softarm.jacobian import SV_TOL, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig
-from softarm.rotations import rot_x, rot_z
+from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 
 from oracles import fd_gradient, log_rotvec, random_feasible_q
+from strategies import actuator_vectors
 
 GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
@@ -35,6 +34,11 @@ Q_MID = np.tile([0.051, 0.050, 0.049], 3)  # midpoint nudged off the singularity
 
 def make_cfg(mode, **kwargs):
     return ControllerConfig(geometry=GEOM, joint_limits=LIMITS, mode=mode, **kwargs)
+
+
+def step(q, desired, gains, cfg):
+    """One step of the law with the model-predicted error at q."""
+    return step_full(q, pose_error(desired, forward_kinematics(q, GEOM)), gains, cfg)
 
 
 class TestPoseError:
@@ -121,10 +125,6 @@ class TestGainSchedule:
         assert sched.gamma(far) == -0.01
         assert sched.gamma(near) == 0.0
 
-    def test_near_gain_must_be_zero(self):
-        with pytest.raises(ValueError):
-            JointLimitSchedule(value_far=-0.01, switch_threshold=0.03, value_near=-1.0)
-
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             GainSchedule(alpha=0.0)
@@ -134,16 +134,17 @@ class TestStepLaws:
     def test_zero_error_is_fixed_point(self):
         desired = forward_kinematics(Q_MID, GEOM)
         cfg = make_cfg(ControllerMode.ConventionalRR)
-        q_next = step_conventional(Q_MID, desired, GainSchedule(alpha=0.074), cfg)
+        q_next = step(Q_MID, desired, GainSchedule(alpha=0.074), cfg)
         np.testing.assert_allclose(q_next, Q_MID, atol=1e-12)
-        q_next = step_full(Q_MID, desired, gains_full_default(), cfg)
+        q_next = step(Q_MID, desired, gains_full_default(),
+                      make_cfg(ControllerMode.FullThreeTask))
         np.testing.assert_allclose(q_next, Q_MID, atol=1e-12)
 
     def test_step_is_linear_in_alpha(self):
         desired = Pose([0.0, 0.05, 0.45], rot_z(2 * np.pi / 3))
         cfg = make_cfg(ControllerMode.ConventionalRR)
-        d1 = step_conventional(Q_MID, desired, GainSchedule(alpha=0.05), cfg) - Q_MID
-        d2 = step_conventional(Q_MID, desired, GainSchedule(alpha=0.10), cfg) - Q_MID
+        d1 = step(Q_MID, desired, GainSchedule(alpha=0.05), cfg) - Q_MID
+        d2 = step(Q_MID, desired, GainSchedule(alpha=0.10), cfg) - Q_MID
         np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-9)
 
     def test_single_step_reduces_position_error(self):
@@ -152,7 +153,7 @@ class TestStepLaws:
         pose0 = forward_kinematics(Q_MID, GEOM)
         target = pose0.position + np.array([0.0, 0.0, 0.01])
         cfg = make_cfg(ControllerMode.PositionWithJL)
-        q1 = step_position_jl(Q_MID, target, gains_position_default(), cfg)
+        q1 = step(Q_MID, Pose(target, pose0.rotation), gains_position_default(), cfg)
         e0 = np.linalg.norm(target - pose0.position)
         e1 = np.linalg.norm(target - forward_kinematics(q1, GEOM).position)
         assert e1 < e0
@@ -161,10 +162,10 @@ class TestStepLaws:
         # 20 mm error is inside the 30 mm switch: identical to gamma = 0.
         q = Q_MID + np.linspace(-0.02, 0.02, 9)  # off-mid so grad H != 0
         pose = forward_kinematics(q, GEOM)
-        target = pose.position + np.array([0.0, 0.02, 0.0])
+        target = Pose(pose.position + np.array([0.0, 0.02, 0.0]), pose.rotation)
         cfg = make_cfg(ControllerMode.PositionWithJL)
-        with_schedule = step_position_jl(q, target, gains_position_default(), cfg)
-        no_jl = step_position_jl(q, target, GainSchedule(alpha=0.074), cfg)
+        with_schedule = step(q, target, gains_position_default(), cfg)
+        no_jl = step(q, target, GainSchedule(alpha=0.074), cfg)
         np.testing.assert_array_equal(with_schedule, no_jl)
 
     def test_jl_term_invisible_to_position_task(self):
@@ -174,10 +175,11 @@ class TestStepLaws:
         for _ in range(10):
             q = random_feasible_q(rng, LIMITS)
             pose = forward_kinematics(q, GEOM)
-            target = pose.position + np.array([0.0, 0.08, 0.0])  # schedule on
+            target = Pose(pose.position + np.array([0.0, 0.08, 0.0]),  # schedule on
+                          pose.rotation)
             cfg = make_cfg(ControllerMode.PositionWithJL)
-            with_jl = step_position_jl(q, target, gains_position_default(), cfg)
-            no_jl = step_position_jl(q, target, GainSchedule(alpha=0.074), cfg)
+            with_jl = step(q, target, gains_position_default(), cfg)
+            no_jl = step(q, target, GainSchedule(alpha=0.074), cfg)
             Jv = jacobian(q, GEOM).Jv
             rate_diff = Jv @ (with_jl - no_jl)
             scale = max(np.linalg.norm(Jv @ (no_jl - q)), 1e-9)
@@ -187,10 +189,11 @@ class TestStepLaws:
         rng = np.random.default_rng(3)
         for _ in range(10):
             q = random_feasible_q(rng, LIMITS)
-            desired_R = rot_x(np.deg2rad(-60.0)) @ forward_kinematics(q, GEOM).rotation
+            pose = forward_kinematics(q, GEOM)
+            desired = Pose(pose.position, rot_x(np.deg2rad(-60.0)) @ pose.rotation)
             cfg = make_cfg(ControllerMode.OrientationWithJL)
-            with_jl = step_orientation_jl(q, desired_R, gains_orientation_default(), cfg)
-            no_jl = step_orientation_jl(q, desired_R, GainSchedule(alpha=0.05), cfg)
+            with_jl = step(q, desired, gains_orientation_default(), cfg)
+            no_jl = step(q, desired, GainSchedule(alpha=0.05), cfg)
             Jw = jacobian(q, GEOM).Jw
             rate_diff = Jw @ (with_jl - no_jl)
             scale = max(np.linalg.norm(Jw @ (no_jl - q)), 1e-9)
@@ -210,8 +213,8 @@ class TestStepLaws:
                            rot_x(0.4) @ pose.rotation)
             cfg_full = make_cfg(ControllerMode.FullThreeTask)
             cfg_pos = make_cfg(ControllerMode.PositionWithJL)
-            dq_full = step_full(q, desired, gains_full, cfg_full) - q
-            dq_pos = step_position_jl(q, desired.position, gains_pos, cfg_pos) - q
+            dq_full = step(q, desired, gains_full, cfg_full) - q
+            dq_pos = step(q, desired, gains_pos, cfg_pos) - q
             Jv = jacobian(q, GEOM).Jv
             ratio = gains_full.gamma_position * gains_full.alpha / gains_pos.alpha
             lhs = Jv @ dq_full
@@ -225,8 +228,8 @@ class TestStepLaws:
                        rot_x(0.3) @ pose.rotation)
         cfg = make_cfg(ControllerMode.PosOriPriority)
         gains = gains_full_default()
-        via_mode = step_full(q, desired, gains, cfg, force_gamma_jl=0.0)
-        explicit = step_full(q, desired, GainSchedule(
+        via_mode = step(q, desired, gains, cfg)
+        explicit = step(q, desired, GainSchedule(
             alpha=gains.alpha, gamma_position=1.0, gamma_orientation=0.1),
             make_cfg(ControllerMode.FullThreeTask), )
         np.testing.assert_allclose(via_mode, explicit, atol=1e-15)
@@ -264,10 +267,7 @@ class TestSolve:
         # elongations (negative commanded pressure).
         desired = Pose([0.0, 0.42, 0.30], rot_x(np.deg2rad(-110.0)) @ rot_z(2 * np.pi / 3))
         cfg = make_cfg(ControllerMode.ConventionalRR, max_iterations=800)
-        try:
-            traj = solve(Q_MID, desired, GainSchedule(alpha=0.05), cfg, Plant(PlantConfig()))
-        except DivergenceDetected as exc:
-            traj = exc.trajectory
+        traj = solve(Q_MID, desired, GainSchedule(alpha=0.05), cfg, Plant(PlantConfig()))
         assert traj.any_infeasible
         assert np.any(traj.pressures < 0.0)
 
@@ -301,8 +301,96 @@ class TestSolve:
         desired = forward_kinematics(Q_MID, GEOM)
         desired = Pose(desired.position + np.array([0.0, 0.0, 0.005]), desired.rotation)
         cfg = make_cfg(ControllerMode.PositionWithJL, max_iterations=3000)
-        with pytest.raises(DivergenceDetected) as excinfo:
-            solve(Q_MID, desired, gains_position_default(), cfg, RecedingPlant(PlantConfig()))
-        traj = excinfo.value.trajectory
+        traj = solve(Q_MID, desired, gains_position_default(), cfg,
+                     RecedingPlant(PlantConfig()))
         assert traj.diverged and not traj.converged
         assert traj.qs.shape[0] > cfg.divergence_window
+
+
+def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):
+    """Each mode's law as a closed form, with np.linalg.pinv throughout."""
+    def pinv(M):
+        return np.linalg.pinv(M, rcond=SV_TOL)
+
+    def gamma_jl(norm, metric):
+        sched = gains.joint_limit
+        if sched is None or sched.threshold_metric != metric:
+            return 0.0  # off, or scheduled on an error this mode does not track
+        return sched.value_far if norm > sched.switch_threshold else 0.0
+
+    jac = jacobian(q, GEOM)
+    Jv, Jw, eye = jac.Jv, jac.Jw, np.eye(9)
+    grad = jl_gradient(q, LIMITS)
+    if mode is ControllerMode.ConventionalRR:
+        qdot = pinv(np.vstack([Jv, Jw])) @ np.concatenate([e.e_p, e.e_zeta])
+    elif mode is ControllerMode.PositionWithJL:
+        gamma = gamma_jl(np.linalg.norm(e.e_p), "position")
+        qdot = pinv(Jv) @ e.e_p + gamma * (eye - pinv(Jv) @ Jv) @ grad
+    elif mode is ControllerMode.OrientationWithJL:
+        gamma = gamma_jl(np.linalg.norm(e.e_zeta), "orientation")
+        qdot = pinv(Jw) @ e.e_zeta + gamma * (eye - pinv(Jw) @ Jw) @ grad
+    else:
+        Jt = Jw @ (eye - pinv(Jv) @ Jv)
+        qdot_p = gains.gamma_position * pinv(Jv) @ e.e_p
+        qdot = qdot_p + gains.gamma_orientation * pinv(Jt) @ (e.e_zeta - Jw @ qdot_p)
+        if mode is ControllerMode.FullThreeTask:
+            norm = np.linalg.norm(e.e_p if gains.joint_limit.threshold_metric == "position"
+                                  else e.e_zeta)
+            gamma = gamma_jl(norm, gains.joint_limit.threshold_metric)
+            qdot = qdot + gamma * (eye - pinv(Jv) @ Jv - pinv(Jt) @ Jt) @ grad
+    return q + gains.alpha * qdot
+
+
+def offset_target(q, rng):
+    pose = forward_kinematics(q, GEOM)
+    return Pose(pose.position + rng.uniform(-0.08, 0.08, 3),
+                rotvec_to_matrix(rng.uniform(-0.5, 0.5, 3)) @ pose.rotation)
+
+
+TABLE_GAINS = [
+    GainSchedule(alpha=0.05, gamma_position=1.0, gamma_orientation=0.1,
+                 joint_limit=JointLimitSchedule(value_far=-0.01, switch_threshold=0.0)),
+    GainSchedule(alpha=0.074, gamma_position=0.7, gamma_orientation=0.3,
+                 joint_limit=JointLimitSchedule(value_far=-0.005, switch_threshold=0.0,
+                                                threshold_metric="orientation")),
+]
+
+
+def assert_matches_written_out(q, desired, gains, mode):
+    cfg = make_cfg(mode)
+    e = pose_error(desired, forward_kinematics(q, GEOM))
+    law = step_full(q, e, gains, cfg) - q
+    written = written_out_law(q, e, gains, mode) - q
+    assert np.linalg.norm(law - written) <= 1e-12 * np.linalg.norm(written)
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    @pytest.mark.parametrize("gains", TABLE_GAINS)
+    def test_step_matches_written_out_law(self, mode, gains):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            q = random_feasible_q(rng, LIMITS)
+            assert_matches_written_out(q, offset_target(q, rng), gains, mode)
+
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    @settings(max_examples=15, deadline=None)
+    @given(q=actuator_vectors(st.permutations(["near", "bent", "bent"])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_written_out_law_near_straight(self, mode, q, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_written_out(q, offset_target(q, rng), TABLE_GAINS[0], mode)
+
+    def test_schedule_on_an_untracked_error_stays_off(self):
+        # The orientation error is far past the switch, but PositionWithJL
+        # does not track it: no joint-limit term, as with no schedule at all.
+        q = Q_MID + np.linspace(-0.02, 0.02, 9)
+        pose = forward_kinematics(q, GEOM)
+        desired = Pose(pose.position + np.array([0.0, 0.05, 0.0]),
+                       rot_x(1.0) @ pose.rotation)
+        on_orientation = GainSchedule(alpha=0.074, joint_limit=JointLimitSchedule(
+            value_far=-0.01, switch_threshold=0.01, threshold_metric="orientation"))
+        cfg = make_cfg(ControllerMode.PositionWithJL)
+        np.testing.assert_array_equal(step(q, desired, on_orientation, cfg),
+                                      step(q, desired, GainSchedule(alpha=0.074), cfg))
+        assert_matches_written_out(q, desired, on_orientation, ControllerMode.PositionWithJL)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from softarm.controller import ControllerConfig, ControllerMode
 from softarm import workflow
 from softarm.geometry import default_geometry
+from softarm.kinematics import Pose
 from softarm.plant import Plant, PlantConfig
 from softarm.rotations import rot_x, rot_z
 from softarm.vision import build_registry
@@ -117,6 +120,33 @@ class TestHarvestRun:
         with pytest.raises(TypeError, match="broken frame chain"):
             run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
                         make_workflow())
+
+    def test_placement_divergence_reads_the_controller_rule(self):
+        # The reported pose recedes from the berry faster every step; the
+        # placement stage closes as diverged once the distance has stayed
+        # above divergence_factor times its initial value for
+        # divergence_window steps.
+        class RecedingPlant(Plant):
+            drift = 0.0
+
+            def apply_command(self, q_cmd):
+                obs = super().apply_command(q_cmd)
+                self.drift += 0.5
+                pose = obs.pose_filtered
+                return replace(obs, pose_filtered=Pose(
+                    pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation))
+
+        base = ControllerConfig(geometry=GEOM, joint_limits=GEOM.joint_limits(),
+                                mode=ControllerMode.FullThreeTask, divergence_window=5)
+        log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(),
+                          WorkflowConfig(controller=base))
+        placement = log.stages[0]
+        assert (placement.stage, placement.outcome) == ("InitialPlacement", "diverged")
+        assert log.failure_reason == "InitialPlacement: diverged"
+        dists = [row.dist_est for row in log.rows]
+        passed = next(k for k, d in enumerate(dists)
+                      if d > base.divergence_factor * dists[0])
+        assert placement.end_iteration - placement.start_iteration <= passed + 5
 
     def test_repeat_runs_identical(self):
         a = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),

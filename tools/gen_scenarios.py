@@ -20,7 +20,6 @@ from softarm.config import derive_seed, initial_q_from_dict, upright_rotation
 from softarm.controller import (
     ControllerConfig,
     ControllerMode,
-    DivergenceDetected,
     gains_full_default,
     gains_orientation_default,
     gains_position_default,
@@ -58,11 +57,7 @@ def check_run(scenario_seed, index, mode, gains, cfg, desired):
     rng = np.random.default_rng(derive_seed(scenario_seed, index, 0))
     q0 = initial_q_from_dict(None, GEOM, rng)
     plant = Plant(PlantConfig(rng_seed=derive_seed(scenario_seed, index, 0, 0x91A)))
-    try:
-        traj = solve(q0, desired, gains, cfg, plant)
-    except DivergenceDetected as exc:
-        traj = exc.trajectory
-    return traj
+    return solve(q0, desired, gains, cfg, plant)
 
 
 def gen_positions():
