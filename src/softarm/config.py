@@ -34,6 +34,21 @@ class ConfigError(Exception):
     """Schema violation or unresolvable reference in a scenario file."""
 
 
+def _check_keys(data, schema, where: str) -> None:
+    """Raise ConfigError for the first key of ``data`` that ``schema`` does
+    not name, at any depth; values of another shape than the schema's are
+    left to the block parsers."""
+    if isinstance(schema, list) and isinstance(data, list):
+        for i, item in enumerate(data):
+            _check_keys(item, schema[0], f"{where}[{i}]")
+    elif isinstance(schema, dict) and isinstance(data, dict):
+        for key, value in data.items():
+            if key not in schema:
+                known = ", ".join(sorted(schema))
+                raise ConfigError(f"unknown key {key!r} in {where}; expected one of: {known}")
+            _check_keys(value, schema[key], f"{where}.{key}")
+
+
 def derive_seed(*keys) -> int:
     """Stable sub-seed from the scenario seed and integer keys."""
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
@@ -49,6 +64,11 @@ def upright_rotation(geom: RobotGeometry) -> np.ndarray:
 # Geometry
 # ---------------------------------------------------------------------------
 
+_GEOMETRY = {"sections": [{"radius": None, "initial_length": None,
+                           "plate_offset_length": None, "plate_offset_angle": None,
+                           "actuator_max_elongation": None}]}
+
+
 def geometry_from_dict(data) -> RobotGeometry:
     """Build a RobotGeometry from the config representation.
 
@@ -60,6 +80,7 @@ def geometry_from_dict(data) -> RobotGeometry:
         return default_geometry()
     if not isinstance(data, dict) or "sections" not in data:
         raise ConfigError("geometry must be 'default' or {'sections': [...]}")
+    _check_keys(data, _GEOMETRY, "geometry")
     sections = []
     for i, sec in enumerate(data["sections"]):
         try:
@@ -223,6 +244,33 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
 
 VALID_KINDS = ("controller", "compare", "harvest")
 
+# Keys each scenario block may hold. A nested dict is the schema of an
+# object-valued key, a one-element list that of every item of a list, and
+# None a value the block parsers check themselves.
+_GAINS = {"alpha": None, "gamma_position": None, "gamma_orientation": None,
+          "joint_limit": {"value_far": None, "switch_threshold": None, "metric": None}}
+_CONTROLLER = {"mode": None, "position_tolerance": None, "orientation_tolerance_deg": None,
+               "max_iterations": None, "orientation_error_axes": None, "gains": _GAINS}
+_ROTATION = {"rotvec": None, "axis": None, "angle_deg": None, "relative_to": None}
+_TARGET = {"position": None, "rotation": _ROTATION}
+_SCENARIO = {
+    "name": None, "kind": None, "seed": None, "strict": None, "repetitions": None,
+    "geometry": None,  # checked by geometry_from_dict, which also reads files
+    "plant": {"mismatch": None, "position_noise_std": None, "rotation_noise_std": None,
+              "filter_cutoff": None, "dt": None},
+    "controller": _CONTROLLER,
+    "controllers": [_CONTROLLER | {"name": None}],
+    "initial_q": {"midpoint_jitter": None},
+    "targets": [_TARGET],
+    "target": _TARGET,
+    "berries": [{"position": None, "approach": _ROTATION, "c1_occlusion_window": None}],
+    "registry": {"cam1_position": None, "cam1_target": None, "cam2_offset": None},
+    "workflow": {"coarse_threshold": None, "grasp_threshold": None, "standoff_offset": None,
+                 "home_q": None, "home_iterations": None, "observation_noise_std": None,
+                 "placement_gains": _GAINS, "placement_max_iterations": None,
+                 "fine_gains": _GAINS, "fine_max_iterations": None},
+}
+
 
 @dataclass
 class Scenario:
@@ -257,6 +305,7 @@ def load_scenario_dict(path) -> dict:
 def parse_scenario(data, seed_override=None) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
+    _check_keys(data, _SCENARIO, "scenario")
     for key in ("name", "kind"):
         if key not in data:
             raise ConfigError(f"scenario missing required key {key!r}")

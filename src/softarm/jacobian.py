@@ -1,21 +1,21 @@
 """Differential kinematics: the stacked 6x9 Jacobian and pseudoinverse tools.
 
-Columns are computed by central finite differences on the forward
-kinematics, which keeps the FK as the single source of truth for the
-geometry. The angular part is the spatial angular velocity
-(dR/dq_m R^T)^vee expressed in the base frame.
+The Jacobian is the closed-form derivative of the section transforms of
+:mod:`softarm.kinematics`. Each section is the exponential of a twist
+linear in u = (c0, c1, arc), and u is linear in the section's
+elongations, so J = J_u du/dq with a constant block-diagonal du/dq. The
+angular part is the spatial angular velocity (dR/dq_m R^T)^vee expressed
+in the base frame.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import N_ACTUATORS, RobotGeometry, as_actuator_vector
-from .kinematics import STRAIGHT_S_THRESHOLD, bending_measures, fk_batch
-from .rotations import vee
-
-#: Central-difference step (m) for the Jacobian columns.
-FD_STEP = 1e-7
+from .geometry import N_ACTUATORS, RobotGeometry
+from .kinematics import STRAIGHT_S_THRESHOLD, section_chain
 
 #: Default relative singular-value cutoff for pseudoinverses.
 SV_TOL = 1e-8
@@ -27,38 +27,83 @@ class FullyStraightConfiguration(Exception):
 
 @dataclass(frozen=True)
 class Jacobian6x9:
-    Jv: np.ndarray  # 3x9 linear part, m/m
-    Jw: np.ndarray  # 3x9 angular part, rad/m
+    J: np.ndarray  # 6x9 stack: linear part (m/m) over angular part (rad/m)
 
     @property
-    def J(self) -> np.ndarray:
-        return np.concatenate((self.Jv, self.Jw))
+    def Jv(self) -> np.ndarray:
+        return self.J[:3]
+
+    @property
+    def Jw(self) -> np.ndarray:
+        return self.J[3:]
 
 
-def jacobian(q, geom: RobotGeometry, h: float = FD_STEP) -> Jacobian6x9:
-    """6x9 end-effector Jacobian at q via central finite differences.
+#: Derivative of the bending vector (dx, dy) by an elongation triple.
+_BENDING_ROWS = np.array([[-2.0, 1.0, 1.0], [0.0, -math.sqrt(3.0), math.sqrt(3.0)]])
 
-    All 19 configurations [q; q + h e_m; q - h e_m] go through one batched
-    FK call. Raises FullyStraightConfiguration when all three sections are
-    exactly straight, mirroring the perturbation rule the controller
+
+@functools.lru_cache(maxsize=16)
+def _actuator_map(geom: RobotGeometry) -> np.ndarray:
+    """du/dq, block diagonal: per section (c0, c1) = (dx, dy) / (3 r) and
+    arc = L0 + mean(l)."""
+    M = np.zeros((N_ACTUATORS, N_ACTUATORS))
+    for i, s in enumerate(geom.sections):
+        block = M[3 * i:3 * i + 3, 3 * i:3 * i + 3]
+        block[:2] = _BENDING_ROWS / (3.0 * s.radius)
+        block[2] = 1.0 / 3.0
+    M.flags.writeable = False
+    return M
+
+
+def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
+    """6x9 end-effector Jacobian at q, in closed form.
+
+    Per section, with w = (-c1, c0, 0), W its skew matrix and phi = |c|:
+    the arc end point p = arc (b c0, b c1, a) has dp/dc_k = arc (beta c_k c
+    + b e_k, alpha c_k) and dp/darc = (b c0, b c1, a); the spatial angular
+    velocity is (I + b W + g W^2) dw/du. Rotated by the base-frame rotation
+    R of the section's base plate, a column moves the end effector by
+    Jw = R omega and Jv = R dp + Jw x (p_E - o), o being the base-frame end
+    of the arc. Raises FullyStraightConfiguration when all three sections
+    are exactly straight, mirroring the perturbation rule the controller
     applies to its initial state.
     """
-    q = as_actuator_vector(q)
-    if np.all(bending_measures(q) < STRAIGHT_S_THRESHOLD):
+    (e0, e1, e2), _, sections = section_chain(q, geom)
+    if all(section.s < STRAIGHT_S_THRESHOLD for section in sections):
         raise FullyStraightConfiguration(
             "Jacobian undefined at the fully straight configuration")
-    steps = h * np.eye(N_ACTUATORS)
-    P, R = fk_batch(q + np.vstack([np.zeros(N_ACTUATORS), steps, -steps]), geom)
-    plus, minus = slice(1, 1 + N_ACTUATORS), slice(1 + N_ACTUATORS, None)
-    Jv = ((P[plus] - P[minus]) / (2.0 * h)).T
-    Jw = vee(((R[plus] - R[minus]) / (2.0 * h)) @ R[0].T).T
-    return Jacobian6x9(Jv=Jv, Jw=Jw)
+    columns = []
+    for _, (c0, c1), arc, (a, b, g, alpha, beta), R, (o0, o1, o2) in sections:
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+        d0, d1, d2 = e0 - o0, e1 - o1, e2 - o2
+        bc0 = beta * c0
+        bc1 = beta * c1
+        gc0 = g * c0
+        # Local (dp, omega) along c0, c1 and arc.
+        for (p0, p1, p2), (w0, w1, w2) in (
+                ((arc * (bc0 * c0 + b), arc * bc0 * c1, arc * alpha * c0),
+                 (-gc0 * c1, 1.0 - g * c1 * c1, -b * c1)),
+                ((arc * bc1 * c0, arc * (bc1 * c1 + b), arc * alpha * c1),
+                 (gc0 * c0 - 1.0, gc0 * c1, b * c0)),
+                ((b * c0, b * c1, a), (0.0, 0.0, 0.0))):
+            x = r00 * w0 + r01 * w1 + r02 * w2
+            y = r10 * w0 + r11 * w1 + r12 * w2
+            z = r20 * w0 + r21 * w1 + r22 * w2
+            columns.append((r00 * p0 + r01 * p1 + r02 * p2 + y * d2 - z * d1,
+                            r10 * p0 + r11 * p1 + r12 * p2 + z * d0 - x * d2,
+                            r20 * p0 + r21 * p1 + r22 * p2 + x * d1 - y * d0,
+                            x, y, z))
+    return Jacobian6x9(J=np.array(columns).T @ _actuator_map(geom))
 
 
 def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below sv_tol * sigma_max
-    are treated as zero."""
-    return np.linalg.pinv(np.asarray(M, dtype=float), rcond=sv_tol)
+    """Moore-Penrose pseudoinverse; singular values at or below
+    sv_tol * sigma_max are treated as zero. The same steps as
+    ``np.linalg.pinv(M, rcond=sv_tol)``, without its general wrapper."""
+    u, s, vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
+    large = s > sv_tol * s.max()
+    s = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    return vt.T @ (s[:, None] * u.T)
 
 
 def null_projector(M, sv_tol: float = SV_TOL) -> np.ndarray:

@@ -16,6 +16,7 @@ from .controller import (
     ControllerConfig,
     ControllerMode,
     GainSchedule,
+    TaskError,
     gains_full_default,
     pose_error,
     step_full,
@@ -233,7 +234,8 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         iteration += 1
 
     # Stage 2: fine positioning on the berry itself, berry from C2 chained
-    # through the measured end-effector pose; orientation stays frozen.
+    # through the measured end-effector pose; orientation stays frozen, so
+    # its error is zero.
     stage = HarvestState.FinePositioning
     stage_start = iteration
     policy = cfg.fine
@@ -253,8 +255,8 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         if iteration - stage_start >= policy.max_iterations:
             close_stage(stage, stage_start, "timeout")
             return fail(f"StageTimeout({stage.value})")
-        desired = Pose(berry_est, obs.pose_filtered.rotation)
-        q = step_full(q, pose_error(desired, obs.pose_filtered), policy.gains, ctrl_cfg)
+        e = TaskError(berry_est - obs.pose_filtered.position, np.zeros(3))
+        q = step_full(q, e, policy.gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1
 

@@ -1,5 +1,8 @@
 import csv
+import importlib.util
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,87 @@ class TestConfigParsing:
         data = minimal_controller_config()
         scenario = parse_scenario(data, seed_override=99)
         assert scenario.seed == 99
+
+
+def _load_module(relative):
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStrictSchema:
+    def test_misspelled_controller_key_exits_1(self, tmp_path, capsys):
+        cfg = minimal_controller_config()
+        cfg["controller"]["postion_tolerance"] = cfg["controller"].pop("position_tolerance")
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "'postion_tolerance' in scenario.controller" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, typo", [
+        ((), "seeed"),
+        (("controller", "gains"), "gama_position"),
+        (("controller", "gains", "joint_limit"), "metrik"),
+        (("plant",), "noise"),
+        (("initial_q",), "jitter"),
+        (("targets", 0), "positon"),
+        (("targets", 0, "rotation"), "angle"),
+    ])
+    def test_unknown_key_in_any_controller_block(self, block, typo):
+        cfg = minimal_controller_config(plant={"dt": 0.05},
+                                        initial_q={"midpoint_jitter": 0.001})
+        cfg["targets"][0]["rotation"] = {"axis": "x", "angle_deg": 10.0}
+        node = cfg
+        for key in block:
+            node = node[key]
+        node[typo] = 1
+        with pytest.raises(ConfigError, match=repr(typo)):
+            parse_scenario(cfg)
+
+    @pytest.mark.parametrize("block, typo", [
+        (("controller",), "gains_typo"),
+        (("registry",), "cam3_position"),
+        (("workflow",), "grasp_treshold"),
+        (("workflow", "placement_gains"), "alpah"),
+        (("berries", 1), "occlusion"),
+        (("berries", 0, "approach"), "angle"),
+    ])
+    def test_unknown_key_in_any_harvest_block(self, block, typo):
+        cfg = load_scenario_dict("harvest_default")
+        cfg["workflow"]["placement_gains"] = {"alpha": 0.05}
+        node = cfg
+        for key in block:
+            node = node[key]
+        node[typo] = 1
+        with pytest.raises(ConfigError, match=repr(typo)):
+            parse_scenario(cfg)
+
+    def test_unknown_key_in_compare_entry_and_geometry(self):
+        cfg = load_scenario_dict("near_limit_pose")
+        cfg["controllers"][1]["label"] = "x"
+        with pytest.raises(ConfigError, match=r"scenario\.controllers\[1\]"):
+            parse_scenario(cfg)
+        with pytest.raises(ConfigError, match="'radius_mm'"):
+            geometry_from_dict({"sections": [{"radius": 0.06}, {"radius": 0.05},
+                                             {"radius_mm": 40.0}]})
+
+    def test_every_written_scenario_parses(self):
+        written = [json.loads(f.read_text(encoding="utf-8"))
+                   for f in resources.files("softarm").joinpath("scenarios").iterdir()
+                   if f.name.endswith(".json")]
+        assert len(written) == 9
+        gen = _load_module("tools/gen_scenarios.py")
+        written += [gen.gen_near_limit_compare(), gen.gen_orientation_compare(),
+                    gen.gen_harvest(), gen.noisy_variant(load_scenario_dict("pose_7pts"))]
+        workloads = _load_module("bench/workloads.py")
+        target = {"position": [0.0, 0.4, 0.45], "rotation": {"rotvec": [0.1, 0.0, 0.0]}}
+        written += [workloads.scenario_dict({"kind": kind, "noisy": noisy, "target": target,
+                                             "scenario_seed": 1}, 0)
+                    for kind in workloads.CONTROLLERS for noisy in (False, True)]
+        for data in written:
+            parse_scenario(data)
 
 
 class TestRunScenario:

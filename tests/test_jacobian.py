@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
@@ -10,11 +10,15 @@ from softarm.jacobian import (
     null_projector,
     pinv,
 )
-from softarm.kinematics import actuator_to_config
+from softarm.kinematics import (
+    STRAIGHT_S_THRESHOLD,
+    actuator_to_config,
+    forward_kinematics,
+)
 from softarm.rotations import skew, vee
 
 from oracles import fd_jacobian, random_feasible_q
-from strategies import with_straight_sections
+from strategies import actuator_vectors, with_straight_sections
 
 GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
@@ -104,6 +108,32 @@ def test_matches_fd_oracle_with_straight_sections(n_straight, data):
     assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
 
 
+def central_differences(q, h):
+    """Jv and Jw by central differences of forward_kinematics."""
+    Jv, Jw = np.zeros((3, 9)), np.zeros((3, 9))
+    R = forward_kinematics(q, GEOM).rotation
+    for m in range(9):
+        step = np.zeros(9)
+        step[m] = h
+        plus, minus = forward_kinematics(q + step, GEOM), forward_kinematics(q - step, GEOM)
+        Jv[:, m] = (plus.position - minus.position) / (2 * h)
+        Jw[:, m] = vee((plus.rotation - minus.rotation) / (2 * h) @ R.T)
+    return Jv, Jw
+
+
+@settings(max_examples=60, deadline=None)
+@given(actuator_vectors())
+def test_matches_central_differences_of_the_fk(q):
+    # Bent, exactly straight and near-straight sections; the closed form has
+    # no step, so it meets the differences' own error (~1e-10).
+    s = [actuator_to_config(q[3 * i:3 * i + 3], sec).s for i, sec in enumerate(GEOM.sections)]
+    assume(max(s) >= STRAIGHT_S_THRESHOLD)
+    J = jacobian(q, GEOM)
+    Jv_fd, Jw_fd = central_differences(q, h=1e-6)
+    assert np.linalg.norm(J.Jv - Jv_fd) / np.linalg.norm(Jv_fd) < 1e-8
+    assert np.linalg.norm(J.Jw - Jw_fd) / np.linalg.norm(Jw_fd) < 1e-8
+
+
 def test_small_random_perturbation_scale():
     rng = np.random.default_rng(4)
     q = np.full(9, 0.05) + rng.uniform(-1e-4, 1e-4, 9)
@@ -165,6 +195,20 @@ class TestPinv:
         M = np.diag([1.0, 1e-12, 0.5])
         Minv = pinv(M, sv_tol=1e-8)
         assert Minv[1, 1] == 0.0
+
+    def test_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(10)
+        matrices = [np.zeros((3, 9)), np.zeros((6, 9))]
+        for shape in ((3, 9), (6, 9), (9, 3)):
+            matrices += [rng.normal(size=shape) for _ in range(20)]
+        for _ in range(20):
+            # Rank deficient: a projected wide matrix and repeated rows.
+            M = rng.normal(size=(3, 9))
+            matrices.append(M @ null_projector(rng.normal(size=(4, 9))))
+            matrices.append(np.vstack([M, M[:1] * 3.0, M[1:2]]))
+        for M in matrices:
+            for sv_tol in (1e-8, 1e-3):
+                assert pinv(M, sv_tol).tobytes() == np.linalg.pinv(M, rcond=sv_tol).tobytes()
 
 
 class TestNullProjector:

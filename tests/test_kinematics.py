@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from softarm import kinematics
-from softarm.geometry import SectionGeometry, default_geometry
+from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
 from softarm.kinematics import (
+    SERIES_SWITCH,
     Pose,
     SectionConfig,
     actuator_to_config,
+    arc_coefficients,
     config_to_transform,
-    fk_batch,
     forward_kinematics,
 )
 from softarm.rotations import orthonormalize, rot_y, rot_z
@@ -148,6 +148,37 @@ class TestForwardKinematics:
             assert np.linalg.norm(pose.position - p_ref) < 1e-6
             assert rotation_angle_between(pose.rotation, R_ref) < 1e-6
 
+    def test_geometry_must_have_three_sections(self):
+        two = RobotGeometry(sections=GEOM.sections[:2])
+        with pytest.raises(ValueError, match="3 sections"):
+            forward_kinematics(np.full(9, 0.05), two)
+
+    def test_drifted_rotation_is_reorthonormalized(self, monkeypatch):
+        qs = np.random.default_rng(14).uniform(0.0, 0.1, (19, 9))
+        poses = [forward_kinematics(q, GEOM) for q in qs]
+        fixed = []
+        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
+        monkeypatch.setattr(kinematics, "orthonormalize",
+                            lambda R: fixed.append(R) or orthonormalize(R))
+        for q, pose in zip(qs, poses):
+            pose_fixed = forward_kinematics(q, GEOM)
+            np.testing.assert_array_equal(pose_fixed.position, pose.position)
+            np.testing.assert_allclose(pose_fixed.rotation, pose.rotation, rtol=0.0,
+                                       atol=1e-15)
+            rotation = pose_fixed.rotation
+            assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-14
+            assert np.linalg.det(rotation) > 0.0
+        assert len(fixed) == len(qs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(actuator_vectors())
+    def test_matches_segment_sampled_reference(self, q):
+        # Includes exactly straight and near-straight sections.
+        pose = forward_kinematics(q, GEOM)
+        p_ref, R_ref = fk_reference(q, GEOM)
+        assert np.linalg.norm(pose.position - p_ref) < 1e-6
+        assert rotation_angle_between(pose.rotation, R_ref) < 1e-6
+
     def test_single_section_arc_endpoint(self):
         # Pure bend of the distal section only: endpoint of that section is
         # the textbook circular arc rotated into the bending plane.
@@ -162,39 +193,25 @@ class TestForwardKinematics:
                                    atol=1e-12)
 
 
-class TestFkBatch:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(actuator_vectors(), min_size=1, max_size=19))
-    def test_rows_match_single_configuration_fk(self, qs):
-        P, R = fk_batch(np.array(qs), GEOM)
-        for q, p, rotation in zip(qs, P, R):
-            pose = forward_kinematics(q, GEOM)
-            assert np.max(np.abs(p - pose.position)) <= 1e-15
-            assert np.max(np.abs(rotation - pose.rotation)) <= 1e-15
+class TestArcCoefficients:
+    def test_closed_forms_above_the_series_switch(self):
+        for phi in (0.3, 0.5, 1.0, 2.0):
+            a, b, g, alpha, beta = arc_coefficients(phi * phi)
+            s, c = np.sin(phi), np.cos(phi)
+            assert a == pytest.approx(s / phi, rel=1e-14)
+            assert b == pytest.approx((1 - c) / phi**2, rel=1e-12)
+            assert g == pytest.approx((phi - s) / phi**3, rel=1e-12)
+            assert alpha == pytest.approx((phi * c - s) / phi**3, rel=1e-12)
+            assert beta == pytest.approx((phi * s - 2 * (1 - c)) / phi**4, rel=1e-11)
 
-    def test_drifted_rows_are_reorthonormalized(self, monkeypatch):
-        Q = np.random.default_rng(14).uniform(0.0, 0.1, (19, 9))
-        P, R = fk_batch(Q, GEOM)
-        fixed = []
-        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
-        monkeypatch.setattr(kinematics, "orthonormalize",
-                            lambda Rs: fixed.append(len(Rs)) or orthonormalize(Rs))
-        P_fixed, R_fixed = fk_batch(Q, GEOM)
-        assert fixed and fixed[0] > 0
-        np.testing.assert_array_equal(P_fixed, P)
-        np.testing.assert_allclose(R_fixed, R, rtol=0.0, atol=1e-15)
-        for rotation in R_fixed:
-            assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-14
-            assert np.linalg.det(rotation) > 0.0
+    def test_limits_at_straight(self):
+        assert arc_coefficients(0.0) == (1.0, 0.5, 1 / 6, 1 / 6 - 0.5, -1 / 12)
 
-    @settings(max_examples=60, deadline=None)
-    @given(actuator_vectors())
-    def test_matches_segment_sampled_reference(self, q):
-        # Includes exactly straight and near-straight sections.
-        P, R = fk_batch(q[None], GEOM)
-        p_ref, R_ref = fk_reference(q, GEOM)
-        assert np.linalg.norm(P[0] - p_ref) < 1e-6
-        assert rotation_angle_between(R[0], R_ref) < 1e-6
+    def test_continuous_across_the_series_switch(self):
+        below = arc_coefficients(np.nextafter(SERIES_SWITCH, 0.0))
+        above = arc_coefficients(SERIES_SWITCH)
+        for lo, hi in zip(below, above):
+            assert abs(hi - lo) <= 1e-10 * abs(hi)
 
 
 class TestPose:

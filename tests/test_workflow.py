@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softarm.controller import ControllerConfig, ControllerMode
+from softarm.controller import ControllerConfig, ControllerMode, pose_error, step_full
 from softarm import workflow
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose
@@ -77,6 +77,26 @@ class TestHarvestRun:
                           make_workflow())
         sources = {r.target_source for r in log.rows if r.stage == "FinePositioning"}
         assert sources <= {"c2", "c2_held"}
+
+    def test_fine_stage_steps_on_the_position_error_alone(self, monkeypatch):
+        # Orientation is frozen in the fine stage, so no pose error (and no
+        # rotation log) is formed there; its steps get a zero e_zeta.
+        poses, fine_errors = [], []
+        monkeypatch.setattr(workflow, "pose_error",
+                            lambda d, c: poses.append(d) or pose_error(d, c))
+
+        def recording_step(q, e, gains, cfg):
+            if cfg.mode is ControllerMode.PositionWithJL:
+                fine_errors.append(e)
+            return step_full(q, e, gains, cfg)
+
+        monkeypatch.setattr(workflow, "step_full", recording_step)
+        log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
+                          make_workflow())
+        placement, fine = log.stages[:2]
+        assert len(poses) == placement.end_iteration - placement.start_iteration
+        assert len(fine_errors) == fine.end_iteration - fine.start_iteration > 0
+        assert all(not e.e_zeta.any() for e in fine_errors)
 
     def test_gripper_closed_during_grasp(self):
         log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
