@@ -38,23 +38,15 @@ from .geometry import (
     SectionGeometry,
     default_geometry,
     elongation_to_pressure,
-    pressure_to_elongation,
     validate_geometry,
 )
 from .jacobian import (
     FullyStraightConfiguration,
     Jacobian6x9,
     jacobian,
-    null_projector,
     pinv,
 )
-from .kinematics import (
-    Pose,
-    SectionConfig,
-    actuator_to_config,
-    config_to_transform,
-    forward_kinematics,
-)
+from .kinematics import Pose, forward_kinematics
 from .plant import LowPassFilter, Plant, PlantConfig, PlantObservation
 from .vision import (
     BerryTarget,
@@ -82,11 +74,9 @@ __all__ = [
     "gains_position_default", "jl_cost", "jl_gradient", "pose_error", "solve",
     "step_full",
     "JointLimits", "RobotGeometry", "SectionGeometry", "default_geometry",
-    "elongation_to_pressure", "pressure_to_elongation", "validate_geometry",
-    "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "null_projector",
-    "pinv",
-    "Pose", "SectionConfig", "actuator_to_config", "config_to_transform",
-    "forward_kinematics",
+    "elongation_to_pressure", "validate_geometry",
+    "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "pinv",
+    "Pose", "forward_kinematics",
     "LowPassFilter", "Plant", "PlantConfig", "PlantObservation",
     "BerryTarget", "DegenerateConfiguration", "FrameRegistry",
     "NoTargetEverSeen", "berry_to_base", "build_registry", "register_rigid",

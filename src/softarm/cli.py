@@ -15,15 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    VALID_KINDS,
     ConfigError,
     Scenario,
+    berries_from_dict,
     controller_from_dict,
     derive_seed,
     initial_q_from_dict,
     load_scenario_dict,
     parse_scenario,
     plant_config_from_dict,
-    rotation_from_dict,
     target_pose_from_dict,
     workflow_from_dict,
 )
@@ -64,6 +65,25 @@ def _say(quiet, *parts):
         print(*parts)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and then ``rows``, each row as it is produced, so a
+    scenario's rows are never held in memory all at once."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: str,
+                   lines: list) -> None:
+    """Write ``summary.json`` and the text report ``text_name``."""
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
+                                          encoding="utf-8")
+    head = [f"scenario: {scenario.name}", f"seed: {scenario.seed}", ""]
+    (out_dir / text_name).write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Controller scenarios
 # ---------------------------------------------------------------------------
@@ -83,40 +103,28 @@ def _run_one_target(scenario: Scenario, target_index: int, repetition: int,
 
 
 def _trajectory_rows(trajectory, label, repetition, stage):
-    rows = []
-    n = trajectory.qs.shape[0]
-    for k in range(n):
-        rows.append(
-            [str(label), str(repetition), str(k), stage]
-            + _fmt(trajectory.qs[k]) + _fmt(trajectory.pressures[k])
-            + _fmt(trajectory.positions[k]) + _fmt(trajectory.rotvecs[k])
-            + _fmt([trajectory.err_pos[k], trajectory.err_rot[k],
-                    trajectory.err_pos_true[k], trajectory.err_rot_true[k]])
-            + [_mask(trajectory.infeasible[k])]
-        )
-    return rows
+    for k in range(trajectory.qs.shape[0]):
+        yield ([str(label), str(repetition), str(k), stage]
+               + _fmt(trajectory.qs[k]) + _fmt(trajectory.pressures[k])
+               + _fmt(trajectory.positions[k]) + _fmt(trajectory.rotvecs[k])
+               + _fmt([trajectory.err_pos[k], trajectory.err_rot[k],
+                       trajectory.err_pos_true[k], trajectory.err_rot_true[k]])
+               + [_mask(trajectory.infeasible[k])])
 
 
-def run_controller_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     raw = scenario.raw
-    targets = raw.get("targets", [])
     repetitions = int(raw.get("repetitions", 1))
     controller_block = raw.get("controller")
     if controller_block is None:
         raise ConfigError("controller scenario needs a 'controller' block")
-    mode = controller_block.get("mode", "?")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    steps_path = out_dir / "steps.csv"
     results = []
-    with open(steps_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONTROLLER_CSV_HEADER)
-        for ti, target in enumerate(targets):
+
+    def rows():
+        for ti, target in enumerate(raw.get("targets", [])):
             for rep in range(repetitions):
                 trajectory, _ = _run_one_target(scenario, ti, rep, controller_block,
                                                 target)
-                writer.writerows(_trajectory_rows(trajectory, ti, rep, mode))
                 results.append({
                     "target": ti,
                     "repetition": rep,
@@ -134,17 +142,17 @@ def run_controller_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> i
                      f"in {trajectory.iterations_used} iters, "
                      f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
                      f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg")
+                yield from _trajectory_rows(trajectory, ti, rep, controller_block["mode"])
 
+    _write_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER, rows())
     summary = _controller_summary(scenario, results)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                          encoding="utf-8")
-    _write_controller_summary_txt(out_dir / "summary.txt", scenario, results, summary)
-    _say(quiet, f"  wrote {steps_path}")
-    if summary["aggregate"]["n_runs"]:
-        pos = summary["aggregate"]
-        _say(quiet, f"  position error: {pos['err_pos_mean_mm']:.3f} +/- "
-             f"{pos['err_pos_std_mm']:.3f} mm; orientation error: "
-             f"{pos['err_rot_mean_deg']:.3f} +/- {pos['err_rot_std_deg']:.3f} deg")
+    _write_summary(out_dir, scenario, summary, "summary.txt", _controller_lines(summary))
+    _say(quiet, f"  wrote {out_dir / 'steps.csv'}")
+    agg = summary["aggregate"]
+    if agg["n_runs"]:
+        _say(quiet, f"  position error: {agg['err_pos_mean_mm']:.3f} +/- "
+             f"{agg['err_pos_std_mm']:.3f} mm; orientation error: "
+             f"{agg['err_rot_mean_deg']:.3f} +/- {agg['err_rot_std_deg']:.3f} deg")
 
     failed = [r for r in results if not r["converged"] or r["diverged"]]
     if scenario.strict and failed:
@@ -168,32 +176,30 @@ def _controller_summary(scenario, results):
             "runs": results, "aggregate": aggregate}
 
 
-def _write_controller_summary_txt(path, scenario, results, summary):
-    lines = [f"scenario: {scenario.name}", f"seed: {scenario.seed}", ""]
-    for r in results:
-        lines.append(
-            f"target {r['target']:3d} rep {r['repetition']}: "
-            f"{'converged' if r['converged'] else 'not-converged'}"
-            f"{' diverged' if r['diverged'] else ''} "
-            f"iters={r['iterations']:5d} "
-            f"err_pos={r['final_err_pos_m'] * 1e3:8.4f} mm "
-            f"err_rot={np.rad2deg(r['final_err_rot_rad']):8.4f} deg"
-            f"{' infeasible-pressures' if r['any_infeasible'] else ''}")
+def _controller_lines(summary) -> list:
+    """The per-run and aggregate lines of a controller ``summary.txt``."""
     agg = summary["aggregate"]
-    lines.append("")
-    lines.append(f"runs: {agg['n_runs']}  converged: {agg['n_converged']}")
-    lines.append(f"position error: {agg['err_pos_mean_mm']:.4f} +/- "
-                 f"{agg['err_pos_std_mm']:.4f} mm")
-    lines.append(f"orientation error: {agg['err_rot_mean_deg']:.4f} +/- "
-                 f"{agg['err_rot_std_deg']:.4f} deg")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"target {r['target']:3d} rep {r['repetition']}: "
+             f"{'converged' if r['converged'] else 'not-converged'}"
+             f"{' diverged' if r['diverged'] else ''} "
+             f"iters={r['iterations']:5d} "
+             f"err_pos={r['final_err_pos_m'] * 1e3:8.4f} mm "
+             f"err_rot={np.rad2deg(r['final_err_rot_rad']):8.4f} deg"
+             f"{' infeasible-pressures' if r['any_infeasible'] else ''}"
+             for r in summary["runs"]]
+    return lines + ["",
+                    f"runs: {agg['n_runs']}  converged: {agg['n_converged']}",
+                    f"position error: {agg['err_pos_mean_mm']:.4f} +/- "
+                    f"{agg['err_pos_std_mm']:.4f} mm",
+                    f"orientation error: {agg['err_rot_mean_deg']:.4f} +/- "
+                    f"{agg['err_rot_std_deg']:.4f} deg"]
 
 
 # ---------------------------------------------------------------------------
 # Controller comparison
 # ---------------------------------------------------------------------------
 
-def run_compare_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     raw = scenario.raw
     entries = raw.get("controllers", [])
     if len(entries) < 2:
@@ -201,7 +207,6 @@ def run_compare_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     if "target" not in raw:
         raise ConfigError("compare scenario needs a single 'target'")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs = {}
     verdicts = {}
     for entry in entries:
@@ -221,35 +226,29 @@ def run_compare_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
              f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg)")
 
     names = list(runs)
-    length = max(t.qs.shape[0] for t in runs.values())
-    compare_path = out_dir / "compare.csv"
-    with open(compare_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration"] + [f"{n}_{c}" for n in names
-                                         for c in ("err_pos", "err_rot")])
-        for k in range(length):
+
+    def rows():
+        for k in range(max(t.qs.shape[0] for t in runs.values())):
             row = [str(k)]
-            for n in names:
-                t = runs[n]
+            for t in runs.values():
                 if k < t.err_pos.size:
                     row += [_FLOAT_FMT % t.err_pos[k], _FLOAT_FMT % t.err_rot[k]]
                 else:
                     row += ["", ""]
-            writer.writerow(row)
+            yield row
 
-    lines = [f"scenario: {scenario.name}", f"seed: {scenario.seed}", ""]
-    lines += [f"{n}: {verdicts[n]} iters={runs[n].iterations_used}" for n in names]
-    (out_dir / "verdicts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    _write_csv(out_dir / "compare.csv",
+               ["iteration"] + [f"{n}_{c}" for n in names for c in ("err_pos", "err_rot")],
+               rows())
     summary = {
         "name": scenario.name, "seed": scenario.seed,
         "verdicts": verdicts,
         "iterations": {n: runs[n].iterations_used for n in names},
         "any_infeasible": {n: bool(runs[n].any_infeasible) for n in names},
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                          encoding="utf-8")
-    _say(quiet, f"  wrote {compare_path}")
+    _write_summary(out_dir, scenario, summary, "verdicts.txt",
+                   [f"{n}: {verdicts[n]} iters={runs[n].iterations_used}" for n in names])
+    _say(quiet, f"  wrote {out_dir / 'compare.csv'}")
 
     if scenario.strict and any(not t.converged for t in runs.values()):
         return 2
@@ -260,46 +259,24 @@ def run_compare_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Harvest scenarios
 # ---------------------------------------------------------------------------
 
-def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     raw = scenario.raw
-    berries = raw.get("berries", [])
-    if not berries:
-        raise ConfigError("harvest scenario needs a 'berries' list")
-    controller_block = raw.get("controller", {"mode": "FullThreeTask"})
-    base_cfg, _ = controller_from_dict(controller_block, scenario.geometry)
-
+    berries = berries_from_dict(raw.get("berries"), scenario.geometry)
+    base_cfg, _ = controller_from_dict(raw.get("controller", {"mode": "FullThreeTask"}),
+                                       scenario.geometry)
+    workflow = workflow_from_dict(raw.get("workflow"), base_cfg)
     reg_cfg = raw.get("registry", {})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    steps_path = out_dir / "steps.csv"
     results = []
-    with open(steps_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HARVEST_CSV_HEADER)
-        for bi, berry_cfg in enumerate(berries):
-            berry = np.asarray(berry_cfg["position"], dtype=float)
-            approach = rotation_from_dict(
-                {"axis": "x", "angle_deg": -90.0} | berry_cfg.get("approach", {}),
-                scenario.geometry)
 
-            window = berry_cfg.get("c1_occlusion_window")
-            wf = workflow_from_dict(raw.get("workflow"), base_cfg)
-            wf = replace(wf, c1_occlusion_window=tuple(window) if window else None,
+    def rows():
+        for bi, (berry, approach, window) in enumerate(berries):
+            wf = replace(workflow, c1_occlusion_window=window,
                          rng_seed=derive_seed(scenario.seed, bi))
-            registry = build_registry(
-                cam1_position=tuple(reg_cfg.get("cam1_position", (0.0, -1.2, 0.4))),
-                cam1_target=tuple(reg_cfg.get("cam1_target", tuple(berry))),
-                cam2_offset=tuple(reg_cfg.get("cam2_offset", (0.0, 0.0, 0.01))),
-            )
+            registry = build_registry(**{k: tuple(v) for k, v in
+                                         ({"cam1_target": berry} | reg_cfg).items()})
             plant = Plant(plant_config_from_dict(raw.get("plant"), scenario.geometry,
                                                  derive_seed(scenario.seed, bi, 0x91A)))
             log = run_harvest(berry, approach, plant, registry, wf)
-            for r in log.rows:
-                writer.writerow(
-                    [str(bi), "occluded" if window else "plain", str(r.iteration),
-                     r.stage]
-                    + _fmt(r.q) + _fmt(r.pressures) + _fmt(r.position) + _fmt(r.rotvec)
-                    + _fmt([r.dist_est, r.dist_true])
-                    + [_mask(r.infeasible), r.target_source])
             results.append({
                 "berry": bi,
                 "final_state": log.final_state.value,
@@ -314,11 +291,14 @@ def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             })
             _say(quiet, f"  berry {bi}: {log.final_state.value}"
                  f"{' (' + log.failure_reason + ')' if log.failure_reason else ''}")
+            for r in log.rows:
+                yield ([str(bi), "occluded" if window else "plain", str(r.iteration), r.stage]
+                       + _fmt(r.q) + _fmt(r.pressures) + _fmt(r.position) + _fmt(r.rotvec)
+                       + _fmt([r.dist_est, r.dist_true])
+                       + [_mask(r.infeasible), r.target_source])
 
-    (out_dir / "summary.json").write_text(
-        json.dumps({"name": scenario.name, "seed": scenario.seed, "runs": results},
-                   indent=2) + "\n", encoding="utf-8")
-    lines = [f"scenario: {scenario.name}", f"seed: {scenario.seed}", ""]
+    _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())
+    lines = []
     for r in results:
         lines.append(f"berry {r['berry']}: {r['final_state']}"
                      + (f" ({r['failure_reason']})" if r["failure_reason"] else ""))
@@ -326,8 +306,10 @@ def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             lines.append(f"    {s['stage']:<18} iters={s['iterations']:5d} "
                          f"outcome={s['outcome']:<8} "
                          f"dist_true={s['final_dist_true_m'] * 1e3:8.2f} mm")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _say(quiet, f"  wrote {steps_path}")
+    _write_summary(out_dir, scenario,
+                   {"name": scenario.name, "seed": scenario.seed, "runs": results},
+                   "summary.txt", lines)
+    _say(quiet, f"  wrote {out_dir / 'steps.csv'}")
 
     if scenario.strict and any(r["final_state"] != HarvestState.Done.value
                                for r in results):
@@ -339,37 +321,28 @@ def run_harvest_scenario(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
-    """Execute a controller or harvest scenario file; returns the exit code."""
+_RUNNERS = {"controller": _run_controller, "compare": _run_compare, "harvest": _run_harvest}
+
+
+def _run(path, out_dir, seed_override, quiet, kinds) -> int:
+    """Execute a scenario file whose kind is one of ``kinds``; returns the
+    exit code."""
     try:
         scenario = parse_scenario(load_scenario_dict(path), seed_override)
+        if scenario.kind not in kinds:
+            raise ConfigError(f"expected kind {' or '.join(kinds)}, got {scenario.kind!r}")
         _say(quiet, f"scenario {scenario.name} (kind={scenario.kind}, "
              f"seed={scenario.seed})")
         out = Path(out_dir) if out_dir else Path("out") / scenario.name
-        if scenario.kind == "controller":
-            return run_controller_scenario(scenario, out, quiet)
-        if scenario.kind == "harvest":
-            return run_harvest_scenario(scenario, out, quiet)
-        if scenario.kind == "compare":
-            return run_compare_scenario(scenario, out, quiet)
-        raise ConfigError(f"unknown kind {scenario.kind!r}")
+        return _RUNNERS[scenario.kind](scenario, out, quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
 
-def compare_controllers(path, out_dir=None, seed_override=None, quiet=False) -> int:
-    """Execute a compare scenario file; returns the exit code."""
-    try:
-        scenario = parse_scenario(load_scenario_dict(path), seed_override)
-        if scenario.kind != "compare":
-            raise ConfigError(f"'compare' expects kind='compare', got {scenario.kind!r}")
-        _say(quiet, f"scenario {scenario.name} (kind=compare, seed={scenario.seed})")
-        out = Path(out_dir) if out_dir else Path("out") / scenario.name
-        return run_compare_scenario(scenario, out, quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
+    """Execute a scenario file of any kind; returns the exit code."""
+    return _run(path, out_dir, seed_override, quiet, VALID_KINDS)
 
 
 def main(argv=None) -> int:
@@ -388,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_scenario(args.config, args.out, args.seed, args.quiet)
-    return compare_controllers(args.config, args.out, args.seed, args.quiet)
+    return _run(args.config, args.out, args.seed, args.quiet, ("compare",))
 
 
 if __name__ == "__main__":

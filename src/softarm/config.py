@@ -6,7 +6,7 @@ so re-running a file reproduces its outputs byte for byte.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .geometry import (
 from .kinematics import Pose
 from .plant import PlantConfig
 from .rotations import rot_x, rot_y, rot_z, rotvec_to_matrix
-from .workflow import StagePolicy, WorkflowConfig
+from .workflow import WorkflowConfig
 
 
 class ConfigError(Exception):
@@ -47,6 +47,12 @@ def _check_keys(data, schema, where: str) -> None:
                 known = ", ".join(sorted(schema))
                 raise ConfigError(f"unknown key {key!r} in {where}; expected one of: {known}")
             _check_keys(value, schema[key], f"{where}.{key}")
+
+
+def _given(data: dict, convert, *keys) -> dict:
+    """The ``keys`` that ``data`` gives, converted; a key it leaves out is
+    not passed on, so the dataclass that owns its default applies."""
+    return {key: convert(data[key]) for key in keys if key in data}
 
 
 def derive_seed(*keys) -> int:
@@ -84,14 +90,8 @@ def geometry_from_dict(data) -> RobotGeometry:
     sections = []
     for i, sec in enumerate(data["sections"]):
         try:
-            sections.append(SectionGeometry(
-                radius=float(sec["radius"]),
-                initial_length=float(sec.get("initial_length", 0.15)),
-                plate_offset_length=float(sec.get("plate_offset_length", 0.02)),
-                plate_offset_angle=float(sec.get("plate_offset_angle", np.pi / 3)),
-                actuator_max_elongation=float(sec.get("actuator_max_elongation", 0.10)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
+            sections.append(SectionGeometry(**{k: float(v) for k, v in sec.items()}))
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"geometry section {i}: {exc}") from exc
     geom = RobotGeometry(sections=tuple(sections))
     violations = validate_geometry(geom)
@@ -118,24 +118,20 @@ def load_geometry(path) -> RobotGeometry:
 def gains_from_dict(data) -> GainSchedule:
     if not isinstance(data, dict) or "alpha" not in data:
         raise ConfigError("gains must be an object with at least 'alpha'")
-    jl = None
-    if data.get("joint_limit") is not None:
-        j = data["joint_limit"]
+    kwargs = {}
+    j = data.get("joint_limit")
+    if j is not None:
         try:
-            jl = JointLimitSchedule(
+            kwargs["joint_limit"] = JointLimitSchedule(
                 value_far=float(j["value_far"]),
                 switch_threshold=float(j["switch_threshold"]),
-                threshold_metric=j.get("metric", "position"),
+                **({"threshold_metric": j["metric"]} if "metric" in j else {}),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"joint_limit schedule: {exc}") from exc
     try:
-        return GainSchedule(
-            alpha=float(data["alpha"]),
-            gamma_position=float(data.get("gamma_position", 1.0)),
-            gamma_orientation=float(data.get("gamma_orientation", 0.0)),
-            joint_limit=jl,
-        )
+        return GainSchedule(**kwargs, **_given(data, float, "alpha", "gamma_position",
+                                               "gamma_orientation"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"gains: {exc}") from exc
 
@@ -149,16 +145,12 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
     except ValueError as exc:
         names = ", ".join(m.value for m in ControllerMode)
         raise ConfigError(f"unknown mode {data['mode']!r}; one of: {names}") from exc
-    axes = data.get("orientation_error_axes")
-    cfg = ControllerConfig(
-        geometry=geom,
-        joint_limits=geom.joint_limits(),
-        mode=mode,
-        position_tolerance=float(data.get("position_tolerance", 0.8e-3)),
-        orientation_tolerance=float(np.deg2rad(data.get("orientation_tolerance_deg", 0.6))),
-        max_iterations=int(data.get("max_iterations", 3000)),
-        orientation_error_axes=tuple(axes) if axes is not None else None,
-    )
+    kwargs = _given(data, float, "position_tolerance") | _given(data, int, "max_iterations")
+    if "orientation_tolerance_deg" in data:
+        kwargs["orientation_tolerance"] = float(np.deg2rad(data["orientation_tolerance_deg"]))
+    if data.get("orientation_error_axes") is not None:
+        kwargs["orientation_error_axes"] = tuple(data["orientation_error_axes"])
+    cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), mode=mode, **kwargs)
     gains = gains_from_dict(data.get("gains", {"alpha": 0.05}))
     return cfg, gains
 
@@ -169,21 +161,12 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
     data = data or {}
+    kwargs = _given(data, float, "position_noise_std", "rotation_noise_std", "filter_cutoff", "dt")
     mismatch = float(data.get("mismatch", 0.0))
     if mismatch > 0:
-        scale = np.random.default_rng(derive_seed(seed, 0xA11)).uniform(
+        kwargs["length_scale_error"] = np.random.default_rng(derive_seed(seed, 0xA11)).uniform(
             -mismatch, mismatch, 9)
-    else:
-        scale = np.zeros(9)
-    return PlantConfig(
-        true_geometry=geom,
-        length_scale_error=scale,
-        position_noise_std=float(data.get("position_noise_std", 0.0)),
-        rotation_noise_std=float(data.get("rotation_noise_std", 0.0)),
-        filter_cutoff=float(data.get("filter_cutoff", 10.0)),
-        dt=float(data.get("dt", 0.05)),
-        rng_seed=seed,
-    )
+    return PlantConfig(true_geometry=geom, rng_seed=seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +209,39 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
     {"midpoint_jitter": j} drawn from the run RNG (keeps the start off the
     straight singularity, mirroring the perturbation rule)."""
-    limits = geom.joint_limits()
-    if data is None:
-        data = {"midpoint_jitter": 1e-3}
-    if isinstance(data, dict):
-        jitter = float(data.get("midpoint_jitter", 1e-3))
-        return limits.midpoint() + rng.uniform(-jitter, jitter, 9)
+    if data is None or isinstance(data, dict):
+        jitter = float((data or {}).get("midpoint_jitter", 1e-3))
+        return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
     q = np.asarray(data, dtype=float)
     if q.shape != (9,):
         raise ConfigError("initial_q must be a 9-vector or {'midpoint_jitter': j}")
     return q
+
+
+def berries_from_dict(data, geom: RobotGeometry) -> list:
+    """Each berry of a harvest scenario as (position, approach rotation, C1
+    occlusion window or None). The approach defaults to -90 deg about x,
+    relative to upright; every berry is checked before any runs."""
+    if not data:
+        raise ConfigError("harvest scenario needs a 'berries' list")
+    berries = []
+    for i, berry in enumerate(data):
+        try:
+            position = np.asarray(berry["position"], dtype=float)
+            if position.shape != (3,):
+                raise ValueError("position must be a 3-vector")
+            approach = rotation_from_dict(
+                {"axis": "x", "angle_deg": -90.0} | berry.get("approach", {}), geom)
+            window = berry.get("c1_occlusion_window")
+            window = tuple(window) if window else None
+            if window is not None and len(window) != 2:
+                raise ValueError("c1_occlusion_window must be [start, length]")
+        except KeyError as exc:
+            raise ConfigError(f"berries[{i}] needs a {exc} key") from exc
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"berries[{i}]: {exc}") from exc
+        berries.append((position, approach, window))
+    return berries
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +335,17 @@ def parse_scenario(data, seed_override=None) -> Scenario:
 
 def workflow_from_dict(data, base_cfg: ControllerConfig) -> WorkflowConfig:
     data = data or {}
-    defaults = WorkflowConfig(controller=base_cfg)
-    placement = defaults.placement
-    fine = defaults.fine
-    if "placement_gains" in data:
-        placement = StagePolicy(ControllerMode.FullThreeTask,
-                                gains_from_dict(data["placement_gains"]),
-                                int(data.get("placement_max_iterations", 2000)))
-    elif "placement_max_iterations" in data:
-        placement = StagePolicy(placement.mode, placement.gains,
-                                int(data["placement_max_iterations"]))
-    if "fine_gains" in data:
-        fine = StagePolicy(ControllerMode.PositionWithJL,
-                           gains_from_dict(data["fine_gains"]),
-                           int(data.get("fine_max_iterations", 1000)))
-    elif "fine_max_iterations" in data:
-        fine = StagePolicy(fine.mode, fine.gains, int(data["fine_max_iterations"]))
-    kwargs = dict(
+    wf = WorkflowConfig(
         controller=base_cfg,
-        coarse_threshold=float(data.get("coarse_threshold", 0.06)),
-        grasp_threshold=float(data.get("grasp_threshold", 0.02)),
-        placement=placement,
-        fine=fine,
-        home_iterations=int(data.get("home_iterations", 100)),
-        observation_noise_std=float(data.get("observation_noise_std", 0.0)),
-    )
-    if "standoff_offset" in data:
-        kwargs["standoff_offset"] = np.asarray(data["standoff_offset"], dtype=float)
-    if "home_q" in data:
-        kwargs["home_q"] = np.asarray(data["home_q"], dtype=float)
-    return WorkflowConfig(**kwargs)
+        **_given(data, float, "coarse_threshold", "grasp_threshold", "observation_noise_std"),
+        **_given(data, int, "home_iterations"),
+        **_given(data, lambda v: np.asarray(v, dtype=float), "standoff_offset", "home_q"))
+    policies = {}
+    for stage in ("placement", "fine"):
+        policy = getattr(wf, stage)
+        if f"{stage}_gains" in data:
+            policy = replace(policy, gains=gains_from_dict(data[f"{stage}_gains"]))
+        if f"{stage}_max_iterations" in data:
+            policy = replace(policy, max_iterations=int(data[f"{stage}_max_iterations"]))
+        policies[stage] = policy
+    return replace(wf, **policies)

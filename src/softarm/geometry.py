@@ -78,10 +78,6 @@ class JointLimits:
         if not np.all(self.lower < self.upper):
             raise ValueError("lower limits must be strictly below upper limits")
 
-    def contains(self, q) -> bool:
-        q = as_actuator_vector(q)
-        return bool(np.all(q > self.lower) and np.all(q < self.upper))
-
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
@@ -135,13 +131,8 @@ def validate_geometry(geom: RobotGeometry) -> list:
     return violations
 
 
-def pressure_to_elongation(pressure):
-    """Elongation (m) commanded by a regulator pressure (psi). Linear map."""
-    return np.asarray(pressure, dtype=float) * ELONGATION_PER_PSI
-
-
 def elongation_to_pressure(elongation):
-    """Pressure (psi) required for an elongation (m). Inverse of the above.
+    """Pressure (psi) required for an elongation (m), at ``ELONGATION_PER_PSI``.
 
     Negative elongations map to negative pressures, which are physically
     infeasible; callers flag them rather than erroring here.

@@ -104,9 +104,3 @@ def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:
     large = s > sv_tol * s.max()
     s = np.divide(1.0, s, out=np.zeros_like(s), where=large)
     return vt.T @ (s[:, None] * u.T)
-
-
-def null_projector(M, sv_tol: float = SV_TOL) -> np.ndarray:
-    """Projector I - M^+ M onto the null space of M."""
-    M = np.asarray(M, dtype=float)
-    return np.eye(M.shape[1]) - pinv(M, sv_tol) @ M

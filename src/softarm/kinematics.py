@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import N_SECTIONS, RobotGeometry, SectionGeometry, as_actuator_vector
+from .geometry import N_SECTIONS, RobotGeometry, as_actuator_vector
 from .rotations import drift_and_det, orthonormalize
 
 #: Below this bending measure (m) a section is treated as exactly straight.
@@ -77,51 +77,9 @@ class Pose:
         return self.position + self.rotation @ np.asarray(p, dtype=float)
 
 
-@dataclass(frozen=True)
-class SectionConfig:
-    """Arc parameters of one section.
-
-    ``s`` is the bending measure from the elongation differences, ``phi``
-    the arc bending angle, ``lam`` the radius of curvature (inf marks the
-    straight sentinel), ``theta`` the bending-plane angle from the local X
-    axis, and ``arc_length`` the section centerline length.
-    """
-
-    s: float
-    phi: float
-    lam: float
-    theta: float
-    arc_length: float
-
-    @property
-    def is_straight(self) -> bool:
-        return not np.isfinite(self.lam)
-
-
 def _bending(l1, l2, l3):
     """Bending vector (dx, dy) of an elongation triple; its norm is 2 s."""
     return l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
-
-
-def actuator_to_config(lengths, section: SectionGeometry) -> SectionConfig:
-    """Map the three actuator elongations of one section to arc parameters.
-
-    The bending-plane angle uses the two-argument arctangent so the full
-    [-pi, pi] range is covered. When the elongations are (near-)equal the
-    arc degenerates to a straight segment; that case returns the sentinel
-    (phi = 0, theta = 0, lam = inf) rather than dividing by zero.
-    """
-    l1, l2, l3 = (float(v) for v in lengths)
-    if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
-        raise ValueError("actuator lengths must be finite")
-    arc_length = section.initial_length + (l1 + l2 + l3) / 3.0
-    dx, dy = _bending(l1, l2, l3)
-    s = 0.5 * math.hypot(dx, dy)
-    if s < STRAIGHT_S_THRESHOLD:
-        return SectionConfig(s=s, phi=0.0, lam=math.inf, theta=0.0, arc_length=arc_length)
-    phi = 2.0 * s / (3.0 * section.radius)
-    return SectionConfig(s=s, phi=phi, lam=arc_length / phi, theta=math.atan2(dy, dx),
-                         arc_length=arc_length)
 
 
 def arc_coefficients(phi2: float) -> tuple:
@@ -160,21 +118,6 @@ def _arc(c0, c1, arc, a, b):
              (-bc0 * c1, 1.0 - bc1 * c1, a * c1),
              (-a * c0, -a * c1, 1.0 - bc0 * c0 - bc1 * c1)),
             (arc * bc0, arc * bc1, arc * a))
-
-
-def config_to_transform(config: SectionConfig) -> Pose:
-    """Rigid transform of a section end plate in its base-plate frame.
-
-    Composition Rot_z(theta) Trans_x(lam) Rot_y(phi) Trans_x(-lam)
-    Rot_z(-theta), i.e. a circular arc of length ``arc_length`` bent by
-    ``phi`` in the plane at angle ``theta``. The straight sentinel
-    (phi = 0) is the same formula: a pure translation along Z.
-    """
-    c0 = config.phi * math.cos(config.theta)
-    c1 = config.phi * math.sin(config.theta)
-    a, b = arc_coefficients(c0 * c0 + c1 * c1)[:2]
-    rotation, position = _arc(c0, c1, config.arc_length, a, b)
-    return Pose(position, rotation)
 
 
 @functools.lru_cache(maxsize=16)

@@ -47,13 +47,6 @@ class PlantConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
-    @staticmethod
-    def with_uniform_mismatch(magnitude: float, seed: int, **kwargs) -> "PlantConfig":
-        """Per-actuator mismatch drawn uniformly from [-magnitude, magnitude]."""
-        rng = np.random.default_rng(seed)
-        scale = rng.uniform(-magnitude, magnitude, N_ACTUATORS)
-        return PlantConfig(length_scale_error=scale, rng_seed=seed, **kwargs)
-
 
 @dataclass(frozen=True)
 class PlantObservation:

@@ -66,9 +66,6 @@ class FrameRegistry:
     cam2_in_ee: Pose     # C2 mount expressed in the end-effector frame
     registration_residual: float = 0.0
 
-    def cam1_in_base(self) -> Pose:
-        return self.base_in_cam1.inverse()
-
     def ee_in_base(self, ee_in_cam1: Pose) -> Pose:
         """Convert a C1 end-effector measurement into the base frame."""
         return self.base_in_cam1.inverse().compose(ee_in_cam1)
@@ -206,19 +203,3 @@ def build_registry(cam1_position=(0.0, -1.2, 0.4), cam1_target=(0.0, 0.25, 0.35)
     cam2_in_ee = Pose(np.asarray(cam2_offset, dtype=float), np.eye(3))
     return FrameRegistry(base_in_cam1=base_in_cam1, cam2_in_ee=cam2_in_ee,
                          registration_residual=residual)
-
-
-def load_points(path) -> np.ndarray:
-    """Read registration points from a plain-text file: one 'x y z' line per
-    point, coordinates in meters, '#' comments allowed."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 coordinates per line, got: {line!r}")
-            rows.append([float(v) for v in parts])
-    return np.asarray(rows, dtype=float)

@@ -132,10 +132,6 @@ class HarvestLog:
     failure_reason: str | None = None
     grasp_success: bool = False
 
-    @property
-    def stage_names(self) -> list:
-        return [s.stage for s in self.stages]
-
 
 def run_harvest(berry_base_truth, desired_approach_orientation, plant,
                 registry: FrameRegistry, cfg: WorkflowConfig) -> HarvestLog:

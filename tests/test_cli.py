@@ -294,3 +294,15 @@ class TestHarvestScenario:
         stages = [r["stage"] for r in rows if r["berry"] == "0"]
         for stage in ("InitialPlacement", "FinePositioning", "Grasp", "ReturnHome"):
             assert stage in stages
+
+    @pytest.mark.parametrize("position", [None, [0.0, 0.4]], ids=["missing", "2-vector"])
+    def test_bad_berry_position_exits_1_before_any_output(self, tmp_path, capsys, position):
+        cfg = load_scenario_dict("harvest_default")
+        if position is None:
+            del cfg["berries"][1]["position"]
+        else:
+            cfg["berries"][1]["position"] = position
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "berries[1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -21,7 +21,7 @@ from softarm.controller import (
 from softarm.geometry import default_geometry
 from softarm.jacobian import SV_TOL, jacobian
 from softarm.kinematics import Pose, forward_kinematics
-from softarm.plant import Plant, PlantConfig
+from softarm.plant import Plant, PlantConfig, PlantObservation
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 
 from oracles import fd_gradient, log_rotvec, random_feasible_q
@@ -305,6 +305,38 @@ class TestSolve:
                      RecedingPlant(PlantConfig()))
         assert traj.diverged and not traj.converged
         assert traj.qs.shape[0] > cfg.divergence_window
+
+    def test_divergence_is_checked_before_the_tolerance(self):
+        # The position error stays above 10x its tiny start, though inside
+        # its tolerance, while the orientation error stays outside its own
+        # until the row on which the growth streak reaches the window. There
+        # both errors are inside their tolerances, and the run still reads
+        # as diverged.
+        desired = forward_kinematics(Q_MID, GEOM)
+        window = 3
+        cfg = make_cfg(ControllerMode.FullThreeTask, divergence_window=window)
+        tilt = 2.0 * cfg.orientation_tolerance
+
+        def observation(dz, angle):
+            pose = Pose(desired.position + np.array([0.0, 0.0, dz]),
+                        rot_x(angle) @ desired.rotation)
+            return PlantObservation(pose, pose, np.zeros(9), np.zeros(9, dtype=bool))
+
+        script = iter([observation(1e-6, tilt)] + [observation(1e-4, tilt)] * (window - 1)
+                      + [observation(1e-4, 0.0)])
+
+        class ScriptedPlant:
+            def reset(self, q):
+                return next(script)
+
+            def apply_command(self, q):
+                return next(script)
+
+        traj = solve(Q_MID, desired, GainSchedule(alpha=0.05), cfg, ScriptedPlant())
+        assert traj.err_pos[-1] <= cfg.position_tolerance
+        assert traj.err_rot[-1] <= cfg.orientation_tolerance
+        assert traj.diverged and not traj.converged
+        assert traj.iterations_used == window
 
 
 def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):

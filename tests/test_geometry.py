@@ -7,8 +7,8 @@ from softarm.geometry import (
     SectionGeometry,
     as_actuator_vector,
     default_geometry,
+    ELONGATION_PER_PSI,
     elongation_to_pressure,
-    pressure_to_elongation,
     validate_geometry,
 )
 
@@ -61,25 +61,25 @@ def test_clamp_interior_keeps_margin():
 
 
 def test_pressure_map_published_ratio():
-    assert pressure_to_elongation(21.0) == pytest.approx(0.01, abs=1e-15)
-    assert pressure_to_elongation(0.0) == 0.0
+    assert elongation_to_pressure(0.01) == 21.0
+    assert elongation_to_pressure(0.0) == 0.0
 
 
 def test_pressure_map_round_trip():
-    assert elongation_to_pressure(pressure_to_elongation(37.5)) == pytest.approx(
+    assert elongation_to_pressure(37.5 * ELONGATION_PER_PSI) == pytest.approx(
         37.5, rel=1e-15)
 
 
 def test_pressure_maps_linear_monotone_inverse():
     rng = np.random.default_rng(0)
     p = rng.uniform(0.0, 60.0, 100)
-    e = pressure_to_elongation(p)
-    # linearity and monotonicity
-    assert np.allclose(pressure_to_elongation(2.0 * p), 2.0 * e, rtol=1e-15)
-    order = np.argsort(p)
-    assert np.all(np.diff(e[order]) >= 0)
-    # mutually inverse to one machine epsilon times magnitude
+    e = p * ELONGATION_PER_PSI
     back = elongation_to_pressure(e)
+    # linearity and monotonicity
+    assert np.allclose(elongation_to_pressure(2.0 * e), 2.0 * back, rtol=1e-15)
+    order = np.argsort(e)
+    assert np.all(np.diff(back[order]) >= 0)
+    # inverse of the elongation per psi to one machine epsilon times magnitude
     assert np.all(np.abs(back - p) <= np.finfo(float).eps * np.maximum(p, 1.0))
 
 

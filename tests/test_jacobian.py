@@ -4,17 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
-from softarm.jacobian import (
-    FullyStraightConfiguration,
-    jacobian,
-    null_projector,
-    pinv,
-)
-from softarm.kinematics import (
-    STRAIGHT_S_THRESHOLD,
-    actuator_to_config,
-    forward_kinematics,
-)
+from softarm.jacobian import FullyStraightConfiguration, jacobian, pinv
+from softarm.kinematics import STRAIGHT_S_THRESHOLD, forward_kinematics, section_chain
 from softarm.rotations import skew, vee
 
 from oracles import fd_jacobian, random_feasible_q
@@ -37,8 +28,8 @@ def test_equal_elongations_on_a_grid_are_exactly_straight():
     # l1^2 + l2^2 + l3^2 - l1 l2 - l2 l3 - l1 l3 rounds 99 of them above
     # the 1e-9 m straight threshold, so they read as bent.
     for c in np.round(np.arange(0.0, 0.0981, 0.0001), 4):
-        for sec in GEOM.sections:
-            assert actuator_to_config([c, c, c], sec).is_straight
+        for section in section_chain(np.full(9, c), GEOM)[2]:
+            assert section.s < STRAIGHT_S_THRESHOLD
         with pytest.raises(FullyStraightConfiguration):
             jacobian(np.full(9, c), GEOM)
 
@@ -126,7 +117,7 @@ def central_differences(q, h):
 def test_matches_central_differences_of_the_fk(q):
     # Bent, exactly straight and near-straight sections; the closed form has
     # no step, so it meets the differences' own error (~1e-10).
-    s = [actuator_to_config(q[3 * i:3 * i + 3], sec).s for i, sec in enumerate(GEOM.sections)]
+    s = [section.s for section in section_chain(q, GEOM)[2]]
     assume(max(s) >= STRAIGHT_S_THRESHOLD)
     J = jacobian(q, GEOM)
     Jv_fd, Jw_fd = central_differences(q, h=1e-6)
@@ -203,8 +194,8 @@ class TestPinv:
             matrices += [rng.normal(size=shape) for _ in range(20)]
         for _ in range(20):
             # Rank deficient: a projected wide matrix and repeated rows.
-            M = rng.normal(size=(3, 9))
-            matrices.append(M @ null_projector(rng.normal(size=(4, 9))))
+            M, N = rng.normal(size=(3, 9)), rng.normal(size=(4, 9))
+            matrices.append(M @ (np.eye(9) - pinv(N) @ N))
             matrices.append(np.vstack([M, M[:1] * 3.0, M[1:2]]))
         for M in matrices:
             for sv_tol in (1e-8, 1e-3):
@@ -212,26 +203,9 @@ class TestPinv:
 
 
 class TestNullProjector:
-    def test_identity_gives_zero(self):
-        np.testing.assert_allclose(null_projector(np.eye(9)), np.zeros((9, 9)),
-                                   atol=1e-12)
-
-    def test_zero_gives_identity(self):
-        np.testing.assert_allclose(null_projector(np.zeros((3, 9))), np.eye(9),
-                                   atol=1e-12)
-
-    def test_projector_properties(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            M = rng.normal(size=(3, 9))
-            P = null_projector(M)
-            assert np.linalg.norm(M @ P) < 1e-10
-            assert np.linalg.norm(P @ P - P) < 1e-10
-            assert np.linalg.norm(P - P.T) < 1e-10
-
     def test_jacobian_null_space_invisible_to_task(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             q = random_feasible_q(rng, LIMITS)
             Jv = jacobian(q, GEOM).Jv
-            assert np.linalg.norm(Jv @ null_projector(Jv)) < 1e-8
+            assert np.linalg.norm(Jv @ (np.eye(9) - pinv(Jv) @ Jv)) < 1e-8

@@ -6,12 +6,11 @@ from softarm import kinematics
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
 from softarm.kinematics import (
     SERIES_SWITCH,
+    STRAIGHT_S_THRESHOLD,
     Pose,
-    SectionConfig,
-    actuator_to_config,
     arc_coefficients,
-    config_to_transform,
     forward_kinematics,
+    section_chain,
 )
 from softarm.rotations import orthonormalize, rot_y, rot_z
 
@@ -21,85 +20,115 @@ from strategies import actuator_vectors
 GEOM = default_geometry()
 
 
+def textbook_arc(l, sec):
+    """End point and rotation of a section in its base frame from its arc
+    parameters: bending angle phi, bending-plane angle theta by the
+    two-argument arctangent, radius arc / phi; a Z translation when straight."""
+    l1, l2, l3 = l
+    arc = sec.initial_length + (l1 + l2 + l3) / 3.0
+    dx, dy = l2 + l3 - 2.0 * l1, np.sqrt(3.0) * (l3 - l2)
+    phi = np.hypot(dx, dy) / (3.0 * sec.radius)
+    if phi == 0.0:
+        return np.array([0.0, 0.0, arc]), np.eye(3)
+    lam, Rz = arc / phi, rot_z(np.arctan2(dy, dx))
+    return (Rz @ [lam * (1.0 - np.cos(phi)), 0.0, lam * np.sin(phi)],
+            Rz @ rot_y(phi) @ Rz.T)
+
+
+def first_section(l, radius=0.06, initial_length=0.15):
+    """The proximal :class:`Section` of elongations ``l`` on a geometry with
+    no plate offset or twist, with its arc end and the arc's rotation (the
+    next section's base rotation)."""
+    sec = SectionGeometry(radius=radius, initial_length=initial_length,
+                          plate_offset_length=0.0, plate_offset_angle=0.0)
+    q = np.concatenate([l, np.zeros(6)])
+    sections = section_chain(q, RobotGeometry(sections=(sec, sec, sec)))[2]
+    return sections[0], np.array(sections[0].arc_end), np.array(sections[1].base_rotation)
+
+
 class TestActuatorToConfig:
+    """The actuator-to-arc-parameter map, as :func:`section_chain` reports it:
+    bending measure s, c = phi (cos theta, sin theta) and the arc length."""
+
     def test_straight_section(self):
-        cfg = actuator_to_config([0.0, 0.0, 0.0], GEOM.sections[0])
-        assert cfg.is_straight
-        assert cfg.phi == 0.0 and cfg.theta == 0.0
-        assert cfg.arc_length == pytest.approx(0.15)
+        section = section_chain(np.zeros(9), GEOM)[2][0]
+        assert section.s < STRAIGHT_S_THRESHOLD
+        assert section.c == (0.0, 0.0)
+        assert section.arc == pytest.approx(0.15)
 
     def test_single_actuator_bend_frozen_values(self):
         # Direct evaluation of the actuator->configuration map for
         # l = (0.01, 0, 0) on a 0.04 m radius section.
-        sec = SectionGeometry(radius=0.04)
-        cfg = actuator_to_config([0.01, 0.0, 0.0], sec)
-        assert cfg.s == pytest.approx(0.01, rel=1e-12)
-        assert cfg.phi == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert cfg.lam == pytest.approx(0.92, rel=1e-12)
-        assert cfg.theta == pytest.approx(np.pi, abs=1e-12)
+        section = first_section([0.01, 0.0, 0.0], radius=0.04)[0]
+        phi = np.hypot(*section.c)
+        assert section.s == pytest.approx(0.01, rel=1e-12)
+        assert phi == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert section.arc / phi == pytest.approx(0.92, rel=1e-12)
+        assert np.arctan2(section.c[1], section.c[0]) == pytest.approx(np.pi, abs=1e-12)
 
     def test_equal_elongations_degenerate_to_straight(self):
         for c in (0.01, 0.05, 0.09):
-            cfg = actuator_to_config([c, c, c], GEOM.sections[1])
-            assert cfg.is_straight
-            assert cfg.arc_length == pytest.approx(0.15 + c, rel=1e-12)
+            section = section_chain(np.full(9, c), GEOM)[2][1]
+            assert section.s < STRAIGHT_S_THRESHOLD
+            assert section.arc == pytest.approx(0.15 + c, rel=1e-12)
 
     def test_arc_length_identity(self):
+        # The arc length is L0 + mean(l); on a bent section the chord from
+        # the section's base to its arc end is 2 (arc / phi) sin(phi / 2).
         rng = np.random.default_rng(3)
-        for sec in GEOM.sections:
+        for i, sec in enumerate(GEOM.sections):
+            base = np.array([0.0, 0.0, sum(s.initial_length + s.plate_offset_length
+                                           for s in GEOM.sections[:i])])
             for _ in range(50):
                 l = rng.uniform(0.0, 0.1, 3)
-                cfg = actuator_to_config(l, sec)
+                q = np.zeros(9)
+                q[3 * i:3 * i + 3] = l
+                section = section_chain(q, GEOM)[2][i]
                 expected = sec.initial_length + l.mean()
-                if not cfg.is_straight:
-                    assert cfg.lam * cfg.phi == pytest.approx(expected, rel=1e-12)
-                assert cfg.arc_length == pytest.approx(expected, rel=1e-12)
+                if section.s >= STRAIGHT_S_THRESHOLD:
+                    phi = np.hypot(*section.c)
+                    chord = np.linalg.norm(np.array(section.arc_end) - base)
+                    assert chord == pytest.approx(2 * expected / phi * np.sin(phi / 2),
+                                                  rel=1e-12)
+                assert section.arc == pytest.approx(expected, rel=1e-12)
 
     def test_theta_covers_full_range(self):
-        sec = GEOM.sections[0]
         thetas = []
         for l in ([0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01],
                   [0, 0.01, 0.01], [0.01, 0, 0.01], [0.01, 0.01, 0]):
-            thetas.append(actuator_to_config(l, sec).theta)
+            c0, c1 = section_chain(np.concatenate([l, np.zeros(6)]), GEOM)[2][0].c
+            thetas.append(np.arctan2(c1, c0))
         assert min(thetas) < -np.pi / 2
         assert max(thetas) > np.pi / 2
 
 
 class TestConfigToTransform:
+    """The section transform from its arc parameters: the arc end point and
+    rotation that :func:`section_chain` chains."""
+
     def test_straight_is_pure_z_translation(self):
-        cfg = actuator_to_config([0.0, 0.0, 0.0], GEOM.sections[0])
-        pose = config_to_transform(cfg)
-        np.testing.assert_allclose(pose.position, [0.0, 0.0, 0.15], atol=1e-15)
-        np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-15)
+        _, position, rotation = first_section([0.0, 0.0, 0.0])
+        np.testing.assert_allclose(position, [0.0, 0.0, 0.15], atol=1e-15)
+        np.testing.assert_allclose(rotation, np.eye(3), atol=1e-15)
 
     def test_quarter_circle_frozen_values(self):
         # Hand expansion of the conjugated composition at theta=0,
         # phi=pi/2, lam=0.1: endpoint (0.1, 0, 0.1), frame Rot_y(pi/2).
-        cfg = SectionConfig(s=1.0, phi=np.pi / 2, lam=0.1, theta=0.0,
-                            arc_length=0.1 * np.pi / 2)
-        pose = config_to_transform(cfg)
-        np.testing.assert_allclose(pose.position, [0.1, 0.0, 0.1], atol=1e-15)
-        np.testing.assert_allclose(pose.rotation, rot_y(np.pi / 2), atol=1e-15)
+        # On a 0.04 m radius, l = (0, d, d) with d = 0.03 pi bends by
+        # 2 d / 0.12 = pi/2 and L0 = 0.03 pi makes the arc 0.05 pi.
+        d = 0.03 * np.pi
+        _, position, rotation = first_section([0.0, d, d], radius=0.04, initial_length=d)
+        np.testing.assert_allclose(position, [0.1, 0.0, 0.1], atol=1e-15)
+        np.testing.assert_allclose(rotation, rot_y(np.pi / 2), atol=1e-15)
 
     def test_theta_pi_negates_x(self):
-        base = SectionConfig(s=1.0, phi=0.8, lam=0.2, theta=0.0, arc_length=0.16)
-        flipped = SectionConfig(s=1.0, phi=0.8, lam=0.2, theta=np.pi, arc_length=0.16)
-        p0 = config_to_transform(base).position
-        p1 = config_to_transform(flipped).position
+        # phi = 0.8 and arc 0.16 on a 0.025 m radius: l = (0, d, d) bends
+        # toward +x, l = (4d/3, d/3, d/3) as far toward -x, same mean.
+        d = 0.03
+        p0 = first_section([0.0, d, d], radius=0.025, initial_length=0.14)[1]
+        p1 = first_section([4 * d / 3, d / 3, d / 3], radius=0.025, initial_length=0.14)[1]
         assert p1[0] == pytest.approx(-p0[0], rel=1e-12)
         assert p1[2] == pytest.approx(p0[2], rel=1e-12)
-
-    def test_continuous_at_straight_limit(self):
-        length = 0.15
-        phi = 1e-8
-        bent = SectionConfig(s=1e-8, phi=phi, lam=length / phi, theta=0.3,
-                             arc_length=length)
-        sentinel = SectionConfig(s=0.0, phi=0.0, lam=np.inf, theta=0.0,
-                                 arc_length=length)
-        p_bent = config_to_transform(bent)
-        p_straight = config_to_transform(sentinel)
-        assert np.linalg.norm(p_bent.position - p_straight.position) < 1e-6
-        assert rotation_angle_between(p_bent.rotation, p_straight.rotation) < 1e-6
 
 
 class TestForwardKinematics:
@@ -115,9 +144,9 @@ class TestForwardKinematics:
         position = np.zeros(3)
         rotation = np.eye(3)
         for i, sec in enumerate(GEOM.sections):
-            T = config_to_transform(actuator_to_config(q[3 * i:3 * i + 3], sec))
-            position = position + rotation @ T.position
-            rotation = rotation @ T.rotation
+            arc_end, arc_rotation = textbook_arc(q[3 * i:3 * i + 3], sec)
+            position = position + rotation @ arc_end
+            rotation = rotation @ arc_rotation
             position = position + rotation @ np.array([0, 0, sec.plate_offset_length])
             rotation = rotation @ rot_z(sec.plate_offset_angle)
         np.testing.assert_allclose(pose.position, position, atol=1e-14)
@@ -185,12 +214,11 @@ class TestForwardKinematics:
         q = np.zeros(9)
         q[6] = 0.03
         sec = GEOM.sections[2]
-        cfg = actuator_to_config(q[6:9], sec)
-        pose = config_to_transform(cfg)
-        arc_endpoint = np.array([
-            cfg.lam * (1 - np.cos(cfg.phi)), 0.0, cfg.lam * np.sin(cfg.phi)])
-        np.testing.assert_allclose(pose.position, rot_z(cfg.theta) @ arc_endpoint,
-                                   atol=1e-12)
+        section = section_chain(q, GEOM)[2][2]
+        base = np.array([0.0, 0.0, sum(s.initial_length + s.plate_offset_length
+                                       for s in GEOM.sections[:2])])
+        local_end = np.array(section.base_rotation).T @ (np.array(section.arc_end) - base)
+        np.testing.assert_allclose(local_end, textbook_arc(q[6:9], sec)[0], atol=1e-12)
 
 
 class TestArcCoefficients:

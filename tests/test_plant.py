@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from softarm.config import plant_config_from_dict
 from softarm.geometry import default_geometry, elongation_to_pressure
 from softarm.kinematics import forward_kinematics
 from softarm.plant import LowPassFilter, Plant, PlantConfig
@@ -145,8 +146,8 @@ class TestMismatch:
                                    atol=1e-12)
 
     def test_uniform_mismatch_factory_is_seeded(self):
-        a = PlantConfig.with_uniform_mismatch(0.02, seed=7)
-        b = PlantConfig.with_uniform_mismatch(0.02, seed=7)
+        a = plant_config_from_dict({"mismatch": 0.02}, GEOM, seed=7)
+        b = plant_config_from_dict({"mismatch": 0.02}, GEOM, seed=7)
         np.testing.assert_array_equal(a.length_scale_error, b.length_scale_error)
         assert np.all(np.abs(a.length_scale_error) <= 0.02)
         assert np.std(a.length_scale_error) > 0

@@ -13,7 +13,6 @@ from softarm.vision import (
     build_registry,
     cam1_target_to_base,
     default_registration_points,
-    load_points,
     look_at,
     register_rigid,
     simulate_observation,
@@ -185,16 +184,3 @@ class TestHelpers:
     def test_build_registry_registration_is_exact(self):
         registry = build_registry()
         assert registry.registration_residual < 1e-12
-
-    def test_load_points(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("# fiducials\n0.1 0.1 0.0\n-0.1 0.1 0.0\n0.1 -0.1 0.2\n")
-        pts = load_points(path)
-        assert pts.shape == (3, 3)
-        np.testing.assert_allclose(pts[2], [0.1, -0.1, 0.2])
-
-    def test_load_points_rejects_bad_line(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("0.1 0.2\n")
-        with pytest.raises(ValueError):
-            load_points(path)

@@ -32,6 +32,19 @@ def registry():
     return build_registry(cam1_target=tuple(BERRY))
 
 
+class RecedingPlant(Plant):
+    """Reports a pose that recedes 0.5 m further along Z every step."""
+
+    drift = 0.0
+
+    def apply_command(self, q_cmd):
+        obs = super().apply_command(q_cmd)
+        self.drift += 0.5
+        pose = obs.pose_filtered
+        return replace(obs, pose_filtered=Pose(
+            pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation))
+
+
 class TestGripper:
     def test_initial_state_open(self):
         assert Gripper().state == "open"
@@ -60,8 +73,8 @@ class TestHarvestRun:
                           make_workflow())
         assert log.final_state is HarvestState.Done
         assert log.grasp_success
-        assert log.stage_names == ["InitialPlacement", "FinePositioning",
-                                   "Grasp", "ReturnHome"]
+        assert [s.stage for s in log.stages] == ["InitialPlacement", "FinePositioning",
+                                                 "Grasp", "ReturnHome"]
         fine = log.stages[1]
         assert fine.final_dist_true < 0.02
 
@@ -146,16 +159,6 @@ class TestHarvestRun:
         # placement stage closes as diverged once the distance has stayed
         # above divergence_factor times its initial value for
         # divergence_window steps.
-        class RecedingPlant(Plant):
-            drift = 0.0
-
-            def apply_command(self, q_cmd):
-                obs = super().apply_command(q_cmd)
-                self.drift += 0.5
-                pose = obs.pose_filtered
-                return replace(obs, pose_filtered=Pose(
-                    pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation))
-
         base = ControllerConfig(geometry=GEOM, joint_limits=GEOM.joint_limits(),
                                 mode=ControllerMode.FullThreeTask, divergence_window=5)
         log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(),
@@ -167,6 +170,20 @@ class TestHarvestRun:
         passed = next(k for k, d in enumerate(dists)
                       if d > base.divergence_factor * dists[0])
         assert placement.end_iteration - placement.start_iteration <= passed + 5
+
+    def test_placement_budget_is_checked_before_divergence(self):
+        # A budget that ends on the row where the divergence window ends
+        # closes the stage as a timeout.
+        base = ControllerConfig(geometry=GEOM, joint_limits=GEOM.joint_limits(),
+                                mode=ControllerMode.FullThreeTask, divergence_window=5)
+        wf = WorkflowConfig(controller=base)
+        diverged = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
+        assert diverged.stages[0].outcome == "diverged"
+        end = diverged.stages[0].end_iteration
+        wf = replace(wf, placement=replace(wf.placement, max_iterations=end))
+        log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
+        assert (log.stages[0].outcome, log.stages[0].end_iteration) == ("timeout", end)
+        assert log.failure_reason == "StageTimeout(InitialPlacement)"
 
     def test_repeat_runs_identical(self):
         a = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
