@@ -52,8 +52,12 @@ HARVEST_CSV_HEADER = (
 )
 
 
-def _fmt(values):
-    return [_FLOAT_FMT % v for v in np.atleast_1d(np.asarray(values, dtype=float))]
+def _float_rows(*columns):
+    """Each row of the stacked ``columns`` (1-D or 2-D, same length) as a list
+    of ``%.12g`` strings: one ``tolist`` for the table, one format per row."""
+    table = np.column_stack(columns).tolist()
+    row_fmt = ",".join([_FLOAT_FMT] * len(table[0])) if table else ""
+    return ((row_fmt % tuple(row)).split(",") for row in table)
 
 
 def _mask(flags):
@@ -88,61 +92,72 @@ def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: 
 # Controller scenarios
 # ---------------------------------------------------------------------------
 
-def _run_one_target(scenario: Scenario, target_index: int, repetition: int,
-                    controller_block: dict, target: dict):
-    """Execute one closed-loop solve; returns (trajectory, desired)."""
-    cfg, gains = controller_from_dict(controller_block, scenario.geometry)
+def _solve_inputs(scenario: Scenario, target_index: int, repetition: int, target: dict):
+    """Parse one closed-loop solve's target pose, initial state and plant
+    config; returns (q0, desired, plant config)."""
     desired = target_pose_from_dict(target, scenario.geometry)
-    run_seed = derive_seed(scenario.seed, target_index, repetition)
-    rng = np.random.default_rng(run_seed)
+    rng = np.random.default_rng(derive_seed(scenario.seed, target_index, repetition))
     q0 = initial_q_from_dict(scenario.raw.get("initial_q"), scenario.geometry, rng)
     plant_cfg = plant_config_from_dict(scenario.raw.get("plant"), scenario.geometry,
                                        derive_seed(scenario.seed, target_index,
                                                    repetition, 0x91A))
+    return q0, desired, plant_cfg
+
+
+def _run_one_target(scenario: Scenario, target_index: int, repetition: int,
+                    controller_block: dict, target: dict):
+    """Execute one closed-loop solve; returns (trajectory, desired)."""
+    cfg, gains = controller_from_dict(controller_block, scenario.geometry)
+    q0, desired, plant_cfg = _solve_inputs(scenario, target_index, repetition, target)
     return solve(q0, desired, gains, cfg, Plant(plant_cfg)), desired
 
 
 def _trajectory_rows(trajectory, label, repetition, stage):
-    for k in range(trajectory.qs.shape[0]):
-        yield ([str(label), str(repetition), str(k), stage]
-               + _fmt(trajectory.qs[k]) + _fmt(trajectory.pressures[k])
-               + _fmt(trajectory.positions[k]) + _fmt(trajectory.rotvecs[k])
-               + _fmt([trajectory.err_pos[k], trajectory.err_rot[k],
-                       trajectory.err_pos_true[k], trajectory.err_rot_true[k]])
-               + [_mask(trajectory.infeasible[k])])
+    values = _float_rows(trajectory.qs, trajectory.pressures, trajectory.positions,
+                         trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
+                         trajectory.err_pos_true, trajectory.err_rot_true)
+    for k, (row, flags) in enumerate(zip(values, trajectory.infeasible.tolist())):
+        yield [str(label), str(repetition), str(k), stage] + row + [_mask(flags)]
 
 
 def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     raw = scenario.raw
-    repetitions = int(raw.get("repetitions", 1))
+    try:
+        repetitions = int(raw.get("repetitions", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"repetitions: {exc}") from exc
     controller_block = raw.get("controller")
     if controller_block is None:
         raise ConfigError("controller scenario needs a 'controller' block")
+    # Every block is parsed before steps.csv is opened, so a config error
+    # leaves no partial output.
+    cfg, gains = controller_from_dict(controller_block, scenario.geometry)
+    runs = [(ti, rep, _solve_inputs(scenario, ti, rep, target))
+            for ti, target in enumerate(raw.get("targets", []))
+            for rep in range(repetitions)]
     results = []
 
     def rows():
-        for ti, target in enumerate(raw.get("targets", [])):
-            for rep in range(repetitions):
-                trajectory, _ = _run_one_target(scenario, ti, rep, controller_block,
-                                                target)
-                results.append({
-                    "target": ti,
-                    "repetition": rep,
-                    "converged": trajectory.converged,
-                    "diverged": trajectory.diverged,
-                    "iterations": trajectory.iterations_used,
-                    "final_err_pos_m": float(trajectory.err_pos[-1]),
-                    "final_err_rot_rad": float(trajectory.err_rot[-1]),
-                    "final_err_pos_true_m": float(trajectory.err_pos_true[-1]),
-                    "final_err_rot_true_rad": float(trajectory.err_rot_true[-1]),
-                    "any_infeasible": trajectory.any_infeasible,
-                })
-                _say(quiet, f"  target {ti} rep {rep}: "
-                     f"{'converged' if trajectory.converged else 'NOT converged'} "
-                     f"in {trajectory.iterations_used} iters, "
-                     f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
-                     f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg")
-                yield from _trajectory_rows(trajectory, ti, rep, controller_block["mode"])
+        for ti, rep, (q0, desired, plant_cfg) in runs:
+            trajectory = solve(q0, desired, gains, cfg, Plant(plant_cfg))
+            results.append({
+                "target": ti,
+                "repetition": rep,
+                "converged": trajectory.converged,
+                "diverged": trajectory.diverged,
+                "iterations": trajectory.iterations_used,
+                "final_err_pos_m": float(trajectory.err_pos[-1]),
+                "final_err_rot_rad": float(trajectory.err_rot[-1]),
+                "final_err_pos_true_m": float(trajectory.err_pos_true[-1]),
+                "final_err_rot_true_rad": float(trajectory.err_rot_true[-1]),
+                "any_infeasible": trajectory.any_infeasible,
+            })
+            _say(quiet, f"  target {ti} rep {rep}: "
+                 f"{'converged' if trajectory.converged else 'NOT converged'} "
+                 f"in {trajectory.iterations_used} iters, "
+                 f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
+                 f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg")
+            yield from _trajectory_rows(trajectory, ti, rep, controller_block["mode"])
 
     _write_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER, rows())
     summary = _controller_summary(scenario, results)
@@ -266,6 +281,9 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                                        scenario.geometry)
     workflow = workflow_from_dict(raw.get("workflow"), base_cfg)
     reg_cfg = raw.get("registry", {})
+    plant_cfgs = [plant_config_from_dict(raw.get("plant"), scenario.geometry,
+                                         derive_seed(scenario.seed, bi, 0x91A))
+                  for bi in range(len(berries))]
     results = []
 
     def rows():
@@ -274,9 +292,7 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                          rng_seed=derive_seed(scenario.seed, bi))
             registry = build_registry(**{k: tuple(v) for k, v in
                                          ({"cam1_target": berry} | reg_cfg).items()})
-            plant = Plant(plant_config_from_dict(raw.get("plant"), scenario.geometry,
-                                                 derive_seed(scenario.seed, bi, 0x91A)))
-            log = run_harvest(berry, approach, plant, registry, wf)
+            log = run_harvest(berry, approach, Plant(plant_cfgs[bi]), registry, wf)
             results.append({
                 "berry": bi,
                 "final_state": log.final_state.value,
@@ -291,11 +307,13 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             })
             _say(quiet, f"  berry {bi}: {log.final_state.value}"
                  f"{' (' + log.failure_reason + ')' if log.failure_reason else ''}")
-            for r in log.rows:
+            if not log.rows:
+                continue
+            values = _float_rows(*zip(*((r.q, r.pressures, r.position, r.rotvec,
+                                         r.dist_est, r.dist_true) for r in log.rows)))
+            for r, row in zip(log.rows, values):
                 yield ([str(bi), "occluded" if window else "plain", str(r.iteration), r.stage]
-                       + _fmt(r.q) + _fmt(r.pressures) + _fmt(r.position) + _fmt(r.rotvec)
-                       + _fmt([r.dist_est, r.dist_true])
-                       + [_mask(r.infeasible), r.target_source])
+                       + row + [_mask(r.infeasible.tolist()), r.target_source])
 
     _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())
     lines = []

@@ -145,12 +145,16 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
     except ValueError as exc:
         names = ", ".join(m.value for m in ControllerMode)
         raise ConfigError(f"unknown mode {data['mode']!r}; one of: {names}") from exc
-    kwargs = _given(data, float, "position_tolerance") | _given(data, int, "max_iterations")
-    if "orientation_tolerance_deg" in data:
-        kwargs["orientation_tolerance"] = float(np.deg2rad(data["orientation_tolerance_deg"]))
-    if data.get("orientation_error_axes") is not None:
-        kwargs["orientation_error_axes"] = tuple(data["orientation_error_axes"])
-    cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), mode=mode, **kwargs)
+    try:
+        kwargs = _given(data, float, "position_tolerance") | _given(data, int, "max_iterations")
+        if "orientation_tolerance_deg" in data:
+            kwargs["orientation_tolerance"] = float(np.deg2rad(data["orientation_tolerance_deg"]))
+        if data.get("orientation_error_axes") is not None:
+            kwargs["orientation_error_axes"] = tuple(data["orientation_error_axes"])
+        cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), mode=mode,
+                               **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"controller: {exc}") from exc
     gains = gains_from_dict(data.get("gains", {"alpha": 0.05}))
     return cfg, gains
 
@@ -161,12 +165,16 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
     data = data or {}
-    kwargs = _given(data, float, "position_noise_std", "rotation_noise_std", "filter_cutoff", "dt")
-    mismatch = float(data.get("mismatch", 0.0))
-    if mismatch > 0:
-        kwargs["length_scale_error"] = np.random.default_rng(derive_seed(seed, 0xA11)).uniform(
-            -mismatch, mismatch, 9)
-    return PlantConfig(true_geometry=geom, rng_seed=seed, **kwargs)
+    try:
+        kwargs = _given(data, float, "position_noise_std", "rotation_noise_std",
+                        "filter_cutoff", "dt")
+        mismatch = float(data.get("mismatch", 0.0))
+        if mismatch > 0:
+            kwargs["length_scale_error"] = np.random.default_rng(
+                derive_seed(seed, 0xA11)).uniform(-mismatch, mismatch, 9)
+        return PlantConfig(true_geometry=geom, rng_seed=seed, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"plant: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +203,14 @@ def target_pose_from_dict(data, geom: RobotGeometry) -> Pose:
     to the straight-arm pose (ignored by single-task modes)."""
     if not isinstance(data, dict) or ("position" not in data and "rotation" not in data):
         raise ConfigError("target needs 'position' and/or 'rotation'")
-    position = np.asarray(data.get("position", [0.0, 0.0, 0.0]), dtype=float)
-    if position.shape != (3,):
-        raise ConfigError("target position must be a 3-vector")
-    if "rotation" in data:
-        rotation = rotation_from_dict(data["rotation"], geom)
-    else:
-        rotation = upright_rotation(geom)
+    try:
+        position = np.asarray(data.get("position", [0.0, 0.0, 0.0]), dtype=float)
+        if position.shape != (3,):
+            raise ValueError("position must be a 3-vector")
+        rotation = (rotation_from_dict(data["rotation"], geom) if "rotation" in data
+                    else upright_rotation(geom))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"target: {exc}") from exc
     return Pose(position, rotation)
 
 
@@ -209,10 +218,13 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
     {"midpoint_jitter": j} drawn from the run RNG (keeps the start off the
     straight singularity, mirroring the perturbation rule)."""
-    if data is None or isinstance(data, dict):
-        jitter = float((data or {}).get("midpoint_jitter", 1e-3))
-        return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
-    q = np.asarray(data, dtype=float)
+    try:
+        if data is None or isinstance(data, dict):
+            jitter = float((data or {}).get("midpoint_jitter", 1e-3))
+            return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
+        q = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial_q: {exc}") from exc
     if q.shape != (9,):
         raise ConfigError("initial_q must be a 9-vector or {'midpoint_jitter': j}")
     return q
@@ -322,7 +334,10 @@ def parse_scenario(data, seed_override=None) -> Scenario:
         geom = load_geometry(geometry)
     else:
         geom = geometry_from_dict(geometry)
-    seed = int(seed_override if seed_override is not None else data.get("seed", 0))
+    try:
+        seed = int(seed_override if seed_override is not None else data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed: {exc}") from exc
     return Scenario(
         name=str(data["name"]),
         kind=data["kind"],
@@ -335,17 +350,21 @@ def parse_scenario(data, seed_override=None) -> Scenario:
 
 def workflow_from_dict(data, base_cfg: ControllerConfig) -> WorkflowConfig:
     data = data or {}
-    wf = WorkflowConfig(
-        controller=base_cfg,
-        **_given(data, float, "coarse_threshold", "grasp_threshold", "observation_noise_std"),
-        **_given(data, int, "home_iterations"),
-        **_given(data, lambda v: np.asarray(v, dtype=float), "standoff_offset", "home_q"))
-    policies = {}
-    for stage in ("placement", "fine"):
-        policy = getattr(wf, stage)
-        if f"{stage}_gains" in data:
-            policy = replace(policy, gains=gains_from_dict(data[f"{stage}_gains"]))
-        if f"{stage}_max_iterations" in data:
-            policy = replace(policy, max_iterations=int(data[f"{stage}_max_iterations"]))
-        policies[stage] = policy
+    try:
+        wf = WorkflowConfig(
+            controller=base_cfg,
+            **_given(data, float, "coarse_threshold", "grasp_threshold",
+                     "observation_noise_std"),
+            **_given(data, int, "home_iterations"),
+            **_given(data, lambda v: np.asarray(v, dtype=float), "standoff_offset", "home_q"))
+        policies = {}
+        for stage in ("placement", "fine"):
+            policy = getattr(wf, stage)
+            if f"{stage}_gains" in data:
+                policy = replace(policy, gains=gains_from_dict(data[f"{stage}_gains"]))
+            if f"{stage}_max_iterations" in data:
+                policy = replace(policy, max_iterations=int(data[f"{stage}_max_iterations"]))
+            policies[stage] = policy
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"workflow: {exc}") from exc
     return replace(wf, **policies)

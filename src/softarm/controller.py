@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import JointLimits, LIMIT_MARGIN, RobotGeometry, as_actuator_vector
-from .jacobian import SV_TOL, jacobian, pinv
+from .geometry import JointLimits, RobotGeometry, as_actuator_vector
+from .jacobian import SV_TOL, jacobian
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec
 
@@ -33,14 +33,13 @@ class TaskError:
 
     e_p: np.ndarray
     e_zeta: np.ndarray
+    # Computed once: the loops read each norm two or three times a step.
+    position_norm: float = field(init=False, repr=False, compare=False)
+    orientation_norm: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def position_norm(self) -> float:
-        return float(np.linalg.norm(self.e_p))
-
-    @property
-    def orientation_norm(self) -> float:
-        return float(np.linalg.norm(self.e_zeta))
+    def __post_init__(self):
+        object.__setattr__(self, "position_norm", float(np.linalg.norm(self.e_p)))
+        object.__setattr__(self, "orientation_norm", float(np.linalg.norm(self.e_zeta)))
 
     @property
     def stacked(self) -> np.ndarray:
@@ -203,16 +202,14 @@ def jl_cost(q, limits: JointLimits) -> float:
     """Barrier-style joint-limit cost: minimal (value 1 per actuator) at the
     range midpoints, divergent at the bounds. Inputs are clamped to the
     margin-shrunk open box so the cost stays finite for infeasible q."""
-    q = limits.clamp_interior(q, LIMIT_MARGIN)
-    rng = limits.upper - limits.lower
-    return float(np.sum(0.25 * rng**2 / ((limits.upper - q) * (q - limits.lower))))
+    q = limits.clamp_interior(q)
+    return float(np.sum(limits.barrier_scale / ((limits.upper - q) * (q - limits.lower))))
 
 
 def jl_gradient(q, limits: JointLimits) -> np.ndarray:
     """Analytic elementwise gradient of :func:`jl_cost` (same clamping)."""
-    q = limits.clamp_interior(q, LIMIT_MARGIN)
-    rng = limits.upper - limits.lower
-    num = 0.25 * rng**2 * (2.0 * q - limits.lower - limits.upper)
+    q = limits.clamp_interior(q)
+    num = limits.barrier_scale * (2.0 * q - limits.lower - limits.upper)
     den = (limits.upper - q) ** 2 * (q - limits.lower) ** 2
     return num / den
 
@@ -228,6 +225,15 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     null space that is left. No feasibility clamp: infeasible updates
     (negative elongation, hence negative commanded pressure) are returned
     as-is so the caller can flag them.
+
+    The recursion runs on SVD factors, in the null-space-basis form of
+    hierarchical least squares (Escande, Mansard & Wieber, IJRR 2014), and
+    forms no pseudoinverse and no projector: P = N N^T for an orthonormal
+    basis N of the null space left, so with A_k = J_k N = U S V^T and r the
+    number of singular values above ``sv_tol`` times the largest,
+    (J_k P)^+ = N V_r^T S_r^-1 U_r^T and the next basis is N V[r:]^T. The
+    last task takes the thin SVD; the joint-limit term then removes its
+    rows V_r from N^T grad H instead of shrinking N.
     """
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]
@@ -236,20 +242,29 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
                else (gains.gamma_position, gains.gamma_orientation))
     J = jacobian(q, cfg.geometry).J
     err = e.stacked
-    qdot = P = None  # qdot = 0 and P = I until the first task
+    last = len(stack.tasks) - 1
+    qdot = N = None  # qdot = 0 and N = I until the first task
     for k, rows in enumerate(stack.tasks):
         J_k = J[rows]
-        if P is None:
-            JP, residual = J_k, err[rows]
+        if N is None:
+            A, residual = J_k, err[rows]
         else:
-            JP, residual = J_k @ P, err[rows] - J_k @ qdot
-        JP_pinv = pinv(JP, cfg.sv_tol)
-        rate = weights[k] * (JP_pinv @ residual)
-        qdot = rate if qdot is None else qdot + rate
-        if k + 1 < len(stack.tasks) or gamma != 0.0:
-            P = (np.eye(q.size) if P is None else P) - JP_pinv @ JP
+            A, residual = J_k @ N, err[rows] - J_k @ qdot
+        u, s, vt = np.linalg.svd(A, full_matrices=k < last)
+        rank = int(np.count_nonzero(s > cfg.sv_tol * s[0]))
+        v_r = vt[:rank]
+        rate = ((residual @ u[:, :rank]) / s[:rank]) @ v_r  # A^+ residual, in N's coordinates
+        if N is None:
+            qdot = weights[k] * rate
+        else:
+            qdot = qdot + weights[k] * (N @ rate)
+        if k < last:
+            N = vt[rank:].T if N is None else N @ vt[rank:].T
     if gamma != 0.0:
-        qdot = qdot + gamma * P @ jl_gradient(q, cfg.joint_limits)
+        grad = jl_gradient(q, cfg.joint_limits)
+        x = grad if N is None else grad @ N
+        x = x - (v_r @ x) @ v_r  # project out the last task's rows
+        qdot = qdot + gamma * (x if N is None else N @ x)
     return q + gains.alpha * qdot
 
 

@@ -10,6 +10,7 @@ sections are ordered proximal, medial, distal. Actuator states are plain
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,10 +82,20 @@ class JointLimits:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def clamp_interior(self, q, margin: float = LIMIT_MARGIN) -> np.ndarray:
-        """Clamp q into the open limit box shrunk by ``margin`` on each side."""
-        q = as_actuator_vector(q)
-        return np.clip(q, self.lower + margin, self.upper - margin)
+    @cached_property
+    def _interior(self) -> tuple:
+        return self.lower + LIMIT_MARGIN, self.upper - LIMIT_MARGIN
+
+    @cached_property
+    def barrier_scale(self) -> np.ndarray:
+        """0.25 (upper - lower)^2, the numerator of the barrier cost."""
+        return 0.25 * (self.upper - self.lower) ** 2
+
+    def clamp_interior(self, q) -> np.ndarray:
+        """Clamp q into the open limit box shrunk by ``LIMIT_MARGIN`` on each
+        side."""
+        lower, upper = self._interior
+        return np.minimum(np.maximum(as_actuator_vector(q), lower), upper)
 
 
 def as_actuator_vector(q) -> np.ndarray:

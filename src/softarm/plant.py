@@ -108,7 +108,7 @@ class Plant:
 
         actual = q_cmd * (1.0 + self.config.length_scale_error)
         pose_true = self._true_pose = forward_kinematics(
-            np.clip(actual, self._limits.lower, self._limits.upper),
+            np.minimum(np.maximum(actual, self._limits.lower), self._limits.upper),
             self.config.true_geometry)
 
         position_raw = pose_true.position

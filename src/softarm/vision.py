@@ -9,6 +9,7 @@ camera loses the berry the most recent base-frame fix is held.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,9 +67,13 @@ class FrameRegistry:
     cam2_in_ee: Pose     # C2 mount expressed in the end-effector frame
     registration_residual: float = 0.0
 
+    @cached_property
+    def _cam1_in_base(self) -> Pose:
+        return self.base_in_cam1.inverse()
+
     def ee_in_base(self, ee_in_cam1: Pose) -> Pose:
         """Convert a C1 end-effector measurement into the base frame."""
-        return self.base_in_cam1.inverse().compose(ee_in_cam1)
+        return self._cam1_in_base.compose(ee_in_cam1)
 
 
 @dataclass
@@ -105,7 +110,7 @@ def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndar
         if target.last_known_base is None:
             raise NoTargetEverSeen("berry occluded and never seen before")
         return target.last_known_base
-    p_base = registry.base_in_cam1.inverse().transform_point(target.position_c1)
+    p_base = registry._cam1_in_base.transform_point(target.position_c1)
     target.last_known_base = p_base
     return p_base
 
@@ -139,7 +144,7 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
     ee_true = ee_pose
 
     c1_occluded = force_c1_occluded or _ee_blocks_ray(
-        registry.base_in_cam1.inverse().position, p_base, ee_true.position,
+        registry._cam1_in_base.position, p_base, ee_true.position,
         footprint_radius)
     position_c1 = None
     if not c1_occluded:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from softarm.cli import main, run_scenario
+from softarm.cli import _float_rows, main, run_scenario
 from softarm.config import (
     ConfigError,
     geometry_from_dict,
@@ -162,6 +164,46 @@ class TestStrictSchema:
                     for kind in workloads.CONTROLLERS for noisy in (False, True)]
         for data in written:
             parse_scenario(data)
+
+
+class TestConfigValueErrors:
+    """A value a block's dataclass or number conversion rejects is a config
+    error: exit code 1, before any output is written."""
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("plant", "dt", -1.0),
+        ("controller", "position_tolerance", "x"),
+    ])
+    def test_controller_scenario(self, tmp_path, capsys, block, key, value):
+        cfg = minimal_controller_config(plant={})
+        cfg[block][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"config error: {block}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
+    def test_harvest_workflow(self, tmp_path, capsys):
+        cfg = load_scenario_dict("harvest_default")
+        cfg["workflow"]["grasp_threshold"] = 0.1
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "config error: workflow:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1.2345678901234567e300])
+
+
+class TestCsvFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(finite_floats, finite_floats, finite_floats),
+                         min_size=1, max_size=4))
+    @example(rows=[(-0.0, 5e-324, 1e16), (9.999999999995e15, -1e300, 2.2250738585072014e-308)])
+    def test_one_pass_rows_match_per_value_format(self, rows):
+        table = np.array(rows)
+        formatted = list(_float_rows(table[:, :2], table[:, 2]))
+        assert formatted == [["%.12g" % np.float64(v) for v in row] for row in rows]
 
 
 class TestRunScenario:

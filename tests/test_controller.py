@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+
+import softarm.controller
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softarm.controller import (
+    ORIENTATION,
+    POSE,
+    POSITION,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -19,7 +24,7 @@ from softarm.controller import (
     step_full,
 )
 from softarm.geometry import default_geometry
-from softarm.jacobian import SV_TOL, jacobian
+from softarm.jacobian import SV_TOL, Jacobian6x9, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
@@ -426,3 +431,49 @@ class TestModeTable:
         np.testing.assert_array_equal(step(q, desired, on_orientation, cfg),
                                       step(q, desired, GainSchedule(alpha=0.074), cfg))
         assert_matches_written_out(q, desired, on_orientation, ControllerMode.PositionWithJL)
+
+
+class TestFactorFormEdges:
+    """``step_full`` works on SVD factors; where a task block loses rank it
+    must still be the law written out with np.linalg.pinv."""
+
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    @pytest.mark.parametrize("offset, rank", [(1e-7, 3), (2e-9, 2)])
+    def test_next_to_fully_straight(self, mode, offset, rank):
+        # Sections 2 and 3 exactly straight, section 1 bent by one actuator's
+        # offset: sigma_min / sigma_max of the orientation block is about
+        # 2.3 * offset, so it falls under sv_tol at 2e-9.
+        q = np.full(9, 0.05)
+        q[0] += offset
+        s = np.linalg.svd(jacobian(q, GEOM).Jw, compute_uv=False)
+        assert np.count_nonzero(s > SV_TOL * s[0]) == rank
+        rng = np.random.default_rng(3)
+        for gains in TABLE_GAINS:
+            for _ in range(5):
+                assert_matches_written_out(q, offset_target(q, rng), gains, mode)
+
+    @pytest.mark.parametrize("mode, rows", [
+        (ControllerMode.ConventionalRR, POSE),
+        (ControllerMode.PositionWithJL, POSITION),
+        (ControllerMode.OrientationWithJL, ORIENTATION),
+        (ControllerMode.PosOriPriority, POSITION),
+        (ControllerMode.PosOriPriority, ORIENTATION),
+        (ControllerMode.FullThreeTask, POSITION),
+        (ControllerMode.FullThreeTask, ORIENTATION),
+    ])
+    def test_exactly_zero_task_block(self, monkeypatch, mode, rows):
+        q = Q_MID + np.linspace(-0.02, 0.02, 9)
+        J = jacobian(q, GEOM).J.copy()
+        J[rows] = 0.0
+
+        def zeroed(q, geom):
+            return Jacobian6x9(J=J)
+
+        monkeypatch.setattr(softarm.controller, "jacobian", zeroed)
+        monkeypatch.setitem(globals(), "jacobian", zeroed)  # for written_out_law
+        rng = np.random.default_rng(5)
+        for gains in TABLE_GAINS:
+            desired = offset_target(q, rng)
+            assert np.isfinite(step_full(q, pose_error(desired, forward_kinematics(q, GEOM)),
+                                         gains, make_cfg(mode))).all()
+            assert_matches_written_out(q, desired, gains, mode)

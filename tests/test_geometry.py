@@ -54,7 +54,7 @@ def test_joint_limits_reject_inverted_bounds():
 def test_clamp_interior_keeps_margin():
     limits = default_geometry().joint_limits()
     q = np.array([-0.5, 0.0, 0.05, 0.1, 0.7, 0.02, 0.0, 0.1, 0.05])
-    clamped = limits.clamp_interior(q, margin=1e-6)
+    clamped = limits.clamp_interior(q)
     assert np.all(clamped > limits.lower)
     assert np.all(clamped < limits.upper)
     assert clamped[2] == 0.05  # interior values untouched
