@@ -59,7 +59,6 @@ from .vision import (
     simulate_observation,
 )
 from .workflow import (
-    Gripper,
     HarvestLog,
     HarvestState,
     WorkflowConfig,
@@ -81,5 +80,5 @@ __all__ = [
     "BerryTarget", "DegenerateConfiguration", "FrameRegistry",
     "NoTargetEverSeen", "berry_to_base", "build_registry", "register_rigid",
     "simulate_observation",
-    "Gripper", "HarvestLog", "HarvestState", "WorkflowConfig", "run_harvest",
+    "HarvestLog", "HarvestState", "WorkflowConfig", "run_harvest",
 ]

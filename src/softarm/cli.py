@@ -9,28 +9,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    VALID_KINDS,
-    ConfigError,
-    Scenario,
-    berries_from_dict,
-    controller_from_dict,
-    derive_seed,
-    initial_q_from_dict,
-    load_scenario_dict,
-    parse_scenario,
-    plant_config_from_dict,
-    target_pose_from_dict,
-    workflow_from_dict,
-)
+from .config import VALID_KINDS, ConfigError, Scenario, load_scenario_dict, parse_scenario
 from .controller import solve
 from .plant import Plant
-from .vision import build_registry
 from .workflow import HarvestState, run_harvest
 
 _FLOAT_FMT = "%.12g"
@@ -92,57 +77,23 @@ def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: 
 # Controller scenarios
 # ---------------------------------------------------------------------------
 
-def _solve_inputs(scenario: Scenario, target_index: int, repetition: int, target: dict):
-    """Parse one closed-loop solve's target pose, initial state and plant
-    config; returns (q0, desired, plant config)."""
-    desired = target_pose_from_dict(target, scenario.geometry)
-    rng = np.random.default_rng(derive_seed(scenario.seed, target_index, repetition))
-    q0 = initial_q_from_dict(scenario.raw.get("initial_q"), scenario.geometry, rng)
-    plant_cfg = plant_config_from_dict(scenario.raw.get("plant"), scenario.geometry,
-                                       derive_seed(scenario.seed, target_index,
-                                                   repetition, 0x91A))
-    return q0, desired, plant_cfg
-
-
-def _run_one_target(scenario: Scenario, target_index: int, repetition: int,
-                    controller_block: dict, target: dict):
-    """Execute one closed-loop solve; returns (trajectory, desired)."""
-    cfg, gains = controller_from_dict(controller_block, scenario.geometry)
-    q0, desired, plant_cfg = _solve_inputs(scenario, target_index, repetition, target)
-    return solve(q0, desired, gains, cfg, Plant(plant_cfg)), desired
-
-
-def _trajectory_rows(trajectory, label, repetition, stage):
+def _trajectory_rows(trajectory, label, stage):
     values = _float_rows(trajectory.qs, trajectory.pressures, trajectory.positions,
                          trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
                          trajectory.err_pos_true, trajectory.err_rot_true)
     for k, (row, flags) in enumerate(zip(values, trajectory.infeasible.tolist())):
-        yield [str(label), str(repetition), str(k), stage] + row + [_mask(flags)]
+        yield [str(label), "0", str(k), stage] + row + [_mask(flags)]
 
 
 def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    raw = scenario.raw
-    try:
-        repetitions = int(raw.get("repetitions", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"repetitions: {exc}") from exc
-    controller_block = raw.get("controller")
-    if controller_block is None:
-        raise ConfigError("controller scenario needs a 'controller' block")
-    # Every block is parsed before steps.csv is opened, so a config error
-    # leaves no partial output.
-    cfg, gains = controller_from_dict(controller_block, scenario.geometry)
-    runs = [(ti, rep, _solve_inputs(scenario, ti, rep, target))
-            for ti, target in enumerate(raw.get("targets", []))
-            for rep in range(repetitions)]
     results = []
 
     def rows():
-        for ti, rep, (q0, desired, plant_cfg) in runs:
-            trajectory = solve(q0, desired, gains, cfg, Plant(plant_cfg))
+        for run in scenario.runs:
+            trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
             results.append({
-                "target": ti,
-                "repetition": rep,
+                "target": run.label,
+                "repetition": 0,
                 "converged": trajectory.converged,
                 "diverged": trajectory.diverged,
                 "iterations": trajectory.iterations_used,
@@ -152,12 +103,12 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 "final_err_rot_true_rad": float(trajectory.err_rot_true[-1]),
                 "any_infeasible": trajectory.any_infeasible,
             })
-            _say(quiet, f"  target {ti} rep {rep}: "
+            _say(quiet, f"  target {run.label} rep 0: "
                  f"{'converged' if trajectory.converged else 'NOT converged'} "
                  f"in {trajectory.iterations_used} iters, "
                  f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
                  f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg")
-            yield from _trajectory_rows(trajectory, ti, rep, controller_block["mode"])
+            yield from _trajectory_rows(trajectory, run.label, run.controller.mode.value)
 
     _write_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER, rows())
     summary = _controller_summary(scenario, results)
@@ -215,27 +166,17 @@ def _controller_lines(summary) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    raw = scenario.raw
-    entries = raw.get("controllers", [])
-    if len(entries) < 2:
-        raise ConfigError("compare scenario needs >= 2 entries in 'controllers'")
-    if "target" not in raw:
-        raise ConfigError("compare scenario needs a single 'target'")
-
     runs = {}
     verdicts = {}
-    for entry in entries:
-        name = entry.get("name") or entry.get("mode")
-        if name in runs:
-            raise ConfigError(f"duplicate controller name {name!r}")
-        trajectory, _ = _run_one_target(scenario, 0, 0, entry, raw["target"])
-        runs[name] = trajectory
+    for run in scenario.runs:
+        trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
+        runs[run.label] = trajectory
         verdict = ("converged" if trajectory.converged
                    else "diverged" if trajectory.diverged else "did-not-converge")
         if trajectory.any_infeasible:
             verdict += ", infeasible-pressures-detected"
-        verdicts[name] = verdict
-        _say(quiet, f"  {name}: {verdict} "
+        verdicts[run.label] = verdict
+        _say(quiet, f"  {run.label}: {verdict} "
              f"(iters={trajectory.iterations_used}, "
              f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
              f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg)")
@@ -275,24 +216,12 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    raw = scenario.raw
-    berries = berries_from_dict(raw.get("berries"), scenario.geometry)
-    base_cfg, _ = controller_from_dict(raw.get("controller", {"mode": "FullThreeTask"}),
-                                       scenario.geometry)
-    workflow = workflow_from_dict(raw.get("workflow"), base_cfg)
-    reg_cfg = raw.get("registry", {})
-    plant_cfgs = [plant_config_from_dict(raw.get("plant"), scenario.geometry,
-                                         derive_seed(scenario.seed, bi, 0x91A))
-                  for bi in range(len(berries))]
     results = []
 
     def rows():
-        for bi, (berry, approach, window) in enumerate(berries):
-            wf = replace(workflow, c1_occlusion_window=window,
-                         rng_seed=derive_seed(scenario.seed, bi))
-            registry = build_registry(**{k: tuple(v) for k, v in
-                                         ({"cam1_target": berry} | reg_cfg).items()})
-            log = run_harvest(berry, approach, Plant(plant_cfgs[bi]), registry, wf)
+        for bi, run in enumerate(scenario.runs):
+            log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry,
+                              run.workflow)
             results.append({
                 "berry": bi,
                 "final_state": log.final_state.value,
@@ -312,7 +241,8 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             values = _float_rows(*zip(*((r.q, r.pressures, r.position, r.rotvec,
                                          r.dist_est, r.dist_true) for r in log.rows)))
             for r, row in zip(log.rows, values):
-                yield ([str(bi), "occluded" if window else "plain", str(r.iteration), r.stage]
+                yield ([str(bi), "occluded" if run.workflow.c1_occlusion_window else "plain",
+                        str(r.iteration), r.stage]
                        + row + [_mask(r.infeasible.tolist()), r.target_source])
 
     _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())

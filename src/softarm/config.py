@@ -1,12 +1,16 @@
-"""Scenario configuration: JSON schema parsing and object construction.
+"""Scenario configuration: the one reader of the scenario file format.
 
 One JSON file fully describes a run: geometry, plant, controller(s) or
-workflow, targets, seed. Every random draw derives from the scenario seed
-so re-running a file reproduces its outputs byte for byte.
+workflow, targets, seed. :func:`parse_scenario` checks the file and resolves
+it into the runs it describes, so a config error surfaces before anything
+runs. Each block parser names the keys it reads, through :func:`_read`, and
+any other key is a config error. Every random draw derives from the scenario
+seed so re-running a file reproduces its outputs byte for byte.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -27,6 +31,7 @@ from .geometry import (
 from .kinematics import Pose
 from .plant import PlantConfig
 from .rotations import rot_x, rot_y, rot_z, rotvec_to_matrix
+from .vision import FrameRegistry, build_registry
 from .workflow import WorkflowConfig
 
 
@@ -34,25 +39,54 @@ class ConfigError(Exception):
     """Schema violation or unresolvable reference in a scenario file."""
 
 
-def _check_keys(data, schema, where: str) -> None:
-    """Raise ConfigError for the first key of ``data`` that ``schema`` does
-    not name, at any depth; values of another shape than the schema's are
-    left to the block parsers."""
-    if isinstance(schema, list) and isinstance(data, list):
-        for i, item in enumerate(data):
-            _check_keys(item, schema[0], f"{where}[{i}]")
-    elif isinstance(schema, dict) and isinstance(data, dict):
-        for key, value in data.items():
-            if key not in schema:
-                known = ", ".join(sorted(schema))
-                raise ConfigError(f"unknown key {key!r} in {where}; expected one of: {known}")
-            _check_keys(value, schema[key], f"{where}.{key}")
+def _read(data, where: str, **convert) -> dict:
+    """Each key of the block ``data`` passed through its converter in
+    ``convert``.
+
+    A key the block leaves out is not passed on, so the dataclass that owns
+    its default applies. A key with no converter is a ConfigError, and a
+    converter's TypeError or ValueError comes out as a ValueError that
+    names the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in data:
+        if key not in convert:
+            known = ", ".join(sorted(convert))
+            raise ConfigError(f"unknown key {key!r} in {where}; expected one of: {known}")
+    given = {}
+    for key, value in data.items():
+        try:
+            given[key] = convert[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return given
 
 
-def _given(data: dict, convert, *keys) -> dict:
-    """The ``keys`` that ``data`` gives, converted; a key it leaves out is
-    not passed on, so the dataclass that owns its default applies."""
-    return {key: convert(data[key]) for key in keys if key in data}
+@contextmanager
+def _block(where: str):
+    """Report a value the block at ``where`` rejects as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where.removeprefix('scenario.')}: {exc}") from exc
+
+
+def _as_given(value):
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError("must be a list")
+    return value
+
+
+def _vector(value, n: int = 3) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"must be a {n}-vector")
+    return v
 
 
 def derive_seed(*keys) -> int:
@@ -70,11 +104,6 @@ def upright_rotation(geom: RobotGeometry) -> np.ndarray:
 # Geometry
 # ---------------------------------------------------------------------------
 
-_GEOMETRY = {"sections": [{"radius": None, "initial_length": None,
-                           "plate_offset_length": None, "plate_offset_angle": None,
-                           "actuator_max_elongation": None}]}
-
-
 def geometry_from_dict(data) -> RobotGeometry:
     """Build a RobotGeometry from the config representation.
 
@@ -86,77 +115,82 @@ def geometry_from_dict(data) -> RobotGeometry:
         return default_geometry()
     if not isinstance(data, dict) or "sections" not in data:
         raise ConfigError("geometry must be 'default' or {'sections': [...]}")
-    _check_keys(data, _GEOMETRY, "geometry")
-    sections = []
-    for i, sec in enumerate(data["sections"]):
-        try:
-            sections.append(SectionGeometry(**{k: float(v) for k, v in sec.items()}))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"geometry section {i}: {exc}") from exc
-    geom = RobotGeometry(sections=tuple(sections))
+    with _block("geometry"):
+        sections = _read(data, "geometry", sections=_list)["sections"]
+    section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), float)
+    geom_sections = []
+    for i, sec in enumerate(sections):
+        where = f"geometry.sections[{i}]"
+        with _block(where):
+            geom_sections.append(SectionGeometry(**_read(sec, where, **section_keys)))
+    geom = RobotGeometry(sections=tuple(geom_sections))
     violations = validate_geometry(geom)
     if violations:
         raise ConfigError("invalid geometry: " + "; ".join(violations))
     return geom
 
 
-def load_geometry(path) -> RobotGeometry:
-    """Read a geometry JSON file (same schema as the inline form)."""
+def _geometry(value) -> RobotGeometry:
+    """A scenario's geometry: "default", inline, or the path of a geometry
+    JSON file (same schema as the inline form)."""
+    if not isinstance(value, str) or value == "default":
+        return geometry_from_dict(value)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(value, "r", encoding="utf-8") as fh:
             return geometry_from_dict(json.load(fh))
     except OSError as exc:
-        raise ConfigError(f"cannot read geometry file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read geometry file {value}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"geometry file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"geometry file {value} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Gains / controller
 # ---------------------------------------------------------------------------
 
-def gains_from_dict(data) -> GainSchedule:
+def _joint_limit(data, where: str) -> JointLimitSchedule | None:
+    if data is None:
+        return None
+    kwargs = _read(data, where, value_far=float, switch_threshold=float, metric=str)
+    if "metric" in kwargs:
+        kwargs["threshold_metric"] = kwargs.pop("metric")
+    return JointLimitSchedule(**kwargs)
+
+
+def _gains(data, where: str) -> GainSchedule:
     if not isinstance(data, dict) or "alpha" not in data:
-        raise ConfigError("gains must be an object with at least 'alpha'")
-    kwargs = {}
-    j = data.get("joint_limit")
-    if j is not None:
-        try:
-            kwargs["joint_limit"] = JointLimitSchedule(
-                value_far=float(j["value_far"]),
-                switch_threshold=float(j["switch_threshold"]),
-                **({"threshold_metric": j["metric"]} if "metric" in j else {}),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"joint_limit schedule: {exc}") from exc
-    try:
-        return GainSchedule(**kwargs, **_given(data, float, "alpha", "gamma_position",
-                                               "gamma_orientation"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gains: {exc}") from exc
+        raise ConfigError(f"{where} must be an object with at least 'alpha'")
+    return GainSchedule(**_read(
+        data, where, alpha=float, gamma_position=float, gamma_orientation=float,
+        joint_limit=lambda j: _joint_limit(j, f"{where}.joint_limit")))
 
 
-def controller_from_dict(data, geom: RobotGeometry) -> tuple:
-    """Returns (ControllerConfig, GainSchedule) from a controller block."""
-    if not isinstance(data, dict) or "mode" not in data:
-        raise ConfigError("controller block needs a 'mode'")
+def _mode(name) -> ControllerMode:
     try:
-        mode = ControllerMode(data["mode"])
-    except ValueError as exc:
+        return ControllerMode(name)
+    except ValueError:
         names = ", ".join(m.value for m in ControllerMode)
-        raise ConfigError(f"unknown mode {data['mode']!r}; one of: {names}") from exc
-    try:
-        kwargs = _given(data, float, "position_tolerance") | _given(data, int, "max_iterations")
-        if "orientation_tolerance_deg" in data:
-            kwargs["orientation_tolerance"] = float(np.deg2rad(data["orientation_tolerance_deg"]))
-        if data.get("orientation_error_axes") is not None:
-            kwargs["orientation_error_axes"] = tuple(data["orientation_error_axes"])
-        cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), mode=mode,
-                               **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"controller: {exc}") from exc
-    gains = gains_from_dict(data.get("gains", {"alpha": 0.05}))
-    return cfg, gains
+        raise ValueError(f"unknown mode {name!r}; one of: {names}") from None
+
+
+def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
+    """(ControllerConfig, GainSchedule) of a controller block, followed by
+    the value (or None) of each key in ``extra``, the converters of the keys
+    only the caller reads."""
+    if not isinstance(data, dict) or "mode" not in data:
+        raise ConfigError(f"{where} needs a 'mode'")
+    with _block(where):
+        kwargs = _read(data, where, mode=_mode, position_tolerance=float,
+                       orientation_tolerance_deg=lambda deg: float(np.deg2rad(deg)),
+                       max_iterations=int,
+                       orientation_error_axes=lambda a: None if a is None else tuple(a),
+                       gains=lambda g: _gains(g, f"{where}.gains"), **extra)
+        if "orientation_tolerance_deg" in kwargs:
+            kwargs["orientation_tolerance"] = kwargs.pop("orientation_tolerance_deg")
+        gains = kwargs.pop("gains") if "gains" in kwargs else GainSchedule(alpha=0.05)
+        extras = [kwargs.pop(key, None) for key in extra]
+        cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), **kwargs)
+    return (cfg, gains, *extras)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +198,14 @@ def controller_from_dict(data, geom: RobotGeometry) -> tuple:
 # ---------------------------------------------------------------------------
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
-    data = data or {}
-    try:
-        kwargs = _given(data, float, "position_noise_std", "rotation_noise_std",
-                        "filter_cutoff", "dt")
-        mismatch = float(data.get("mismatch", 0.0))
+    with _block("scenario.plant"):
+        kwargs = _read(data or {}, "scenario.plant", mismatch=float, position_noise_std=float,
+                       rotation_noise_std=float, filter_cutoff=float, dt=float)
+        mismatch = kwargs.pop("mismatch", 0.0)
         if mismatch > 0:
             kwargs["length_scale_error"] = np.random.default_rng(
                 derive_seed(seed, 0xA11)).uniform(-mismatch, mismatch, 9)
         return PlantConfig(true_geometry=geom, rng_seed=seed, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plant: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -184,123 +215,214 @@ def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
 _AXES = {"x": rot_x, "y": rot_y, "z": rot_z}
 
 
-def rotation_from_dict(data, geom: RobotGeometry) -> np.ndarray:
+def _axis(name):
+    if name not in _AXES:
+        raise ValueError(f"rotation axis must be one of x/y/z, got {name!r}")
+    return _AXES[name]
+
+
+def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
     """Rotation spec: {"rotvec": [...]} (radians, absolute) or
     {"axis": "x", "angle_deg": a, "relative_to": "upright"|"base"}."""
-    if "rotvec" in data:
-        return rotvec_to_matrix(np.asarray(data["rotvec"], dtype=float))
-    axis = data.get("axis")
-    if axis not in _AXES:
-        raise ConfigError(f"rotation axis must be one of x/y/z, got {axis!r}")
-    R = _AXES[axis](float(np.deg2rad(data.get("angle_deg", 0.0))))
-    if data.get("relative_to", "upright") == "upright":
+    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=float, relative_to=str)
+    if "rotvec" in spec:
+        return rotvec_to_matrix(spec["rotvec"])
+    if "axis" not in spec:
+        raise ValueError("needs a 'rotvec' or an 'axis'")
+    R = spec["axis"](float(np.deg2rad(spec.get("angle_deg", 0.0))))
+    if spec.get("relative_to", "upright") == "upright":
         R = R @ upright_rotation(geom)
     return R
 
 
-def target_pose_from_dict(data, geom: RobotGeometry) -> Pose:
+def target_pose_from_dict(data, geom: RobotGeometry, where: str = "scenario.target") -> Pose:
     """A target is a position, a rotation, or both. Missing parts default
     to the straight-arm pose (ignored by single-task modes)."""
     if not isinstance(data, dict) or ("position" not in data and "rotation" not in data):
         raise ConfigError("target needs 'position' and/or 'rotation'")
-    try:
-        position = np.asarray(data.get("position", [0.0, 0.0, 0.0]), dtype=float)
-        if position.shape != (3,):
-            raise ValueError("position must be a 3-vector")
-        rotation = (rotation_from_dict(data["rotation"], geom) if "rotation" in data
-                    else upright_rotation(geom))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"target: {exc}") from exc
-    return Pose(position, rotation)
+    with _block(where):
+        target = _read(data, where, position=_vector,
+                       rotation=lambda r: _rotation(r, geom, f"{where}.rotation"))
+    return Pose(target["position"] if "position" in target else np.zeros(3),
+                target["rotation"] if "rotation" in target else upright_rotation(geom))
 
 
 def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
     {"midpoint_jitter": j} drawn from the run RNG (keeps the start off the
     straight singularity, mirroring the perturbation rule)."""
-    try:
-        if data is None or isinstance(data, dict):
-            jitter = float((data or {}).get("midpoint_jitter", 1e-3))
-            return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
-        q = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"initial_q: {exc}") from exc
-    if q.shape != (9,):
-        raise ConfigError("initial_q must be a 9-vector or {'midpoint_jitter': j}")
-    return q
+    with _block("scenario.initial_q"):
+        if data is not None and not isinstance(data, dict):
+            return _vector(data, 9)
+        jitter = _read(data or {}, "scenario.initial_q", midpoint_jitter=float).get(
+            "midpoint_jitter", 1e-3)
+        return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
 
 
-def berries_from_dict(data, geom: RobotGeometry) -> list:
-    """Each berry of a harvest scenario as (position, approach rotation, C1
-    occlusion window or None). The approach defaults to -90 deg about x,
-    relative to upright; every berry is checked before any runs."""
-    if not data:
-        raise ConfigError("harvest scenario needs a 'berries' list")
-    berries = []
-    for i, berry in enumerate(data):
-        try:
-            position = np.asarray(berry["position"], dtype=float)
-            if position.shape != (3,):
-                raise ValueError("position must be a 3-vector")
-            approach = rotation_from_dict(
-                {"axis": "x", "angle_deg": -90.0} | berry.get("approach", {}), geom)
-            window = berry.get("c1_occlusion_window")
-            window = tuple(window) if window else None
-            if window is not None and len(window) != 2:
-                raise ValueError("c1_occlusion_window must be [start, length]")
-        except KeyError as exc:
-            raise ConfigError(f"berries[{i}] needs a {exc} key") from exc
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(f"berries[{i}]: {exc}") from exc
-        berries.append((position, approach, window))
-    return berries
+# ---------------------------------------------------------------------------
+# Harvest blocks
+# ---------------------------------------------------------------------------
+
+def _window(value) -> tuple | None:
+    window = tuple(value) if value else None
+    if window is not None and len(window) != 2:
+        raise ValueError("must be [start, length]")
+    return window
+
+
+def _berry(data, geom: RobotGeometry, where: str) -> tuple:
+    """(position, approach rotation, C1 occlusion window or None) of one
+    berry. The approach defaults to -90 deg about x, relative to upright."""
+    def approach(spec):
+        return _rotation({"axis": "x", "angle_deg": -90.0} | spec, geom, f"{where}.approach")
+
+    with _block(where):
+        berry = _read(data, where, position=_vector, approach=approach,
+                      c1_occlusion_window=_window)
+        if "position" not in berry:
+            raise ValueError("needs a 'position'")
+        return (berry["position"], berry["approach"] if "approach" in berry else approach({}),
+                berry.get("c1_occlusion_window"))
+
+
+def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
+    """The harvest workflow; a stage's gains or iteration budget replace
+    those of its default policy."""
+    where = "scenario.workflow"
+    with _block(where):
+        kwargs = _read(data or {}, where, coarse_threshold=float, grasp_threshold=float,
+                       observation_noise_std=float, home_iterations=int,
+                       standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
+                       placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
+                       placement_max_iterations=int,
+                       fine_gains=lambda g: _gains(g, f"{where}.fine_gains"),
+                       fine_max_iterations=int)
+        policies = {"placement": {}, "fine": {}}
+        for key in [key for key in kwargs if key.startswith(("placement_", "fine_"))]:
+            stage, name = key.split("_", 1)
+            policies[stage][name] = kwargs.pop(key)
+        wf = WorkflowConfig(controller=controller, **kwargs)
+        return replace(wf, **{stage: replace(getattr(wf, stage), **policy)
+                              for stage, policy in policies.items()})
+
+
+def _registry(data) -> dict:
+    """The ``build_registry`` arguments a scenario gives."""
+    with _block("scenario.registry"):
+        return _read(data or {}, "scenario.registry", cam1_position=_vector,
+                     cam1_target=_vector, cam2_offset=_vector)
 
 
 # ---------------------------------------------------------------------------
 # Scenario
 # ---------------------------------------------------------------------------
 
-VALID_KINDS = ("controller", "compare", "harvest")
+@dataclass(frozen=True)
+class Solve:
+    """One closed-loop solve: a controller scenario's target or a compare
+    scenario's controller."""
 
-# Keys each scenario block may hold. A nested dict is the schema of an
-# object-valued key, a one-element list that of every item of a list, and
-# None a value the block parsers check themselves.
-_GAINS = {"alpha": None, "gamma_position": None, "gamma_orientation": None,
-          "joint_limit": {"value_far": None, "switch_threshold": None, "metric": None}}
-_CONTROLLER = {"mode": None, "position_tolerance": None, "orientation_tolerance_deg": None,
-               "max_iterations": None, "orientation_error_axes": None, "gains": _GAINS}
-_ROTATION = {"rotvec": None, "axis": None, "angle_deg": None, "relative_to": None}
-_TARGET = {"position": None, "rotation": _ROTATION}
-_SCENARIO = {
-    "name": None, "kind": None, "seed": None, "strict": None, "repetitions": None,
-    "geometry": None,  # checked by geometry_from_dict, which also reads files
-    "plant": {"mismatch": None, "position_noise_std": None, "rotation_noise_std": None,
-              "filter_cutoff": None, "dt": None},
-    "controller": _CONTROLLER,
-    "controllers": [_CONTROLLER | {"name": None}],
-    "initial_q": {"midpoint_jitter": None},
-    "targets": [_TARGET],
-    "target": _TARGET,
-    "berries": [{"position": None, "approach": _ROTATION, "c1_occlusion_window": None}],
-    "registry": {"cam1_position": None, "cam1_target": None, "cam2_offset": None},
-    "workflow": {"coarse_threshold": None, "grasp_threshold": None, "standoff_offset": None,
-                 "home_q": None, "home_iterations": None, "observation_noise_std": None,
-                 "placement_gains": _GAINS, "placement_max_iterations": None,
-                 "fine_gains": _GAINS, "fine_max_iterations": None},
-}
+    label: int | str  # the target's index, or the compared controller's name
+    controller: ControllerConfig
+    gains: GainSchedule
+    q0: np.ndarray
+    desired: Pose
+    plant: PlantConfig
 
 
-@dataclass
+@dataclass(frozen=True)
+class Harvest:
+    """One berry of a harvest scenario; ``workflow`` carries the berry's
+    occlusion window and rng seed."""
+
+    berry: np.ndarray
+    approach: np.ndarray
+    plant: PlantConfig
+    registry: FrameRegistry
+    workflow: WorkflowConfig
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Fully resolved scenario: everything a run needs, plus the raw dict
-    for provenance."""
+    """A parsed scenario file: every run it describes, resolved, in order."""
 
     name: str
     kind: str
     seed: int
     strict: bool
-    geometry: RobotGeometry
-    raw: dict = field(repr=False, default_factory=dict)
+    runs: list
+
+
+def _solve(label, controller: tuple, desired: Pose, given: dict, geom: RobotGeometry,
+           seed: int, i: int) -> Solve:
+    """A solve whose initial state and plant derive from the seeds of
+    target ``i``."""
+    q0 = initial_q_from_dict(given.get("initial_q"), geom,
+                             np.random.default_rng(derive_seed(seed, i, 0)))
+    plant = plant_config_from_dict(given.get("plant"), geom, derive_seed(seed, i, 0, 0x91A))
+    return Solve(label, *controller, q0, desired, plant)
+
+
+def _controller_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
+    if "controller" not in given:
+        raise ConfigError("controller scenario needs a 'controller' block")
+    controller = _controller(given["controller"], geom, "scenario.controller")
+    return [_solve(i, controller, target_pose_from_dict(target, geom, f"scenario.targets[{i}]"),
+                   given, geom, seed, i)
+            for i, target in enumerate(given.get("targets", []))]
+
+
+def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
+    """One solve per compared controller, all from the seeds of target 0."""
+    entries = given.get("controllers", [])
+    if len(entries) < 2:
+        raise ConfigError("compare scenario needs >= 2 entries in 'controllers'")
+    if "target" not in given:
+        raise ConfigError("compare scenario needs a single 'target'")
+    desired = target_pose_from_dict(given["target"], geom, "scenario.target")
+    runs = []
+    for i, entry in enumerate(entries):
+        *controller, name = _controller(entry, geom, f"scenario.controllers[{i}]", name=str)
+        label = name or controller[0].mode.value
+        if label in (run.label for run in runs):
+            raise ConfigError(f"duplicate controller name {label!r}")
+        runs.append(_solve(label, controller, desired, given, geom, seed, 0))
+    return runs
+
+
+def _harvest_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
+    """One run per berry. The stage policies set each stage's mode and
+    gains; the shared controller config supplies the rest."""
+    if not given.get("berries"):
+        raise ConfigError("harvest scenario needs a 'berries' list")
+    workflow = _workflow(given.get("workflow"), ControllerConfig(
+        geometry=geom, joint_limits=geom.joint_limits(), mode=ControllerMode.FullThreeTask))
+    layout = _registry(given.get("registry"))
+    runs = []
+    for i, data in enumerate(given["berries"]):
+        berry, approach, window = _berry(data, geom, f"scenario.berries[{i}]")
+        with _block("scenario.registry"):
+            registry = build_registry(**({"cam1_target": berry} | layout))
+        runs.append(Harvest(
+            berry, approach,
+            plant_config_from_dict(given.get("plant"), geom, derive_seed(seed, i, 0x91A)),
+            registry,
+            replace(workflow, c1_occlusion_window=window, rng_seed=derive_seed(seed, i))))
+    return runs
+
+
+#: Each kind's resolver and the top-level blocks it reads, on top of the
+#: name, kind, seed, strict, geometry and plant that every kind takes. The
+#: resolver parses each block; here a list is only checked to be one.
+_KINDS = {
+    "controller": (_controller_runs,
+                   {"controller": _as_given, "initial_q": _as_given, "targets": _list}),
+    "compare": (_compare_runs,
+                {"controllers": _list, "initial_q": _as_given, "target": _as_given}),
+    "harvest": (_harvest_runs,
+                {"berries": _list, "registry": _as_given, "workflow": _as_given}),
+}
+VALID_KINDS = tuple(_KINDS)
 
 
 def load_scenario_dict(path) -> dict:
@@ -321,50 +443,19 @@ def load_scenario_dict(path) -> dict:
 
 
 def parse_scenario(data, seed_override=None) -> Scenario:
+    """Check a scenario dict and resolve it into its runs."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    _check_keys(data, _SCENARIO, "scenario")
     for key in ("name", "kind"):
         if key not in data:
             raise ConfigError(f"scenario missing required key {key!r}")
-    if data["kind"] not in VALID_KINDS:
+    if data["kind"] not in _KINDS:
         raise ConfigError(f"kind must be one of {VALID_KINDS}, got {data['kind']!r}")
-    geometry = data.get("geometry", "default")
-    if isinstance(geometry, str) and geometry not in ("default",):
-        geom = load_geometry(geometry)
-    else:
-        geom = geometry_from_dict(geometry)
-    try:
-        seed = int(seed_override if seed_override is not None else data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed: {exc}") from exc
-    return Scenario(
-        name=str(data["name"]),
-        kind=data["kind"],
-        seed=seed,
-        strict=bool(data.get("strict", False)),
-        geometry=geom,
-        raw=data,
-    )
-
-
-def workflow_from_dict(data, base_cfg: ControllerConfig) -> WorkflowConfig:
-    data = data or {}
-    try:
-        wf = WorkflowConfig(
-            controller=base_cfg,
-            **_given(data, float, "coarse_threshold", "grasp_threshold",
-                     "observation_noise_std"),
-            **_given(data, int, "home_iterations"),
-            **_given(data, lambda v: np.asarray(v, dtype=float), "standoff_offset", "home_q"))
-        policies = {}
-        for stage in ("placement", "fine"):
-            policy = getattr(wf, stage)
-            if f"{stage}_gains" in data:
-                policy = replace(policy, gains=gains_from_dict(data[f"{stage}_gains"]))
-            if f"{stage}_max_iterations" in data:
-                policy = replace(policy, max_iterations=int(data[f"{stage}_max_iterations"]))
-            policies[stage] = policy
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"workflow: {exc}") from exc
-    return replace(wf, **policies)
+    resolve, blocks = _KINDS[data["kind"]]
+    with _block("scenario"):
+        given = _read(data, "scenario", name=str, kind=str, seed=int, strict=bool,
+                      geometry=_geometry, plant=_as_given, **blocks)
+    seed = given.get("seed", 0) if seed_override is None else int(seed_override)
+    geom = given["geometry"] if "geometry" in given else default_geometry()
+    return Scenario(name=given["name"], kind=given["kind"], seed=seed,
+                    strict=given.get("strict", False), runs=resolve(given, geom, seed))

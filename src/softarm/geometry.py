@@ -43,22 +43,13 @@ class SectionGeometry:
 class RobotGeometry:
     """The full arm: three sections ordered proximal, medial, distal.
 
-    The third section's plate offset doubles as the gripper offset
-    (``gripper_offset_length`` / ``gripper_offset_angle``).
+    The third section's plate offset doubles as the gripper offset.
     """
 
     sections: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "sections", tuple(self.sections))
-
-    @property
-    def gripper_offset_length(self) -> float:
-        return self.sections[-1].plate_offset_length
-
-    @property
-    def gripper_offset_angle(self) -> float:
-        return self.sections[-1].plate_offset_angle
 
     def joint_limits(self) -> "JointLimits":
         """Per-actuator elongation bounds; lower bound is 0 (extension-only)."""

@@ -83,7 +83,6 @@ class BerryTarget:
     position_c2: np.ndarray | None = None
     position_c1: np.ndarray | None = None
     last_known_base: np.ndarray | None = None
-    occluded: bool = False
 
 
 def berry_to_base(target: BerryTarget, ee_in_cam1: Pose, registry: FrameRegistry) -> np.ndarray:
@@ -159,19 +158,19 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
         if noise_std > 0 and rng is not None:
             position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 
-    target = BerryTarget(
+    return BerryTarget(
         position_c2=position_c2,
         position_c1=position_c1,
         last_known_base=None if previous is None else previous.last_known_base,
-        occluded=position_c2 is None,
     )
-    return target
 
 
 def look_at(eye, point, up=(0.0, 0.0, 1.0)) -> Pose:
     """Camera pose in the parent frame with +Z viewing toward ``point``."""
     eye = np.asarray(eye, dtype=float)
     z = np.asarray(point, dtype=float) - eye
+    if not np.any(z):
+        raise ValueError("a camera cannot look at its own position")
     z = z / np.linalg.norm(z)
     up = np.asarray(up, dtype=float)
     x = np.cross(up, z)

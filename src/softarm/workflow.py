@@ -42,21 +42,6 @@ class HarvestState(enum.Enum):
     Failed = "Failed"
 
 
-class Gripper:
-    """Stub for the tendon-driven gripper: a logged open/close toggle."""
-
-    def __init__(self):
-        self.state = "open"
-        self.events = []
-
-    def command(self, action: str, iteration: int) -> str:
-        if action not in ("open", "close"):
-            raise ValueError("gripper action must be 'open' or 'close'")
-        self.state = "open" if action == "open" else "closed"
-        self.events.append((iteration, action))
-        return self.state
-
-
 @dataclass(frozen=True)
 class StagePolicy:
     mode: ControllerMode
@@ -146,7 +131,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     berry_truth = np.asarray(berry_base_truth, dtype=float)
     approach = np.asarray(desired_approach_orientation, dtype=float)
     log = HarvestLog()
-    gripper = Gripper()
     rng = np.random.default_rng(cfg.rng_seed)
 
     obs = plant.reset(cfg.home_q)
@@ -190,7 +174,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     def fail(reason: str):
         log.final_state = HarvestState.Failed
         log.failure_reason = reason
-        log.gripper_events = gripper.events
         return log
 
     # Stage 1: initial placement on the standoff pose, berry from C1.
@@ -259,7 +242,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     # Stage 3: grasp. Success judged on the true gripper-to-berry distance.
     stage = HarvestState.Grasp
     stage_start = iteration
-    gripper.command("close", iteration)
+    log.gripper_events.append((iteration, "close"))
     berry_est = target.last_known_base
     record(stage, berry_est, log.rows[-1].target_source)
     grasped = log.rows[-1].dist_true <= cfg.grasp_threshold
@@ -278,9 +261,8 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         obs = plant.apply_command(q)
         iteration += 1
         record(stage, berry_est, "none")
-    gripper.command("open", iteration)
+    log.gripper_events.append((iteration, "open"))
     close_stage(stage, stage_start, "home")
 
     log.final_state = HarvestState.Done
-    log.gripper_events = gripper.events
     return log

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from softarm.cli import _run_one_target, run_scenario
+from softarm.cli import run_scenario
 from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     ControllerConfig,
@@ -21,11 +21,13 @@ from softarm.controller import (
     jl_cost,
     jl_gradient,
     pose_error,
+    solve,
     step_full,
 )
 from softarm.geometry import default_geometry
 from softarm.jacobian import jacobian, pinv
 from softarm.kinematics import forward_kinematics
+from softarm.plant import Plant
 from softarm.rotations import matrix_to_rotvec, rotvec_to_matrix
 from softarm.vision import (
     berry_to_base,
@@ -60,18 +62,20 @@ def criterion(number, description):
           f"[{time.time() - start:.1f}s]", flush=True)
 
 
-def bundled(name):
-    return parse_scenario(load_scenario_dict(name))
+def bundled_runs(name):
+    """The resolved runs of a bundled scenario, by label."""
+    return {run.label: run for run in parse_scenario(load_scenario_dict(name)).runs}
+
+
+def run_solve(run):
+    return solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
 
 
 def run_bundled_targets(name):
     """Run every target of a bundled controller scenario; yields
-    (trajectory, desired, controller_block)."""
-    scenario = bundled(name)
-    block = scenario.raw["controller"]
-    for ti, target in enumerate(scenario.raw["targets"]):
-        trajectory, desired = _run_one_target(scenario, ti, 0, block, target)
-        yield trajectory, desired, block
+    (trajectory, desired)."""
+    for run in bundled_runs(name).values():
+        yield run_solve(run), run.desired
 
 
 def test_criterion_1_kinematics_oracle_equivalence():
@@ -142,18 +146,14 @@ def test_criterion_3_task_priority_algebra():
 def test_criterion_4_barrier_property_on_near_limit_pose():
     with criterion(4, "barrier keeps q inside; conventional law goes infeasible"):
         start = time.time()
-        scenario = bundled("near_limit_pose")
-        entries = {e["name"]: e for e in scenario.raw["controllers"]}
-        target = scenario.raw["target"]
+        runs = bundled_runs("near_limit_pose")
 
-        scheduled, _ = _run_one_target(scenario, 0, 0,
-                                       entries["full_three_task_scheduled"], target)
+        scheduled = run_solve(runs["full_three_task_scheduled"])
         assert scheduled.converged
         assert np.all(scheduled.qs > LIMITS.lower), "lower bound violated"
         assert np.all(scheduled.qs < LIMITS.upper), "upper bound violated"
 
-        conventional, _ = _run_one_target(scenario, 0, 0,
-                                          entries["conventional_rr"], target)
+        conventional = run_solve(runs["conventional_rr"])
         assert conventional.any_infeasible
         assert np.any(conventional.pressures < 0.0), "no negative pressure seen"
         assert time.time() - start < 10.0
@@ -164,15 +164,15 @@ def test_criterion_5_convergence_suite():
                       " plus mismatch+noise variants"):
         start = time.time()
 
-        for trajectory, _, _ in run_bundled_targets("position_35pts"):
+        for trajectory, _ in run_bundled_targets("position_35pts"):
             assert trajectory.converged and trajectory.iterations_used <= 3000
             assert trajectory.err_pos[-1] < 0.8e-3
 
-        for trajectory, _, _ in run_bundled_targets("orientation_15pts"):
+        for trajectory, _ in run_bundled_targets("orientation_15pts"):
             assert trajectory.converged
             assert trajectory.err_rot[-1] < np.deg2rad(0.6)
 
-        for trajectory, desired, _ in run_bundled_targets("pose_7pts"):
+        for trajectory, desired in run_bundled_targets("pose_7pts"):
             assert trajectory.converged
             assert trajectory.err_pos[-1] < 0.8e-3
             R_c = rotvec_to_matrix(trajectory.rotvecs[-1])
@@ -183,7 +183,8 @@ def test_criterion_5_convergence_suite():
         # 2% actuator mismatch + 0.5 mm measurement noise, tolerance x2
         for name in ("position_35pts_noisy", "orientation_15pts_noisy",
                      "pose_7pts_noisy"):
-            for trajectory, _, block in run_bundled_targets(name):
+            block = load_scenario_dict(name)["controller"]
+            for trajectory, _ in run_bundled_targets(name):
                 assert trajectory.converged, f"{name} run did not terminate"
                 if "position_tolerance" in block:
                     assert trajectory.err_pos[-1] <= block["position_tolerance"]
@@ -198,20 +199,17 @@ def test_criterion_5_convergence_suite():
 def test_criterion_6_joint_limit_awareness_is_faster():
     with criterion(6, "scheduled orientation law reaches 0.57 deg in strictly"
                       " fewer iterations than the conventional law"):
-        scenario = bundled("orientation_compare")
-        entries = {e["name"]: e for e in scenario.raw["controllers"]}
-        target = scenario.raw["target"]
+        runs = bundled_runs("orientation_compare")
         threshold = np.deg2rad(0.57)
 
-        def iterations_to_threshold(entry):
-            trajectory, _ = _run_one_target(scenario, 0, 0, entry, target)
+        def iterations_to_threshold(run):
+            trajectory = run_solve(run)
             below = np.nonzero(trajectory.err_rot <= threshold)[0]
             assert below.size, "never reached the threshold"
             return int(below[0])
 
-        with_jl = iterations_to_threshold(entries["orientation_with_jl"])
-        conventional = iterations_to_threshold(
-            entries["conventional_rr_orientation"])
+        with_jl = iterations_to_threshold(runs["orientation_with_jl"])
+        conventional = iterations_to_threshold(runs["conventional_rr_orientation"])
         assert with_jl < conventional, (with_jl, conventional)
 
 

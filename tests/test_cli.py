@@ -123,7 +123,6 @@ class TestStrictSchema:
             parse_scenario(cfg)
 
     @pytest.mark.parametrize("block, typo", [
-        (("controller",), "gains_typo"),
         (("registry",), "cam3_position"),
         (("workflow",), "grasp_treshold"),
         (("workflow", "placement_gains"), "alpah"),
@@ -138,6 +137,20 @@ class TestStrictSchema:
             node = node[key]
         node[typo] = 1
         with pytest.raises(ConfigError, match=repr(typo)):
+            parse_scenario(cfg)
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("controller", "berries", [{"position": [0.0, 0.4, 0.45]}]),
+        ("harvest_default", "targets", [{"position": [0.0, 0.4, 0.45]}]),
+        ("harvest_default", "controller", {"mode": "FullThreeTask"}),
+        ("near_limit_pose", "controller", {"mode": "FullThreeTask"}),
+    ], ids=["berries-in-controller", "targets-in-harvest", "controller-in-harvest",
+            "controller-in-compare"])
+    def test_key_of_another_kind_is_rejected(self, scenario, key, value):
+        cfg = (minimal_controller_config() if scenario == "controller"
+               else load_scenario_dict(scenario))
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=f"unknown key {key!r} in scenario;"):
             parse_scenario(cfg)
 
     def test_unknown_key_in_compare_entry_and_geometry(self):
@@ -180,6 +193,20 @@ class TestConfigValueErrors:
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert f"config error: {block}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("registry, message", [
+        ({"cam1_position": [0, 1]}, "cam1_position: must be a 3-vector"),
+        ({"cam1_position": 5}, "cam1_position: must be a 3-vector"),
+        ({"cam2_offset": "abc"}, "cam2_offset: could not convert"),
+        ({"cam1_position": [0.0, 0.4, 0.45]}, "a camera cannot look at its own position"),
+    ], ids=["2-vector", "scalar", "string", "camera-on-its-target"])
+    def test_harvest_registry(self, tmp_path, capsys, registry, message):
+        cfg = load_scenario_dict("harvest_default")
+        cfg["registry"] = registry
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"config error: registry: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
 
     def test_harvest_workflow(self, tmp_path, capsys):

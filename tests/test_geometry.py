@@ -34,12 +34,6 @@ def test_nonmonotone_radii_is_violation():
     assert any("non-increasing" in v for v in validate_geometry(RobotGeometry(secs)))
 
 
-def test_gripper_offset_aliases_last_section():
-    geom = default_geometry()
-    assert geom.gripper_offset_length == geom.sections[2].plate_offset_length
-    assert geom.gripper_offset_angle == 0.0
-
-
 def test_joint_limits_lower_bound_is_zero():
     limits = default_geometry().joint_limits()
     assert np.all(limits.lower == 0.0)

@@ -108,7 +108,7 @@ class TestHoldRule:
         p0 = berry_to_base(seen, registry.base_in_cam1.compose(ee), registry)
         occluded = simulate_observation(berry, ee, registry,
                                         force_c2_occluded=True, previous=seen)
-        assert occluded.occluded
+        assert occluded.position_c2 is None
         held = berry_to_base(occluded, registry.base_in_cam1.compose(ee), registry)
         np.testing.assert_array_equal(held, p0)
 
@@ -126,7 +126,7 @@ class TestHoldRule:
 
     def test_never_seen_raises(self):
         registry = build_registry()
-        target = BerryTarget(position_c2=None, occluded=True)
+        target = BerryTarget(position_c2=None)
         with pytest.raises(NoTargetEverSeen):
             berry_to_base(target, Pose.identity(), registry)
         with pytest.raises(NoTargetEverSeen):

@@ -11,7 +11,6 @@ from softarm.plant import Plant, PlantConfig
 from softarm.rotations import rot_x, rot_z
 from softarm.vision import build_registry
 from softarm.workflow import (
-    Gripper,
     HarvestState,
     WorkflowConfig,
     run_harvest,
@@ -43,22 +42,6 @@ class RecedingPlant(Plant):
         pose = obs.pose_filtered
         return replace(obs, pose_filtered=Pose(
             pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation))
-
-
-class TestGripper:
-    def test_initial_state_open(self):
-        assert Gripper().state == "open"
-
-    def test_close_is_idempotent(self):
-        g = Gripper()
-        g.command("close", 5)
-        g.command("close", 6)
-        assert g.state == "closed"
-        assert g.events == [(5, "close"), (6, "close")]
-
-    def test_rejects_unknown_action(self):
-        with pytest.raises(ValueError):
-            Gripper().command("crush", 0)
 
 
 class TestWorkflowConfig:

@@ -271,7 +271,6 @@ def gen_harvest():
         "strict": True,
         "geometry": "default",
         "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "controller": {"mode": "FullThreeTask", "gains": FULL_GAINS},
         "registry": {
             "cam1_position": [0.0, -1.2, 0.4],
             "cam1_target": [0.0, 0.40, 0.45],
