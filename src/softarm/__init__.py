@@ -52,7 +52,6 @@ from .vision import (
     BerryTarget,
     DegenerateConfiguration,
     FrameRegistry,
-    NoTargetEverSeen,
     berry_to_base,
     build_registry,
     register_rigid,
@@ -78,7 +77,6 @@ __all__ = [
     "Pose", "forward_kinematics",
     "LowPassFilter", "Plant", "PlantConfig", "PlantObservation",
     "BerryTarget", "DegenerateConfiguration", "FrameRegistry",
-    "NoTargetEverSeen", "berry_to_base", "build_registry", "register_rigid",
-    "simulate_observation",
+    "berry_to_base", "build_registry", "register_rigid", "simulate_observation",
     "HarvestLog", "HarvestState", "WorkflowConfig", "run_harvest",
 ]

@@ -221,11 +221,21 @@ def _axis(name):
     return _AXES[name]
 
 
+def _relative_to(name):
+    if name not in ("upright", "base"):
+        raise ValueError(f"must be 'upright' or 'base', got {name!r}")
+    return name
+
+
 def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
     """Rotation spec: {"rotvec": [...]} (radians, absolute) or
     {"axis": "x", "angle_deg": a, "relative_to": "upright"|"base"}."""
-    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=float, relative_to=str)
+    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=float,
+                 relative_to=_relative_to)
     if "rotvec" in spec:
+        for key in ("axis", "angle_deg", "relative_to"):
+            if key in spec:
+                raise ValueError(f"{key!r} cannot be combined with an absolute 'rotvec'")
         return rotvec_to_matrix(spec["rotvec"])
     if "axis" not in spec:
         raise ValueError("needs a 'rotvec' or an 'axis'")
@@ -272,9 +282,12 @@ def _window(value) -> tuple | None:
 
 def _berry(data, geom: RobotGeometry, where: str) -> tuple:
     """(position, approach rotation, C1 occlusion window or None) of one
-    berry. The approach defaults to -90 deg about x, relative to upright."""
+    berry. An approach without a rotvec defaults to -90 deg about x,
+    relative to upright."""
     def approach(spec):
-        return _rotation({"axis": "x", "angle_deg": -90.0} | spec, geom, f"{where}.approach")
+        if isinstance(spec, dict) and "rotvec" not in spec:
+            spec = {"axis": "x", "angle_deg": -90.0} | spec
+        return _rotation(spec, geom, f"{where}.approach")
 
     with _block(where):
         berry = _read(data, where, position=_vector, approach=approach,
@@ -367,6 +380,9 @@ def _controller_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     if "controller" not in given:
         raise ConfigError("controller scenario needs a 'controller' block")
     controller = _controller(given["controller"], geom, "scenario.controller")
+    if not given.get("targets"):  # no run reads the shared blocks; check them all the same
+        initial_q_from_dict(given.get("initial_q"), geom, np.random.default_rng(seed))
+        plant_config_from_dict(given.get("plant"), geom, seed)
     return [_solve(i, controller, target_pose_from_dict(target, geom, f"scenario.targets[{i}]"),
                    given, geom, seed, i)
             for i, target in enumerate(given.get("targets", []))]

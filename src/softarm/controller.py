@@ -310,9 +310,11 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     """Run the configured step law in closed loop until the error tolerance,
     the iteration budget, or sustained divergence.
 
-    ``plant`` supplies the feedback pose: any object with ``reset(q0)`` and
-    ``apply_command(q)`` returning observations with ``pose_filtered``,
-    ``pressures`` and ``infeasible_flags`` (see :mod:`softarm.plant`).
+    ``plant`` is any object with ``reset(q0)`` and ``apply_command(q)``,
+    which return observations with ``pose_filtered`` (the feedback pose),
+    ``pressures`` and ``infeasible_flags``, and ``true_pose()``, the
+    noise-free pose the true errors are measured on (see
+    :mod:`softarm.plant`).
     Stops with ``diverged=True`` when a tracked error norm stays above
     ``divergence_factor`` times its initial value for ``divergence_window``
     consecutive steps.
@@ -330,8 +332,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         rows["rot"].append(matrix_to_rotvec(observation.pose_filtered.rotation))
         rows["ep"].append(e.position_norm)
         rows["er"].append(e.orientation_norm)
-        true_pose = plant.true_pose() if hasattr(plant, "true_pose") else observation.pose_filtered
-        e_true = pose_error(desired, true_pose)
+        e_true = pose_error(desired, plant.true_pose())
         rows["ept"].append(e_true.position_norm)
         rows["ert"].append(e_true.orientation_norm)
         rows["flags"].append(np.asarray(observation.infeasible_flags, dtype=bool))

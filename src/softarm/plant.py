@@ -51,7 +51,6 @@ class PlantConfig:
 @dataclass(frozen=True)
 class PlantObservation:
     pose_filtered: Pose
-    pose_raw: Pose
     pressures: np.ndarray         # psi, from the command (can be negative)
     infeasible_flags: np.ndarray  # per actuator: command outside [0, l_max]
 
@@ -119,7 +118,6 @@ class Plant:
         if self.config.rotation_noise_std > 0:
             wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
             rotation_raw = rotvec_to_matrix(wobble) @ rotation_raw
-        pose_raw = Pose(position_raw, rotation_raw)
 
         position_f = self._pos_filter.update(position_raw)
         if self._rot_filtered is None:
@@ -133,7 +131,6 @@ class Plant:
 
         return PlantObservation(
             pose_filtered=pose_filtered,
-            pose_raw=pose_raw,
             pressures=pressures,
             infeasible_flags=flags,
         )

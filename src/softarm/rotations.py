@@ -36,23 +36,6 @@ def rot_z(angle: float) -> np.ndarray:
                      [0.0, 0.0, 1.0]])
 
 
-def skew(w) -> np.ndarray:
-    """Skew-symmetric matrix S such that S @ v = w x v."""
-    w = np.asarray(w, dtype=float)
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
-
-
-def vee(S) -> np.ndarray:
-    """Inverse of skew(); symmetrized so it is exact on exact skew input.
-    S may be a stack (..., 3, 3)."""
-    S = np.asarray(S, dtype=float)
-    return 0.5 * np.stack([S[..., 2, 1] - S[..., 1, 2],
-                           S[..., 0, 2] - S[..., 2, 0],
-                           S[..., 1, 0] - S[..., 0, 1]], axis=-1)
-
-
 #: At and below this angle (rad) the log and exp use Taylor series for
 #: their angle/sin(angle/2) and sin(angle/2)/angle factors.
 _SMALL_ANGLE = 1e-3

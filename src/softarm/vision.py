@@ -4,8 +4,9 @@ Transform naming: ``x_in_y`` is the pose of frame x expressed in frame y,
 i.e. the rigid map taking x-frame coordinates to y-frame coordinates.
 The registry stores the base pose in C1 (from point registration) and the
 C2 mount pose in the end-effector frame; berry fixes from C2 are chained
-through the measured end-effector pose back into the base frame. When a
-camera loses the berry the most recent base-frame fix is held.
+through the measured end-effector pose back into the base frame. A
+camera without a fix yields ``None``; holding the last fix is up to the
+caller.
 """
 
 from dataclasses import dataclass
@@ -22,10 +23,6 @@ OCCLUSION_FOOTPRINT_RADIUS = 0.04
 
 class DegenerateConfiguration(Exception):
     """Point registration needs >= 3 non-collinear correspondences."""
-
-
-class NoTargetEverSeen(Exception):
-    """Hold rule invoked before any berry sighting."""
 
 
 def register_rigid(points_a, points_b):
@@ -82,39 +79,31 @@ class BerryTarget:
 
     position_c2: np.ndarray | None = None
     position_c1: np.ndarray | None = None
-    last_known_base: np.ndarray | None = None
 
 
-def berry_to_base(target: BerryTarget, ee_in_cam1: Pose, registry: FrameRegistry) -> np.ndarray:
-    """Berry position in the base frame from the eye-in-hand camera.
+def berry_to_base(target: BerryTarget, ee_in_cam1: Pose,
+                  registry: FrameRegistry) -> np.ndarray | None:
+    """Berry position in the base frame from the eye-in-hand camera, or
+    None when C2 has no fix.
 
     Chains base <- C1 <- EE <- C2 exactly: p_base = T_ee_base T_c2_ee p_c2
-    with T_ee_base = T_c1_base T_ee_c1. When C2 has no fix, returns the
-    most recent base-frame estimate (hold rule).
+    with T_ee_base = T_c1_base T_ee_c1.
     """
     if target.position_c2 is None:
-        if target.last_known_base is None:
-            raise NoTargetEverSeen("berry occluded and never seen before")
-        return target.last_known_base
+        return None
     ee_in_base = registry.ee_in_base(ee_in_cam1)
-    p_base = ee_in_base.compose(registry.cam2_in_ee).transform_point(target.position_c2)
-    target.last_known_base = p_base
-    return p_base
+    return ee_in_base.compose(registry.cam2_in_ee).transform_point(target.position_c2)
 
 
-def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndarray:
-    """Berry position in the base frame from the eye-to-hand camera, with
-    the same hold rule as :func:`berry_to_base`."""
+def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndarray | None:
+    """Berry position in the base frame from the eye-to-hand camera, or
+    None when C1 has no fix."""
     if target.position_c1 is None:
-        if target.last_known_base is None:
-            raise NoTargetEverSeen("berry occluded and never seen before")
-        return target.last_known_base
-    p_base = registry._cam1_in_base.transform_point(target.position_c1)
-    target.last_known_base = p_base
-    return p_base
+        return None
+    return registry._cam1_in_base.transform_point(target.position_c1)
 
 
-def _ee_blocks_ray(cam_origin, berry, ee_position, footprint_radius) -> bool:
+def _ee_blocks_ray(cam_origin, berry, ee_position) -> bool:
     ray = berry - cam_origin
     length_sq = float(ray @ ray)
     if length_sq == 0.0:
@@ -123,28 +112,23 @@ def _ee_blocks_ray(cam_origin, berry, ee_position, footprint_radius) -> bool:
     if not 0.0 < t < 1.0:
         return False
     closest = cam_origin + t * ray
-    return float(np.linalg.norm(ee_position - closest)) < footprint_radius
+    return float(np.linalg.norm(ee_position - closest)) < OCCLUSION_FOOTPRINT_RADIUS
 
 
 def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry,
                          noise_std: float = 0.0, rng=None,
-                         footprint_radius: float = OCCLUSION_FOOTPRINT_RADIUS,
                          force_c1_occluded: bool = False,
-                         force_c2_occluded: bool = False,
-                         previous: BerryTarget | None = None) -> BerryTarget:
+                         force_c2_occluded: bool = False) -> BerryTarget:
     """Project the true berry into both camera frames (stand-in for marker
     detection).
 
-    C1 loses the berry when the end-effector sits within ``footprint_radius``
-    of the C1-to-berry line of sight (or when forced); C2 loses it only when
-    forced. ``previous`` carries the hold-rule state across steps.
+    C1 loses the berry when the end-effector sits within
+    ``OCCLUSION_FOOTPRINT_RADIUS`` of the C1-to-berry line of sight (or when
+    forced); C2 loses it only when forced.
     """
     p_base = np.asarray(true_berry_base, dtype=float)
-    ee_true = ee_pose
-
     c1_occluded = force_c1_occluded or _ee_blocks_ray(
-        registry._cam1_in_base.position, p_base, ee_true.position,
-        footprint_radius)
+        registry._cam1_in_base.position, p_base, ee_pose.position)
     position_c1 = None
     if not c1_occluded:
         position_c1 = registry.base_in_cam1.transform_point(p_base)
@@ -153,16 +137,12 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
 
     position_c2 = None
     if not force_c2_occluded:
-        cam2_in_base = ee_true.compose(registry.cam2_in_ee)
+        cam2_in_base = ee_pose.compose(registry.cam2_in_ee)
         position_c2 = cam2_in_base.inverse().transform_point(p_base)
         if noise_std > 0 and rng is not None:
             position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 
-    return BerryTarget(
-        position_c2=position_c2,
-        position_c1=position_c1,
-        last_known_base=None if previous is None else previous.last_known_base,
-    )
+    return BerryTarget(position_c2=position_c2, position_c1=position_c1)
 
 
 def look_at(eye, point, up=(0.0, 0.0, 1.0)) -> Pose:

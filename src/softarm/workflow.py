@@ -3,8 +3,8 @@ grasp, return home.
 
 Stage transitions are one-way latches on end-effector-to-berry distance:
 6 cm hands the berry feedback from the eye-to-hand camera to the
-eye-in-hand chain, 2 cm triggers the grasp. The berry estimate always
-falls back to the most recent fix while the active camera is occluded.
+eye-in-hand chain, 2 cm triggers the grasp. Vision only reports fixes;
+while the active camera has none, the harvest holds its last estimate.
 """
 
 import enum
@@ -26,7 +26,6 @@ from .rotations import matrix_to_rotvec
 from .vision import (
     BerryTarget,
     FrameRegistry,
-    NoTargetEverSeen,
     berry_to_base,
     cam1_target_to_base,
     simulate_observation,
@@ -135,7 +134,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
 
     obs = plant.reset(cfg.home_q)
     q = np.asarray(cfg.home_q, dtype=float).copy()
-    target = None
+    berry_est = None  # the last base-frame fix, held while the camera has none
     iteration = 0
 
     def c1_forced(it: int) -> bool:
@@ -148,7 +147,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         return simulate_observation(
             berry_truth, plant.true_pose(), registry,
             noise_std=cfg.observation_noise_std, rng=rng,
-            force_c1_occluded=c1_forced(it), previous=target)
+            force_c1_occluded=c1_forced(it))
 
     def record(stage: HarvestState, berry_est, source: str):
         pose = obs.pose_filtered
@@ -184,13 +183,11 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     initial_dist = None
     growth_streak = 0
     while True:
-        target = observe(iteration)
-        try:
-            berry_est = cam1_target_to_base(target, registry)
-        except NoTargetEverSeen as exc:
-            return fail(f"{stage.value}: {exc}")
-        source = "c1" if target.position_c1 is not None else "c1_held"
-        record(stage, berry_est, source)
+        fix = cam1_target_to_base(observe(iteration), registry)
+        if fix is None and berry_est is None:
+            return fail(f"{stage.value}: berry occluded and never seen before")
+        berry_est = berry_est if fix is None else fix
+        record(stage, berry_est, "c1_held" if fix is None else "c1")
         dist = log.rows[-1].dist_est
         if initial_dist is None:
             initial_dist = dist
@@ -220,14 +217,10 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     policy = cfg.fine
     ctrl_cfg = replace(cfg.controller, mode=policy.mode)
     while True:
-        target = observe(iteration)
         ee_in_cam1 = registry.base_in_cam1.compose(obs.pose_filtered)
-        try:
-            berry_est = berry_to_base(target, ee_in_cam1, registry)
-        except NoTargetEverSeen as exc:
-            return fail(f"{stage.value}: {exc}")
-        source = "c2" if target.position_c2 is not None else "c2_held"
-        record(stage, berry_est, source)
+        fix = berry_to_base(observe(iteration), ee_in_cam1, registry)
+        berry_est = berry_est if fix is None else fix
+        record(stage, berry_est, "c2_held" if fix is None else "c2")
         if log.rows[-1].dist_est <= cfg.grasp_threshold:
             close_stage(stage, stage_start, "reached")
             break
@@ -243,7 +236,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     stage = HarvestState.Grasp
     stage_start = iteration
     log.gripper_events.append((iteration, "close"))
-    berry_est = target.last_known_base
     record(stage, berry_est, log.rows[-1].target_source)
     grasped = log.rows[-1].dist_true <= cfg.grasp_threshold
     log.grasp_success = grasped

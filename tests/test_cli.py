@@ -18,7 +18,7 @@ from softarm.config import (
     target_pose_from_dict,
 )
 from softarm.geometry import default_geometry
-from softarm.rotations import rot_x, rot_z
+from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -78,6 +78,30 @@ class TestConfigParsing:
             {"rotation": {"axis": "x", "angle_deg": -90.0}}, geom)
         expected = rot_x(np.deg2rad(-90.0)) @ rot_z(2 * np.pi / 3)
         np.testing.assert_allclose(pose.rotation, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("rotation, key", [
+        ({"axis": "x", "angle_deg": 10.0, "relative_to": "Upright"}, "relative_to"),
+        ({"axis": "z", "relative_to": "world"}, "relative_to"),
+        ({"rotvec": [0.1, 0.0, 0.0], "axis": "x"}, "axis"),
+        ({"rotvec": [0.1, 0.0, 0.0], "angle_deg": 0.0}, "angle_deg"),
+        ({"rotvec": [0.1, 0.0, 0.0], "relative_to": "base"}, "relative_to"),
+    ], ids=["misspelled-frame", "unknown-frame", "rotvec-axis", "rotvec-angle",
+            "rotvec-frame"])
+    def test_ambiguous_rotation_rejected(self, rotation, key):
+        cfg = minimal_controller_config()
+        cfg["targets"][0]["rotation"] = rotation
+        with pytest.raises(ConfigError, match=rf"targets\[0\]: rotation: .*{key}"):
+            parse_scenario(cfg)
+        cfg = load_scenario_dict("harvest_default")
+        cfg["berries"][0]["approach"] = rotation
+        with pytest.raises(ConfigError, match=rf"berries\[0\]: approach: .*{key}"):
+            parse_scenario(cfg)
+
+    def test_approach_rotvec_is_absolute(self):
+        cfg = load_scenario_dict("harvest_default")
+        cfg["berries"][0]["approach"] = {"rotvec": [0.1, -0.2, 0.3]}
+        np.testing.assert_array_equal(parse_scenario(cfg).runs[0].approach,
+                                      rotvec_to_matrix([0.1, -0.2, 0.3]))
 
     def test_seed_override(self, tmp_path):
         data = minimal_controller_config()
@@ -208,6 +232,22 @@ class TestConfigValueErrors:
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert f"config error: registry: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("block, value", [
+        ("plant", {"dt": -1.0}),
+        ("plant", {"noise": 0.1}),
+        ("initial_q", {"midpoint_jitter": "x"}),
+        ("initial_q", [0.05] * 8),
+    ], ids=["plant-dt", "plant-key", "initial_q-jitter", "initial_q-length"])
+    def test_shared_blocks_checked_without_targets(self, tmp_path, capsys, block, value):
+        cfg = load_scenario_dict("position_35pts")
+        cfg["targets"] = []
+        cfg[block] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and block in err
+        assert not (tmp_path / "out").exists()
 
     def test_harvest_workflow(self, tmp_path, capsys):
         cfg = load_scenario_dict("harvest_default")

@@ -299,8 +299,7 @@ class TestSolve:
                 self._drift += 0.05
                 away = Pose(obs.pose_filtered.position + np.array([0.0, 0.0, self._drift]),
                             obs.pose_filtered.rotation)
-                return type(obs)(pose_filtered=away, pose_raw=obs.pose_raw,
-                                 pressures=obs.pressures,
+                return type(obs)(pose_filtered=away, pressures=obs.pressures,
                                  infeasible_flags=obs.infeasible_flags)
 
         desired = forward_kinematics(Q_MID, GEOM)
@@ -325,17 +324,22 @@ class TestSolve:
         def observation(dz, angle):
             pose = Pose(desired.position + np.array([0.0, 0.0, dz]),
                         rot_x(angle) @ desired.rotation)
-            return PlantObservation(pose, pose, np.zeros(9), np.zeros(9, dtype=bool))
+            return PlantObservation(pose, np.zeros(9), np.zeros(9, dtype=bool))
 
         script = iter([observation(1e-6, tilt)] + [observation(1e-4, tilt)] * (window - 1)
                       + [observation(1e-4, 0.0)])
 
         class ScriptedPlant:
             def reset(self, q):
-                return next(script)
+                self.last = next(script)
+                return self.last
 
             def apply_command(self, q):
-                return next(script)
+                self.last = next(script)
+                return self.last
+
+            def true_pose(self):
+                return self.last.pose_filtered
 
         traj = solve(Q_MID, desired, GainSchedule(alpha=0.05), cfg, ScriptedPlant())
         assert traj.err_pos[-1] <= cfg.position_tolerance

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from softarm.config import plant_config_from_dict
 from softarm.geometry import default_geometry, elongation_to_pressure
@@ -14,23 +16,27 @@ Q1 = np.tile([0.030, 0.060, 0.050], 3)
 
 
 class TestIdentityPlant:
-    def test_raw_pose_matches_nominal_fk_exactly(self):
+    def test_true_pose_matches_nominal_fk_exactly(self):
         plant = Plant(PlantConfig())
-        obs = plant.reset(Q0)
+        plant.reset(Q0)
         nominal = forward_kinematics(Q0, GEOM)
-        np.testing.assert_array_equal(obs.pose_raw.position, nominal.position)
-        np.testing.assert_array_equal(obs.pose_raw.rotation, nominal.rotation)
+        np.testing.assert_array_equal(plant.true_pose().position, nominal.position)
+        np.testing.assert_array_equal(plant.true_pose().rotation, nominal.rotation)
 
     def test_filter_initialized_at_reset(self):
+        # Noise-free, the first measured pose is the true pose, and the
+        # filter starts there.
         plant = Plant(PlantConfig())
         obs = plant.reset(Q0)
-        np.testing.assert_array_equal(obs.pose_filtered.position, obs.pose_raw.position)
+        np.testing.assert_array_equal(obs.pose_filtered.position, plant.true_pose().position)
+        np.testing.assert_array_equal(obs.pose_filtered.rotation, plant.true_pose().rotation)
 
     def test_reset_then_reapply_is_stationary(self):
         plant = Plant(PlantConfig())
         first = plant.reset(Q0)
+        first_true = plant.true_pose()
         second = plant.apply_command(Q0)
-        np.testing.assert_array_equal(first.pose_raw.position, second.pose_raw.position)
+        np.testing.assert_array_equal(first_true.position, plant.true_pose().position)
         np.testing.assert_array_equal(first.pose_filtered.position,
                                       second.pose_filtered.position)
 
@@ -102,38 +108,55 @@ class TestInfeasibleCommands:
         # the physical arm saturates at the actuator limit
         saturated = Q0.copy()
         saturated[7] = 0.10
-        np.testing.assert_array_equal(obs.pose_raw.position,
+        np.testing.assert_array_equal(plant.true_pose().position,
                                       forward_kinematics(saturated, GEOM).position)
 
 
+# Commands a little past both actuator bounds, so some come back flagged.
+COMMANDS = st.lists(st.lists(st.floats(-0.01, 0.11), min_size=9, max_size=9),
+                    min_size=1, max_size=6)
+SEEDS = st.integers(0, 2**32 - 1)
+NOISE_STD = st.floats(1e-4, 1e-2)
+
+
+def observe(plant, commands):
+    return [plant.reset(Q0)] + [plant.apply_command(np.array(q)) for q in commands]
+
+
 class TestDeterminism:
-    def test_same_seed_same_stream(self):
-        cfg = PlantConfig(position_noise_std=1e-3, rotation_noise_std=1e-3, rng_seed=42)
-        a, b = Plant(cfg), Plant(cfg)
-        a.reset(Q0)
-        b.reset(Q0)
-        for _ in range(20):
-            oa = a.apply_command(Q1)
-            ob = b.apply_command(Q1)
-            np.testing.assert_array_equal(oa.pose_raw.position, ob.pose_raw.position)
-            np.testing.assert_array_equal(oa.pose_raw.rotation, ob.pose_raw.rotation)
+    @settings(max_examples=25, deadline=None)
+    @given(commands=COMMANDS, seed=SEEDS, position_std=NOISE_STD, rotation_std=NOISE_STD)
+    def test_same_seed_same_observations(self, commands, seed, position_std, rotation_std):
+        cfg = PlantConfig(position_noise_std=position_std, rotation_noise_std=rotation_std,
+                          length_scale_error=np.full(9, 0.01), rng_seed=seed)
+        for oa, ob in zip(observe(Plant(cfg), commands), observe(Plant(cfg), commands),
+                          strict=True):
+            np.testing.assert_array_equal(oa.pose_filtered.position, ob.pose_filtered.position)
+            np.testing.assert_array_equal(oa.pose_filtered.rotation, ob.pose_filtered.rotation)
+            np.testing.assert_array_equal(oa.pressures, ob.pressures)
+            np.testing.assert_array_equal(oa.infeasible_flags, ob.infeasible_flags)
+
+    @settings(max_examples=25, deadline=None)
+    @given(commands=COMMANDS, seeds=st.tuples(SEEDS, SEEDS), std=NOISE_STD,
+           noisy=st.sampled_from(["position_noise_std", "rotation_noise_std"]))
+    def test_different_seeds_differ(self, commands, seeds, std, noisy):
+        assume(seeds[0] != seeds[1])
+        a, b = (observe(Plant(PlantConfig(rng_seed=seed, **{noisy: std})), commands)
+                for seed in seeds)
+        part = "position" if noisy == "position_noise_std" else "rotation"
+        for oa, ob in zip(a, b, strict=True):
+            assert not np.array_equal(getattr(oa.pose_filtered, part),
+                                      getattr(ob.pose_filtered, part))
 
     def test_reset_reseeds(self):
         cfg = PlantConfig(position_noise_std=1e-3, rng_seed=42)
         plant = Plant(cfg)
         plant.reset(Q0)
-        first = [plant.apply_command(Q1).pose_raw.position for _ in range(5)]
+        first = [plant.apply_command(Q1).pose_filtered.position for _ in range(5)]
         plant.reset(Q0)
-        second = [plant.apply_command(Q1).pose_raw.position for _ in range(5)]
+        second = [plant.apply_command(Q1).pose_filtered.position for _ in range(5)]
         for fa, fb in zip(first, second):
             np.testing.assert_array_equal(fa, fb)
-
-    def test_different_seeds_differ(self):
-        a = Plant(PlantConfig(position_noise_std=1e-3, rng_seed=1))
-        b = Plant(PlantConfig(position_noise_std=1e-3, rng_seed=2))
-        oa = a.reset(Q0)
-        ob = b.reset(Q0)
-        assert not np.array_equal(oa.pose_raw.position, ob.pose_raw.position)
 
 
 class TestMismatch:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
@@ -183,3 +184,72 @@ class TestHarvestRun:
         log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), cfg)
         last = log.rows[-1]
         np.testing.assert_allclose(last.q, cfg.home_q, atol=1e-12)
+
+
+def run_recording(monkeypatch, wf, c2_lost=lambda n: False):
+    """A harvest run that records the fixes each to-base function returned
+    and the task error of each step. C2 is lost in observation ``n`` (from
+    0) where ``c2_lost(n)`` holds."""
+    fixes = {"cam1_target_to_base": [], "berry_to_base": []}
+    for name, recorded in fixes.items():
+        monkeypatch.setattr(workflow, name, lambda *args, convert=getattr(workflow, name),
+                            recorded=recorded: recorded.append(convert(*args)) or recorded[-1])
+    errors = []
+    monkeypatch.setattr(workflow, "step_full",
+                        lambda q, e, *args: errors.append(e) or step_full(q, e, *args))
+    numbers = count()
+    observe = workflow.simulate_observation
+    monkeypatch.setattr(workflow, "simulate_observation", lambda *args, **kwargs: observe(
+        *args, **kwargs, force_c2_occluded=c2_lost(next(numbers))))
+    log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), wf)
+    return log, fixes, errors
+
+
+def held(fixes, previous=None):
+    """The estimate after each fix: the fix, or the one before it while
+    there is none."""
+    out = []
+    for fix in fixes:
+        previous = previous if fix is None else fix
+        out.append(previous)
+    return out
+
+
+class TestHoldRule:
+    def test_placement_holds_the_last_c1_fix_through_a_window(self, monkeypatch):
+        wf = make_workflow(c1_occlusion_window=(20, 30))
+        log, fixes, errors = run_recording(monkeypatch, wf)
+        c1 = fixes["cam1_target_to_base"]
+        assert all(fix is None for fix in c1[20:50]) and c1[19] is not None
+        # Rows and steps are one per iteration; the last placement row
+        # hands over instead of stepping.
+        assert len(c1) == log.stages[0].end_iteration + 1
+        for k, estimate in enumerate(held(c1)[:-1]):
+            np.testing.assert_array_equal(
+                errors[k].e_p, (estimate + APPROACH @ wf.standoff_offset) - log.rows[k].position)
+            assert log.rows[k].target_source == ("c1" if c1[k] is not None else "c1_held")
+        np.testing.assert_array_equal(held(c1)[49], c1[19])
+
+    @pytest.mark.parametrize("length", [5, 10**6], ids=["window", "whole-stage"])
+    def test_fine_stage_holds_the_last_fix_while_c2_is_lost(self, monkeypatch, length):
+        # C2 is lost from the first fine iteration, so the estimate held
+        # there is the last C1 fix of placement; with the whole stage lost,
+        # the grasp is judged against it too.
+        wf = make_workflow()
+        start = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
+                            wf).stages[1].start_iteration
+        # The fine stage's first iteration repeats placement's last, so its
+        # observations and rows start at number start + 1.
+        log, fixes, errors = run_recording(monkeypatch, wf,
+                                           c2_lost=lambda n: start < n <= start + length)
+        fine = log.stages[1]
+        assert fine.start_iteration == start and fine.outcome == "reached"
+        c2 = fixes["berry_to_base"]
+        assert [fix is None for fix in c2] == [k < length for k in range(len(c2))]
+        estimates = held(c2, previous=held(fixes["cam1_target_to_base"])[-1])
+        rows = log.rows[start + 1:]
+        for k, estimate in enumerate(estimates[:-1]):
+            np.testing.assert_array_equal(errors[start + k].e_p, estimate - rows[k].position)
+            assert rows[k].target_source == ("c2_held" if k < length else "c2")
+        grasp_row = next(row for row in log.rows if row.stage == "Grasp")
+        assert grasp_row.dist_est == float(np.linalg.norm(grasp_row.position - estimates[-1]))
