@@ -37,12 +37,17 @@ HARVEST_CSV_HEADER = (
 )
 
 
-def _float_rows(*columns):
-    """Each row of the stacked ``columns`` (1-D or 2-D, same length) as a list
-    of ``%.12g`` strings: one ``tolist`` for the table, one format per row."""
+def _csv_lines(lead, columns, trail):
+    """One CSV body line per row of the stacked float ``columns`` (1-D or 2-D,
+    same length, at least one row), between that row's ``lead`` and ``trail``
+    field tuples: one format per line, floats as ``%.12g``, ended by csv's
+    ``\\r\\n``. Body fields are numbers, enum values and 0/1 masks, which csv
+    never quotes."""
     table = np.column_stack(columns).tolist()
-    row_fmt = ",".join([_FLOAT_FMT] * len(table[0])) if table else ""
-    return ((row_fmt % tuple(row)).split(",") for row in table)
+    fmt = ",".join(["%s"] * len(lead[0]) + [_FLOAT_FMT] * len(table[0])
+                   + ["%s"] * len(trail[0])) + "\r\n"
+    for head, row, tail in zip(lead, table, trail):
+        yield fmt % (*head, *row, *tail)
 
 
 def _mask(flags):
@@ -54,14 +59,13 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write ``header`` and then ``rows``, each row as it is produced, so a
-    scenario's rows are never held in memory all at once."""
+def _write_csv(path: Path, header, lines) -> None:
+    """Write ``header`` through csv, which quotes compared controller names,
+    then each body line as it is produced: rows are never all in memory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
 
 
 def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: str,
@@ -78,11 +82,11 @@ def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: 
 # ---------------------------------------------------------------------------
 
 def _trajectory_rows(trajectory, label, stage):
-    values = _float_rows(trajectory.qs, trajectory.pressures, trajectory.positions,
-                         trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
-                         trajectory.err_pos_true, trajectory.err_rot_true)
-    for k, (row, flags) in enumerate(zip(values, trajectory.infeasible.tolist())):
-        yield [str(label), "0", str(k), stage] + row + [_mask(flags)]
+    return _csv_lines([(label, 0, k, stage) for k in range(trajectory.qs.shape[0])],
+                  (trajectory.qs, trajectory.pressures, trajectory.positions,
+                   trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
+                   trajectory.err_pos_true, trajectory.err_rot_true),
+                  [(_mask(flags),) for flags in trajectory.infeasible.tolist()])
 
 
 def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
@@ -191,7 +195,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                     row += [_FLOAT_FMT % t.err_pos[k], _FLOAT_FMT % t.err_rot[k]]
                 else:
                     row += ["", ""]
-            yield row
+            yield ",".join(row) + "\r\n"
 
     _write_csv(out_dir / "compare.csv",
                ["iteration"] + [f"{n}_{c}" for n in names for c in ("err_pos", "err_rot")],
@@ -238,12 +242,12 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                  f"{' (' + log.failure_reason + ')' if log.failure_reason else ''}")
             if not log.rows:
                 continue
-            values = _float_rows(*zip(*((r.q, r.pressures, r.position, r.rotvec,
-                                         r.dist_est, r.dist_true) for r in log.rows)))
-            for r, row in zip(log.rows, values):
-                yield ([str(bi), "occluded" if run.workflow.c1_occlusion_window else "plain",
-                        str(r.iteration), r.stage]
-                       + row + [_mask(r.infeasible.tolist()), r.target_source])
+            kind = "occluded" if run.workflow.c1_occlusion_window else "plain"
+            yield from _csv_lines([(bi, kind, r.iteration, r.stage) for r in log.rows],
+                              tuple(zip(*((r.q, r.pressures, r.position, r.rotvec,
+                                           r.dist_est, r.dist_true) for r in log.rows))),
+                              [(_mask(r.infeasible.tolist()), r.target_source)
+                               for r in log.rows])
 
     _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())
     lines = []

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import JointLimits, RobotGeometry, as_actuator_vector
+from .geometry import JointLimits, RobotGeometry, as_actuator_vector, norm
 from .jacobian import SV_TOL, jacobian
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec
@@ -38,8 +38,8 @@ class TaskError:
     orientation_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position_norm", float(np.linalg.norm(self.e_p)))
-        object.__setattr__(self, "orientation_norm", float(np.linalg.norm(self.e_zeta)))
+        object.__setattr__(self, "position_norm", norm(self.e_p))
+        object.__setattr__(self, "orientation_norm", norm(self.e_zeta))
 
     @property
     def stacked(self) -> np.ndarray:
@@ -297,7 +297,7 @@ class Trajectory:
 def _tolerance_met(e: TaskError, norms: ErrorNorms, cfg: ControllerConfig) -> bool:
     rot = norms.orientation_norm
     if rot and cfg.orientation_error_axes is not None:  # an untracked error reads 0
-        rot = float(np.linalg.norm(e.e_zeta[list(cfg.orientation_error_axes)]))
+        rot = norm(e.e_zeta[list(cfg.orientation_error_axes)])
     return norms.position_norm <= cfg.position_tolerance and rot <= cfg.orientation_tolerance
 
 

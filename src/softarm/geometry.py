@@ -9,6 +9,7 @@ sections are ordered proximal, medial, distal. Actuator states are plain
 (9,) float arrays; see :func:`as_actuator_vector`.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +23,9 @@ ELONGATION_PER_PSI = 1.0 / 2100.0
 
 #: Margin used to keep barrier-cost evaluation off the exact actuator bounds.
 LIMIT_MARGIN = 1e-6
+
+#: Derivative of a section's bending vector (dx, dy) by its elongation triple.
+_BENDING_ROWS = np.array([[-2.0, 1.0, 1.0], [0.0, -math.sqrt(3.0), math.sqrt(3.0)]])
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,8 @@ class SectionGeometry:
 class RobotGeometry:
     """The full arm: three sections ordered proximal, medial, distal.
 
-    The third section's plate offset doubles as the gripper offset.
+    The third section's plate offset doubles as the gripper offset. The
+    kinematics constants are cached on the instance, outside ``==``/``hash``.
     """
 
     sections: tuple = field(default_factory=tuple)
@@ -55,6 +60,29 @@ class RobotGeometry:
         """Per-actuator elongation bounds; lower bound is 0 (extension-only)."""
         upper = np.repeat([s.actuator_max_elongation for s in self.sections], 3)
         return JointLimits(lower=np.zeros(N_ACTUATORS), upper=upper)
+
+    @cached_property
+    def section_constants(self) -> tuple:
+        """Per section: 3 r, L0, plate offset along Z, and the cosine and
+        sine of the plate twist about Z."""
+        if len(self.sections) != N_SECTIONS:
+            raise ValueError(f"geometry must have {N_SECTIONS} sections, got {len(self.sections)}")
+        return tuple((3.0 * s.radius, s.initial_length, s.plate_offset_length,
+                      math.cos(s.plate_offset_angle), math.sin(s.plate_offset_angle))
+                     for s in self.sections)
+
+    @cached_property
+    def actuator_map(self) -> np.ndarray:
+        """du/dq of the section parameters u = (c0, c1, arc), block diagonal
+        and read-only: per section (c0, c1) = (dx, dy) / (3 r) and
+        arc = L0 + mean(l)."""
+        M = np.zeros((N_ACTUATORS, N_ACTUATORS))
+        for i, s in enumerate(self.sections):
+            block = M[3 * i:3 * i + 3, 3 * i:3 * i + 3]
+            block[:2] = _BENDING_ROWS / (3.0 * s.radius)
+            block[2] = 1.0 / 3.0
+        M.flags.writeable = False
+        return M
 
 
 @dataclass(frozen=True)
@@ -97,6 +125,12 @@ def as_actuator_vector(q) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValueError("actuator vector entries must be finite")
     return q
+
+
+def norm(v) -> float:
+    """Euclidean norm of a real 1-D array, as a Python float: the steps
+    ``np.linalg.norm`` takes for one, without its general wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 def default_geometry() -> RobotGeometry:

@@ -3,18 +3,17 @@
 The Jacobian is the closed-form derivative of the section transforms of
 :mod:`softarm.kinematics`. Each section is the exponential of a twist
 linear in u = (c0, c1, arc), and u is linear in the section's
-elongations, so J = J_u du/dq with a constant block-diagonal du/dq. The
+elongations, so J = J_u du/dq with a constant block-diagonal du/dq
+(:attr:`RobotGeometry.actuator_map`). The
 angular part is the spatial angular velocity (dR/dq_m R^T)^vee expressed
 in the base frame.
 """
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import N_ACTUATORS, RobotGeometry
+from .geometry import RobotGeometry
 from .kinematics import STRAIGHT_S_THRESHOLD, section_chain
 
 #: Default relative singular-value cutoff for pseudoinverses.
@@ -36,23 +35,6 @@ class Jacobian6x9:
     @property
     def Jw(self) -> np.ndarray:
         return self.J[3:]
-
-
-#: Derivative of the bending vector (dx, dy) by an elongation triple.
-_BENDING_ROWS = np.array([[-2.0, 1.0, 1.0], [0.0, -math.sqrt(3.0), math.sqrt(3.0)]])
-
-
-@functools.lru_cache(maxsize=16)
-def _actuator_map(geom: RobotGeometry) -> np.ndarray:
-    """du/dq, block diagonal: per section (c0, c1) = (dx, dy) / (3 r) and
-    arc = L0 + mean(l)."""
-    M = np.zeros((N_ACTUATORS, N_ACTUATORS))
-    for i, s in enumerate(geom.sections):
-        block = M[3 * i:3 * i + 3, 3 * i:3 * i + 3]
-        block[:2] = _BENDING_ROWS / (3.0 * s.radius)
-        block[2] = 1.0 / 3.0
-    M.flags.writeable = False
-    return M
 
 
 def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
@@ -93,7 +75,7 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
                             r10 * p0 + r11 * p1 + r12 * p2 + z * d0 - x * d2,
                             r20 * p0 + r21 * p1 + r22 * p2 + x * d1 - y * d0,
                             x, y, z))
-    return Jacobian6x9(J=np.array(columns).T @ _actuator_map(geom))
+    return Jacobian6x9(J=np.array(columns).T @ geom.actuator_map)
 
 
 def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:

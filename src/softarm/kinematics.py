@@ -14,14 +14,13 @@ configuration in plain scalar arithmetic; the forward kinematics and the
 analytic Jacobian (:mod:`softarm.jacobian`) both read it.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import N_SECTIONS, RobotGeometry, as_actuator_vector
+from .geometry import RobotGeometry, as_actuator_vector
 from .rotations import drift_and_det, orthonormalize
 
 #: Below this bending measure (m) a section is treated as exactly straight.
@@ -120,17 +119,6 @@ def _arc(c0, c1, arc, a, b):
             (arc * bc0, arc * bc1, arc * a))
 
 
-@functools.lru_cache(maxsize=16)
-def _section_constants(geom: RobotGeometry) -> tuple:
-    """Per section of a geometry: 3 r, L0, plate offset along Z, and the
-    cosine and sine of the plate twist about Z."""
-    if len(geom.sections) != N_SECTIONS:
-        raise ValueError(f"geometry must have {N_SECTIONS} sections, got {len(geom.sections)}")
-    return tuple((3.0 * s.radius, s.initial_length, s.plate_offset_length,
-                  math.cos(s.plate_offset_angle), math.sin(s.plate_offset_angle))
-                 for s in geom.sections)
-
-
 class Section(NamedTuple):
     """One section of a configuration, as :func:`section_chain` sees it."""
 
@@ -174,7 +162,7 @@ def section_chain(q, geom: RobotGeometry) -> tuple:
     p = (0.0, 0.0, 0.0)
     sections = []
     for i, (three_r, initial_length, offset, cos_t, sin_t) in enumerate(
-            _section_constants(geom)):
+            geom.section_constants):
         l1, l2, l3 = lengths[3 * i:3 * i + 3]
         dx, dy = _bending(l1, l2, l3)
         c0, c1 = dx / three_r, dy / three_r

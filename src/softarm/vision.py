@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import norm
 from .kinematics import Pose
 from .rotations import orthonormalize
 
@@ -112,7 +113,7 @@ def _ee_blocks_ray(cam_origin, berry, ee_position) -> bool:
     if not 0.0 < t < 1.0:
         return False
     closest = cam_origin + t * ray
-    return float(np.linalg.norm(ee_position - closest)) < OCCLUSION_FOOTPRINT_RADIUS
+    return norm(ee_position - closest) < OCCLUSION_FOOTPRINT_RADIUS
 
 
 def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry,

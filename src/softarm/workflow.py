@@ -21,6 +21,7 @@ from .controller import (
     pose_error,
     step_full,
 )
+from .geometry import norm
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec
 from .vision import (
@@ -158,8 +159,8 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             pressures=np.asarray(obs.pressures),
             position=pose.position.copy(),
             rotvec=matrix_to_rotvec(pose.rotation),
-            dist_est=float(np.linalg.norm(pose.position - berry_est)),
-            dist_true=float(np.linalg.norm(plant.true_pose().position - berry_truth)),
+            dist_est=norm(pose.position - berry_est),
+            dist_true=norm(plant.true_pose().position - berry_truth),
             infeasible=np.asarray(obs.infeasible_flags, dtype=bool),
             target_source=source,
         ))

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import io
 import json
 from importlib import resources
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softarm.cli import _float_rows, main, run_scenario
+from softarm.cli import _csv_lines, main, run_scenario
 from softarm.config import (
     ConfigError,
     geometry_from_dict,
@@ -269,8 +270,27 @@ class TestCsvFormat:
     @example(rows=[(-0.0, 5e-324, 1e16), (9.999999999995e15, -1e300, 2.2250738585072014e-308)])
     def test_one_pass_rows_match_per_value_format(self, rows):
         table = np.array(rows)
-        formatted = list(_float_rows(table[:, :2], table[:, 2]))
-        assert formatted == [["%.12g" % np.float64(v) for v in row] for row in rows]
+        lines = list(_csv_lines([(7, k, "Stage") for k in range(len(rows))],
+                                (table[:, :2], table[:, 2]), [("010",)] * len(rows)))
+        assert all(line.endswith("\r\n") for line in lines)
+        assert [line[:-2].split(",") for line in lines] == [
+            ["7", str(k), "Stage"] + ["%.12g" % np.float64(v) for v in row] + ["010"]
+            for k, row in enumerate(rows)]
+
+    @pytest.mark.parametrize("scenario", ["pose_7pts_noisy", "harvest_default"])
+    def test_steps_csv_is_what_csv_writes(self, tmp_path, scenario):
+        """Every body line ends in \\r\\n, has the header's column count, and
+        reads back to rows that csv writes to the same bytes."""
+        assert run_scenario(scenario, out_dir=tmp_path, quiet=True) == 0
+        text = (tmp_path / "steps.csv").read_bytes().decode("utf-8")
+        lines = text.splitlines(keepends=True)
+        assert len(lines) > 1 and all(line.endswith("\r\n") for line in lines)
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert len(rows) == len(lines) - 1
+        assert all(len(row) == len(header) for row in rows)
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten).writerows([header, *rows])
+        assert rewritten.getvalue() == text
 
 
 class TestRunScenario:
@@ -380,6 +400,20 @@ class TestCompare:
             for row in csv.DictReader(fh):
                 assert row["a_err_pos"] == row["a2_err_pos"]
                 assert row["a_err_rot"] == row["a2_err_rot"]
+
+    def test_controller_name_csv_must_quote_round_trips(self, tmp_path):
+        cfg = self.compare_config()
+        cfg["controllers"][0]["name"] = 'a,"b"'
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", path, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        with open(tmp_path / "out" / "compare.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["iteration", 'a,"b"_err_pos', 'a,"b"_err_rot',
+                                     "b_err_pos", "b_err_rot"]
+        assert rows and all(None not in row for row in rows)
+        assert [row["iteration"] for row in rows] == [str(k) for k in range(len(rows))]
 
     def test_compare_requires_two_controllers(self, tmp_path):
         cfg = self.compare_config()

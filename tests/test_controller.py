@@ -123,6 +123,12 @@ class TestGainSchedule:
         assert g.joint_limit.value_far == -5e-5
         assert g.joint_limit.switch_threshold == 0.050
 
+    def test_task_error_norms_are_python_floats(self):
+        e = pose_error(Pose(np.array([0.1, 0.2, 0.3]), rot_x(0.4)), Pose.identity())
+        assert type(e.position_norm) is float and type(e.orientation_norm) is float
+        assert e.position_norm == float(np.linalg.norm(e.e_p))
+        assert e.orientation_norm == float(np.linalg.norm(e.e_zeta))
+
     def test_schedule_switches_on_error_norm(self):
         sched = JointLimitSchedule(value_far=-0.01, switch_threshold=0.030)
         far = TaskError(e_p=np.array([0.05, 0.0, 0.0]), e_zeta=np.zeros(3))

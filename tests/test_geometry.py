@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softarm.geometry import (
     JointLimits,
@@ -9,6 +11,7 @@ from softarm.geometry import (
     default_geometry,
     ELONGATION_PER_PSI,
     elongation_to_pressure,
+    norm,
     validate_geometry,
 )
 
@@ -84,3 +87,33 @@ def test_actuator_vector_validation():
         as_actuator_vector(np.array([np.nan] + [0.0] * 8))
     q = as_actuator_vector([0.01] * 9)
     assert q.shape == (9,)
+
+
+def test_constants_leave_eq_hash_repr_unchanged():
+    geom, other = default_geometry(), default_geometry()
+    before = hash(geom), repr(geom)
+    geom.section_constants, geom.actuator_map
+    assert (hash(geom), repr(geom)) == before
+    assert geom == other and hash(geom) == hash(other)
+    assert not geom.actuator_map.flags.writeable
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_FINITE, min_size=1, max_size=6),
+       indices=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+@example(values=[-0.0], indices=[0])
+@example(values=[5e-324, -2.5e-310, 2.2250738585072014e-308], indices=[0, 2])
+@example(values=[1e300, -1e300, 3.0], indices=[0, 2])
+def test_norm_is_bit_identical_to_numpy(values, indices):
+    v = np.array(values)
+    # A fancy-indexed copy, as the orientation tolerance check takes.
+    picked = v[[i % v.size for i in indices]]
+    for x in (v, picked):
+        with np.errstate(over="ignore"):  # squares past 1.8e308 are inf in both
+            got, expected = norm(x), np.linalg.norm(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == expected.tobytes()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softarm import kinematics
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
+from softarm.jacobian import jacobian
 from softarm.kinematics import (
     SERIES_SWITCH,
     STRAIGHT_S_THRESHOLD,
@@ -15,7 +17,7 @@ from softarm.kinematics import (
 from softarm.rotations import orthonormalize, rot_y, rot_z
 
 from oracles import fk_reference, rotation_angle_between
-from strategies import actuator_vectors
+from strategies import actuator_vectors, with_straight_sections
 
 GEOM = default_geometry()
 
@@ -219,6 +221,30 @@ class TestForwardKinematics:
                                        for s in GEOM.sections[:2])])
         local_end = np.array(section.base_rotation).T @ (np.array(section.arc_end) - base)
         np.testing.assert_allclose(local_end, textbook_arc(q[6:9], sec)[0], atol=1e-12)
+
+
+class TestGeometryConstants:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2).flatmap(with_straight_sections))
+    def test_equal_geometries_give_identical_fk_and_jacobian(self, q):
+        geom, other = default_geometry(), default_geometry()
+        assert geom == other and geom is not other
+        for a, b in ((forward_kinematics(q, geom), forward_kinematics(q, other)),
+                     (forward_kinematics(q, geom), forward_kinematics(q, GEOM))):
+            assert a.position.tobytes() == b.position.tobytes()
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert jacobian(q, geom).J.tobytes() == jacobian(q, other).J.tobytes()
+        assert jacobian(q, geom).J.tobytes() == jacobian(q, GEOM).J.tobytes()
+
+    def test_two_section_geometry_raises_on_every_call(self):
+        geom = RobotGeometry(sections=GEOM.sections[:2])
+        q = np.full(9, 0.05)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="3 sections, got 2"):
+                forward_kinematics(q, geom)
+            with pytest.raises(ValueError, match="3 sections, got 2"):
+                jacobian(q, geom)
+        assert "section_constants" not in vars(geom)
 
 
 class TestArcCoefficients:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose, forward_kinematics
-from softarm.rotations import rot_x, rot_z
+from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 from softarm.vision import (
     BerryTarget,
     DegenerateConfiguration,
@@ -37,6 +39,22 @@ class TestRegisterRigid:
         np.testing.assert_allclose(pose.rotation, R, atol=1e-10)
         np.testing.assert_allclose(pose.position, t, atol=1e-10)
         assert residual < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3), angle=st.floats(0.0, np.pi),
+           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), distance=st.floats(0.0, 1.0),
+           points=st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 3), min_size=3, max_size=8))
+    def test_recovers_random_rigid_motion(self, axis, angle, direction, distance, points):
+        axis, direction, A = np.array(axis), np.array(direction), np.array(points)
+        assume(np.linalg.norm(axis) > 0.1 and np.linalg.norm(direction) > 0.1)
+        # Non-collinear, with the second spread at least 1 cm.
+        assume(np.linalg.svd(A - A.mean(axis=0), compute_uv=False)[1] > 1e-2)
+        R = rotvec_to_matrix(angle * axis / np.linalg.norm(axis))
+        t = distance * direction / np.linalg.norm(direction)
+        pose, residual = register_rigid(A, A @ R.T + t)
+        assert np.abs(pose.rotation - R).max() <= 1e-9
+        assert np.abs(pose.position - t).max() <= 1e-9
+        assert residual <= 1e-9
 
     def test_collinear_points_degenerate(self):
         line = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0],
