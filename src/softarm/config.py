@@ -9,6 +9,7 @@ seed so re-running a file reproduces its outputs byte for byte.
 """
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -45,8 +46,9 @@ def _read(data, where: str, **convert) -> dict:
 
     A key the block leaves out is not passed on, so the dataclass that owns
     its default applies. A key with no converter is a ConfigError, and a
-    converter's TypeError or ValueError comes out as a ValueError that
-    names the key.
+    converter's TypeError, ValueError or OverflowError comes out as a
+    ValueError that names the key. So does a float that is not finite:
+    ``float`` reads the strings "nan" and "inf".
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
@@ -58,17 +60,21 @@ def _read(data, where: str, **convert) -> dict:
     for key, value in data.items():
         try:
             given[key] = convert[key](value)
-        except (TypeError, ValueError) as exc:
+            if isinstance(given[key], float) and not math.isfinite(given[key]):
+                raise ValueError("must be finite")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
     return given
 
 
 @contextmanager
 def _block(where: str):
-    """Report a value the block at ``where`` rejects as a ConfigError."""
+    """Report a value the block at ``where`` rejects, or one too large for
+    it (numpy's uniform draw overflows on a jitter near 1e308), as a
+    ConfigError."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where.removeprefix('scenario.')}: {exc}") from exc
 
 
@@ -86,6 +92,8 @@ def _vector(value, n: int = 3) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"must be a {n}-vector")
+    if not np.isfinite(v).all():
+        raise ValueError("must be finite")
     return v
 
 
@@ -130,18 +138,32 @@ def geometry_from_dict(data) -> RobotGeometry:
     return geom
 
 
+def _parse_json(text: str, source: str):
+    """JSON text with finite numbers only. Python's json reads NaN,
+    Infinity and overflowing literals such as 1e999, and a NaN slips past
+    range checks written as ``x < 0``."""
+    def finite(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"{source}: non-finite number {literal} is not allowed")
+        return value
+
+    try:
+        return json.loads(text, parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def _geometry(value) -> RobotGeometry:
     """A scenario's geometry: "default", inline, or the path of a geometry
     JSON file (same schema as the inline form)."""
     if not isinstance(value, str) or value == "default":
         return geometry_from_dict(value)
     try:
-        with open(value, "r", encoding="utf-8") as fh:
-            return geometry_from_dict(json.load(fh))
+        text = Path(value).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read geometry file {value}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"geometry file {value} is not valid JSON: {exc}") from exc
+    return geometry_from_dict(_parse_json(text, f"geometry file {value}"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +224,8 @@ def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
         kwargs = _read(data or {}, "scenario.plant", mismatch=float, position_noise_std=float,
                        rotation_noise_std=float, filter_cutoff=float, dt=float)
         mismatch = kwargs.pop("mismatch", 0.0)
+        if mismatch < 0:
+            raise ValueError("mismatch must be non-negative")
         if mismatch > 0:
             kwargs["length_scale_error"] = np.random.default_rng(
                 derive_seed(seed, 0xA11)).uniform(-mismatch, mismatch, 9)
@@ -449,13 +473,9 @@ def load_scenario_dict(path) -> dict:
         name = p.name if p.suffix else f"{p.name}.json"
         candidate = resources.files("softarm").joinpath("scenarios").joinpath(name)
         if candidate.is_file():
-            return json.loads(candidate.read_text(encoding="utf-8"))
+            return _parse_json(candidate.read_text(encoding="utf-8"), str(candidate))
         raise ConfigError(f"scenario file not found: {path}")
-    try:
-        with open(p, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return _parse_json(p.read_text(encoding="utf-8"), str(path))
 
 
 def parse_scenario(data, seed_override=None) -> Scenario:

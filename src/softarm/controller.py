@@ -78,6 +78,8 @@ class JointLimitSchedule:
     def __post_init__(self):
         if self.threshold_metric not in ("position", "orientation"):
             raise ValueError("threshold_metric must be 'position' or 'orientation'")
+        if not np.isfinite((self.value_far, self.switch_threshold)).all():
+            raise ValueError("value_far and switch_threshold must be finite")
 
     def gamma(self, error: TaskError | ErrorNorms) -> float:
         norm = (error.position_norm if self.threshold_metric == "position"

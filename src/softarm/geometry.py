@@ -48,10 +48,14 @@ class RobotGeometry:
     """The full arm: three sections ordered proximal, medial, distal.
 
     The third section's plate offset doubles as the gripper offset. The
-    kinematics constants are cached on the instance, outside ``==``/``hash``.
+    kinematics constants and the last walk of
+    :func:`softarm.kinematics.section_chain` are kept on the instance,
+    outside ``==``, ``hash`` and ``repr``.
     """
 
     sections: tuple = field(default_factory=tuple)
+    #: (q.tobytes(), walk) of the last section_chain on this instance.
+    _last_walk = None
 
     def __post_init__(self):
         object.__setattr__(self, "sections", tuple(self.sections))

@@ -11,7 +11,8 @@ p = arc (b c_x, b c_y, a) in the coefficients of :func:`arc_coefficients`,
 so it has no atan2, no straight-section branch and is exact at straight.
 :func:`section_chain` walks the three sections and plate offsets of one
 configuration in plain scalar arithmetic; the forward kinematics and the
-analytic Jacobian (:mod:`softarm.jacobian`) both read it.
+analytic Jacobian (:mod:`softarm.jacobian`) both read it, and the geometry
+keeps the last walk so the two share it at one configuration.
 """
 
 import math
@@ -153,11 +154,21 @@ def _product(A, B):
 
 def section_chain(q, geom: RobotGeometry) -> tuple:
     """Walk one configuration from the base: returns the end-effector
-    position and rotation rows (plain floats) and the :class:`Section` of
-    each section. After its arc, each section adds the rigid plate offset
-    along the local Z and the plate twist about Z; the last pair is the
-    gripper mount."""
-    lengths = as_actuator_vector(q).tolist()
+    position and rotation rows (plain floats) and the tuple of the
+    :class:`Section` of each section. After its arc, each section adds the
+    rigid plate offset along the local Z and the plate twist about Z; the
+    last pair is the gripper mount.
+
+    The geometry keeps its last walk, keyed by the bytes of q, so the
+    forward kinematics and the Jacobian at one configuration walk it once.
+    The walk is immutable, and a failed walk is not kept.
+    """
+    q = as_actuator_vector(q)
+    key = q.tobytes()
+    last = geom._last_walk
+    if last is not None and last[0] == key:
+        return last[1]
+    lengths = q.tolist()
     R = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     p = (0.0, 0.0, 0.0)
     sections = []
@@ -179,7 +190,11 @@ def section_chain(q, geom: RobotGeometry) -> tuple:
         R = _product(R, ((cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00, s02),
                          (cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10, s12),
                          (cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20, s22)))
-    return p, R, sections
+    walk = p, R, tuple(sections)
+    # The frozen instance's dict, as cached_property writes it; key and walk
+    # go in as one tuple, so no reader pairs a key with another walk.
+    geom.__dict__["_last_walk"] = key, walk
+    return walk
 
 
 def forward_kinematics(q, geom: RobotGeometry) -> Pose:

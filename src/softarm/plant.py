@@ -40,10 +40,12 @@ class PlantConfig:
             self, "length_scale_error",
             np.broadcast_to(np.asarray(self.length_scale_error, dtype=float),
                             (N_ACTUATORS,)).copy())
+        if not np.isfinite(self.length_scale_error).all():
+            raise ValueError("length_scale_error must be finite")
         if not self.filter_cutoff > 0:
             raise ValueError("filter_cutoff must be positive")
-        if self.position_noise_std < 0 or self.rotation_noise_std < 0:
-            raise ValueError("noise std must be non-negative")
+        if not (0 <= self.position_noise_std < np.inf and 0 <= self.rotation_noise_std < np.inf):
+            raise ValueError("noise std must be finite and non-negative")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 

@@ -48,6 +48,15 @@ def minimal_controller_config(**overrides):
     return cfg
 
 
+def _with(cfg, path, value):
+    """``cfg`` with the value at the key path ``path`` set to ``value``."""
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return cfg
+
+
 class TestConfigParsing:
     def test_bundled_scenarios_resolve_by_name(self):
         data = load_scenario_dict("position_35pts")
@@ -210,6 +219,7 @@ class TestConfigValueErrors:
 
     @pytest.mark.parametrize("block, key, value", [
         ("plant", "dt", -1.0),
+        ("plant", "mismatch", -0.02),
         ("controller", "position_tolerance", "x"),
     ])
     def test_controller_scenario(self, tmp_path, capsys, block, key, value):
@@ -239,7 +249,9 @@ class TestConfigValueErrors:
         ("plant", {"noise": 0.1}),
         ("initial_q", {"midpoint_jitter": "x"}),
         ("initial_q", [0.05] * 8),
-    ], ids=["plant-dt", "plant-key", "initial_q-jitter", "initial_q-length"])
+        ("initial_q", {"midpoint_jitter": 1e308}),
+    ], ids=["plant-dt", "plant-key", "initial_q-jitter", "initial_q-length",
+            "initial_q-overflow"])
     def test_shared_blocks_checked_without_targets(self, tmp_path, capsys, block, value):
         cfg = load_scenario_dict("position_35pts")
         cfg["targets"] = []
@@ -248,6 +260,47 @@ class TestConfigValueErrors:
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and block in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("plant", "mismatch"), float("nan")),
+        (("plant", "position_noise_std"), float("nan")),
+        (("controller", "gains", "joint_limit", "switch_threshold"), float("nan")),
+        (("plant", "mismatch"), float("inf")),
+    ], ids=["mismatch-NaN", "noise-NaN", "switch_threshold-NaN", "mismatch-Infinity"])
+    def test_non_finite_number_in_scenario_file(self, tmp_path, capsys, path, value):
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        config = write_config(tmp_path, _with(minimal_controller_config(plant={}), path, value))
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {config}: non-finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("plant", "mismatch"), "nan"),
+        (("plant", "mismatch"), "inf"),
+        (("controller", "gains", "gamma_position"), "nan"),
+        (("initial_q", "midpoint_jitter"), "inf"),
+        (("targets", 0, "position"), ["nan", 0.0, 0.5]),
+    ], ids=["mismatch-nan", "mismatch-inf", "gamma_position-nan", "jitter-inf",
+            "target-nan"])
+    def test_non_finite_string_value(self, tmp_path, capsys, path, value):
+        # float() reads the strings "nan" and "inf".
+        cfg = _with(minimal_controller_config(plant={}, initial_q={}), path, value)
+        config = write_config(tmp_path, cfg)
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_number_in_geometry_file(self, tmp_path, capsys):
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text('{"sections": [{"radius": 0.06}, {"radius": 0.05},'
+                             ' {"radius": 0.04, "plate_offset_angle": NaN}]}')
+        path = write_config(tmp_path, minimal_controller_config(geometry=str(geom_path)))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"geometry file {geom_path}: non-finite number NaN" in err
         assert not (tmp_path / "out").exists()
 
     def test_harvest_workflow(self, tmp_path, capsys):

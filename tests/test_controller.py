@@ -140,6 +140,14 @@ class TestGainSchedule:
         with pytest.raises(ValueError):
             GainSchedule(alpha=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["value_far", "switch_threshold"])
+    def test_schedule_values_must_be_finite(self, name, value):
+        # A NaN threshold reads "never far", which switches the term off.
+        kwargs = {"value_far": -0.01, "switch_threshold": 0.030, name: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            JointLimitSchedule(**kwargs)
+
 
 class TestStepLaws:
     def test_zero_error_is_fixed_point(self):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from softarm.geometry import (
     norm,
     validate_geometry,
 )
+from softarm.kinematics import forward_kinematics
 
 
 def test_default_geometry_is_valid():
@@ -96,6 +99,18 @@ def test_constants_leave_eq_hash_repr_unchanged():
     assert (hash(geom), repr(geom)) == before
     assert geom == other and hash(geom) == hash(other)
     assert not geom.actuator_map.flags.writeable
+    # A geometry that has walked a configuration keeps the walk on the
+    # instance, outside ==, hash and repr, and through a pickle round trip.
+    q = np.full(9, 0.03)
+    q[0] = 0.07
+    pose = forward_kinematics(q, geom)
+    assert "_last_walk" in vars(geom) and "_last_walk" not in vars(other)
+    assert (hash(geom), repr(geom)) == before
+    assert geom == other and hash(geom) == hash(other)
+    restored = pickle.loads(pickle.dumps(geom))
+    assert restored == geom == other and hash(restored) == hash(other)
+    assert repr(restored) == before[1]
+    assert forward_kinematics(q, restored).position.tobytes() == pose.position.tobytes()
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from softarm import kinematics
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
-from softarm.jacobian import jacobian
+from softarm.jacobian import FullyStraightConfiguration, jacobian
 from softarm.kinematics import (
     SERIES_SWITCH,
     STRAIGHT_S_THRESHOLD,
@@ -17,7 +17,7 @@ from softarm.kinematics import (
 from softarm.rotations import orthonormalize, rot_y, rot_z
 
 from oracles import fk_reference, rotation_angle_between
-from strategies import actuator_vectors, with_straight_sections
+from strategies import KINDS, actuator_vectors, with_straight_sections
 
 GEOM = default_geometry()
 
@@ -237,14 +237,89 @@ class TestGeometryConstants:
         assert jacobian(q, geom).J.tobytes() == jacobian(q, GEOM).J.tobytes()
 
     def test_two_section_geometry_raises_on_every_call(self):
-        geom = RobotGeometry(sections=GEOM.sections[:2])
+        walked = default_geometry()
         q = np.full(9, 0.05)
+        forward_kinematics(q, walked)
+        geom = RobotGeometry(sections=walked.sections[:2])
         for _ in range(3):
             with pytest.raises(ValueError, match="3 sections, got 2"):
                 forward_kinematics(q, geom)
             with pytest.raises(ValueError, match="3 sections, got 2"):
                 jacobian(q, geom)
         assert "section_constants" not in vars(geom)
+        assert "_last_walk" not in vars(geom)
+
+
+def _fk_bytes(q, geom):
+    pose = forward_kinematics(q, geom)
+    return pose.position.tobytes() + pose.rotation.tobytes()
+
+
+def _jacobian_bytes(q, geom):
+    """The Jacobian's bytes, or the exception type where it raises."""
+    try:
+        return jacobian(q, geom).J.tobytes()
+    except FullyStraightConfiguration:
+        return FullyStraightConfiguration
+
+
+#: One geometry for the whole session, so its kept walk outlives each example.
+_LONG_LIVED = default_geometry()
+
+
+class TestSharedWalk:
+    """The geometry keeps the last walk of :func:`section_chain`; what FK and
+    the Jacobian read from it must be what a fresh walk gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("new", "edit", "repeat")),
+                              actuator_vectors(kinds=st.lists(
+                                  st.sampled_from(KINDS + ("straight",)),
+                                  min_size=3, max_size=3)),
+                              st.integers(0, 8), st.booleans()),
+                    min_size=1, max_size=8))
+    def test_long_lived_geometry_matches_a_fresh_one(self, calls):
+        # "new" passes another array, "edit" changes one entry of the same
+        # array in place, "repeat" passes the same array unchanged. Straight
+        # sections are drawn twice as often, so the Jacobian also raises.
+        q = np.full(9, 0.05)
+        for action, drawn, i, jacobian_first in calls:
+            if action == "new":
+                q = drawn.copy()
+            elif action == "edit":
+                q[i] = drawn[i]
+            order = (_jacobian_bytes, _fk_bytes) if jacobian_first else (_fk_bytes,
+                                                                        _jacobian_bytes)
+            for compute in order:
+                assert compute(q, _LONG_LIVED) == compute(q, default_geometry())
+
+    def test_same_configuration_walks_once(self):
+        geom = default_geometry()
+        q = np.random.default_rng(21).uniform(0.0, 0.1, 9)
+        walk = section_chain(q, geom)
+        assert isinstance(walk[2], tuple)
+        assert section_chain(q.copy(), geom) is walk
+        assert section_chain(q.tolist(), geom) is walk
+        q[3] += 1e-12
+        assert section_chain(q, geom) is not walk
+
+    def test_fully_straight_raises_on_a_hit(self):
+        geom = default_geometry()
+        q = np.full(9, 0.05)
+        forward_kinematics(q, geom)
+        walk = section_chain(q, geom)
+        for _ in range(2):
+            with pytest.raises(FullyStraightConfiguration):
+                jacobian(q, geom)
+        assert section_chain(q, geom) is walk
+
+    def test_failed_walk_keeps_the_last_one(self):
+        geom = default_geometry()
+        q = np.full(9, 0.04)
+        walk = section_chain(q, geom)
+        with pytest.raises(ValueError, match="finite"):
+            section_chain(np.full(9, np.nan), geom)
+        assert section_chain(q, geom) is walk
 
 
 class TestArcCoefficients:

@@ -159,6 +159,22 @@ class TestDeterminism:
             np.testing.assert_array_equal(fa, fb)
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["position_noise_std", "rotation_noise_std"])
+    def test_noise_std_must_be_finite(self, name, value):
+        # NaN passes a "< 0" check and runs noise-free.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PlantConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_length_scale_error_must_be_finite(self, value):
+        error = np.zeros(9)
+        error[4] = value
+        with pytest.raises(ValueError, match="length_scale_error must be finite"):
+            PlantConfig(length_scale_error=error)
+
+
 class TestMismatch:
     def test_scale_error_shifts_true_pose(self):
         cfg = PlantConfig(length_scale_error=np.full(9, 0.02))
