@@ -88,6 +88,18 @@ def _list(value) -> list:
     return value
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("must be an integer")
+    return value
+
+
 def _vector(value, n: int = 3) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (n,):
@@ -489,7 +501,7 @@ def parse_scenario(data, seed_override=None) -> Scenario:
         raise ConfigError(f"kind must be one of {VALID_KINDS}, got {data['kind']!r}")
     resolve, blocks = _KINDS[data["kind"]]
     with _block("scenario"):
-        given = _read(data, "scenario", name=str, kind=str, seed=int, strict=bool,
+        given = _read(data, "scenario", name=str, kind=str, seed=_integer, strict=_flag,
                       geometry=_geometry, plant=_as_given, **blocks)
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
     geom = given["geometry"] if "geometry" in given else default_geometry()

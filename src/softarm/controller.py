@@ -240,24 +240,26 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]
     gamma = gains.gamma_jl(stack.norms(e)) if stack.joint_limit else 0.0
-    weights = ((1.0,) if len(stack.tasks) == 1
-               else (gains.gamma_position, gains.gamma_orientation))
+    weights = (gains.gamma_position, gains.gamma_orientation)  # two-task modes only
     J = jacobian(q, cfg.geometry).J
-    err = e.stacked
     last = len(stack.tasks) - 1
     qdot = N = None  # qdot = 0 and N = I until the first task
     for k, rows in enumerate(stack.tasks):
         J_k = J[rows]
+        e_k = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
+               else e.stacked[rows])
         if N is None:
-            A, residual = J_k, err[rows]
+            A, residual = J_k, e_k
         else:
-            A, residual = J_k @ N, err[rows] - J_k @ qdot
+            A, residual = J_k @ N, e_k - J_k @ qdot
         u, s, vt = np.linalg.svd(A, full_matrices=k < last)
-        rank = int(np.count_nonzero(s > cfg.sv_tol * s[0]))
+        sigmas = s.tolist()
+        cut = cfg.sv_tol * sigmas[0]
+        rank = len([sigma for sigma in sigmas if sigma > cut])
         v_r = vt[:rank]
         rate = ((residual @ u[:, :rank]) / s[:rank]) @ v_r  # A^+ residual, in N's coordinates
         if N is None:
-            qdot = weights[k] * rate
+            qdot = rate if last == 0 else weights[0] * rate  # one task: weight 1
         else:
             qdot = qdot + weights[k] * (N @ rate)
         if k < last:

@@ -126,7 +126,7 @@ def as_actuator_vector(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (N_ACTUATORS,):
         raise ValueError(f"actuator vector must have shape (9,), got {q.shape}")
-    if not np.isfinite(q).all():
+    if not all(map(math.isfinite, q.tolist())):
         raise ValueError("actuator vector entries must be finite")
     return q
 

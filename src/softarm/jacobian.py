@@ -54,7 +54,7 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
     if all(section.s < STRAIGHT_S_THRESHOLD for section in sections):
         raise FullyStraightConfiguration(
             "Jacobian undefined at the fully straight configuration")
-    columns = []
+    flat = []
     for _, (c0, c1), arc, (a, b, g, alpha, beta), R, (o0, o1, o2) in sections:
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
         d0, d1, d2 = e0 - o0, e1 - o1, e2 - o2
@@ -62,20 +62,20 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
         bc1 = beta * c1
         gc0 = g * c0
         # Local (dp, omega) along c0, c1 and arc.
-        for (p0, p1, p2), (w0, w1, w2) in (
-                ((arc * (bc0 * c0 + b), arc * bc0 * c1, arc * alpha * c0),
-                 (-gc0 * c1, 1.0 - g * c1 * c1, -b * c1)),
-                ((arc * bc1 * c0, arc * (bc1 * c1 + b), arc * alpha * c1),
-                 (gc0 * c0 - 1.0, gc0 * c1, b * c0)),
-                ((b * c0, b * c1, a), (0.0, 0.0, 0.0))):
+        for p0, p1, p2, w0, w1, w2 in (
+                (arc * (bc0 * c0 + b), arc * bc0 * c1, arc * alpha * c0,
+                 -gc0 * c1, 1.0 - g * c1 * c1, -b * c1),
+                (arc * bc1 * c0, arc * (bc1 * c1 + b), arc * alpha * c1,
+                 gc0 * c0 - 1.0, gc0 * c1, b * c0),
+                (b * c0, b * c1, a, 0.0, 0.0, 0.0)):
             x = r00 * w0 + r01 * w1 + r02 * w2
             y = r10 * w0 + r11 * w1 + r12 * w2
             z = r20 * w0 + r21 * w1 + r22 * w2
-            columns.append((r00 * p0 + r01 * p1 + r02 * p2 + y * d2 - z * d1,
-                            r10 * p0 + r11 * p1 + r12 * p2 + z * d0 - x * d2,
-                            r20 * p0 + r21 * p1 + r22 * p2 + x * d1 - y * d0,
-                            x, y, z))
-    return Jacobian6x9(J=np.array(columns).T @ geom.actuator_map)
+            flat += (r00 * p0 + r01 * p1 + r02 * p2 + y * d2 - z * d1,
+                     r10 * p0 + r11 * p1 + r12 * p2 + z * d0 - x * d2,
+                     r20 * p0 + r21 * p1 + r22 * p2 + x * d1 - y * d0, x, y, z)
+    # Row m of the 9x6 array is local column m, so its transpose is J_u.
+    return Jacobian6x9(J=np.fromiter(flat, float, 54).reshape(9, 6).T @ geom.actuator_map)
 
 
 def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:

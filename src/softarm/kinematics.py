@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import RobotGeometry, as_actuator_vector
-from .rotations import drift_and_det, orthonormalize
+from .rotations import drift_and_det, orthonormalize, rows_drift_and_det
 
 #: Below this bending measure (m) a section is treated as exactly straight.
 STRAIGHT_S_THRESHOLD = 1e-9
@@ -77,11 +77,6 @@ class Pose:
         return self.position + self.rotation @ np.asarray(p, dtype=float)
 
 
-def _bending(l1, l2, l3):
-    """Bending vector (dx, dy) of an elongation triple; its norm is 2 s."""
-    return l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
-
-
 def arc_coefficients(phi2: float) -> tuple:
     """Coefficients (a, b, g, alpha, beta) of a section bent by
     phi = sqrt(phi2).
@@ -110,16 +105,6 @@ def arc_coefficients(phi2: float) -> tuple:
     return a, b, g, g - b, beta
 
 
-def _arc(c0, c1, arc, a, b):
-    """Rotation rows and end point of an arc of length ``arc`` with
-    rotation vector (-c1, c0, 0) and coefficients a, b."""
-    bc0, bc1 = b * c0, b * c1
-    return (((1.0 - bc0 * c0, -bc0 * c1, a * c0),
-             (-bc0 * c1, 1.0 - bc1 * c1, a * c1),
-             (-a * c0, -a * c1, 1.0 - bc0 * c0 - bc1 * c1)),
-            (arc * bc0, arc * bc1, arc * a))
-
-
 class Section(NamedTuple):
     """One section of a configuration, as :func:`section_chain` sees it."""
 
@@ -129,27 +114,6 @@ class Section(NamedTuple):
     coefficients: tuple  # arc_coefficients(c0^2 + c1^2)
     base_rotation: tuple  # rows of the base-frame rotation of the base plate
     arc_end: tuple      # base-frame end point of the arc
-
-
-def _add(p, R, t):
-    """p + R t for a point p, rotation rows R and vector t."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-    t0, t1, t2 = t
-    return (p[0] + r00 * t0 + r01 * t1 + r02 * t2,
-            p[1] + r10 * t0 + r11 * t1 + r12 * t2,
-            p[2] + r20 * t0 + r21 * t1 + r22 * t2)
-
-
-def _product(A, B):
-    """Product of two 3x3 matrices given as row tuples."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
-    return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
-             a00 * b02 + a01 * b12 + a02 * b22),
-            (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
-             a10 * b02 + a11 * b12 + a12 * b22),
-            (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
-             a20 * b02 + a21 * b12 + a22 * b22))
 
 
 def section_chain(q, geom: RobotGeometry) -> tuple:
@@ -169,28 +133,45 @@ def section_chain(q, geom: RobotGeometry) -> tuple:
     if last is not None and last[0] == key:
         return last[1]
     lengths = q.tolist()
-    R = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    p = (0.0, 0.0, 0.0)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    p0 = p1 = p2 = 0.0
     sections = []
     for i, (three_r, initial_length, offset, cos_t, sin_t) in enumerate(
             geom.section_constants):
         l1, l2, l3 = lengths[3 * i:3 * i + 3]
-        dx, dy = _bending(l1, l2, l3)
+        dx, dy = l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
         c0, c1 = dx / three_r, dy / three_r
         arc = initial_length + (l1 + l2 + l3) / 3.0
         coefficients = arc_coefficients(c0 * c0 + c1 * c1)
-        ((s00, s01, s02), (s10, s11, s12), (s20, s21, s22)), t = _arc(
-            c0, c1, arc, *coefficients[:2])
-        # End of the arc, then the plate: offset along the arc's end Z
-        # axis (s02, s12, s22) and twist about it.
-        arc_end = _add(p, R, t)
+        a, b, _, _, _ = coefficients
+        # The arc: rotation S = I + a W + b W^2 and end point arc (b c0, b c1, a).
+        bc0, bc1 = b * c0, b * c1
+        s00, s01, s02 = 1.0 - bc0 * c0, -bc0 * c1, a * c0
+        s10, s11, s12 = s01, 1.0 - bc1 * c1, a * c1
+        s20, s21, s22 = -s02, -s12, s00 - bc1 * c1
+        t0, t1, t2 = arc * bc0, arc * bc1, arc * a
+        o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
+        o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
+        o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
         sections.append(Section(0.5 * math.hypot(dx, dy), (c0, c1), arc, coefficients,
-                                R, arc_end))
-        p = _add(arc_end, R, (offset * s02, offset * s12, offset * s22))
-        R = _product(R, ((cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00, s02),
-                         (cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10, s12),
-                         (cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20, s22)))
-    walk = p, R, tuple(sections)
+                                ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
+                                (o0, o1, o2)))
+        # The plate: offset along the arc's end Z axis (s02, s12, s22), then
+        # R <- R S T for the twist T about it.
+        t0, t1, t2 = offset * s02, offset * s12, offset * s22
+        p0 = o0 + r00 * t0 + r01 * t1 + r02 * t2
+        p1 = o1 + r10 * t0 + r11 * t1 + r12 * t2
+        p2 = o2 + r20 * t0 + r21 * t1 + r22 * t2
+        t00, t01 = cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00
+        t10, t11 = cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10
+        t20, t21 = cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20
+        r00, r01, r02 = (r00 * t00 + r01 * t10 + r02 * t20, r00 * t01 + r01 * t11 + r02 * t21,
+                         r00 * s02 + r01 * s12 + r02 * s22)
+        r10, r11, r12 = (r10 * t00 + r11 * t10 + r12 * t20, r10 * t01 + r11 * t11 + r12 * t21,
+                         r10 * s02 + r11 * s12 + r12 * s22)
+        r20, r21, r22 = (r20 * t00 + r21 * t10 + r22 * t20, r20 * t01 + r21 * t11 + r22 * t21,
+                         r20 * s02 + r21 * s12 + r22 * s22)
+    walk = (p0, p1, p2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), tuple(sections)
     # The frozen instance's dict, as cached_property writes it; key and walk
     # go in as one tuple, so no reader pairs a key with another walk.
     geom.__dict__["_last_walk"] = key, walk
@@ -206,7 +187,7 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
     ``FK_DRIFT_TOL`` is re-orthonormalized.
     """
     position, rows, _ = section_chain(q, geom)
-    rotation = np.array(rows)
-    if drift_and_det(rotation)[0] > FK_DRIFT_TOL:
+    rotation = np.fromiter(rows[0] + rows[1] + rows[2], float, 9).reshape(3, 3)
+    if rows_drift_and_det(rows)[0] > FK_DRIFT_TOL:
         rotation = orthonormalize(rotation)
     return Pose(position, rotation)

@@ -83,6 +83,7 @@ class Plant:
     def __init__(self, config: PlantConfig | None = None):
         self.config = config or PlantConfig()
         self._limits = self.config.true_geometry.joint_limits()
+        self._scale = 1.0 + self.config.length_scale_error
         self._rng = np.random.default_rng(self.config.rng_seed)
         self._pos_filter = LowPassFilter(self.config.filter_cutoff, self.config.dt)
         self._rot_filtered = None
@@ -107,7 +108,7 @@ class Plant:
         flags = (q_cmd < self._limits.lower) | (q_cmd > self._limits.upper)
         pressures = elongation_to_pressure(q_cmd)
 
-        actual = q_cmd * (1.0 + self.config.length_scale_error)
+        actual = q_cmd * self._scale
         pose_true = self._true_pose = forward_kinematics(
             np.minimum(np.maximum(actual, self._limits.lower), self._limits.upper),
             self.config.true_geometry)

@@ -303,6 +303,32 @@ class TestConfigValueErrors:
         assert f"geometry file {geom_path}: non-finite number NaN" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("strict", "false", "strict: must be true or false"),
+        ("strict", 1, "strict: must be true or false"),
+        ("strict", None, "strict: must be true or false"),
+        ("seed", 3.7, "seed: must be an integer"),
+        ("seed", 3.0, "seed: must be an integer"),
+        ("seed", True, "seed: must be an integer"),
+        ("seed", "3", "seed: must be an integer"),
+    ], ids=["strict-string", "strict-int", "strict-null", "seed-fraction",
+            "seed-float", "seed-bool", "seed-string"])
+    def test_strict_and_seed_take_json_types(self, tmp_path, capsys, key, value, message):
+        # bool("false") is True and int(3.7) is 3: no conversion, only the
+        # JSON type the key means.
+        cfg = minimal_controller_config()
+        cfg[key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"config error: scenario: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_strict_and_seed_read_as_given(self, strict, seed):
+        scenario = parse_scenario(minimal_controller_config(strict=strict, seed=seed))
+        assert scenario.strict is strict and scenario.seed == seed
+
     def test_harvest_workflow(self, tmp_path, capsys):
         cfg = load_scenario_dict("harvest_default")
         cfg["workflow"]["grasp_threshold"] = 0.1
@@ -502,3 +528,29 @@ class TestHarvestScenario:
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert "berries[1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputsDigest:
+    """``tools/outputs_digest.py --against``: a listing compared with an
+    earlier one names every differing, missing and extra file."""
+
+    def test_differences_name_every_file(self):
+        digest = _load_module("tools/outputs_digest.py")
+        expected = {"a/steps.csv": "1", "a/summary.json": "2", "b/steps.csv": "3"}
+        got = {"a/steps.csv": "1", "a/summary.json": "9", "c/steps.csv": "4"}
+        assert digest.differences(got, expected) == [
+            "differs: a/summary.json", "missing: b/steps.csv", "extra: c/steps.csv"]
+        assert digest.differences(expected, dict(expected)) == []
+
+    def test_exit_code_and_listing(self, tmp_path, capsys, monkeypatch):
+        digest = _load_module("tools/outputs_digest.py")
+        got = {"a/steps.csv": "1", "a/summary.json": "2"}
+        monkeypatch.setattr(digest, "digests", lambda out: dict(got))
+        assert digest.main([str(tmp_path / "out")]) == 0
+        listing = tmp_path / "first.txt"
+        listing.write_text(capsys.readouterr().out)
+        assert digest.read_listing(listing.read_text()) == got
+        assert digest.main([str(tmp_path / "out"), "--against", str(listing)]) == 0
+        got["a/summary.json"] = "5"
+        assert digest.main([str(tmp_path / "out"), "--against", str(listing)]) == 1
+        assert capsys.readouterr().err == "differs: a/summary.json\n"

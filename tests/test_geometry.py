@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,32 @@ def test_actuator_vector_validation():
         as_actuator_vector(np.array([np.nan] + [0.0] * 8))
     q = as_actuator_vector([0.01] * 9)
     assert q.shape == (9,)
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+          np.finfo(float).max, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from(_EDGES), min_size=9, max_size=9))
+@example(values=[1.7e308] * 9)
+@example(values=[-1.7e308, 1.7e308] * 4 + [5e-324])
+@example(values=[-0.0] * 8 + [np.inf])
+@example(values=[0.0] * 8 + [np.nan])
+@example(values=[np.inf, -np.inf] + [0.0] * 7)
+def test_finiteness_check_matches_isfinite(values):
+    # Given as an array, a list or a strided view; no floating-point warning
+    # on the way (inf * 0 would raise numpy's "invalid value" one).
+    q = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for given_q in (q, values, np.repeat(q, 2)[::2]):
+            if np.isfinite(q).all():
+                assert as_actuator_vector(given_q).tobytes() == q.tobytes()
+            else:
+                with pytest.raises(ValueError) as raised:
+                    as_actuator_vector(given_q)
+                assert str(raised.value) == "actuator vector entries must be finite"
 
 
 def test_constants_leave_eq_hash_repr_unchanged():

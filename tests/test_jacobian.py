@@ -129,6 +129,21 @@ def test_matches_central_differences_of_the_fk(q):
     assert np.linalg.norm(J.Jw - Jw_fd) / np.linalg.norm(Jw_fd) < 1e-8
 
 
+@settings(max_examples=50, deadline=None)
+@given(q=actuator_vectors())
+def test_same_bytes_from_a_list_and_a_strided_view(q):
+    # J is built from one flat list of the local columns; every form of the
+    # same q, each on a fresh geometry so no walk is shared, gives the same
+    # C-order bytes.
+    assume(not all(s.s < STRAIGHT_S_THRESHOLD for s in section_chain(q, GEOM)[2]))
+    strided = np.repeat(q, 2)[::2]
+    assert not strided.flags.c_contiguous
+    J = jacobian(q, default_geometry()).J
+    assert J.shape == (6, 9)
+    for same_q in (q.tolist(), strided):
+        assert jacobian(same_q, default_geometry()).J.tobytes() == J.tobytes()
+
+
 def test_small_random_perturbation_scale():
     rng = np.random.default_rng(4)
     q = np.full(9, 0.05) + rng.uniform(-1e-4, 1e-4, 9)
