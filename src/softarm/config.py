@@ -216,7 +216,7 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
     with _block(where):
         kwargs = _read(data, where, mode=_mode, position_tolerance=float,
                        orientation_tolerance_deg=lambda deg: float(np.deg2rad(deg)),
-                       max_iterations=int,
+                       max_iterations=_integer,
                        orientation_error_axes=lambda a: None if a is None else tuple(a),
                        gains=lambda g: _gains(g, f"{where}.gains"), **extra)
         if "orientation_tolerance_deg" in kwargs:
@@ -340,12 +340,12 @@ def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
     where = "scenario.workflow"
     with _block(where):
         kwargs = _read(data or {}, where, coarse_threshold=float, grasp_threshold=float,
-                       observation_noise_std=float, home_iterations=int,
+                       observation_noise_std=float, home_iterations=_integer,
                        standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
                        placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
-                       placement_max_iterations=int,
+                       placement_max_iterations=_integer,
                        fine_gains=lambda g: _gains(g, f"{where}.fine_gains"),
-                       fine_max_iterations=int)
+                       fine_max_iterations=_integer)
         policies = {"placement": {}, "fine": {}}
         for key in [key for key in kwargs if key.startswith(("placement_", "fine_"))]:
             stage, name = key.split("_", 1)

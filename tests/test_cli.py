@@ -18,7 +18,14 @@ from softarm.config import (
     parse_scenario,
     target_pose_from_dict,
 )
+from softarm.controller import (
+    gains_full_default,
+    gains_orientation_default,
+    gains_position_default,
+    solve,
+)
 from softarm.geometry import default_geometry
+from softarm.plant import Plant
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 
 
@@ -213,6 +220,48 @@ class TestStrictSchema:
             parse_scenario(data)
 
 
+class TestPublishedTuning:
+    """The published gains live in ``controller.gains_*_default()``, in the
+    generator's dicts (and so in the bundled files) and in the benchmark's
+    dicts; every home must give the same schedule."""
+
+    def test_published_gains_agree_across_homes(self):
+        defaults = {"position": gains_position_default(),
+                    "orientation": gains_orientation_default(),
+                    "pose": gains_full_default()}
+        for kind, name in (("position", "position_35pts"), ("orientation", "orientation_15pts"),
+                           ("pose", "pose_7pts")):
+            for suffix in ("", "_noisy"):
+                runs = parse_scenario(load_scenario_dict(name + suffix)).runs
+                assert runs and all(run.gains == defaults[kind] for run in runs), name + suffix
+        compared = {run.label: run.gains
+                    for name in ("near_limit_pose", "orientation_compare")
+                    for run in parse_scenario(load_scenario_dict(name)).runs}
+        assert compared["full_three_task_scheduled"] == defaults["pose"]
+        assert compared["orientation_with_jl"] == defaults["orientation"]
+        for run in parse_scenario(load_scenario_dict("harvest_default")).runs:
+            assert run.workflow.placement.gains == defaults["pose"]
+        workloads = _load_module("bench/workloads.py")
+        for kind in workloads.CONTROLLERS:
+            task = {"kind": kind, "noisy": False, "scenario_seed": 1,
+                    "target": {"position": [0.0, 0.4, 0.45]}}
+            assert parse_scenario(workloads.scenario_dict(task, 0)).runs[0].gains == \
+                defaults[kind], kind
+
+    @pytest.mark.parametrize("name", ["position_35pts", "pose_7pts"])
+    def test_generator_checks_the_written_run(self, name):
+        """The generator's check on a file's last target, made on the file
+        without it, is the run that the file itself describes."""
+        gen = _load_module("tools/gen_scenarios.py")
+        written = load_scenario_dict(name)
+        checked = gen.check(written | {"targets": written["targets"][:-1]},
+                            written["targets"][-1])
+        run = parse_scenario(written).runs[-1]
+        solved = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
+        assert checked.converged and not checked.any_infeasible
+        assert checked.qs.tobytes() == solved.qs.tobytes()
+
+
 class TestConfigValueErrors:
     """A value a block's dataclass or number conversion rejects is a config
     error: exit code 1, before any output is written."""
@@ -328,6 +377,40 @@ class TestConfigValueErrors:
     def test_strict_and_seed_read_as_given(self, strict, seed):
         scenario = parse_scenario(minimal_controller_config(strict=strict, seed=seed))
         assert scenario.strict is strict and scenario.seed == seed
+
+    @pytest.mark.parametrize("value", [3.7, 12.0, True, "12"],
+                             ids=["fraction", "float", "bool", "string"])
+    @pytest.mark.parametrize("scenario, path, where", [
+        ("controller", ("controller", "max_iterations"), "controller"),
+        ("near_limit_pose", ("controllers", 1, "max_iterations"), "controllers[1]"),
+        ("harvest_default", ("workflow", "home_iterations"), "workflow"),
+        ("harvest_default", ("workflow", "placement_max_iterations"), "workflow"),
+        ("harvest_default", ("workflow", "fine_max_iterations"), "workflow"),
+    ], ids=["max_iterations", "compare-max_iterations", "home_iterations",
+            "placement_max_iterations", "fine_max_iterations"])
+    def test_iteration_counts_take_json_integers(self, tmp_path, capsys, scenario, path,
+                                                 where, value):
+        # int(3.7) is 3, int(True) is 1 and int("12") is 12: a count is a
+        # JSON integer or a config error.
+        cfg = (minimal_controller_config() if scenario == "controller"
+               else load_scenario_dict(scenario))
+        config_path = write_config(tmp_path, _with(cfg, path, value))
+        command = "compare" if scenario == "near_limit_pose" else "run"
+        assert main([command, config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        message = f"config error: {where}: {path[-1]}: must be an integer"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
+    def test_iteration_counts_read_as_given(self):
+        cfg = minimal_controller_config()
+        cfg["controller"]["max_iterations"] = 12
+        assert parse_scenario(cfg).runs[0].controller.max_iterations == 12
+        cfg = load_scenario_dict("harvest_default")
+        cfg["workflow"].update(home_iterations=7, placement_max_iterations=8,
+                               fine_max_iterations=9)
+        workflow = parse_scenario(cfg).runs[0].workflow
+        assert (workflow.home_iterations, workflow.placement.max_iterations,
+                workflow.fine.max_iterations) == (7, 8, 9)
 
     def test_harvest_workflow(self, tmp_path, capsys):
         cfg = load_scenario_dict("harvest_default")

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Generate the bundled scenario files.
 
-Samples reachable targets from seeded feasible actuator states, validates
-every target against the closed-loop solver at the acceptance tolerances,
-and writes the scenario JSONs into src/softarm/scenarios/. Run from the
-repository root after any change to the default geometry or gains.
+Samples reachable targets from seeded feasible actuator states and keeps a
+target only if the scenario file that lists it, parsed by the package,
+converges on it with no infeasible command. Writes the scenario JSONs into
+src/softarm/scenarios/. Run from the repository root after any change to
+the default geometry or gains.
 """
 
 import json
@@ -16,19 +17,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from softarm.config import derive_seed, initial_q_from_dict, upright_rotation
-from softarm.controller import (
-    ControllerConfig,
-    ControllerMode,
-    gains_full_default,
-    gains_orientation_default,
-    gains_position_default,
-    solve,
-)
+from softarm.config import parse_scenario
+from softarm.controller import solve
 from softarm.geometry import default_geometry
-from softarm.kinematics import Pose, forward_kinematics
-from softarm.plant import Plant, PlantConfig
-from softarm.rotations import matrix_to_rotvec, rot_x
+from softarm.kinematics import forward_kinematics
+from softarm.plant import Plant
+from softarm.rotations import matrix_to_rotvec
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "softarm" / "scenarios"
 GEOM = default_geometry()
@@ -53,164 +47,117 @@ FULL_GAINS = {
 }
 
 
-def check_run(scenario_seed, index, mode, gains, cfg, desired):
-    rng = np.random.default_rng(derive_seed(scenario_seed, index, 0))
-    q0 = initial_q_from_dict(None, GEOM, rng)
-    plant = Plant(PlantConfig(rng_seed=derive_seed(scenario_seed, index, 0, 0x91A)))
-    return solve(q0, desired, gains, cfg, plant)
+def scenario(name, kind, strict=True, **blocks):
+    """A scenario dict: the keys every bundled scenario shares, then
+    ``blocks`` in the order given."""
+    return {"name": name, "kind": kind, "seed": SEED, "strict": strict,
+            "geometry": "default", "plant": {"dt": 0.05, "filter_cutoff": 10.0},
+            **blocks}
+
+
+def check(sc, target):
+    """The trajectory of ``target``'s run, parsed from ``sc`` with
+    ``target`` appended to its targets."""
+    run = parse_scenario(sc | {"targets": sc["targets"] + [target]}).runs[-1]
+    return solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
+
+
+def fill(sc, candidates, n):
+    """``sc`` with the first ``n`` of ``candidates`` whose run converges
+    with no infeasible command appended to its targets."""
+    worst, t0 = 0, time.time()
+    for target in candidates:
+        traj = check(sc, target)
+        if traj.converged and not traj.any_infeasible:
+            sc["targets"].append(target)
+            worst = max(worst, traj.iterations_used)
+        else:
+            print(f"  rejected {json.dumps(target)} (converged={traj.converged})")
+        if len(sc["targets"]) == n:
+            break
+    if len(sc["targets"]) < n:
+        raise SystemExit(f"{sc['name']}: candidates ran out at {len(sc['targets'])} targets")
+    print(f"{sc['name']}: {n} targets, worst iters {worst}, {time.time()-t0:.0f}s")
+    return sc
+
+
+def position_candidates():
+    """Positions reached from seeded states on the berry side of the base
+    frame, rounded as written."""
+    rng = np.random.default_rng(101)
+    while True:
+        q = rng.uniform(LIMITS.lower + 0.015, LIMITS.upper - 0.015)
+        pos = forward_kinematics(q, GEOM).position
+        if pos[1] >= 0.02:
+            yield {"position": [round(v, 6) for v in pos]}
+
+
+def orientation_candidates():
+    """Tilts about x from upright, 0 to -150 deg in 15 steps."""
+    for deg in np.linspace(0.0, -150.0, 15):
+        yield {"rotation": {"axis": "x", "angle_deg": round(float(deg), 4),
+                            "relative_to": "upright"}}
+
+
+def pose_candidates():
+    """Poses reached from seeded states in front of the base, rounded as
+    written."""
+    rng = np.random.default_rng(202)
+    while True:
+        q = rng.uniform(LIMITS.lower + 0.02, LIMITS.upper - 0.02)
+        pose = forward_kinematics(q, GEOM)
+        if pose.position[1] >= 0.0:
+            yield {"position": [round(v, 6) for v in pose.position],
+                   "rotation": {"rotvec": [round(v, 8) for v in
+                                           matrix_to_rotvec(pose.rotation)]}}
 
 
 def gen_positions():
-    rng = np.random.default_rng(101)
-    cfg = ControllerConfig(geometry=GEOM, joint_limits=LIMITS,
-                           mode=ControllerMode.PositionWithJL,
-                           position_tolerance=0.8e-3, max_iterations=3000)
-    gains = gains_position_default()
-    targets, worst = [], 0
-    t0 = time.time()
-    while len(targets) < 35:
-        q = rng.uniform(LIMITS.lower + 0.015, LIMITS.upper - 0.015)
-        pos = forward_kinematics(q, GEOM).position
-        if pos[1] < 0.02:  # berry side of the base frame
-            continue
-        desired = Pose(pos, upright_rotation(GEOM))
-        traj = check_run(SEED, len(targets), "PositionWithJL", gains, cfg, desired)
-        if traj.converged and not traj.any_infeasible:
-            targets.append({"position": [round(v, 6) for v in pos]})
-            worst = max(worst, traj.iterations_used)
-        else:
-            print(f"  rejected position {np.round(pos, 3)} "
-                  f"(converged={traj.converged})")
-    print(f"positions: 35 targets, worst iters {worst}, {time.time()-t0:.0f}s")
-    return {
-        "name": "position_35pts",
-        "kind": "controller",
-        "seed": SEED,
-        "strict": True,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "controller": {
-            "mode": "PositionWithJL",
-            "position_tolerance": 0.0008,
-            "max_iterations": 3000,
-            "gains": POSITION_GAINS,
-        },
-        "initial_q": {"midpoint_jitter": 0.001},
-        "targets": targets,
-    }
+    return fill(scenario(
+        "position_35pts", "controller",
+        controller={"mode": "PositionWithJL", "position_tolerance": 0.0008,
+                    "max_iterations": 3000, "gains": POSITION_GAINS},
+        initial_q={"midpoint_jitter": 0.001}, targets=[]), position_candidates(), 35)
 
 
 def gen_orientations():
-    cfg = ControllerConfig(geometry=GEOM, joint_limits=LIMITS,
-                           mode=ControllerMode.OrientationWithJL,
-                           orientation_tolerance=np.deg2rad(0.6),
-                           max_iterations=3000)
-    gains = gains_orientation_default()
-    targets = []
-    worst = 0
-    for i, deg in enumerate(np.linspace(0.0, -150.0, 15)):
-        desired = Pose(np.zeros(3), rot_x(np.deg2rad(deg)) @ upright_rotation(GEOM))
-        traj = check_run(SEED, i, "OrientationWithJL", gains, cfg, desired)
-        assert traj.converged and not traj.any_infeasible, f"orientation {deg} failed"
-        worst = max(worst, traj.iterations_used)
-        targets.append({"rotation": {"axis": "x", "angle_deg": round(float(deg), 4),
-                                     "relative_to": "upright"}})
-    print(f"orientations: 15 targets, worst iters {worst}")
-    return {
-        "name": "orientation_15pts",
-        "kind": "controller",
-        "seed": SEED,
-        "strict": True,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "controller": {
-            "mode": "OrientationWithJL",
-            "orientation_tolerance_deg": 0.6,
-            "max_iterations": 3000,
-            "gains": ORIENTATION_GAINS,
-        },
-        "initial_q": {"midpoint_jitter": 0.001},
-        "targets": targets,
-    }
+    return fill(scenario(
+        "orientation_15pts", "controller",
+        controller={"mode": "OrientationWithJL", "orientation_tolerance_deg": 0.6,
+                    "max_iterations": 3000, "gains": ORIENTATION_GAINS},
+        initial_q={"midpoint_jitter": 0.001}, targets=[]), orientation_candidates(), 15)
 
 
 def gen_poses():
-    rng = np.random.default_rng(202)
-    cfg = ControllerConfig(geometry=GEOM, joint_limits=LIMITS,
-                           mode=ControllerMode.FullThreeTask,
-                           position_tolerance=0.8e-3,
-                           orientation_tolerance=np.deg2rad(1.2),
-                           orientation_error_axes=(0, 2),
-                           max_iterations=3000)
-    gains = gains_full_default()
-    targets, worst = [], 0
-    t0 = time.time()
-    while len(targets) < 7:
-        q = rng.uniform(LIMITS.lower + 0.02, LIMITS.upper - 0.02)
-        pose = forward_kinematics(q, GEOM)
-        if pose.position[1] < 0.0:
-            continue
-        traj = check_run(SEED, len(targets), "FullThreeTask", gains, cfg, pose)
-        if traj.converged and not traj.any_infeasible:
-            targets.append({
-                "position": [round(v, 6) for v in pose.position],
-                "rotation": {"rotvec": [round(v, 8) for v in
-                                        matrix_to_rotvec(pose.rotation)]},
-            })
-            worst = max(worst, traj.iterations_used)
-        else:
-            print(f"  rejected pose at {np.round(pose.position, 3)}")
-    print(f"poses: 7 targets, worst iters {worst}, {time.time()-t0:.0f}s")
-    return {
-        "name": "pose_7pts",
-        "kind": "controller",
-        "seed": SEED,
-        "strict": True,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "controller": {
-            "mode": "FullThreeTask",
-            "position_tolerance": 0.0008,
-            "orientation_tolerance_deg": 1.2,
-            "orientation_error_axes": [0, 2],
-            "max_iterations": 3000,
-            "gains": FULL_GAINS,
-        },
-        "initial_q": {"midpoint_jitter": 0.001},
-        "targets": targets,
-    }
+    return fill(scenario(
+        "pose_7pts", "controller",
+        controller={"mode": "FullThreeTask", "position_tolerance": 0.0008,
+                    "orientation_tolerance_deg": 1.2, "orientation_error_axes": [0, 2],
+                    "max_iterations": 3000, "gains": FULL_GAINS},
+        initial_q={"midpoint_jitter": 0.001}, targets=[]), pose_candidates(), 7)
 
 
 def noisy_variant(base, suffix="_noisy"):
     out = json.loads(json.dumps(base))
     out["name"] = base["name"] + suffix
-    out["plant"].update({
-        "mismatch": 0.02,
-        "position_noise_std": 0.0005,
-        "rotation_noise_std": 0.0005,
-    })
+    out["plant"].update({"mismatch": 0.02, "position_noise_std": 0.0005,
+                         "rotation_noise_std": 0.0005})
     ctrl = out["controller"]
-    if "position_tolerance" in ctrl:
-        ctrl["position_tolerance"] = 2 * ctrl["position_tolerance"]
-    if "orientation_tolerance_deg" in ctrl:
-        ctrl["orientation_tolerance_deg"] = 2 * ctrl["orientation_tolerance_deg"]
+    for key in ("position_tolerance", "orientation_tolerance_deg"):
+        if key in ctrl:
+            ctrl[key] = 2 * ctrl[key]
     return out
 
 
 def gen_near_limit_compare():
-    return {
-        "name": "near_limit_pose",
-        "kind": "compare",
-        "seed": SEED,
-        "strict": False,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "initial_q": [0.051, 0.050, 0.049, 0.051, 0.050, 0.049, 0.051, 0.050, 0.049],
-        "target": {
+    return scenario(
+        "near_limit_pose", "compare", strict=False,
+        initial_q=[0.051, 0.050, 0.049, 0.051, 0.050, 0.049, 0.051, 0.050, 0.049],
+        target={
             "position": [0.0, 0.35, 0.45],
             "rotation": {"axis": "x", "angle_deg": -103.0, "relative_to": "upright"},
         },
-        "controllers": [
+        controllers=[
             {
                 "name": "full_three_task_scheduled",
                 "mode": "FullThreeTask",
@@ -229,22 +176,17 @@ def gen_near_limit_compare():
                 "gains": {"alpha": 0.05},
             },
         ],
-    }
+    )
 
 
 def gen_orientation_compare():
-    return {
-        "name": "orientation_compare",
-        "kind": "compare",
-        "seed": SEED,
-        "strict": False,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "initial_q": [0.021, 0.020, 0.019, 0.021, 0.020, 0.019, 0.021, 0.020, 0.019],
-        "target": {
+    return scenario(
+        "orientation_compare", "compare", strict=False,
+        initial_q=[0.021, 0.020, 0.019, 0.021, 0.020, 0.019, 0.021, 0.020, 0.019],
+        target={
             "rotation": {"axis": "x", "angle_deg": -150.0, "relative_to": "upright"},
         },
-        "controllers": [
+        controllers=[
             {
                 "name": "orientation_with_jl",
                 "mode": "OrientationWithJL",
@@ -260,23 +202,15 @@ def gen_orientation_compare():
                 "gains": {"alpha": 0.05},
             },
         ],
-    }
+    )
 
 
 def gen_harvest():
-    return {
-        "name": "harvest_default",
-        "kind": "harvest",
-        "seed": SEED,
-        "strict": True,
-        "geometry": "default",
-        "plant": {"dt": 0.05, "filter_cutoff": 10.0},
-        "registry": {
-            "cam1_position": [0.0, -1.2, 0.4],
-            "cam1_target": [0.0, 0.40, 0.45],
-            "cam2_offset": [0.0, 0.0, 0.01],
-        },
-        "workflow": {
+    return scenario(
+        "harvest_default", "harvest",
+        registry={"cam1_position": [0.0, -1.2, 0.4], "cam1_target": [0.0, 0.40, 0.45],
+                  "cam2_offset": [0.0, 0.0, 0.01]},
+        workflow={
             "coarse_threshold": 0.06,
             "grasp_threshold": 0.02,
             "standoff_offset": [0.0, 0.0, -0.05],
@@ -284,14 +218,14 @@ def gen_harvest():
             "fine_max_iterations": 1000,
             "home_iterations": 100,
         },
-        "berries": [
+        berries=[
             {"position": [0.0, 0.40, 0.45],
              "approach": {"axis": "x", "angle_deg": -90.0}},
             {"position": [0.0, 0.40, 0.45],
              "approach": {"axis": "x", "angle_deg": -90.0},
              "c1_occlusion_window": [20, 30]},
         ],
-    }
+    )
 
 
 def main():
