@@ -207,6 +207,17 @@ def _mode(name) -> ControllerMode:
         raise ValueError(f"unknown mode {name!r}; one of: {names}") from None
 
 
+def _axes(value) -> tuple | None:
+    """Rotation-vector components the orientation tolerance reads: distinct
+    indices among 0, 1, 2, or None for all three."""
+    if value is None:
+        return None
+    axes = tuple(map(_integer, _list(value)))
+    if not set(axes) <= {0, 1, 2} or len(set(axes)) != len(axes):
+        raise ValueError("must be distinct axes among 0, 1, 2")
+    return axes
+
+
 def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
     """(ControllerConfig, GainSchedule) of a controller block, followed by
     the value (or None) of each key in ``extra``, the converters of the keys
@@ -217,7 +228,7 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
         kwargs = _read(data, where, mode=_mode, position_tolerance=float,
                        orientation_tolerance_deg=lambda deg: float(np.deg2rad(deg)),
                        max_iterations=_integer,
-                       orientation_error_axes=lambda a: None if a is None else tuple(a),
+                       orientation_error_axes=_axes,
                        gains=lambda g: _gains(g, f"{where}.gains"), **extra)
         if "orientation_tolerance_deg" in kwargs:
             kwargs["orientation_tolerance"] = kwargs.pop("orientation_tolerance_deg")
@@ -310,10 +321,11 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _window(value) -> tuple | None:
-    window = tuple(value) if value else None
-    if window is not None and len(window) != 2:
+    if not value:
+        return None
+    if not isinstance(value, list) or len(value) != 2:
         raise ValueError("must be [start, length]")
-    return window
+    return tuple(map(_integer, value))
 
 
 def _berry(data, geom: RobotGeometry, where: str) -> tuple:

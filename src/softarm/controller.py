@@ -331,15 +331,15 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     def record(q_now, observation):
         e = pose_error(desired, observation.pose_filtered)
         rows["q"].append(q_now.copy())
-        rows["press"].append(np.asarray(observation.pressures))
+        rows["press"].append(observation.pressures)
         rows["pos"].append(observation.pose_filtered.position.copy())
         rows["rot"].append(matrix_to_rotvec(observation.pose_filtered.rotation))
         rows["ep"].append(e.position_norm)
         rows["er"].append(e.orientation_norm)
-        e_true = pose_error(desired, plant.true_pose())
-        rows["ept"].append(e_true.position_norm)
-        rows["ert"].append(e_true.orientation_norm)
-        rows["flags"].append(np.asarray(observation.infeasible_flags, dtype=bool))
+        true_pose = plant.true_pose()
+        rows["ept"].append(norm(desired.position - true_pose.position))
+        rows["ert"].append(norm(matrix_to_rotvec(desired.rotation @ true_pose.rotation.T)))
+        rows["flags"].append(observation.infeasible_flags)
         return e
 
     def finish(converged, diverged):

@@ -40,6 +40,13 @@ SERIES_SWITCH = 1e-2
 _SQRT3 = math.sqrt(3.0)
 
 
+def _check_rotation(drift: float, det: float) -> None:
+    if drift > POSE_ORTHO_TOL:
+        raise ValueError("rotation is not orthonormal")
+    if det < 0:
+        raise ValueError("rotation must be proper (det +1)")
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: position (m) and proper rotation matrix."""
@@ -55,11 +62,19 @@ class Pose:
                            position if position.shape == (3,) else position.reshape(3))
         object.__setattr__(self, "rotation",
                            rotation if rotation.shape == (3, 3) else rotation.reshape(3, 3))
-        drift, det = drift_and_det(self.rotation)
-        if drift > POSE_ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if det < 0:
-            raise ValueError("rotation must be proper (det +1)")
+        _check_rotation(*drift_and_det(self.rotation))
+
+    @classmethod
+    def _checked(cls, position: np.ndarray, rotation: np.ndarray,
+                 drift: float, det: float) -> "Pose":
+        """The Pose of a float (3,) position and (3, 3) rotation whose
+        orthonormality drift and determinant the caller has just computed:
+        they pass the check ``Pose()`` makes, which does not run again."""
+        _check_rotation(drift, det)
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "rotation", rotation)
+        return pose
 
     @staticmethod
     def identity() -> "Pose":
@@ -184,10 +199,12 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
     Chains, per section: the arc transform, the rigid plate offset along
     the local Z, and the plate twist about Z. The last offset pair is the
     gripper mount. A rotation whose orthonormality drift exceeds
-    ``FK_DRIFT_TOL`` is re-orthonormalized.
+    ``FK_DRIFT_TOL`` is re-orthonormalized; any other is checked once,
+    by the drift and determinant of that test.
     """
     position, rows, _ = section_chain(q, geom)
     rotation = np.fromiter(rows[0] + rows[1] + rows[2], float, 9).reshape(3, 3)
-    if rows_drift_and_det(rows)[0] > FK_DRIFT_TOL:
-        rotation = orthonormalize(rotation)
-    return Pose(position, rotation)
+    drift, det = rows_drift_and_det(rows)
+    if drift > FK_DRIFT_TOL:
+        return Pose(position, orthonormalize(rotation))
+    return Pose._checked(np.array(position), rotation, drift, det)

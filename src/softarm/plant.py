@@ -21,7 +21,7 @@ from .geometry import (
     elongation_to_pressure,
 )
 from .kinematics import Pose, forward_kinematics
-from .rotations import matrix_to_rotvec, rotvec_to_matrix
+from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_matrix, rotvec_to_rows
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class LowPassFilter:
     y_k = y_{k-1} + a (x_k - y_{k-1}), a = 1 - exp(-cutoff * dt)."""
 
     def __init__(self, cutoff: float, dt: float):
-        self.alpha = 1.0 - np.exp(-cutoff * dt)
+        self.alpha = float(1.0 - np.exp(-cutoff * dt))
         self.state = None
 
     def reset(self, value) -> np.ndarray:
@@ -123,14 +123,18 @@ class Plant:
             rotation_raw = rotvec_to_matrix(wobble) @ rotation_raw
 
         position_f = self._pos_filter.update(position_raw)
-        if self._rot_filtered is None:
-            self._rot_filtered = rotation_raw
+        rotation_f = self._rot_filtered
+        if rotation_f is None:
+            rotation_f = rotation_raw
         else:
             # Filter the incremental axis-angle so the state stays a rotation.
-            increment = matrix_to_rotvec(rotation_raw @ self._rot_filtered.T)
-            self._rot_filtered = (
-                rotvec_to_matrix(self._pos_filter.alpha * increment) @ self._rot_filtered)
-        pose_filtered = Pose(position_f, self._rot_filtered)
+            # The 3x3 products stay in numpy, whose rounding they define.
+            alpha = self._pos_filter.alpha
+            w0, w1, w2 = rows_to_rotvec((rotation_raw @ rotation_f.T).tolist())
+            rotation_f = np.array(rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)) @ rotation_f
+        self._rot_filtered = rotation_f
+        pose_filtered = Pose._checked(position_f, rotation_f,
+                                      *rows_drift_and_det(rotation_f.tolist()))
 
         return PlantObservation(
             pose_filtered=pose_filtered,

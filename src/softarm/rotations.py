@@ -7,7 +7,10 @@ The rotation log and exp are scalar closed forms of the algorithms in
 ``scipy.spatial.transform.Rotation`` (quaternion from matrix by the
 largest-of pivot of F. L. Markley, "Unit quaternion from rotation matrix",
 J. Guidance, Control, and Dynamics 31(2), 2008), written with the same
-floating-point operations so that both give bit-identical results.
+floating-point operations so that both give bit-identical results. Each
+is a row kernel on plain floats (:func:`rows_to_rotvec`,
+:func:`rotvec_to_rows`) that the array functions wrap, so a caller that
+already holds the rows skips the array round trip.
 """
 
 import math
@@ -44,6 +47,12 @@ _SMALL_ANGLE = 1e-3
 def rotvec_to_matrix(w) -> np.ndarray:
     """Rotation matrix for an axis-angle vector (angle = norm, radians)."""
     w0, w1, w2 = np.asarray(w, dtype=float).tolist()
+    return np.array(rotvec_to_rows(w0, w1, w2))
+
+
+def rotvec_to_rows(w0: float, w1: float, w2: float) -> tuple:
+    """:func:`rotvec_to_matrix` of the vector (w0, w1, w2), as three rows
+    of floats."""
     angle = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     if angle <= _SMALL_ANGLE:
         a2 = angle * angle
@@ -53,9 +62,9 @@ def rotvec_to_matrix(w) -> np.ndarray:
     x, y, z, c = scale * w0, scale * w1, scale * w2, math.cos(angle / 2)
     x2, y2, z2, c2 = x * x, y * y, z * z, c * c
     xy, zc, xz, yc, yz, xc = x * y, z * c, x * z, y * c, y * z, x * c
-    return np.array([[x2 - y2 - z2 + c2, 2 * (xy - zc), 2 * (xz + yc)],
-                     [2 * (xy + zc), -x2 + y2 - z2 + c2, 2 * (yz - xc)],
-                     [2 * (xz - yc), 2 * (yz + xc), -x2 - y2 + z2 + c2]])
+    return ((x2 - y2 - z2 + c2, 2 * (xy - zc), 2 * (xz + yc)),
+            (2 * (xy + zc), -x2 + y2 - z2 + c2, 2 * (yz - xc)),
+            (2 * (xz - yc), 2 * (yz + xc), -x2 - y2 + z2 + c2))
 
 
 def matrix_to_rotvec(R) -> np.ndarray:
@@ -67,7 +76,13 @@ def matrix_to_rotvec(R) -> np.ndarray:
     At an angle of exactly pi the sign follows scipy's canonical
     quaternion: the first nonzero of (w, x, y, z) is positive.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
+    return np.array(rows_to_rotvec(np.asarray(R, dtype=float).tolist()))
+
+
+def rows_to_rotvec(rows) -> tuple:
+    """:func:`matrix_to_rotvec` of a 3x3 matrix given as three rows of
+    floats, as a tuple of three floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     trace = r00 + r11 + r22
     if r00 >= r11 and r00 >= r22 and r00 >= trace:
         x, y, z, c = 1 - trace + 2 * r00, r10 + r01, r20 + r02, r21 - r12
@@ -87,7 +102,7 @@ def matrix_to_rotvec(R) -> np.ndarray:
         scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880
     else:
         scale = angle / math.sin(angle / 2)
-    return np.array([scale * x, scale * y, scale * z])
+    return scale * x, scale * y, scale * z
 
 
 def orthonormalize(R) -> np.ndarray:

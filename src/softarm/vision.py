@@ -69,10 +69,6 @@ class FrameRegistry:
     def _cam1_in_base(self) -> Pose:
         return self.base_in_cam1.inverse()
 
-    def ee_in_base(self, ee_in_cam1: Pose) -> Pose:
-        """Convert a C1 end-effector measurement into the base frame."""
-        return self._cam1_in_base.compose(ee_in_cam1)
-
 
 @dataclass
 class BerryTarget:
@@ -88,12 +84,16 @@ def berry_to_base(target: BerryTarget, ee_in_cam1: Pose,
     None when C2 has no fix.
 
     Chains base <- C1 <- EE <- C2 exactly: p_base = T_ee_base T_c2_ee p_c2
-    with T_ee_base = T_c1_base T_ee_c1.
+    with T_ee_base = T_c1_base T_ee_c1, on the arrays, in the operations
+    and order of ``Pose.compose`` and ``Pose.transform_point``.
     """
     if target.position_c2 is None:
         return None
-    ee_in_base = registry.ee_in_base(ee_in_cam1)
-    return ee_in_base.compose(registry.cam2_in_ee).transform_point(target.position_c2)
+    cam1, cam2 = registry._cam1_in_base, registry.cam2_in_ee
+    ee_rotation = cam1.rotation @ ee_in_cam1.rotation
+    ee_position = cam1.position + cam1.rotation @ ee_in_cam1.position
+    return (ee_position + ee_rotation @ cam2.position
+            + (ee_rotation @ cam2.rotation) @ np.asarray(target.position_c2, dtype=float))
 
 
 def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndarray | None:
@@ -138,8 +138,12 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
 
     position_c2 = None
     if not force_c2_occluded:
-        cam2_in_base = ee_pose.compose(registry.cam2_in_ee)
-        position_c2 = cam2_in_base.inverse().transform_point(p_base)
+        # (T_ee_base T_c2_ee)^-1 p_base, on the arrays, in the operations and
+        # order of Pose.compose, Pose.inverse and Pose.transform_point.
+        cam2 = registry.cam2_in_ee
+        base_in_cam2 = (ee_pose.rotation @ cam2.rotation).T
+        position_c2 = (-base_in_cam2 @ (ee_pose.position + ee_pose.rotation @ cam2.position)
+                       + base_in_cam2 @ p_base)
         if noise_std > 0 and rng is not None:
             position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 

@@ -156,12 +156,12 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             iteration=iteration,
             stage=stage.value,
             q=q.copy(),
-            pressures=np.asarray(obs.pressures),
+            pressures=obs.pressures,
             position=pose.position.copy(),
             rotvec=matrix_to_rotvec(pose.rotation),
             dist_est=norm(pose.position - berry_est),
             dist_true=norm(plant.true_pose().position - berry_truth),
-            infeasible=np.asarray(obs.infeasible_flags, dtype=bool),
+            infeasible=obs.infeasible_flags,
             target_source=source,
         ))
 
@@ -181,6 +181,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     stage_start = iteration
     policy = cfg.placement
     ctrl_cfg = replace(cfg.controller, mode=policy.mode)
+    standoff = approach @ cfg.standoff_offset
     initial_dist = None
     growth_streak = 0
     while True:
@@ -205,7 +206,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
                 return fail(f"{stage.value}: diverged")
         else:
             growth_streak = 0
-        desired = Pose(berry_est + approach @ cfg.standoff_offset, approach)
+        desired = Pose(berry_est + standoff, approach)
         q = step_full(q, pose_error(desired, obs.pose_filtered), policy.gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1

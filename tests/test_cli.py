@@ -420,6 +420,45 @@ class TestConfigValueErrors:
         assert "config error: workflow:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
 
+    @pytest.mark.parametrize("window", [["20", 30], [20.5, 30], [True, 30], [20, "30"],
+                                        [20, 30.0], "20", [20], [20, 30, 40], {"20": 30}],
+                             ids=["string-start", "fraction", "bool", "string-length",
+                                  "float-length", "string", "one", "three", "object"])
+    def test_occlusion_window_takes_two_json_integers(self, tmp_path, capsys, window):
+        # A string start once died in run_harvest with a TypeError after
+        # steps.csv opened; a fraction or a bool ran as given.
+        cfg = load_scenario_dict("harvest_default")
+        cfg["berries"][1]["c1_occlusion_window"] = window
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: berries[1]: c1_occlusion_window:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axes", [[0, 5], [-1], "02", [0, 0], [0, 2.0], [True],
+                                      ["0"], 2],
+                             ids=["out-of-range", "negative", "string", "repeated",
+                                  "float", "bool", "string-entry", "scalar"])
+    def test_orientation_error_axes_take_distinct_axis_indices(self, tmp_path, capsys, axes):
+        # [0, 5] and "02" once died in solve with an IndexError after
+        # steps.csv opened; [0, 0] ran.
+        cfg = load_scenario_dict("pose_7pts")
+        cfg["controller"]["orientation_error_axes"] = axes
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: controller: orientation_error_axes:")
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
+    def test_window_and_axes_read_as_given(self):
+        harvest = parse_scenario(load_scenario_dict("harvest_default"))
+        assert [run.workflow.c1_occlusion_window for run in harvest.runs] == [None, (20, 30)]
+        cfg = load_scenario_dict("pose_7pts")
+        assert parse_scenario(cfg).runs[0].controller.orientation_error_axes == (0, 2)
+        for axes, parsed in [([2, 0, 1], (2, 0, 1)), (None, None)]:
+            cfg["controller"]["orientation_error_axes"] = axes
+            assert parse_scenario(cfg).runs[0].controller.orientation_error_axes == parsed
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1.2345678901234567e300])

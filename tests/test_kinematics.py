@@ -343,6 +343,46 @@ class TestArcCoefficients:
             assert abs(hi - lo) <= 1e-10 * abs(hi)
 
 
+class TestOnePassPerPose:
+    QS = np.random.default_rng(21).uniform(0.0, 0.1, (12, 9))
+
+    def test_fk_checks_its_rotation_once(self, monkeypatch):
+        # A walk the geometry kept and a fresh one: each FK call makes one
+        # drift-and-determinant pass, its own, and Pose() makes none.
+        passes = []
+        for name in ("rows_drift_and_det", "drift_and_det"):
+            monkeypatch.setattr(kinematics, name, lambda rows, f=getattr(kinematics, name):
+                                passes.append(1) or f(rows))
+        for q in self.QS:
+            forward_kinematics(q, GEOM)
+            forward_kinematics(q, GEOM)
+        assert len(passes) == 2 * len(self.QS)
+
+    def test_fk_arrays_are_those_pose_builds(self):
+        for q in self.QS:
+            pose = forward_kinematics(q, GEOM)
+            position, rows, _ = section_chain(q, GEOM)
+            reference = Pose(position, np.array(rows))
+            for got, want in ((pose.position, reference.position),
+                              (pose.rotation, reference.rotation)):
+                assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape,
+                                                               want.strides)
+                assert (got.flags.c_contiguous, got.flags.f_contiguous,
+                        got.flags.writeable) == (want.flags.c_contiguous,
+                                                 want.flags.f_contiguous,
+                                                 want.flags.writeable)
+                assert got.tobytes() == want.tobytes()
+
+    def test_fk_still_rejects_an_improper_rotation(self, monkeypatch):
+        def reflected(q, geom):
+            position, (r0, r1, r2), sections = section_chain(q, geom)
+            return position, (r0, r1, tuple(-x for x in r2)), sections
+
+        monkeypatch.setattr(kinematics, "section_chain", reflected)
+        with pytest.raises(ValueError, match="proper"):
+            forward_kinematics(self.QS[0], GEOM)
+
+
 class TestPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from softarm import plant as plant_module
 from softarm.config import plant_config_from_dict
 from softarm.geometry import default_geometry, elongation_to_pressure
-from softarm.kinematics import forward_kinematics
+from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import LowPassFilter, Plant, PlantConfig
+from softarm.rotations import matrix_to_rotvec, rotvec_to_matrix, rotvec_to_rows
 
 from oracles import rotation_angle_between
 
@@ -190,3 +192,56 @@ class TestMismatch:
         np.testing.assert_array_equal(a.length_scale_error, b.length_scale_error)
         assert np.all(np.abs(a.length_scale_error) <= 0.02)
         assert np.std(a.length_scale_error) > 0
+
+
+def reference_filtered_poses(cfg: PlantConfig, q0, commands) -> list:
+    """The measured poses of a plant reset to q0 and then commanded, as the
+    array log/exp and ``Pose()`` write the filter."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    limits = cfg.true_geometry.joint_limits()
+    alpha = 1.0 - np.exp(-cfg.filter_cutoff * cfg.dt)
+    position_f = rotation_f = None
+    poses = []
+    for q in [q0, *commands]:
+        true = forward_kinematics(
+            np.minimum(np.maximum(q * (1.0 + cfg.length_scale_error), limits.lower),
+                       limits.upper), cfg.true_geometry)
+        position = true.position + rng.normal(0.0, cfg.position_noise_std, 3)
+        rotation = rotvec_to_matrix(rng.normal(0.0, cfg.rotation_noise_std, 3)) @ true.rotation
+        if position_f is None:
+            position_f, rotation_f = position, rotation
+        else:
+            position_f = position_f + alpha * (position - position_f)
+            increment = matrix_to_rotvec(rotation @ rotation_f.T)
+            rotation_f = rotvec_to_matrix(alpha * increment) @ rotation_f
+        poses.append(Pose(position_f, rotation_f))
+    return poses
+
+
+class TestFilteredPose:
+    CONFIG = PlantConfig(length_scale_error=np.linspace(-0.02, 0.02, 9),
+                         position_noise_std=2e-3, rotation_noise_std=2e-2, rng_seed=11)
+
+    def test_matches_the_array_filter_bit_for_bit(self):
+        commands = list(np.random.default_rng(8).uniform(-0.01, 0.11, (200, 9)))
+        plant = Plant(self.CONFIG)
+        observed = [plant.reset(Q0)] + [plant.apply_command(q) for q in commands]
+        expected = reference_filtered_poses(self.CONFIG, Q0, commands)
+        for obs, pose in zip(observed, expected, strict=True):
+            for got, want in ((obs.pose_filtered.position, pose.position),
+                              (obs.pose_filtered.rotation, pose.rotation)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda rows: [[1.001 * x for x in row] for row in rows], "not orthonormal"),
+        (lambda rows: [rows[0], rows[1], [-x for x in rows[2]]], "proper"),
+    ], ids=["stretched", "reflected"])
+    def test_a_filtered_rotation_that_fails_the_check_raises(self, monkeypatch, corrupt,
+                                                             message):
+        plant = Plant(self.CONFIG)
+        plant.reset(Q0)
+        monkeypatch.setattr(plant_module, "rotvec_to_rows",
+                            lambda *w: corrupt(rotvec_to_rows(*w)))
+        with pytest.raises(ValueError, match=message):
+            plant.apply_command(Q1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from softarm.kinematics import Pose, forward_kinematics
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 from softarm.vision import (
     BerryTarget,
+    _ee_blocks_ray,
     DegenerateConfiguration,
     FrameRegistry,
     berry_to_base,
@@ -165,6 +168,87 @@ class TestOcclusionRule:
         np.testing.assert_array_equal(a.position_c2, b.position_c2)
         exact = simulate_observation(berry, ee, registry)
         assert np.linalg.norm(a.position_c2 - exact.position_c2) > 1e-5
+
+
+def _points(low, high):
+    return st.lists(st.floats(low, high), min_size=3, max_size=3).map(np.array)
+
+
+def _poses(low, high):
+    return st.builds(lambda p, w: Pose(p, rotvec_to_matrix(w)), _points(low, high),
+                     _points(-np.pi / 2, np.pi / 2))
+
+
+@st.composite
+def _registries(draw):
+    """A ``build_registry`` layout, with a C2 mount that is sometimes rotated
+    (the bundled layouts mount it unrotated)."""
+    cam1_position, cam1_target = draw(_points(-1.5, 1.5)), draw(_points(-0.5, 0.5))
+    assume(np.linalg.norm(cam1_target - cam1_position) > 0.1)
+    registry = build_registry(cam1_position, cam1_target, draw(_points(-0.05, 0.05)))
+    mount = draw(st.none() | _points(-0.5, 0.5))
+    if mount is None:
+        return registry
+    return replace(registry, cam2_in_ee=Pose(registry.cam2_in_ee.position,
+                                             rotvec_to_matrix(mount)))
+
+
+def _observe_with_poses(berry, ee_pose, registry, noise_std, rng):
+    """simulate_observation as Pose.compose, Pose.inverse and
+    Pose.transform_point write it."""
+    cam1_in_base = registry.base_in_cam1.inverse()
+    position_c1 = None
+    if not _ee_blocks_ray(cam1_in_base.position, berry, ee_pose.position):
+        position_c1 = (registry.base_in_cam1.transform_point(berry)
+                       + rng.normal(0.0, noise_std, 3))
+    position_c2 = (ee_pose.compose(registry.cam2_in_ee).inverse().transform_point(berry)
+                   + rng.normal(0.0, noise_std, 3))
+    return position_c1, position_c2
+
+
+def _same_bytes(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestPoseFreeChains:
+    """The camera chains run on arrays; their bits are those of the Pose
+    expressions they stand for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ee_pose=_poses(-0.6, 0.6), berry=_points(-0.6, 0.6), registry=_registries(),
+           noise_std=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2**32 - 1))
+    def test_simulate_observation_matches_the_pose_chain(self, ee_pose, berry, registry,
+                                                         noise_std, seed):
+        target = simulate_observation(berry, ee_pose, registry, noise_std=noise_std,
+                                      rng=np.random.default_rng(seed))
+        position_c1, position_c2 = _observe_with_poses(berry, ee_pose, registry, noise_std,
+                                                       np.random.default_rng(seed))
+        _same_bytes(target.position_c1, position_c1)
+        _same_bytes(target.position_c2, position_c2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ee_in_cam1=_poses(-1.5, 1.5), fix=_points(-0.3, 0.3), registry=_registries())
+    def test_berry_to_base_matches_the_pose_chain(self, ee_in_cam1, fix, registry):
+        expected = (registry.base_in_cam1.inverse().compose(ee_in_cam1)
+                    .compose(registry.cam2_in_ee).transform_point(fix))
+        _same_bytes(berry_to_base(BerryTarget(position_c2=fix), ee_in_cam1, registry),
+                    expected)
+
+    def test_chains_build_no_pose(self, monkeypatch):
+        registry = build_registry()
+        ee_pose = Pose([0.0, 0.1, 0.45], rot_x(0.3))
+        target = simulate_observation([0.0, 0.25, 0.35], ee_pose, registry)
+        # The registry's C1 inverse is built once, on the first call.
+        built = []
+        monkeypatch.setattr(Pose, "__post_init__", lambda pose: built.append(pose))
+        monkeypatch.setattr(Pose, "_checked", classmethod(lambda cls, *args: built.append(args)))
+        simulate_observation([0.0, 0.25, 0.35], ee_pose, registry)
+        berry_to_base(target, registry.base_in_cam1, registry)
+        assert built == []
 
 
 class TestHelpers:
