@@ -47,7 +47,7 @@ from .jacobian import (
     pinv,
 )
 from .kinematics import Pose, forward_kinematics
-from .plant import LowPassFilter, Plant, PlantConfig, PlantObservation
+from .plant import Plant, PlantConfig, PlantObservation
 from .vision import (
     BerryTarget,
     DegenerateConfiguration,
@@ -75,7 +75,7 @@ __all__ = [
     "elongation_to_pressure", "validate_geometry",
     "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "pinv",
     "Pose", "forward_kinematics",
-    "LowPassFilter", "Plant", "PlantConfig", "PlantObservation",
+    "Plant", "PlantConfig", "PlantObservation",
     "BerryTarget", "DegenerateConfiguration", "FrameRegistry",
     "berry_to_base", "build_registry", "register_rigid", "simulate_observation",
     "HarvestLog", "HarvestState", "WorkflowConfig", "run_harvest",

@@ -51,7 +51,7 @@ def _read(data, where: str, **convert) -> dict:
     ``float`` reads the strings "nan" and "inf".
     """
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise ConfigError(f"{where.removeprefix('scenario.')}: must be an object")
     for key in data:
         if key not in convert:
             known = ", ".join(sorted(convert))
@@ -85,6 +85,12 @@ def _as_given(value):
 def _list(value) -> list:
     if not isinstance(value, list):
         raise ValueError("must be a list")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
     return value
 
 
@@ -208,13 +214,13 @@ def _mode(name) -> ControllerMode:
 
 
 def _axes(value) -> tuple | None:
-    """Rotation-vector components the orientation tolerance reads: distinct
-    indices among 0, 1, 2, or None for all three."""
+    """Rotation-vector components the orientation tolerance reads: one or
+    more distinct indices among 0, 1, 2, or None for all three."""
     if value is None:
         return None
     axes = tuple(map(_integer, _list(value)))
-    if not set(axes) <= {0, 1, 2} or len(set(axes)) != len(axes):
-        raise ValueError("must be distinct axes among 0, 1, 2")
+    if not axes or not set(axes) <= {0, 1, 2} or len(set(axes)) != len(axes):
+        raise ValueError("must be one or more distinct axes among 0, 1, 2")
     return axes
 
 
@@ -244,8 +250,9 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
     with _block("scenario.plant"):
-        kwargs = _read(data or {}, "scenario.plant", mismatch=float, position_noise_std=float,
-                       rotation_noise_std=float, filter_cutoff=float, dt=float)
+        kwargs = _read({} if data is None else data, "scenario.plant", mismatch=float,
+                       position_noise_std=float, rotation_noise_std=float,
+                       filter_cutoff=float, dt=float)
         mismatch = kwargs.pop("mismatch", 0.0)
         if mismatch < 0:
             raise ValueError("mismatch must be non-negative")
@@ -321,7 +328,7 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _window(value) -> tuple | None:
-    if not value:
+    if value is None:
         return None
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError("must be [start, length]")
@@ -351,7 +358,8 @@ def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
     those of its default policy."""
     where = "scenario.workflow"
     with _block(where):
-        kwargs = _read(data or {}, where, coarse_threshold=float, grasp_threshold=float,
+        kwargs = _read({} if data is None else data, where,
+                       coarse_threshold=float, grasp_threshold=float,
                        observation_noise_std=float, home_iterations=_integer,
                        standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
                        placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
@@ -370,7 +378,7 @@ def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
 def _registry(data) -> dict:
     """The ``build_registry`` arguments a scenario gives."""
     with _block("scenario.registry"):
-        return _read(data or {}, "scenario.registry", cam1_position=_vector,
+        return _read({} if data is None else data, "scenario.registry", cam1_position=_vector,
                      cam1_target=_vector, cam2_offset=_vector)
 
 
@@ -446,7 +454,8 @@ def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     desired = target_pose_from_dict(given["target"], geom, "scenario.target")
     runs = []
     for i, entry in enumerate(entries):
-        *controller, name = _controller(entry, geom, f"scenario.controllers[{i}]", name=str)
+        *controller, name = _controller(entry, geom, f"scenario.controllers[{i}]",
+                                        name=lambda name: None if name is None else _string(name))
         label = name or controller[0].mode.value
         if label in (run.label for run in runs):
             raise ConfigError(f"duplicate controller name {label!r}")
@@ -455,8 +464,8 @@ def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
 
 
 def _harvest_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
-    """One run per berry. The stage policies set each stage's mode and
-    gains; the shared controller config supplies the rest."""
+    """One run per berry. The stage policies set each stage's gains and
+    budget; the shared controller config supplies the rest."""
     if not given.get("berries"):
         raise ConfigError("harvest scenario needs a 'berries' list")
     workflow = _workflow(given.get("workflow"), ControllerConfig(
@@ -513,7 +522,7 @@ def parse_scenario(data, seed_override=None) -> Scenario:
         raise ConfigError(f"kind must be one of {VALID_KINDS}, got {data['kind']!r}")
     resolve, blocks = _KINDS[data["kind"]]
     with _block("scenario"):
-        given = _read(data, "scenario", name=str, kind=str, seed=_integer, strict=_flag,
+        given = _read(data, "scenario", name=_string, kind=str, seed=_integer, strict=_flag,
                       geometry=_geometry, plant=_as_given, **blocks)
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
     geom = given["geometry"] if "geometry" in given else default_geometry()

@@ -41,10 +41,6 @@ class TaskError:
         object.__setattr__(self, "position_norm", norm(self.e_p))
         object.__setattr__(self, "orientation_norm", norm(self.e_zeta))
 
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.e_p, self.e_zeta])
-
 
 class ErrorNorms(NamedTuple):
     """The position (m) and orientation (rad) error norms a mode tracks; an
@@ -188,7 +184,6 @@ class ControllerConfig:
     position_tolerance: float = 0.8e-3        # m
     orientation_tolerance: float = np.deg2rad(0.6)  # rad
     max_iterations: int = 3000
-    sv_tol: float = SV_TOL
     # Orientation components counted toward the tolerance check (None = all);
     # schedules and step laws always use the full error.
     orientation_error_axes: tuple | None = None
@@ -232,7 +227,7 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     hierarchical least squares (Escande, Mansard & Wieber, IJRR 2014), and
     forms no pseudoinverse and no projector: P = N N^T for an orthonormal
     basis N of the null space left, so with A_k = J_k N = U S V^T and r the
-    number of singular values above ``sv_tol`` times the largest,
+    number of singular values above ``SV_TOL`` times the largest,
     (J_k P)^+ = N V_r^T S_r^-1 U_r^T and the next basis is N V[r:]^T. The
     last task takes the thin SVD; the joint-limit term then removes its
     rows V_r from N^T grad H instead of shrinking N.
@@ -247,14 +242,14 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     for k, rows in enumerate(stack.tasks):
         J_k = J[rows]
         e_k = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
-               else e.stacked[rows])
+               else np.concatenate([e.e_p, e.e_zeta])[rows])
         if N is None:
             A, residual = J_k, e_k
         else:
             A, residual = J_k @ N, e_k - J_k @ qdot
         u, s, vt = np.linalg.svd(A, full_matrices=k < last)
         sigmas = s.tolist()
-        cut = cfg.sv_tol * sigmas[0]
+        cut = SV_TOL * sigmas[0]
         rank = len([sigma for sigma in sigmas if sigma > cut])
         v_r = vt[:rank]
         rate = ((residual @ u[:, :rank]) / s[:rank]) @ v_r  # A^+ residual, in N's coordinates
@@ -277,17 +272,17 @@ class Trajectory:
     """Per-step record of a closed-loop solve. Row 0 is the initial state."""
 
     mode: str
-    qs: np.ndarray = field(default_factory=lambda: np.empty((0, 9)))
-    pressures: np.ndarray = field(default_factory=lambda: np.empty((0, 9)))
-    positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    rotvecs: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    err_pos: np.ndarray = field(default_factory=lambda: np.empty(0))
-    err_rot: np.ndarray = field(default_factory=lambda: np.empty(0))
-    err_pos_true: np.ndarray = field(default_factory=lambda: np.empty(0))
-    err_rot_true: np.ndarray = field(default_factory=lambda: np.empty(0))
-    infeasible: np.ndarray = field(default_factory=lambda: np.empty((0, 9), dtype=bool))
-    converged: bool = False
-    diverged: bool = False
+    qs: np.ndarray
+    pressures: np.ndarray
+    positions: np.ndarray
+    rotvecs: np.ndarray
+    err_pos: np.ndarray
+    err_rot: np.ndarray
+    err_pos_true: np.ndarray
+    err_rot_true: np.ndarray
+    infeasible: np.ndarray
+    converged: bool
+    diverged: bool
 
     @property
     def iterations_used(self) -> int:
@@ -303,11 +298,6 @@ def _tolerance_met(e: TaskError, norms: ErrorNorms, cfg: ControllerConfig) -> bo
     if rot and cfg.orientation_error_axes is not None:  # an untracked error reads 0
         rot = norm(e.e_zeta[list(cfg.orientation_error_axes)])
     return norms.position_norm <= cfg.position_tolerance and rot <= cfg.orientation_tolerance
-
-
-def _divergence_ratio(norms: ErrorNorms, norms0: ErrorNorms) -> float:
-    return max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
-               default=0.0)
 
 
 def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) -> Trajectory:
@@ -326,37 +316,23 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     q = as_actuator_vector(q0).copy()
     obs = plant.reset(q)
 
-    rows = {k: [] for k in ("q", "press", "pos", "rot", "ep", "er", "ept", "ert", "flags")}
+    rows = []  # one tuple per step, in the order of Trajectory's array fields
 
     def record(q_now, observation):
-        e = pose_error(desired, observation.pose_filtered)
-        rows["q"].append(q_now.copy())
-        rows["press"].append(observation.pressures)
-        rows["pos"].append(observation.pose_filtered.position.copy())
-        rows["rot"].append(matrix_to_rotvec(observation.pose_filtered.rotation))
-        rows["ep"].append(e.position_norm)
-        rows["er"].append(e.orientation_norm)
+        pose = observation.pose_filtered
+        e = pose_error(desired, pose)
         true_pose = plant.true_pose()
-        rows["ept"].append(norm(desired.position - true_pose.position))
-        rows["ert"].append(norm(matrix_to_rotvec(desired.rotation @ true_pose.rotation.T)))
-        rows["flags"].append(observation.infeasible_flags)
+        rows.append((q_now.copy(), observation.pressures, pose.position.copy(),
+                     matrix_to_rotvec(pose.rotation), e.position_norm, e.orientation_norm,
+                     norm(desired.position - true_pose.position),
+                     norm(matrix_to_rotvec(desired.rotation @ true_pose.rotation.T)),
+                     observation.infeasible_flags))
         return e
 
     def finish(converged, diverged):
-        return Trajectory(
-            mode=cfg.mode.value,
-            qs=np.array(rows["q"]),
-            pressures=np.array(rows["press"]),
-            positions=np.array(rows["pos"]),
-            rotvecs=np.array(rows["rot"]),
-            err_pos=np.array(rows["ep"]),
-            err_rot=np.array(rows["er"]),
-            err_pos_true=np.array(rows["ept"]),
-            err_rot_true=np.array(rows["ert"]),
-            infeasible=np.array(rows["flags"], dtype=bool),
-            converged=converged,
-            diverged=diverged,
-        )
+        *columns, flags = zip(*rows)
+        return Trajectory(cfg.mode.value, *map(np.array, columns),
+                          np.array(flags, dtype=bool), converged, diverged)
 
     tracked_norms = TASK_STACKS[cfg.mode].norms
     e = record(q, obs)
@@ -369,7 +345,9 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         obs = plant.apply_command(q)
         e = record(q, obs)
         norms = tracked_norms(e)
-        if _divergence_ratio(norms, norms0) > cfg.divergence_factor:
+        ratio = max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
+                    default=0.0)
+        if ratio > cfg.divergence_factor:
             growth_streak += 1
             if growth_streak >= cfg.divergence_window:
                 return finish(converged=False, diverged=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import RobotGeometry, as_actuator_vector
-from .rotations import drift_and_det, orthonormalize, rows_drift_and_det
+from .rotations import orthonormalize, rows_drift_and_det
 
 #: Below this bending measure (m) a section is treated as exactly straight.
 STRAIGHT_S_THRESHOLD = 1e-9
@@ -62,7 +62,7 @@ class Pose:
                            position if position.shape == (3,) else position.reshape(3))
         object.__setattr__(self, "rotation",
                            rotation if rotation.shape == (3, 3) else rotation.reshape(3, 3))
-        _check_rotation(*drift_and_det(self.rotation))
+        _check_rotation(*rows_drift_and_det(self.rotation.tolist()))
 
     @classmethod
     def _checked(cls, position: np.ndarray, rotation: np.ndarray,

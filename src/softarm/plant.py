@@ -57,26 +57,6 @@ class PlantObservation:
     infeasible_flags: np.ndarray  # per actuator: command outside [0, l_max]
 
 
-class LowPassFilter:
-    """First-order low-pass with unit DC gain, discretized step-invariantly:
-    y_k = y_{k-1} + a (x_k - y_{k-1}), a = 1 - exp(-cutoff * dt)."""
-
-    def __init__(self, cutoff: float, dt: float):
-        self.alpha = float(1.0 - np.exp(-cutoff * dt))
-        self.state = None
-
-    def reset(self, value) -> np.ndarray:
-        self.state = np.asarray(value, dtype=float).copy()
-        return self.state
-
-    def update(self, value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
-        if self.state is None:
-            return self.reset(value)
-        self.state = self.state + self.alpha * (value - self.state)
-        return self.state
-
-
 class Plant:
     """Single-owner mutable simulation of the arm; one instance per run."""
 
@@ -85,17 +65,18 @@ class Plant:
         self._limits = self.config.true_geometry.joint_limits()
         self._scale = 1.0 + self.config.length_scale_error
         self._rng = np.random.default_rng(self.config.rng_seed)
-        self._pos_filter = LowPassFilter(self.config.filter_cutoff, self.config.dt)
-        self._rot_filtered = None
+        # First-order low-pass with unit DC gain, discretized step-invariantly:
+        # y_k = y_{k-1} + a (x_k - y_{k-1}), a = 1 - exp(-cutoff * dt).
+        self._alpha = float(1.0 - np.exp(-self.config.filter_cutoff * self.config.dt))
+        self._filtered = None  # (position, rotation) after the last measurement
         self._true_pose = forward_kinematics(np.zeros(N_ACTUATORS),
                                              self.config.true_geometry)
 
     def reset(self, q0) -> PlantObservation:
-        """Re-seed the RNG, drive the plant to q0, and start the filters at
+        """Re-seed the RNG, drive the plant to q0, and start the filter at
         the first measured pose (no startup transient)."""
         self._rng = np.random.default_rng(self.config.rng_seed)
-        self._pos_filter.state = None
-        self._rot_filtered = None
+        self._filtered = None
         return self.apply_command(q0)
 
     def true_pose(self) -> Pose:
@@ -122,17 +103,17 @@ class Plant:
             wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
             rotation_raw = rotvec_to_matrix(wobble) @ rotation_raw
 
-        position_f = self._pos_filter.update(position_raw)
-        rotation_f = self._rot_filtered
-        if rotation_f is None:
-            rotation_f = rotation_raw
+        if self._filtered is None:
+            position_f, rotation_f = position_raw.copy(), rotation_raw
         else:
+            alpha = self._alpha
+            position_f, rotation_f = self._filtered
+            position_f = position_f + alpha * (position_raw - position_f)
             # Filter the incremental axis-angle so the state stays a rotation.
             # The 3x3 products stay in numpy, whose rounding they define.
-            alpha = self._pos_filter.alpha
             w0, w1, w2 = rows_to_rotvec((rotation_raw @ rotation_f.T).tolist())
             rotation_f = np.array(rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)) @ rotation_f
-        self._rot_filtered = rotation_f
+        self._filtered = position_f, rotation_f
         pose_filtered = Pose._checked(position_f, rotation_f,
                                       *rows_drift_and_det(rotation_f.tolist()))
 

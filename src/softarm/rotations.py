@@ -113,14 +113,10 @@ def orthonormalize(R) -> np.ndarray:
     return U @ Vt
 
 
-def drift_and_det(R) -> tuple[float, float]:
-    """Orthonormality defect ||R^T R - I||_F and determinant of a 3x3
-    matrix, in one scalar pass over its entries."""
-    return rows_drift_and_det(np.asarray(R, dtype=float).tolist())
-
-
 def rows_drift_and_det(rows) -> tuple[float, float]:
-    """:func:`drift_and_det` of a 3x3 matrix given as three rows of floats."""
+    """Orthonormality defect ||R^T R - I||_F and determinant of a 3x3
+    matrix R given as three rows of floats, in one scalar pass over its
+    entries."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     d00 = a * a + d * d + g * g - 1
     d11 = b * b + e * e + h * h - 1

@@ -133,7 +133,7 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
     position_c1 = None
     if not c1_occluded:
         position_c1 = registry.base_in_cam1.transform_point(p_base)
-        if noise_std > 0 and rng is not None:
+        if noise_std > 0:
             position_c1 = position_c1 + rng.normal(0.0, noise_std, 3)
 
     position_c2 = None
@@ -144,21 +144,21 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
         base_in_cam2 = (ee_pose.rotation @ cam2.rotation).T
         position_c2 = (-base_in_cam2 @ (ee_pose.position + ee_pose.rotation @ cam2.position)
                        + base_in_cam2 @ p_base)
-        if noise_std > 0 and rng is not None:
+        if noise_std > 0:
             position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 
     return BerryTarget(position_c2=position_c2, position_c1=position_c1)
 
 
-def look_at(eye, point, up=(0.0, 0.0, 1.0)) -> Pose:
-    """Camera pose in the parent frame with +Z viewing toward ``point``."""
+def look_at(eye, point) -> Pose:
+    """Camera pose in the parent frame with +Z viewing toward ``point``, +X
+    level (normal to the parent's +Z) unless the view is vertical."""
     eye = np.asarray(eye, dtype=float)
     z = np.asarray(point, dtype=float) - eye
     if not np.any(z):
         raise ValueError("a camera cannot look at its own position")
     z = z / np.linalg.norm(z)
-    up = np.asarray(up, dtype=float)
-    x = np.cross(up, z)
+    x = np.cross(np.array([0.0, 0.0, 1.0]), z)
     if np.linalg.norm(x) < 1e-12:
         x = np.cross(np.array([0.0, 1.0, 0.0]), z)
     x = x / np.linalg.norm(x)
@@ -166,18 +166,16 @@ def look_at(eye, point, up=(0.0, 0.0, 1.0)) -> Pose:
     return Pose(eye, np.column_stack([x, y, z]))
 
 
-def default_registration_points(side: float = 0.2) -> np.ndarray:
-    """Six base-frame fiducials on a cube of the given side length."""
-    h = side / 2.0
+def default_registration_points() -> np.ndarray:
+    """Six base-frame fiducials on a cube of side 0.2 m."""
     return np.array([
-        [h, h, 0.0], [-h, h, 0.0], [h, -h, 0.0],
-        [-h, -h, side], [h, h, side], [-h, h, side],
+        [0.1, 0.1, 0.0], [-0.1, 0.1, 0.0], [0.1, -0.1, 0.0],
+        [-0.1, -0.1, 0.2], [0.1, 0.1, 0.2], [-0.1, 0.1, 0.2],
     ])
 
 
 def build_registry(cam1_position=(0.0, -1.2, 0.4), cam1_target=(0.0, 0.25, 0.35),
-                   cam2_offset=(0.0, 0.0, 0.01),
-                   registration_points: np.ndarray | None = None) -> FrameRegistry:
+                   cam2_offset=(0.0, 0.0, 0.01)) -> FrameRegistry:
     """Registry for the default scenario layout: eye-to-hand camera 1.2 m
     behind the base looking at the berry region, eye-in-hand camera at the
     gripper center looking along the approach axis. ``base_in_cam1`` is
@@ -185,8 +183,7 @@ def build_registry(cam1_position=(0.0, -1.2, 0.4), cam1_target=(0.0, 0.25, 0.35)
     truth, so the registration path is exercised end to end."""
     cam1_in_base = look_at(cam1_position, cam1_target)
     truth_base_in_cam1 = cam1_in_base.inverse()
-    points = registration_points if registration_points is not None \
-        else default_registration_points()
+    points = default_registration_points()
     observed_in_cam1 = np.array([truth_base_in_cam1.transform_point(p) for p in points])
     base_in_cam1, residual = register_rigid(points, observed_in_cam1)
     cam2_in_ee = Pose(np.asarray(cam2_offset, dtype=float), np.eye(3))

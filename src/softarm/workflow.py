@@ -44,7 +44,6 @@ class HarvestState(enum.Enum):
 
 @dataclass(frozen=True)
 class StagePolicy:
-    mode: ControllerMode
     gains: GainSchedule
     max_iterations: int
 
@@ -67,12 +66,12 @@ class WorkflowConfig:
         default_factory=lambda: np.array([0.0, 0.0, -0.05]))
     home_q: np.ndarray = field(default_factory=_default_home_q)
     placement: StagePolicy = field(default_factory=lambda: StagePolicy(
-        ControllerMode.FullThreeTask, gains_full_default(), 2000))
+        gains_full_default(), 2000))
     # The fine stage starts inside the coarse threshold, i.e. in the
     # near-goal regime where the avoidance schedule is off; it runs the
     # plain position law.
     fine: StagePolicy = field(default_factory=lambda: StagePolicy(
-        ControllerMode.PositionWithJL, GainSchedule(alpha=0.074), 1000))
+        GainSchedule(alpha=0.074), 1000))
     home_iterations: int = 100
     observation_noise_std: float = 0.0
     # Forced C1 berry dropout (global iteration start, length); None disables.
@@ -138,17 +137,12 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     berry_est = None  # the last base-frame fix, held while the camera has none
     iteration = 0
 
-    def c1_forced(it: int) -> bool:
-        if cfg.c1_occlusion_window is None:
-            return False
-        start, length = cfg.c1_occlusion_window
-        return start <= it < start + length
-
     def observe(it: int) -> BerryTarget:
+        window = cfg.c1_occlusion_window  # (start, length) or None
         return simulate_observation(
             berry_truth, plant.true_pose(), registry,
             noise_std=cfg.observation_noise_std, rng=rng,
-            force_c1_occluded=c1_forced(it))
+            force_c1_occluded=window is not None and window[0] <= it < window[0] + window[1])
 
     def record(stage: HarvestState, berry_est, source: str):
         pose = obs.pose_filtered
@@ -176,11 +170,12 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         log.failure_reason = reason
         return log
 
-    # Stage 1: initial placement on the standoff pose, berry from C1.
+    # Stage 1: initial placement on the standoff pose, berry from C1, under
+    # the full three-task law.
     stage = HarvestState.InitialPlacement
     stage_start = iteration
     policy = cfg.placement
-    ctrl_cfg = replace(cfg.controller, mode=policy.mode)
+    ctrl_cfg = replace(cfg.controller, mode=ControllerMode.FullThreeTask)
     standoff = approach @ cfg.standoff_offset
     initial_dist = None
     growth_streak = 0
@@ -212,12 +207,12 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         iteration += 1
 
     # Stage 2: fine positioning on the berry itself, berry from C2 chained
-    # through the measured end-effector pose; orientation stays frozen, so
-    # its error is zero.
+    # through the measured end-effector pose, under the position law;
+    # orientation stays frozen, so its error is zero.
     stage = HarvestState.FinePositioning
     stage_start = iteration
     policy = cfg.fine
-    ctrl_cfg = replace(cfg.controller, mode=policy.mode)
+    ctrl_cfg = replace(cfg.controller, mode=ControllerMode.PositionWithJL)
     while True:
         ee_in_cam1 = registry.base_in_cam1.compose(obs.pose_filtered)
         fix = berry_to_base(observe(iteration), ee_in_cam1, registry)

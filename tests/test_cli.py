@@ -284,7 +284,12 @@ class TestConfigValueErrors:
         ({"cam1_position": 5}, "cam1_position: must be a 3-vector"),
         ({"cam2_offset": "abc"}, "cam2_offset: could not convert"),
         ({"cam1_position": [0.0, 0.4, 0.45]}, "a camera cannot look at its own position"),
-    ], ids=["2-vector", "scalar", "string", "camera-on-its-target"])
+        ([], "must be an object"),
+        (0, "must be an object"),
+        (False, "must be an object"),
+        ("", "must be an object"),
+    ], ids=["2-vector", "scalar", "string", "camera-on-its-target", "block-list",
+            "block-zero", "block-false", "block-empty-string"])
     def test_harvest_registry(self, tmp_path, capsys, registry, message):
         cfg = load_scenario_dict("harvest_default")
         cfg["registry"] = registry
@@ -299,8 +304,13 @@ class TestConfigValueErrors:
         ("initial_q", {"midpoint_jitter": "x"}),
         ("initial_q", [0.05] * 8),
         ("initial_q", {"midpoint_jitter": 1e308}),
+        ("plant", []),
+        ("plant", 0),
+        ("plant", False),
+        ("plant", ""),
     ], ids=["plant-dt", "plant-key", "initial_q-jitter", "initial_q-length",
-            "initial_q-overflow"])
+            "initial_q-overflow", "plant-list", "plant-zero", "plant-false",
+            "plant-empty-string"])
     def test_shared_blocks_checked_without_targets(self, tmp_path, capsys, block, value):
         cfg = load_scenario_dict("position_35pts")
         cfg["targets"] = []
@@ -360,8 +370,12 @@ class TestConfigValueErrors:
         ("seed", 3.0, "seed: must be an integer"),
         ("seed", True, "seed: must be an integer"),
         ("seed", "3", "seed: must be an integer"),
+        ("name", 5, "name: must be a string"),
+        ("name", None, "name: must be a string"),
+        ("name", ["mini"], "name: must be a string"),
     ], ids=["strict-string", "strict-int", "strict-null", "seed-fraction",
-            "seed-float", "seed-bool", "seed-string"])
+            "seed-float", "seed-bool", "seed-string", "name-number", "name-null",
+            "name-list"])
     def test_strict_and_seed_take_json_types(self, tmp_path, capsys, key, value, message):
         # bool("false") is True and int(3.7) is 3: no conversion, only the
         # JSON type the key means.
@@ -420,10 +434,43 @@ class TestConfigValueErrors:
         assert "config error: workflow:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
 
+    @pytest.mark.parametrize("value", [[], 0, False, ""],
+                             ids=["list", "zero", "false", "empty-string"])
+    @pytest.mark.parametrize("block", ["plant", "workflow"])
+    def test_harvest_block_must_be_an_object(self, tmp_path, capsys, block, value):
+        # A falsy block once ran with every default.
+        cfg = load_scenario_dict("harvest_default")
+        cfg[block] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"config error: {block}: must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, path", [
+        ("harvest_default", ("plant",)),
+        ("harvest_default", ("workflow",)),
+        ("harvest_default", ("registry",)),
+        ("harvest_default", ("berries", 1, "c1_occlusion_window")),
+        ("controller", ("plant",)),
+    ], ids=["harvest-plant", "workflow", "registry", "c1_occlusion_window",
+            "controller-plant"])
+    def test_null_reads_as_absent(self, scenario, path):
+        cfg = (minimal_controller_config(plant={}) if scenario == "controller"
+               else load_scenario_dict(scenario))
+        null = repr(parse_scenario(_with(json.loads(json.dumps(cfg)), path, None)).runs)
+        *parent, key = path
+        block = cfg
+        for part in parent:
+            block = block[part]
+        block.pop(key, None)
+        assert null == repr(parse_scenario(cfg).runs)
+
     @pytest.mark.parametrize("window", [["20", 30], [20.5, 30], [True, 30], [20, "30"],
-                                        [20, 30.0], "20", [20], [20, 30, 40], {"20": 30}],
+                                        [20, 30.0], "20", [20], [20, 30, 40], {"20": 30},
+                                        [], 0, False, ""],
                              ids=["string-start", "fraction", "bool", "string-length",
-                                  "float-length", "string", "one", "three", "object"])
+                                  "float-length", "string", "one", "three", "object",
+                                  "empty-list", "zero", "false", "empty-string"])
     def test_occlusion_window_takes_two_json_integers(self, tmp_path, capsys, window):
         # A string start once died in run_harvest with a TypeError after
         # steps.csv opened; a fraction or a bool ran as given.
@@ -436,9 +483,9 @@ class TestConfigValueErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("axes", [[0, 5], [-1], "02", [0, 0], [0, 2.0], [True],
-                                      ["0"], 2],
+                                      ["0"], 2, []],
                              ids=["out-of-range", "negative", "string", "repeated",
-                                  "float", "bool", "string-entry", "scalar"])
+                                  "float", "bool", "string-entry", "scalar", "empty"])
     def test_orientation_error_axes_take_distinct_axis_indices(self, tmp_path, capsys, axes):
         # [0, 5] and "02" once died in solve with an IndexError after
         # steps.csv opened; [0, 0] ran.
@@ -615,6 +662,26 @@ class TestCompare:
                                      "b_err_pos", "b_err_rot"]
         assert rows and all(None not in row for row in rows)
         assert [row["iteration"] for row in rows] == [str(k) for k in range(len(rows))]
+
+    @pytest.mark.parametrize("name, label", [(None, "PositionWithJL"), ("", "PositionWithJL"),
+                                             ("c", "c")], ids=["null", "empty", "string"])
+    def test_controller_name_defaults_to_the_mode(self, name, label):
+        cfg = self.compare_config()
+        cfg["controllers"][0]["name"] = name
+        assert [run.label for run in parse_scenario(cfg).runs] == [label, "b"]
+
+    @pytest.mark.parametrize("name", [7, False, 0, ["a"]],
+                             ids=["number", "false", "zero", "list"])
+    def test_controller_name_must_be_a_string(self, tmp_path, capsys, name):
+        # str() once named the controller "7", "False" or "['a']", and 0 or
+        # false fell back to the mode name.
+        cfg = self.compare_config()
+        cfg["controllers"][0]["name"] = name
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: controllers[0]: name: must be a string" in err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_requires_two_controllers(self, tmp_path):
         cfg = self.compare_config()

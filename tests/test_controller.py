@@ -263,6 +263,21 @@ class TestSolve:
         assert traj.converged
         assert traj.iterations_used == 0
 
+    def test_a_solve_started_in_tolerance_has_one_row(self):
+        # Row 0, the initial state, is the whole trajectory: every field
+        # keeps its per-step shape and dtype at one row.
+        desired = forward_kinematics(Q_MID, GEOM)
+        cfg = make_cfg(ControllerMode.FullThreeTask)
+        traj = solve(Q_MID, desired, gains_full_default(), cfg, Plant(PlantConfig()))
+        assert (traj.mode, traj.converged, traj.diverged) == ("FullThreeTask", True, False)
+        for name, shape in (("qs", (1, 9)), ("pressures", (1, 9)), ("positions", (1, 3)),
+                            ("rotvecs", (1, 3)), ("err_pos", (1,)), ("err_rot", (1,)),
+                            ("err_pos_true", (1,)), ("err_rot_true", (1,))):
+            column = getattr(traj, name)
+            assert (column.shape, column.dtype) == (shape, np.float64), name
+        assert (traj.infeasible.shape, traj.infeasible.dtype) == ((1, 9), np.bool_)
+        np.testing.assert_array_equal(traj.qs[0], Q_MID)
+
     def test_position_solve_feasible_throughout(self):
         rng = np.random.default_rng(5)
         target_q = random_feasible_q(rng, LIMITS)

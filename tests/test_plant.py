@@ -7,7 +7,7 @@ from softarm import plant as plant_module
 from softarm.config import plant_config_from_dict
 from softarm.geometry import default_geometry, elongation_to_pressure
 from softarm.kinematics import Pose, forward_kinematics
-from softarm.plant import LowPassFilter, Plant, PlantConfig
+from softarm.plant import Plant, PlantConfig
 from softarm.rotations import matrix_to_rotvec, rotvec_to_matrix, rotvec_to_rows
 
 from oracles import rotation_angle_between
@@ -60,26 +60,14 @@ class TestFilter:
         assert residual < 1e-3 * np.linalg.norm(target.position)
         assert rotation_angle_between(obs.pose_filtered.rotation, target.rotation) < 1e-3
 
-    def test_low_pass_is_linear_time_invariant(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 3))
-        y = rng.normal(size=(200, 3))
-
-        def run(signal):
-            f = LowPassFilter(cutoff=10.0, dt=0.05)
-            f.reset(np.zeros(3))
-            return np.array([f.update(v) for v in signal])
-
-        summed = run(x + y)
-        separate = run(x) + run(y)
-        assert np.abs(summed - separate).max() < 1e-10
-
     def test_unit_dc_gain(self):
-        f = LowPassFilter(cutoff=10.0, dt=0.05)
-        f.reset(np.zeros(3))
+        # A constant command, held: the filtered pose settles on the true one.
+        plant = Plant(PlantConfig())
+        plant.reset(Q0)
         for _ in range(500):
-            out = f.update(np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_allclose(out, [1.0, -2.0, 3.0], atol=1e-9)
+            obs = plant.apply_command(Q1)
+        np.testing.assert_allclose(obs.pose_filtered.position, plant.true_pose().position,
+                                   rtol=0, atol=1e-9)
 
     def test_filtered_rotation_stays_orthonormal(self):
         plant = Plant(PlantConfig(rotation_noise_std=0.01, rng_seed=3))

@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 import softarm
 from softarm.controller import pose_error
 from softarm.kinematics import POSE_ORTHO_TOL, Pose
-from softarm.rotations import drift_and_det, matrix_to_rotvec, rot_x, rotvec_to_matrix
+from softarm.rotations import matrix_to_rotvec, rot_x, rotvec_to_matrix, rows_drift_and_det
 
 
 def unit(v):
@@ -142,7 +142,7 @@ class TestDriftAndDet:
         rng = np.random.default_rng(8)
         for R in Rotation.random(500, random_state=8).as_matrix():
             for M in (R, R + 1e-6 * rng.normal(size=(3, 3)), -R):
-                drift, det = drift_and_det(M)
+                drift, det = rows_drift_and_det(M.tolist())
                 assert drift == pytest.approx(np.linalg.norm(M.T @ M - np.eye(3)), abs=1e-15)
                 assert det == pytest.approx(np.linalg.det(M), abs=1e-15)
 
@@ -152,7 +152,7 @@ class TestDriftAndDet:
 
     def test_pose_rejects_a_drift_of_1e_8(self):
         stretched = np.diag([1.0 + 5e-9, 1.0, 1.0])   # drift ~1e-8
-        assert drift_and_det(stretched)[0] > POSE_ORTHO_TOL
+        assert rows_drift_and_det(stretched.tolist())[0] > POSE_ORTHO_TOL
         with pytest.raises(ValueError, match="orthonormal"):
             Pose(np.zeros(3), stretched @ rot_x(0.3))
         Pose(np.zeros(3), np.diag([1.0 + 5e-11, 1.0, 1.0]))   # drift ~1e-10 passes

@@ -169,6 +169,19 @@ class TestOcclusionRule:
         exact = simulate_observation(berry, ee, registry)
         assert np.linalg.norm(a.position_c2 - exact.position_c2) > 1e-5
 
+    @pytest.mark.parametrize("force_c1_occluded", [False, True], ids=["both", "c2-only"])
+    def test_noise_without_an_rng_raises(self, force_c1_occluded):
+        # A noise level with no generator once returned exact fixes.
+        registry = build_registry()
+        berry = np.array([0.0, 0.25, 0.35])
+        ee = Pose([0.0, 0.1, 0.45], np.eye(3))
+        with pytest.raises(AttributeError):
+            simulate_observation(berry, ee, registry, noise_std=1e-3,
+                                 force_c1_occluded=force_c1_occluded)
+        exact = simulate_observation(berry, ee, registry, noise_std=0.0,
+                                     force_c1_occluded=force_c1_occluded)
+        assert exact.position_c2 is not None
+
 
 def _points(low, high):
     return st.lists(st.floats(low, high), min_size=3, max_size=3).map(np.array)

@@ -112,10 +112,7 @@ class TestHarvestRun:
 
     def test_unreachable_berry_times_out_in_placement(self):
         cfg = make_workflow()
-        cfg = WorkflowConfig(
-            controller=cfg.controller,
-            placement=type(cfg.placement)(cfg.placement.mode, cfg.placement.gains, 200),
-        )
+        cfg = replace(cfg, placement=replace(cfg.placement, max_iterations=200))
         far = np.array([0.0, 0.9, 0.5])  # beyond total arm length
         log = run_harvest(far, APPROACH, Plant(PlantConfig()), registry(), cfg)
         assert log.final_state is HarvestState.Failed
