@@ -94,6 +94,16 @@ def _string(value) -> str:
     return value
 
 
+def _scenario_name(value) -> str:
+    """A scenario name, which also names the default output directory
+    out/<name>: so one directory, not out/ itself or a path leading out."""
+    name = _string(value)
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"{name!r} must name one directory: not '', '.' or '..', "
+                         "and no path separator")
+    return name
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("must be true or false")
@@ -214,14 +224,9 @@ def _mode(name) -> ControllerMode:
 
 
 def _axes(value) -> tuple | None:
-    """Rotation-vector components the orientation tolerance reads: one or
-    more distinct indices among 0, 1, 2, or None for all three."""
-    if value is None:
-        return None
-    axes = tuple(map(_integer, _list(value)))
-    if not axes or not set(axes) <= {0, 1, 2} or len(set(axes)) != len(axes):
-        raise ValueError("must be one or more distinct axes among 0, 1, 2")
-    return axes
+    """Rotation-vector components the orientation tolerance reads, or None
+    for all three; ControllerConfig checks that they are axes."""
+    return None if value is None else tuple(map(_integer, _list(value)))
 
 
 def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
@@ -522,7 +527,7 @@ def parse_scenario(data, seed_override=None) -> Scenario:
         raise ConfigError(f"kind must be one of {VALID_KINDS}, got {data['kind']!r}")
     resolve, blocks = _KINDS[data["kind"]]
     with _block("scenario"):
-        given = _read(data, "scenario", name=_string, kind=str, seed=_integer, strict=_flag,
+        given = _read(data, "scenario", name=_scenario_name, kind=str, seed=_integer, strict=_flag,
                       geometry=_geometry, plant=_as_given, **blocks)
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
     geom = given["geometry"] if "geometry" in given else default_geometry()

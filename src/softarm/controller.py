@@ -193,6 +193,12 @@ class ControllerConfig:
     def __post_init__(self):
         if not (self.position_tolerance > 0 and self.orientation_tolerance > 0):
             raise ValueError("tolerances must be positive")
+        axes = self.orientation_error_axes
+        # An empty tuple would read every orientation error as 0.
+        if axes is not None and not (axes and len(set(axes)) == len(axes) and all(
+                type(axis) is int and 0 <= axis <= 2 for axis in axes)):
+            raise ValueError(
+                "orientation_error_axes: must be one or more distinct axes among 0, 1, 2")
 
 
 def jl_cost(q, limits: JointLimits) -> float:

@@ -6,7 +6,8 @@ Actuator ordering convention used everywhere in this package:
 
 where l_ij is the elongation (meters) of actuator j of section i and
 sections are ordered proximal, medial, distal. Actuator states are plain
-(9,) float arrays; see :func:`as_actuator_vector`.
+(9,) float arrays; see :func:`as_actuator_vector`, and a batch of them is
+an (N, 9) array (:func:`as_actuator_batch`).
 """
 
 import math
@@ -129,6 +130,17 @@ def as_actuator_vector(q) -> np.ndarray:
     if not all(map(math.isfinite, q.tolist())):
         raise ValueError("actuator vector entries must be finite")
     return q
+
+
+def as_actuator_batch(qs) -> np.ndarray:
+    """Validate and return qs as an (N, 9) float array of finite
+    elongations, one actuator vector per row."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != N_ACTUATORS:
+        raise ValueError(f"actuator batch must have shape (N, 9), got {qs.shape}")
+    if not np.isfinite(qs).all():
+        raise ValueError("actuator vector entries must be finite")
+    return qs
 
 
 def norm(v) -> float:

@@ -4,11 +4,13 @@ Quasi-static: a commanded elongation is scaled by a per-actuator mismatch
 factor, saturated to the physical range, and pushed through the true
 forward kinematics. The measured pose gets additive seeded noise and a
 first-order low-pass (matching the 10 rad/s filter applied to the camera
-pose stream). Commands outside the feasible elongation range are accepted
-but flagged, so controllers without joint-limit handling reproduce the
-infeasible negative-pressure behavior.
+pose stream). Commands known in advance play back as one batch, through
+one vectorized forward-kinematics pass. Commands outside the feasible
+elongation range are accepted but flagged, so controllers without
+joint-limit handling reproduce the infeasible negative-pressure behavior.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,11 +18,12 @@ import numpy as np
 from .geometry import (
     N_ACTUATORS,
     RobotGeometry,
+    as_actuator_batch,
     as_actuator_vector,
     default_geometry,
     elongation_to_pressure,
 )
-from .kinematics import Pose, forward_kinematics
+from .kinematics import Pose, forward_kinematics, forward_kinematics_many
 from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_matrix, rotvec_to_rows
 
 
@@ -86,14 +89,36 @@ class Plant:
 
     def apply_command(self, q_cmd) -> PlantObservation:
         q_cmd = as_actuator_vector(q_cmd)
-        flags = (q_cmd < self._limits.lower) | (q_cmd > self._limits.upper)
-        pressures = elongation_to_pressure(q_cmd)
-
-        actual = q_cmd * self._scale
-        pose_true = self._true_pose = forward_kinematics(
-            np.minimum(np.maximum(actual, self._limits.lower), self._limits.upper),
+        limits = self._limits
+        flags = (q_cmd < limits.lower) | (q_cmd > limits.upper)
+        pose_true = forward_kinematics(
+            np.minimum(np.maximum(q_cmd * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
+        return self._measure(pose_true, elongation_to_pressure(q_cmd), flags)
 
+    def apply_commands(self, q_cmds) -> Iterator[PlantObservation]:
+        """Open-loop playback of the rows of the (N, 9) array q_cmds: the
+        observations of N :meth:`apply_command` calls, in order.
+
+        The commands are validated, flagged, converted and saturated at
+        once, and their true poses come from one
+        :func:`~softarm.kinematics.forward_kinematics_many`. Noise, filter
+        and :meth:`true_pose` advance as each observation is drawn from the
+        returned iterator.
+        """
+        q_cmds = as_actuator_batch(q_cmds)
+        limits = self._limits
+        flags = (q_cmds < limits.lower) | (q_cmds > limits.upper)
+        poses_true = forward_kinematics_many(
+            np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
+            self.config.true_geometry)
+        return map(self._measure, poses_true, elongation_to_pressure(q_cmds), flags)
+
+    def _measure(self, pose_true: Pose, pressures: np.ndarray,
+                 flags: np.ndarray) -> PlantObservation:
+        """Take the arm to ``pose_true`` and observe it: seeded noise, then
+        the low-pass filter."""
+        self._true_pose = pose_true
         position_raw = pose_true.position
         rotation_raw = pose_true.rotation
         if self.config.position_noise_std > 0:

@@ -113,10 +113,11 @@ def orthonormalize(R) -> np.ndarray:
     return U @ Vt
 
 
-def rows_drift_and_det(rows) -> tuple[float, float]:
+def rows_drift_and_det(rows, sqrt=math.sqrt) -> tuple[float, float]:
     """Orthonormality defect ||R^T R - I||_F and determinant of a 3x3
     matrix R given as three rows of floats, in one scalar pass over its
-    entries."""
+    entries. With ``sqrt=np.sqrt`` the entries may be (N,) arrays, one
+    matrix per lane, each lane taking the same IEEE operations."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     d00 = a * a + d * d + g * g - 1
     d11 = b * b + e * e + h * h - 1
@@ -124,6 +125,6 @@ def rows_drift_and_det(rows) -> tuple[float, float]:
     d01 = a * b + d * e + g * h
     d02 = a * c + d * f + g * i
     d12 = b * c + e * f + h * i
-    drift = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22
-                      + 2 * (d01 * d01 + d02 * d02 + d12 * d12))
+    drift = sqrt(d00 * d00 + d11 * d11 + d22 * d22
+                 + 2 * (d01 * d01 + d02 * d02 + d12 * d12))
     return drift, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

@@ -122,7 +122,9 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     """Execute one harvesting attempt against a simulated plant.
 
     The berry is fixed in the base frame; ``desired_approach_orientation``
-    is the gripper rotation whose +Z axis points at the berry. Returns the
+    is the gripper rotation whose +Z axis points at the berry. ``plant``
+    takes one command per closed-loop step (``apply_command``) and the
+    return home as one batch (``apply_commands``). Returns the
     complete per-stage log; failures (timeouts, divergence, a berry the
     camera has never seen, missed grasp) are recorded rather than raised.
     Any other exception propagates.
@@ -240,14 +242,15 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     if not grasped:
         return fail("Grasp: berry outside gripper workspace")
 
-    # Stage 4: open-loop joint-space return to the home posture.
+    # Stage 4: open-loop joint-space return to the home posture. Every
+    # command is known before the first is sent, so the plant plays them
+    # back as one batch.
     stage = HarvestState.ReturnHome
     stage_start = iteration
-    q_from = q.copy()
     home = np.asarray(cfg.home_q, dtype=float)
-    for k in range(1, cfg.home_iterations + 1):
-        q = q_from + (k / cfg.home_iterations) * (home - q_from)
-        obs = plant.apply_command(q)
+    n = cfg.home_iterations
+    q_cmds = q + (np.arange(1, n + 1) / n)[:, None] * (home - q)
+    for q, obs in zip(q_cmds, plant.apply_commands(q_cmds)):
         iteration += 1
         record(stage, berry_est, "none")
     log.gripper_events.append((iteration, "open"))

@@ -386,6 +386,22 @@ class TestConfigValueErrors:
         assert f"config error: scenario: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escaped", "a\\b", "/absolute"],
+                             ids=["empty", "dot", "dotdot", "separator", "parent",
+                                  "backslash", "absolute"])
+    def test_name_must_be_one_output_directory(self, tmp_path, monkeypatch, capsys, name):
+        # The default output directory is out/<name>: these would write into
+        # out/ itself or outside it. Nothing is opened before the error.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if name == "/absolute":
+            name = str(tmp_path / "absolute")
+        path = write_config(tmp_path, minimal_controller_config(name=name))
+        assert main(["run", path, "--quiet"]) == 1
+        assert "config error: scenario: name: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
+
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_strict_and_seed_read_as_given(self, strict, seed):

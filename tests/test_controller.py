@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import softarm.controller
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softarm.controller import (
     ORIENTATION,
     POSE,
     POSITION,
+    TASK_STACKS,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -147,6 +148,20 @@ class TestGainSchedule:
         kwargs = {"value_far": -0.01, "switch_threshold": 0.030, name: value}
         with pytest.raises(ValueError, match="must be finite"):
             JointLimitSchedule(**kwargs)
+
+
+class TestControllerConfig:
+    @pytest.mark.parametrize("axes", [(), (0, 0), (3,), (-1,), (True,), (1.0,)],
+                             ids=["empty", "repeated", "too-large", "negative", "bool", "float"])
+    def test_orientation_error_axes_are_distinct_axes(self, axes):
+        # () once made the tolerance check read every orientation error as 0.
+        with pytest.raises(ValueError, match="orientation_error_axes"):
+            make_cfg(ControllerMode.PosOriPriority, orientation_error_axes=axes)
+
+    @pytest.mark.parametrize("axes", [None, (1,), (2, 0, 1)])
+    def test_orientation_error_axes_read_as_given(self, axes):
+        assert make_cfg(ControllerMode.PosOriPriority,
+                        orientation_error_axes=axes).orientation_error_axes == axes
 
 
 class TestStepLaws:
@@ -426,12 +441,37 @@ TABLE_GAINS = [
 ]
 
 
+def written_out_tolerance(q, mode) -> float:
+    """Relative bound on the gap between step_full and written_out_law.
+
+    The two-task modes of the written-out law form the projector
+    I - Jv^+ Jv, then J_t = Jw (I - Jv^+ Jv) and pinv(J_t), so their
+    rounding grows with the condition number of J_t over the singular
+    values pinv keeps; step_full forms none of the three. At the pinned
+    near-straight example (cond(J_t) = 150), against the law evaluated in
+    60 digits, step_full is within 4e-14 relative and the written-out law
+    off by 1.4e-12 (PosOriPriority) and 1.8e-12 (FullThreeTask). So the
+    bound is 1e-12 or 1000 eps cond(J_t), the larger; over 2,500
+    configurations from these tests' strategies, each in both two-task
+    modes with both TABLE_GAINS, the gap stayed under 170 eps cond(J_t).
+    """
+    if len(TASK_STACKS[mode].tasks) < 2:
+        return 1e-12
+    jac = jacobian(q, GEOM)
+    s = np.linalg.svd(jac.Jw @ (np.eye(9) - np.linalg.pinv(jac.Jv, rcond=SV_TOL) @ jac.Jv),
+                      compute_uv=False)
+    kept = s[s > SV_TOL * s[0]]
+    cond = kept[0] / kept[-1] if kept.size else 1.0  # a zero J_t: pinv(J_t) is 0
+    return max(1e-12, 1e3 * np.finfo(float).eps * cond)
+
+
 def assert_matches_written_out(q, desired, gains, mode):
     cfg = make_cfg(mode)
     e = pose_error(desired, forward_kinematics(q, GEOM))
     law = step_full(q, e, gains, cfg) - q
     written = written_out_law(q, e, gains, mode) - q
-    assert np.linalg.norm(law - written) <= 1e-12 * np.linalg.norm(written)
+    tolerance = written_out_tolerance(q, mode)
+    assert np.linalg.norm(law - written) <= tolerance * np.linalg.norm(written)
 
 
 class TestModeTable:
@@ -447,6 +487,9 @@ class TestModeTable:
     @settings(max_examples=15, deadline=None)
     @given(q=actuator_vectors(st.permutations(["near", "bent", "bent"])),
            seed=st.integers(0, 2**32 - 1))
+    # cond(J_t) = 150: the written-out law is 1.4e-12 off, step_full 4e-14.
+    @example(q=np.array([0.0625, 0.062499788675134595, 0.062499211324865404, 0.0625,
+                         0.01171875, 0.078125, 0.05078125, 0.048828125, 0.046875]), seed=0)
     def test_step_matches_written_out_law_near_straight(self, mode, q, seed):
         rng = np.random.default_rng(seed)
         assert_matches_written_out(q, offset_target(q, rng), TABLE_GAINS[0], mode)

@@ -12,6 +12,7 @@ from softarm.kinematics import (
     Pose,
     arc_coefficients,
     forward_kinematics,
+    forward_kinematics_many,
     section_chain,
 )
 from softarm.rotations import orthonormalize, rot_y, rot_z
@@ -382,6 +383,67 @@ class TestOnePassPerPose:
         monkeypatch.setattr(kinematics, "section_chain", reflected)
         with pytest.raises(ValueError, match="proper"):
             forward_kinematics(self.QS[0], GEOM)
+
+
+def assert_same_pose(got: Pose, want: Pose):
+    for a, b in ((got.position, want.position), (got.rotation, want.rotation)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestForwardKinematicsMany:
+    """The batch kernel gives each configuration's scalar Pose, byte for
+    byte, and divides by no zero on the way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(actuator_vectors(), min_size=1, max_size=12))
+    def test_each_pose_is_the_scalar_one(self, qs):
+        # Bent, exactly straight and near-straight sections share a batch,
+        # so series and closed-form lanes run side by side.
+        for pose, q in zip(forward_kinematics_many(np.array(qs), GEOM), qs, strict=True):
+            assert_same_pose(pose, forward_kinematics(q, GEOM))
+
+    def test_empty_and_single_batches(self):
+        assert forward_kinematics_many(np.empty((0, 9)), GEOM) == []
+        q = np.tile([0.03, 0.06, 0.05], 3)
+        [pose] = forward_kinematics_many(q[None], GEOM)
+        assert_same_pose(pose, forward_kinematics(q, GEOM))
+
+    def test_series_switch_straight_and_outside_the_box(self):
+        # The proximal section bent to phi^2 on both sides of SERIES_SWITCH,
+        # near and at a hair from it (l2 = l3 gives c = (phi, 0)), the fully
+        # straight and the zero configuration, and elongations outside the
+        # limit box.
+        radius = GEOM.sections[0].radius
+        scales = (0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.1)
+        qs = np.full((len(scales) + 2, 9), 0.05)
+        for row, scale in enumerate(scales):
+            qs[row, 1:3] += 1.5 * radius * np.sqrt(SERIES_SWITCH) * scale
+        qs[-2] = 0.0
+        qs[-1] = np.linspace(-0.05, 0.2, 9)
+        phi2 = [section_chain(q, GEOM)[2][0].c[0] ** 2 for q in qs[:len(scales)]]
+        assert phi2[1] < SERIES_SWITCH < phi2[3]
+        for pose, q in zip(forward_kinematics_many(qs, GEOM), qs, strict=True):
+            assert_same_pose(pose, forward_kinematics(q, GEOM))
+
+    def test_a_drifted_lane_takes_the_scalar_path(self, monkeypatch):
+        qs = np.random.default_rng(15).uniform(0.0, 0.1, (9, 9))
+        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
+        fixed = []
+        monkeypatch.setattr(kinematics, "orthonormalize",
+                            lambda R: fixed.append(R) or orthonormalize(R))
+        poses = forward_kinematics_many(qs, GEOM)
+        assert 0 < len(fixed) <= len(qs)
+        for pose, q in zip(poses, qs, strict=True):
+            assert_same_pose(pose, forward_kinematics(q, GEOM))
+
+    @pytest.mark.parametrize("qs", [np.full(9, 0.05), np.zeros((2, 8)), np.zeros((1, 2, 9)),
+                                    np.array([[0.05] * 8 + [np.nan]])],
+                             ids=["one-vector", "eight-columns", "three-axes", "nan"])
+    def test_rejects_what_is_not_a_batch(self, qs):
+        with pytest.raises(ValueError, match="actuator"):
+            forward_kinematics_many(qs, GEOM)
 
 
 class TestPose:

@@ -149,6 +149,58 @@ class TestDeterminism:
             np.testing.assert_array_equal(fa, fb)
 
 
+def observation_bytes(obs) -> tuple:
+    return (obs.pose_filtered.position.tobytes(), obs.pose_filtered.rotation.tobytes(),
+            obs.pressures.tobytes(), obs.infeasible_flags.tobytes())
+
+
+def pose_bytes(pose) -> tuple:
+    return pose.position.tobytes(), pose.rotation.tobytes()
+
+
+class TestPlayback:
+    """``apply_commands`` is N ``apply_command`` calls, byte for byte."""
+
+    CFG = PlantConfig(length_scale_error=np.linspace(-0.03, 0.03, 9), position_noise_std=1e-3,
+                      rotation_noise_std=2e-3, rng_seed=11)
+
+    def test_matches_one_command_at_a_time(self):
+        # Mismatch, both noises and commands past both bounds, which the
+        # plant saturates and flags.
+        commands = np.random.default_rng(4).uniform(-0.02, 0.12, (40, 9))
+        commands[::4] = np.random.default_rng(5).uniform(0.01, 0.09, (10, 9))
+        one, batch = Plant(self.CFG), Plant(self.CFG)
+        one.reset(Q0)
+        batch.reset(Q0)
+        flagged = 0
+        for q, got in zip(commands, batch.apply_commands(commands), strict=True):
+            want = one.apply_command(q)
+            assert observation_bytes(got) == observation_bytes(want)
+            assert pose_bytes(batch.true_pose()) == pose_bytes(one.true_pose())
+            flagged += bool(want.infeasible_flags.any())
+        assert 0 < flagged < len(commands)
+        # The filter state and the noise stream after the last command.
+        assert observation_bytes(batch.apply_command(Q1)) == observation_bytes(
+            one.apply_command(Q1))
+
+    def test_an_empty_batch_leaves_the_plant_as_it_was(self):
+        plant = Plant(self.CFG)
+        plant.reset(Q0)
+        before = plant.true_pose()
+        assert list(plant.apply_commands(np.empty((0, 9)))) == []
+        assert plant.true_pose() is before
+
+    @pytest.mark.parametrize("q_cmds", [Q1, np.zeros((2, 8)), np.array([Q1, Q1 * np.inf])],
+                             ids=["one-vector", "eight-columns", "infinite"])
+    def test_a_bad_batch_is_rejected_before_any_command(self, q_cmds):
+        plant = Plant(self.CFG)
+        plant.reset(Q0)
+        before = plant.true_pose()
+        with pytest.raises(ValueError, match="actuator"):
+            plant.apply_commands(q_cmds)
+        assert plant.true_pose() is before
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["position_noise_std", "rotation_noise_std"])

@@ -4,6 +4,7 @@ from itertools import count
 import numpy as np
 import pytest
 
+from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import ControllerConfig, ControllerMode, pose_error, step_full
 from softarm import workflow
 from softarm.geometry import default_geometry
@@ -181,6 +182,42 @@ class TestHarvestRun:
         log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), cfg)
         last = log.rows[-1]
         np.testing.assert_allclose(last.q, cfg.home_q, atol=1e-12)
+
+
+def row_values(row) -> tuple:
+    return tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                 for value in vars(row).values())
+
+
+class TestReturnHome:
+    @pytest.mark.parametrize("home_iterations", [0, 1, 7])
+    def test_short_returns_match_one_command_at_a_time(self, monkeypatch, home_iterations):
+        # The bundled harvest on a mismatched, noisy plant with noisy
+        # observations. The reference sends each command on its own, each
+        # from the interpolation k / n of the command before the return.
+        runs = parse_scenario(load_scenario_dict("harvest_default")).runs
+        for run in runs:
+            wf = replace(run.workflow, home_iterations=home_iterations,
+                         observation_noise_std=5e-4)
+            plant_cfg = replace(run.plant, length_scale_error=np.full(9, 0.03),
+                                position_noise_std=1e-4, rotation_noise_std=1e-3)
+            log = run_harvest(run.berry, run.approach, Plant(plant_cfg), run.registry, wf)
+            with monkeypatch.context() as patch:
+                patch.setattr(Plant, "apply_commands",
+                              lambda plant, q_cmds: map(plant.apply_command, q_cmds))
+                reference = run_harvest(run.berry, run.approach, Plant(plant_cfg),
+                                        run.registry, wf)
+            assert log.final_state is reference.final_state is HarvestState.Done
+            assert [row_values(row) for row in log.rows] == [
+                row_values(row) for row in reference.rows]
+            assert (log.stages, log.gripper_events) == (reference.stages,
+                                                        reference.gripper_events)
+            home = [row for row in log.rows if row.stage == "ReturnHome"]
+            assert len(home) == home_iterations
+            q_from = log.rows[-1 - home_iterations].q
+            for k, row in enumerate(home, 1):
+                assert row.q.tobytes() == (
+                    q_from + (k / home_iterations) * (wf.home_q - q_from)).tobytes()
 
 
 def run_recording(monkeypatch, wf, c2_lost=lambda n: False):
