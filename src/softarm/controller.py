@@ -193,6 +193,8 @@ class ControllerConfig:
     def __post_init__(self):
         if not (self.position_tolerance > 0 and self.orientation_tolerance > 0):
             raise ValueError("tolerances must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         axes = self.orientation_error_axes
         # An empty tuple would read every orientation error as 0.
         if axes is not None and not (axes and len(set(axes)) == len(axes) and all(

@@ -9,12 +9,13 @@ whose norm is the bending angle phi; the arc length is L0 + mean(l). The
 section transform is the closed form R = I + a W + b W^2,
 p = arc (b c_x, b c_y, a) in the coefficients of :func:`arc_coefficients`,
 so it has no atan2, no straight-section branch and is exact at straight.
-:func:`section_chain` walks the three sections and plate offsets of one
-configuration in plain scalar arithmetic; the forward kinematics and the
-analytic Jacobian (:mod:`softarm.jacobian`) both read it, and the geometry
-keeps the last walk so the two share it at one configuration.
-:func:`forward_kinematics_many` takes the same walk on (N,) arrays, one
-configuration per lane, for a batch of commands known in advance.
+One walk chains the three sections and plate offsets with + - * / and the
+arc coefficients and hypot its caller passes in, so it runs on floats or
+on (N,) arrays: :func:`section_chain` walks one configuration in plain
+scalar arithmetic, and the forward kinematics and the analytic Jacobian
+(:mod:`softarm.jacobian`) both read it; the geometry keeps the last walk
+so the two share it at one configuration. :func:`forward_kinematics_many`
+walks a batch of commands known in advance, one configuration per lane.
 """
 
 import math
@@ -122,6 +123,11 @@ def arc_coefficients(phi2: float) -> tuple:
     return a, b, g, g - b, beta
 
 
+def _arc_coefficients_many(phi2: np.ndarray) -> np.ndarray:
+    """:func:`arc_coefficients` of each lane of phi2, as five (N,) rows."""
+    return np.array(list(map(arc_coefficients, phi2.tolist()))).reshape(-1, 5).T
+
+
 class Section(NamedTuple):
     """One section of a configuration, as :func:`section_chain` sees it."""
 
@@ -131,6 +137,52 @@ class Section(NamedTuple):
     coefficients: tuple  # arc_coefficients(c0^2 + c1^2)
     base_rotation: tuple  # rows of the base-frame rotation of the base plate
     arc_end: tuple      # base-frame end point of the arc
+
+
+def _walk(lengths, geom: RobotGeometry, coefficients, hypot) -> tuple:
+    """Walk the nine ``lengths`` from the base: the end-effector position,
+    rotation rows and :class:`Section` of each section. Only + - * / touch
+    them, so they may be floats or (N,) arrays, one configuration per lane,
+    given the :func:`arc_coefficients` and ``hypot`` of their type."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    p0 = p1 = p2 = 0.0
+    sections = []
+    for i, (three_r, initial_length, offset, cos_t, sin_t) in enumerate(
+            geom.section_constants):
+        l1, l2, l3 = lengths[3 * i:3 * i + 3]
+        dx, dy = l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
+        c0, c1 = dx / three_r, dy / three_r
+        arc = initial_length + (l1 + l2 + l3) / 3.0
+        section_coefficients = coefficients(c0 * c0 + c1 * c1)
+        a, b, _, _, _ = section_coefficients
+        # The arc: rotation S = I + a W + b W^2 and end point arc (b c0, b c1, a).
+        bc0, bc1 = b * c0, b * c1
+        s00, s01, s02 = 1.0 - bc0 * c0, -bc0 * c1, a * c0
+        s10, s11, s12 = s01, 1.0 - bc1 * c1, a * c1
+        s20, s21, s22 = -s02, -s12, s00 - bc1 * c1
+        t0, t1, t2 = arc * bc0, arc * bc1, arc * a
+        o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
+        o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
+        o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
+        sections.append(Section(0.5 * hypot(dx, dy), (c0, c1), arc, section_coefficients,
+                                ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
+                                (o0, o1, o2)))
+        # The plate: offset along the arc's end Z axis (s02, s12, s22), then
+        # R <- R S T for the twist T about it.
+        t0, t1, t2 = offset * s02, offset * s12, offset * s22
+        p0 = o0 + r00 * t0 + r01 * t1 + r02 * t2
+        p1 = o1 + r10 * t0 + r11 * t1 + r12 * t2
+        p2 = o2 + r20 * t0 + r21 * t1 + r22 * t2
+        t00, t01 = cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00
+        t10, t11 = cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10
+        t20, t21 = cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20
+        r00, r01, r02 = (r00 * t00 + r01 * t10 + r02 * t20, r00 * t01 + r01 * t11 + r02 * t21,
+                         r00 * s02 + r01 * s12 + r02 * s22)
+        r10, r11, r12 = (r10 * t00 + r11 * t10 + r12 * t20, r10 * t01 + r11 * t11 + r12 * t21,
+                         r10 * s02 + r11 * s12 + r12 * s22)
+        r20, r21, r22 = (r20 * t00 + r21 * t10 + r22 * t20, r20 * t01 + r21 * t11 + r22 * t21,
+                         r20 * s02 + r21 * s12 + r22 * s22)
+    return (p0, p1, p2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), tuple(sections)
 
 
 def section_chain(q, geom: RobotGeometry) -> tuple:
@@ -149,46 +201,7 @@ def section_chain(q, geom: RobotGeometry) -> tuple:
     last = geom._last_walk
     if last is not None and last[0] == key:
         return last[1]
-    lengths = q.tolist()
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    p0 = p1 = p2 = 0.0
-    sections = []
-    for i, (three_r, initial_length, offset, cos_t, sin_t) in enumerate(
-            geom.section_constants):
-        l1, l2, l3 = lengths[3 * i:3 * i + 3]
-        dx, dy = l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
-        c0, c1 = dx / three_r, dy / three_r
-        arc = initial_length + (l1 + l2 + l3) / 3.0
-        coefficients = arc_coefficients(c0 * c0 + c1 * c1)
-        a, b, _, _, _ = coefficients
-        # The arc: rotation S = I + a W + b W^2 and end point arc (b c0, b c1, a).
-        bc0, bc1 = b * c0, b * c1
-        s00, s01, s02 = 1.0 - bc0 * c0, -bc0 * c1, a * c0
-        s10, s11, s12 = s01, 1.0 - bc1 * c1, a * c1
-        s20, s21, s22 = -s02, -s12, s00 - bc1 * c1
-        t0, t1, t2 = arc * bc0, arc * bc1, arc * a
-        o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
-        o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
-        o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
-        sections.append(Section(0.5 * math.hypot(dx, dy), (c0, c1), arc, coefficients,
-                                ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
-                                (o0, o1, o2)))
-        # The plate: offset along the arc's end Z axis (s02, s12, s22), then
-        # R <- R S T for the twist T about it.
-        t0, t1, t2 = offset * s02, offset * s12, offset * s22
-        p0 = o0 + r00 * t0 + r01 * t1 + r02 * t2
-        p1 = o1 + r10 * t0 + r11 * t1 + r12 * t2
-        p2 = o2 + r20 * t0 + r21 * t1 + r22 * t2
-        t00, t01 = cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00
-        t10, t11 = cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10
-        t20, t21 = cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20
-        r00, r01, r02 = (r00 * t00 + r01 * t10 + r02 * t20, r00 * t01 + r01 * t11 + r02 * t21,
-                         r00 * s02 + r01 * s12 + r02 * s22)
-        r10, r11, r12 = (r10 * t00 + r11 * t10 + r12 * t20, r10 * t01 + r11 * t11 + r12 * t21,
-                         r10 * s02 + r11 * s12 + r12 * s22)
-        r20, r21, r22 = (r20 * t00 + r21 * t10 + r22 * t20, r20 * t01 + r21 * t11 + r22 * t21,
-                         r20 * s02 + r21 * s12 + r22 * s22)
-    walk = (p0, p1, p2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), tuple(sections)
+    walk = _walk(q.tolist(), geom, arc_coefficients, math.hypot)
     # The frozen instance's dict, as cached_property writes it; key and walk
     # go in as one tuple, so no reader pairs a key with another walk.
     geom.__dict__["_last_walk"] = key, walk
@@ -212,69 +225,17 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
     return Pose._checked(np.array(position), rotation, drift, det)
 
 
-def _sines(x: np.ndarray) -> np.ndarray:
-    """math.sin of each lane: numpy's sin does not promise libm's rounding."""
-    return np.fromiter(map(math.sin, x.tolist()), float, len(x))
-
-
-def _arc_ab_many(phi2: np.ndarray) -> tuple:
-    """The a and b of :func:`arc_coefficients` of each lane of phi2, lane by
-    lane the same bits. Both forms run on every lane and ``np.where``
-    picks one; the closed form gets phi^2 = 1 in the series lanes, so no
-    lane divides by zero."""
-    series = phi2 < SERIES_SWITCH
-    x = phi2
-    b_series = 1 / 2 - x * (1 / 24 - x * (1 / 720 - x * (1 / 40320 - x / 3628800)))
-    g = 1 / 6 - x * (1 / 120 - x * (1 / 5040 - x * (1 / 362880 - x / 39916800)))
-    phi = np.sqrt(np.where(series, 1.0, phi2))
-    half = _sines(0.5 * phi) / phi
-    return (np.where(series, 1.0 - x * g, _sines(phi) / phi),
-            np.where(series, b_series, 2.0 * half * half))
-
-
 def forward_kinematics_many(qs, geom: RobotGeometry) -> list:
     """:func:`forward_kinematics` of each row of the (N, 9) array qs: a
     list of N Poses, byte for byte the scalar ones.
 
-    The walk of :func:`section_chain`, expression for expression and in
-    the same order, on (N,) arrays with one configuration per lane. It
-    leaves out the bending measure, which FK does not read, and keeps no
-    walk on the geometry. A lane whose rotation drifts past
-    ``FK_DRIFT_TOL`` goes through :func:`forward_kinematics`.
+    The walk of :func:`section_chain`, on (N,) arrays with one
+    configuration per lane; the batch keeps no walk on the geometry. A lane
+    whose rotation drifts past ``FK_DRIFT_TOL`` goes through
+    :func:`forward_kinematics`, which keeps that lane's walk.
     """
     qs = as_actuator_batch(qs)
-    lengths = qs.T
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    p0 = p1 = p2 = 0.0
-    for i, (three_r, initial_length, offset, cos_t, sin_t) in enumerate(
-            geom.section_constants):
-        l1, l2, l3 = lengths[3 * i:3 * i + 3]
-        dx, dy = l2 + l3 - 2.0 * l1, _SQRT3 * (l3 - l2)
-        c0, c1 = dx / three_r, dy / three_r
-        arc = initial_length + (l1 + l2 + l3) / 3.0
-        a, b = _arc_ab_many(c0 * c0 + c1 * c1)
-        bc0, bc1 = b * c0, b * c1
-        s00, s01, s02 = 1.0 - bc0 * c0, -bc0 * c1, a * c0
-        s10, s11, s12 = s01, 1.0 - bc1 * c1, a * c1
-        s20, s21, s22 = -s02, -s12, s00 - bc1 * c1
-        t0, t1, t2 = arc * bc0, arc * bc1, arc * a
-        o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
-        o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
-        o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
-        t0, t1, t2 = offset * s02, offset * s12, offset * s22
-        p0 = o0 + r00 * t0 + r01 * t1 + r02 * t2
-        p1 = o1 + r10 * t0 + r11 * t1 + r12 * t2
-        p2 = o2 + r20 * t0 + r21 * t1 + r22 * t2
-        t00, t01 = cos_t * s00 + sin_t * s01, cos_t * s01 - sin_t * s00
-        t10, t11 = cos_t * s10 + sin_t * s11, cos_t * s11 - sin_t * s10
-        t20, t21 = cos_t * s20 + sin_t * s21, cos_t * s21 - sin_t * s20
-        r00, r01, r02 = (r00 * t00 + r01 * t10 + r02 * t20, r00 * t01 + r01 * t11 + r02 * t21,
-                         r00 * s02 + r01 * s12 + r02 * s22)
-        r10, r11, r12 = (r10 * t00 + r11 * t10 + r12 * t20, r10 * t01 + r11 * t11 + r12 * t21,
-                         r10 * s02 + r11 * s12 + r12 * s22)
-        r20, r21, r22 = (r20 * t00 + r21 * t10 + r22 * t20, r20 * t01 + r21 * t11 + r22 * t21,
-                         r20 * s02 + r21 * s12 + r22 * s22)
-    rows = (r00, r01, r02), (r10, r11, r12), (r20, r21, r22)
+    (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many, np.hypot)
     drift, det = rows_drift_and_det(rows, np.sqrt)
     positions = np.stack((p0, p1, p2), axis=-1)
     rotations = np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)

@@ -47,6 +47,10 @@ class StagePolicy:
     gains: GainSchedule
     max_iterations: int
 
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
+
 
 def _default_home_q() -> np.ndarray:
     # Mid-range (far from both actuator bounds, where the avoidance cost is
@@ -79,8 +83,12 @@ class WorkflowConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.grasp_threshold < self.coarse_threshold:
-            raise ValueError("grasp_threshold must be below coarse_threshold")
+        if not 0 < self.grasp_threshold < self.coarse_threshold:
+            raise ValueError("grasp_threshold must be positive and below coarse_threshold")
+        if self.home_iterations < 0:
+            raise ValueError("home_iterations must be non-negative")
+        if not self.observation_noise_std >= 0:
+            raise ValueError("observation_noise_std must be non-negative")
 
 
 @dataclass

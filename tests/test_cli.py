@@ -270,6 +270,7 @@ class TestConfigValueErrors:
         ("plant", "dt", -1.0),
         ("plant", "mismatch", -0.02),
         ("controller", "position_tolerance", "x"),
+        ("controller", "max_iterations", -3),
     ])
     def test_controller_scenario(self, tmp_path, capsys, block, key, value):
         cfg = minimal_controller_config(plant={})
@@ -442,12 +443,24 @@ class TestConfigValueErrors:
         assert (workflow.home_iterations, workflow.placement.max_iterations,
                 workflow.fine.max_iterations) == (7, 8, 9)
 
-    def test_harvest_workflow(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, message", [
+        ("grasp_threshold", 0.1, "grasp_threshold must be positive and below coarse"),
+        ("grasp_threshold", 0.0, "grasp_threshold must be positive"),
+        ("grasp_threshold", -0.01, "grasp_threshold must be positive"),
+        ("home_iterations", -5, "home_iterations must be non-negative"),
+        ("placement_max_iterations", -1, "max_iterations must be non-negative"),
+        ("fine_max_iterations", -1, "max_iterations must be non-negative"),
+        ("observation_noise_std", -0.001, "observation_noise_std must be non-negative"),
+    ], ids=["grasp-above-coarse", "grasp-zero", "grasp-negative", "home_iterations",
+            "placement_max_iterations", "fine_max_iterations", "observation_noise_std"])
+    def test_harvest_workflow(self, tmp_path, capsys, key, value, message):
+        # Run, a negative count would take no steps, a negative noise none,
+        # and a grasp threshold of 0 is never met.
         cfg = load_scenario_dict("harvest_default")
-        cfg["workflow"]["grasp_threshold"] = 0.1
+        cfg["workflow"][key] = value
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert "config error: workflow:" in capsys.readouterr().err
+        assert f"config error: workflow: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
 
     @pytest.mark.parametrize("value", [[], 0, False, ""],

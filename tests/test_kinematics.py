@@ -323,10 +323,18 @@ class TestSharedWalk:
         assert section_chain(q, geom) is walk
 
 
+def lane_coefficients(*phi2):
+    """arc_coefficients of each phi2, through the lane form in one batch."""
+    return list(zip(*(x.tolist() for x in kinematics._arc_coefficients_many(np.array(phi2)))))
+
+
 class TestArcCoefficients:
     def test_closed_forms_above_the_series_switch(self):
-        for phi in (0.3, 0.5, 1.0, 2.0):
+        phis = (0.3, 0.5, 1.0, 2.0)
+        lanes = lane_coefficients(*(phi * phi for phi in phis))
+        for phi, lane in zip(phis, lanes, strict=True):
             a, b, g, alpha, beta = arc_coefficients(phi * phi)
+            assert lane == (a, b, g, alpha, beta)
             s, c = np.sin(phi), np.cos(phi)
             assert a == pytest.approx(s / phi, rel=1e-14)
             assert b == pytest.approx((1 - c) / phi**2, rel=1e-12)
@@ -336,10 +344,14 @@ class TestArcCoefficients:
 
     def test_limits_at_straight(self):
         assert arc_coefficients(0.0) == (1.0, 0.5, 1 / 6, 1 / 6 - 0.5, -1 / 12)
+        # A bent lane beside it, so the batch takes both forms.
+        assert lane_coefficients(0.0, 1.0) == [arc_coefficients(0.0), arc_coefficients(1.0)]
 
     def test_continuous_across_the_series_switch(self):
         below = arc_coefficients(np.nextafter(SERIES_SWITCH, 0.0))
         above = arc_coefficients(SERIES_SWITCH)
+        lanes = lane_coefficients(np.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH)
+        assert lanes == [below, above]
         for lo, hi in zip(below, above):
             assert abs(hi - lo) <= 1e-10 * abs(hi)
 
