@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import VALID_KINDS, ConfigError, Scenario, load_scenario_dict, parse_scenario
+from .config import ConfigError, Scenario, load_scenario_dict, parse_scenario
 from .controller import solve
 from .plant import Plant
 from .workflow import HarvestState, run_harvest
@@ -276,13 +276,10 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 _RUNNERS = {"controller": _run_controller, "compare": _run_compare, "harvest": _run_harvest}
 
 
-def _run(path, out_dir, seed_override, quiet, kinds) -> int:
-    """Execute a scenario file whose kind is one of ``kinds``; returns the
-    exit code."""
+def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
+    """Execute a scenario file of any kind; returns the exit code."""
     try:
         scenario = parse_scenario(load_scenario_dict(path), seed_override)
-        if scenario.kind not in kinds:
-            raise ConfigError(f"expected kind {' or '.join(kinds)}, got {scenario.kind!r}")
         _say(quiet, f"scenario {scenario.name} (kind={scenario.kind}, "
              f"seed={scenario.seed})")
         out = Path(out_dir) if out_dir else Path("out") / scenario.name
@@ -292,28 +289,19 @@ def _run(path, out_dir, seed_override, quiet, kinds) -> int:
         return 1
 
 
-def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
-    """Execute a scenario file of any kind; returns the exit code."""
-    return _run(path, out_dir, seed_override, quiet, VALID_KINDS)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="softarm",
-        description="Continuum-arm control scenarios: run and compare.")
+        description="Continuum-arm control scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (("run", "run a controller or harvest scenario"),
-                           ("compare", "run a controller comparison scenario")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("config", help="scenario JSON file or bundled scenario name")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--quiet", action="store_true")
+    p = sub.add_parser("run", help="run a controller, compare or harvest scenario")
+    p.add_argument("config", help="scenario JSON file or bundled scenario name")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the scenario seed")
+    p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_scenario(args.config, args.out, args.seed, args.quiet)
-    return _run(args.config, args.out, args.seed, args.quiet, ("compare",))
+    return run_scenario(args.config, args.out, args.seed, args.quiet)
 
 
 if __name__ == "__main__":

@@ -233,8 +233,8 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
     """(ControllerConfig, GainSchedule) of a controller block, followed by
     the value (or None) of each key in ``extra``, the converters of the keys
     only the caller reads."""
-    if not isinstance(data, dict) or "mode" not in data:
-        raise ConfigError(f"{where} needs a 'mode'")
+    if not isinstance(data, dict) or "mode" not in data or "gains" not in data:
+        raise ConfigError(f"{where} needs a 'mode' and 'gains'")
     with _block(where):
         kwargs = _read(data, where, mode=_mode, position_tolerance=float,
                        orientation_tolerance_deg=lambda deg: float(np.deg2rad(deg)),
@@ -243,7 +243,7 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
                        gains=lambda g: _gains(g, f"{where}.gains"), **extra)
         if "orientation_tolerance_deg" in kwargs:
             kwargs["orientation_tolerance"] = kwargs.pop("orientation_tolerance_deg")
-        gains = kwargs.pop("gains") if "gains" in kwargs else GainSchedule(alpha=0.05)
+        gains = kwargs.pop("gains")
         extras = [kwargs.pop(key, None) for key in extra]
         cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), **kwargs)
     return (cfg, gains, *extras)
@@ -337,7 +337,10 @@ def _window(value) -> tuple | None:
         return None
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError("must be [start, length]")
-    return tuple(map(_integer, value))
+    start, length = map(_integer, value)
+    if start < 0 or length < 1:
+        raise ValueError("start must be non-negative and length positive")
+    return start, length
 
 
 def _berry(data, geom: RobotGeometry, where: str) -> tuple:
@@ -359,25 +362,18 @@ def _berry(data, geom: RobotGeometry, where: str) -> tuple:
 
 
 def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
-    """The harvest workflow; a stage's gains or iteration budget replace
-    those of its default policy."""
+    """The harvest workflow a scenario's ``workflow`` block describes."""
     where = "scenario.workflow"
     with _block(where):
-        kwargs = _read({} if data is None else data, where,
-                       coarse_threshold=float, grasp_threshold=float,
-                       observation_noise_std=float, home_iterations=_integer,
-                       standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
-                       placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
-                       placement_max_iterations=_integer,
-                       fine_gains=lambda g: _gains(g, f"{where}.fine_gains"),
-                       fine_max_iterations=_integer)
-        policies = {"placement": {}, "fine": {}}
-        for key in [key for key in kwargs if key.startswith(("placement_", "fine_"))]:
-            stage, name = key.split("_", 1)
-            policies[stage][name] = kwargs.pop(key)
-        wf = WorkflowConfig(controller=controller, **kwargs)
-        return replace(wf, **{stage: replace(getattr(wf, stage), **policy)
-                              for stage, policy in policies.items()})
+        return WorkflowConfig(controller=controller, **_read(
+            {} if data is None else data, where,
+            coarse_threshold=float, grasp_threshold=float,
+            observation_noise_std=float, home_iterations=_integer,
+            standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
+            placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
+            placement_max_iterations=_integer,
+            fine_gains=lambda g: _gains(g, f"{where}.fine_gains"),
+            fine_max_iterations=_integer))
 
 
 def _registry(data) -> dict:
@@ -469,8 +465,8 @@ def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
 
 
 def _harvest_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
-    """One run per berry. The stage policies set each stage's gains and
-    budget; the shared controller config supplies the rest."""
+    """One run per berry. The workflow sets each stage's gains and budget;
+    the shared controller config supplies the rest."""
     if not given.get("berries"):
         raise ConfigError("harvest scenario needs a 'berries' list")
     workflow = _workflow(given.get("workflow"), ControllerConfig(
@@ -500,7 +496,6 @@ _KINDS = {
     "harvest": (_harvest_runs,
                 {"berries": _list, "registry": _as_given, "workflow": _as_given}),
 }
-VALID_KINDS = tuple(_KINDS)
 
 
 def load_scenario_dict(path) -> dict:
@@ -524,12 +519,14 @@ def parse_scenario(data, seed_override=None) -> Scenario:
         if key not in data:
             raise ConfigError(f"scenario missing required key {key!r}")
     if data["kind"] not in _KINDS:
-        raise ConfigError(f"kind must be one of {VALID_KINDS}, got {data['kind']!r}")
+        raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {data['kind']!r}")
     resolve, blocks = _KINDS[data["kind"]]
     with _block("scenario"):
         given = _read(data, "scenario", name=_scenario_name, kind=str, seed=_integer, strict=_flag,
                       geometry=_geometry, plant=_as_given, **blocks)
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     geom = given["geometry"] if "geometry" in given else default_geometry()
     return Scenario(name=given["name"], kind=given["kind"], seed=seed,
                     strict=given.get("strict", False), runs=resolve(given, geom, seed))

@@ -146,6 +146,9 @@ class ControllerMode(enum.Enum):
 
 POSITION, ORIENTATION, POSE = slice(0, 3), slice(3, 6), slice(0, 6)
 
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_WINDOW = 50
+
 
 @dataclass(frozen=True)
 class TaskStack:
@@ -187,8 +190,6 @@ class ControllerConfig:
     # Orientation components counted toward the tolerance check (None = all);
     # schedules and step laws always use the full error.
     orientation_error_axes: tuple | None = None
-    divergence_factor: float = 10.0
-    divergence_window: int = 50
 
     def __post_init__(self):
         if not (self.position_tolerance > 0 and self.orientation_tolerance > 0):
@@ -318,7 +319,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     noise-free pose the true errors are measured on (see
     :mod:`softarm.plant`).
     Stops with ``diverged=True`` when a tracked error norm stays above
-    ``divergence_factor`` times its initial value for ``divergence_window``
+    ``DIVERGENCE_FACTOR`` times its initial value for ``DIVERGENCE_WINDOW``
     consecutive steps.
     """
     q = as_actuator_vector(q0).copy()
@@ -355,9 +356,9 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         norms = tracked_norms(e)
         ratio = max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
                     default=0.0)
-        if ratio > cfg.divergence_factor:
+        if ratio > DIVERGENCE_FACTOR:
             growth_streak += 1
-            if growth_streak >= cfg.divergence_window:
+            if growth_streak >= DIVERGENCE_WINDOW:
                 return finish(converged=False, diverged=True)
         else:
             growth_streak = 0

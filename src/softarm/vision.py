@@ -118,14 +118,13 @@ def _ee_blocks_ray(cam_origin, berry, ee_position) -> bool:
 
 def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry,
                          noise_std: float = 0.0, rng=None,
-                         force_c1_occluded: bool = False,
-                         force_c2_occluded: bool = False) -> BerryTarget:
+                         force_c1_occluded: bool = False) -> BerryTarget:
     """Project the true berry into both camera frames (stand-in for marker
     detection).
 
     C1 loses the berry when the end-effector sits within
     ``OCCLUSION_FOOTPRINT_RADIUS`` of the C1-to-berry line of sight (or when
-    forced); C2 loses it only when forced.
+    forced); C2 always has it.
     """
     p_base = np.asarray(true_berry_base, dtype=float)
     c1_occluded = force_c1_occluded or _ee_blocks_ray(
@@ -136,16 +135,14 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
         if noise_std > 0:
             position_c1 = position_c1 + rng.normal(0.0, noise_std, 3)
 
-    position_c2 = None
-    if not force_c2_occluded:
-        # (T_ee_base T_c2_ee)^-1 p_base, on the arrays, in the operations and
-        # order of Pose.compose, Pose.inverse and Pose.transform_point.
-        cam2 = registry.cam2_in_ee
-        base_in_cam2 = (ee_pose.rotation @ cam2.rotation).T
-        position_c2 = (-base_in_cam2 @ (ee_pose.position + ee_pose.rotation @ cam2.position)
-                       + base_in_cam2 @ p_base)
-        if noise_std > 0:
-            position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
+    # (T_ee_base T_c2_ee)^-1 p_base, on the arrays, in the operations and
+    # order of Pose.compose, Pose.inverse and Pose.transform_point.
+    cam2 = registry.cam2_in_ee
+    base_in_cam2 = (ee_pose.rotation @ cam2.rotation).T
+    position_c2 = (-base_in_cam2 @ (ee_pose.position + ee_pose.rotation @ cam2.position)
+                   + base_in_cam2 @ p_base)
+    if noise_std > 0:
+        position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 
     return BerryTarget(position_c2=position_c2, position_c1=position_c1)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controller import (
+    DIVERGENCE_FACTOR,
+    DIVERGENCE_WINDOW,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -42,16 +44,6 @@ class HarvestState(enum.Enum):
     Failed = "Failed"
 
 
-@dataclass(frozen=True)
-class StagePolicy:
-    gains: GainSchedule
-    max_iterations: int
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-
-
 def _default_home_q() -> np.ndarray:
     # Mid-range (far from both actuator bounds, where the avoidance cost is
     # flat), slightly asymmetric so the posture is off the straight
@@ -69,13 +61,13 @@ class WorkflowConfig:
     standoff_offset: np.ndarray = field(
         default_factory=lambda: np.array([0.0, 0.0, -0.05]))
     home_q: np.ndarray = field(default_factory=_default_home_q)
-    placement: StagePolicy = field(default_factory=lambda: StagePolicy(
-        gains_full_default(), 2000))
+    placement_gains: GainSchedule = field(default_factory=gains_full_default)
+    placement_max_iterations: int = 2000
     # The fine stage starts inside the coarse threshold, i.e. in the
     # near-goal regime where the avoidance schedule is off; it runs the
     # plain position law.
-    fine: StagePolicy = field(default_factory=lambda: StagePolicy(
-        GainSchedule(alpha=0.074), 1000))
+    fine_gains: GainSchedule = field(default_factory=lambda: GainSchedule(alpha=0.074))
+    fine_max_iterations: int = 1000
     home_iterations: int = 100
     observation_noise_std: float = 0.0
     # Forced C1 berry dropout (global iteration start, length); None disables.
@@ -85,8 +77,9 @@ class WorkflowConfig:
     def __post_init__(self):
         if not 0 < self.grasp_threshold < self.coarse_threshold:
             raise ValueError("grasp_threshold must be positive and below coarse_threshold")
-        if self.home_iterations < 0:
-            raise ValueError("home_iterations must be non-negative")
+        for name in ("placement_max_iterations", "fine_max_iterations", "home_iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not self.observation_noise_std >= 0:
             raise ValueError("observation_noise_std must be non-negative")
 
@@ -184,7 +177,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     # the full three-task law.
     stage = HarvestState.InitialPlacement
     stage_start = iteration
-    policy = cfg.placement
     ctrl_cfg = replace(cfg.controller, mode=ControllerMode.FullThreeTask)
     standoff = approach @ cfg.standoff_offset
     initial_dist = None
@@ -201,18 +193,18 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         if dist <= cfg.coarse_threshold:
             close_stage(stage, stage_start, "reached")
             break
-        if iteration - stage_start >= policy.max_iterations:
+        if iteration - stage_start >= cfg.placement_max_iterations:
             close_stage(stage, stage_start, "timeout")
             return fail(f"StageTimeout({stage.value})")
-        if dist > ctrl_cfg.divergence_factor * initial_dist:
+        if dist > DIVERGENCE_FACTOR * initial_dist:
             growth_streak += 1
-            if growth_streak >= ctrl_cfg.divergence_window:
+            if growth_streak >= DIVERGENCE_WINDOW:
                 close_stage(stage, stage_start, "diverged")
                 return fail(f"{stage.value}: diverged")
         else:
             growth_streak = 0
         desired = Pose(berry_est + standoff, approach)
-        q = step_full(q, pose_error(desired, obs.pose_filtered), policy.gains, ctrl_cfg)
+        q = step_full(q, pose_error(desired, obs.pose_filtered), cfg.placement_gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1
 
@@ -221,7 +213,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     # orientation stays frozen, so its error is zero.
     stage = HarvestState.FinePositioning
     stage_start = iteration
-    policy = cfg.fine
     ctrl_cfg = replace(cfg.controller, mode=ControllerMode.PositionWithJL)
     while True:
         ee_in_cam1 = registry.base_in_cam1.compose(obs.pose_filtered)
@@ -231,11 +222,11 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         if log.rows[-1].dist_est <= cfg.grasp_threshold:
             close_stage(stage, stage_start, "reached")
             break
-        if iteration - stage_start >= policy.max_iterations:
+        if iteration - stage_start >= cfg.fine_max_iterations:
             close_stage(stage, stage_start, "timeout")
             return fail(f"StageTimeout({stage.value})")
         e = TaskError(berry_est - obs.pose_filtered.position, np.zeros(3))
-        q = step_full(q, e, policy.gains, ctrl_cfg)
+        q = step_full(q, e, cfg.fine_gains, ctrl_cfg)
         obs = plant.apply_command(q)
         iteration += 1
 

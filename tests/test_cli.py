@@ -240,7 +240,7 @@ class TestPublishedTuning:
         assert compared["full_three_task_scheduled"] == defaults["pose"]
         assert compared["orientation_with_jl"] == defaults["orientation"]
         for run in parse_scenario(load_scenario_dict("harvest_default")).runs:
-            assert run.workflow.placement.gains == defaults["pose"]
+            assert run.workflow.placement_gains == defaults["pose"]
         workloads = _load_module("bench/workloads.py")
         for kind in workloads.CONTROLLERS:
             task = {"kind": kind, "noisy": False, "scenario_seed": 1,
@@ -403,6 +403,30 @@ class TestConfigValueErrors:
         assert "config error: scenario: name: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
 
+    @pytest.mark.parametrize("seed, options", [(-3, []), (7, ["--seed", "-1"])],
+                             ids=["file", "override"])
+    def test_negative_seed(self, tmp_path, capsys, seed, options):
+        # numpy's SeedSequence once rejected it with a traceback.
+        path = write_config(tmp_path, minimal_controller_config(seed=seed))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet", *options]) == 1
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["controller", "near_limit_pose"])
+    def test_controller_block_needs_gains(self, tmp_path, capsys, scenario):
+        # A block without gains once ran on a step gain of 0.05 that no
+        # dataclass gives as its default.
+        if scenario == "controller":
+            cfg = minimal_controller_config()
+            del cfg["controller"]["gains"]
+        else:
+            cfg = load_scenario_dict(scenario)
+            del cfg["controllers"][1]["gains"]
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+        assert "needs a 'mode' and 'gains'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_strict_and_seed_read_as_given(self, strict, seed):
@@ -426,8 +450,7 @@ class TestConfigValueErrors:
         cfg = (minimal_controller_config() if scenario == "controller"
                else load_scenario_dict(scenario))
         config_path = write_config(tmp_path, _with(cfg, path, value))
-        command = "compare" if scenario == "near_limit_pose" else "run"
-        assert main([command, config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert main(["run", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         message = f"config error: {where}: {path[-1]}: must be an integer"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "steps.csv").exists()
@@ -440,16 +463,16 @@ class TestConfigValueErrors:
         cfg["workflow"].update(home_iterations=7, placement_max_iterations=8,
                                fine_max_iterations=9)
         workflow = parse_scenario(cfg).runs[0].workflow
-        assert (workflow.home_iterations, workflow.placement.max_iterations,
-                workflow.fine.max_iterations) == (7, 8, 9)
+        assert (workflow.home_iterations, workflow.placement_max_iterations,
+                workflow.fine_max_iterations) == (7, 8, 9)
 
     @pytest.mark.parametrize("key, value, message", [
         ("grasp_threshold", 0.1, "grasp_threshold must be positive and below coarse"),
         ("grasp_threshold", 0.0, "grasp_threshold must be positive"),
         ("grasp_threshold", -0.01, "grasp_threshold must be positive"),
         ("home_iterations", -5, "home_iterations must be non-negative"),
-        ("placement_max_iterations", -1, "max_iterations must be non-negative"),
-        ("fine_max_iterations", -1, "max_iterations must be non-negative"),
+        ("placement_max_iterations", -1, "placement_max_iterations must be non-negative"),
+        ("fine_max_iterations", -1, "fine_max_iterations must be non-negative"),
         ("observation_noise_std", -0.001, "observation_noise_std must be non-negative"),
     ], ids=["grasp-above-coarse", "grasp-zero", "grasp-negative", "home_iterations",
             "placement_max_iterations", "fine_max_iterations", "observation_noise_std"])
@@ -496,13 +519,15 @@ class TestConfigValueErrors:
 
     @pytest.mark.parametrize("window", [["20", 30], [20.5, 30], [True, 30], [20, "30"],
                                         [20, 30.0], "20", [20], [20, 30, 40], {"20": 30},
-                                        [], 0, False, ""],
+                                        [], 0, False, "", [10, -5], [20, 0], [-1, 30]],
                              ids=["string-start", "fraction", "bool", "string-length",
                                   "float-length", "string", "one", "three", "object",
-                                  "empty-list", "zero", "false", "empty-string"])
+                                  "empty-list", "zero", "false", "empty-string",
+                                  "negative-length", "zero-length", "negative-start"])
     def test_occlusion_window_takes_two_json_integers(self, tmp_path, capsys, window):
         # A string start once died in run_harvest with a TypeError after
-        # steps.csv opened; a fraction or a bool ran as given.
+        # steps.csv opened; a fraction or a bool ran as given, and a window
+        # of negative length never occluded.
         cfg = load_scenario_dict("harvest_default")
         cfg["berries"][1]["c1_occlusion_window"] = window
         path = write_config(tmp_path, cfg)
@@ -658,7 +683,7 @@ class TestCompare:
 
     def test_compare_writes_aligned_csv_and_verdicts(self, tmp_path):
         path = write_config(tmp_path, self.compare_config())
-        assert main(["compare", path, "--out", str(tmp_path / "out"),
+        assert main(["run", path, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
         with open(tmp_path / "out" / "compare.csv", newline="") as fh:
             header = fh.readline().strip().split(",")
@@ -671,7 +696,7 @@ class TestCompare:
         cfg = self.compare_config()
         cfg["controllers"][1] = dict(cfg["controllers"][0], name="a2")
         path = write_config(tmp_path, cfg)
-        assert main(["compare", path, "--out", str(tmp_path / "out"),
+        assert main(["run", path, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
         with open(tmp_path / "out" / "compare.csv", newline="") as fh:
             for row in csv.DictReader(fh):
@@ -682,7 +707,7 @@ class TestCompare:
         cfg = self.compare_config()
         cfg["controllers"][0]["name"] = 'a,"b"'
         path = write_config(tmp_path, cfg)
-        assert main(["compare", path, "--out", str(tmp_path / "out"),
+        assert main(["run", path, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
         with open(tmp_path / "out" / "compare.csv", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -707,7 +732,7 @@ class TestCompare:
         cfg = self.compare_config()
         cfg["controllers"][0]["name"] = name
         path = write_config(tmp_path, cfg)
-        assert main(["compare", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "config error: controllers[0]: name: must be a string" in err
         assert not (tmp_path / "out").exists()
@@ -716,11 +741,7 @@ class TestCompare:
         cfg = self.compare_config()
         cfg["controllers"] = cfg["controllers"][:1]
         path = write_config(tmp_path, cfg)
-        assert main(["compare", path, "--quiet"]) == 1
-
-    def test_compare_rejects_other_kinds(self, tmp_path):
-        path = write_config(tmp_path, minimal_controller_config())
-        assert main(["compare", path, "--quiet"]) == 1
+        assert main(["run", path, "--quiet"]) == 1
 
 
 class TestHarvestScenario:

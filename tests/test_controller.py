@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softarm.controller import (
+    DIVERGENCE_WINDOW,
     ORIENTATION,
     POSE,
     POSITION,
@@ -352,7 +353,7 @@ class TestSolve:
         traj = solve(Q_MID, desired, gains_position_default(), cfg,
                      RecedingPlant(PlantConfig()))
         assert traj.diverged and not traj.converged
-        assert traj.qs.shape[0] > cfg.divergence_window
+        assert traj.qs.shape[0] > DIVERGENCE_WINDOW
 
     def test_divergence_is_checked_before_the_tolerance(self):
         # The position error stays above 10x its tiny start, though inside
@@ -361,8 +362,8 @@ class TestSolve:
         # both errors are inside their tolerances, and the run still reads
         # as diverged.
         desired = forward_kinematics(Q_MID, GEOM)
-        window = 3
-        cfg = make_cfg(ControllerMode.FullThreeTask, divergence_window=window)
+        window = DIVERGENCE_WINDOW
+        cfg = make_cfg(ControllerMode.FullThreeTask)
         tilt = 2.0 * cfg.orientation_tolerance
 
         def observation(dz, angle):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from softarm.config import load_scenario_dict, parse_scenario
-from softarm.controller import ControllerConfig, ControllerMode, pose_error, step_full
+from softarm.controller import (
+    DIVERGENCE_FACTOR,
+    DIVERGENCE_WINDOW,
+    ControllerConfig,
+    ControllerMode,
+    pose_error,
+    step_full,
+)
 from softarm import workflow
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose
@@ -112,8 +119,7 @@ class TestHarvestRun:
         assert log.stages[1].final_dist_true < 0.02
 
     def test_unreachable_berry_times_out_in_placement(self):
-        cfg = make_workflow()
-        cfg = replace(cfg, placement=replace(cfg.placement, max_iterations=200))
+        cfg = make_workflow(placement_max_iterations=200)
         far = np.array([0.0, 0.9, 0.5])  # beyond total arm length
         log = run_harvest(far, APPROACH, Plant(PlantConfig()), registry(), cfg)
         assert log.final_state is HarvestState.Failed
@@ -139,30 +145,26 @@ class TestHarvestRun:
     def test_placement_divergence_reads_the_controller_rule(self):
         # The reported pose recedes from the berry faster every step; the
         # placement stage closes as diverged once the distance has stayed
-        # above divergence_factor times its initial value for
-        # divergence_window steps.
-        base = ControllerConfig(geometry=GEOM, joint_limits=GEOM.joint_limits(),
-                                mode=ControllerMode.FullThreeTask, divergence_window=5)
+        # above DIVERGENCE_FACTOR times its initial value for
+        # DIVERGENCE_WINDOW steps.
         log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(),
-                          WorkflowConfig(controller=base))
+                          make_workflow())
         placement = log.stages[0]
         assert (placement.stage, placement.outcome) == ("InitialPlacement", "diverged")
         assert log.failure_reason == "InitialPlacement: diverged"
         dists = [row.dist_est for row in log.rows]
-        passed = next(k for k, d in enumerate(dists)
-                      if d > base.divergence_factor * dists[0])
-        assert placement.end_iteration - placement.start_iteration <= passed + 5
+        passed = next(k for k, d in enumerate(dists) if d > DIVERGENCE_FACTOR * dists[0])
+        assert (placement.end_iteration - placement.start_iteration
+                == passed + DIVERGENCE_WINDOW - 1)
 
     def test_placement_budget_is_checked_before_divergence(self):
         # A budget that ends on the row where the divergence window ends
         # closes the stage as a timeout.
-        base = ControllerConfig(geometry=GEOM, joint_limits=GEOM.joint_limits(),
-                                mode=ControllerMode.FullThreeTask, divergence_window=5)
-        wf = WorkflowConfig(controller=base)
+        wf = make_workflow()
         diverged = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
         assert diverged.stages[0].outcome == "diverged"
         end = diverged.stages[0].end_iteration
-        wf = replace(wf, placement=replace(wf.placement, max_iterations=end))
+        wf = replace(wf, placement_max_iterations=end)
         log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
         assert (log.stages[0].outcome, log.stages[0].end_iteration) == ("timeout", end)
         assert log.failure_reason == "StageTimeout(InitialPlacement)"
@@ -233,8 +235,12 @@ def run_recording(monkeypatch, wf, c2_lost=lambda n: False):
                         lambda q, e, *args: errors.append(e) or step_full(q, e, *args))
     numbers = count()
     observe = workflow.simulate_observation
-    monkeypatch.setattr(workflow, "simulate_observation", lambda *args, **kwargs: observe(
-        *args, **kwargs, force_c2_occluded=c2_lost(next(numbers))))
+
+    def observe_losing_c2(*args, **kwargs):
+        target = observe(*args, **kwargs)
+        return replace(target, position_c2=None) if c2_lost(next(numbers)) else target
+
+    monkeypatch.setattr(workflow, "simulate_observation", observe_losing_c2)
     log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), wf)
     return log, fixes, errors
 
