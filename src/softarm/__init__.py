@@ -38,7 +38,6 @@ from .geometry import (
     SectionGeometry,
     default_geometry,
     elongation_to_pressure,
-    validate_geometry,
 )
 from .jacobian import (
     FullyStraightConfiguration,
@@ -72,7 +71,7 @@ __all__ = [
     "gains_position_default", "jl_cost", "jl_gradient", "pose_error", "solve",
     "step_full",
     "JointLimits", "RobotGeometry", "SectionGeometry", "default_geometry",
-    "elongation_to_pressure", "validate_geometry",
+    "elongation_to_pressure",
     "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "pinv",
     "Pose", "forward_kinematics",
     "Plant", "PlantConfig", "PlantObservation",

@@ -23,12 +23,7 @@ from .controller import (
     GainSchedule,
     JointLimitSchedule,
 )
-from .geometry import (
-    RobotGeometry,
-    SectionGeometry,
-    default_geometry,
-    validate_geometry,
-)
+from .geometry import RobotGeometry, SectionGeometry, default_geometry
 from .kinematics import Pose
 from .plant import PlantConfig
 from .rotations import rot_x, rot_y, rot_z, rotvec_to_matrix
@@ -159,11 +154,8 @@ def geometry_from_dict(data) -> RobotGeometry:
         where = f"geometry.sections[{i}]"
         with _block(where):
             geom_sections.append(SectionGeometry(**_read(sec, where, **section_keys)))
-    geom = RobotGeometry(sections=tuple(geom_sections))
-    violations = validate_geometry(geom)
-    if violations:
-        raise ConfigError("invalid geometry: " + "; ".join(violations))
-    return geom
+    with _block("geometry"):
+        return RobotGeometry(sections=geom_sections)
 
 
 def _parse_json(text: str, source: str):

@@ -99,6 +99,8 @@ class GainSchedule:
     joint_limit: JointLimitSchedule | None = None
 
     def __post_init__(self):
+        if not np.isfinite((self.alpha, self.gamma_position, self.gamma_orientation)).all():
+            raise ValueError("alpha, gamma_position and gamma_orientation must be finite")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 

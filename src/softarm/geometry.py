@@ -11,7 +11,7 @@ an (N, 9) array (:func:`as_actuator_batch`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,9 @@ class SectionGeometry:
     """One bending section: actuator placement radius and lengths.
 
     Actuators sit 120 degrees apart at ``radius`` from the section
-    centerline; the local X axis points toward actuator 1.
+    centerline; the local X axis points toward actuator 1. A field that is
+    not finite raises ValueError, and so does a radius, initial_length or
+    actuator_max_elongation that is not positive.
     """
 
     radius: float                       # actuator placement radius r_i, m
@@ -43,23 +45,36 @@ class SectionGeometry:
     plate_offset_angle: float = np.pi / 3  # frame twist beta_i, rad
     actuator_max_elongation: float = 0.10  # l_max, m
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
+            if not value > 0 and name in ("radius", "initial_length", "actuator_max_elongation"):
+                raise ValueError(f"{name}: must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class RobotGeometry:
     """The full arm: three sections ordered proximal, medial, distal.
 
-    The third section's plate offset doubles as the gripper offset. The
-    kinematics constants and the last walk of
+    Another count of sections, or radii that grow toward the tip, raises
+    ValueError. The third section's plate offset doubles as the gripper
+    offset. The kinematics constants and the last walk of
     :func:`softarm.kinematics.section_chain` are kept on the instance,
     outside ``==``, ``hash`` and ``repr``.
     """
 
-    sections: tuple = field(default_factory=tuple)
+    sections: tuple
     #: (q.tobytes(), walk) of the last section_chain on this instance.
     _last_walk = None
 
     def __post_init__(self):
         object.__setattr__(self, "sections", tuple(self.sections))
+        if len(self.sections) != N_SECTIONS:
+            raise ValueError(f"sections: must be {N_SECTIONS}, got {len(self.sections)}")
+        radii = [s.radius for s in self.sections]
+        if not radii[0] >= radii[1] >= radii[2]:
+            raise ValueError(f"sections: radii must not grow toward the tip, got {radii}")
 
     def joint_limits(self) -> "JointLimits":
         """Per-actuator elongation bounds; lower bound is 0 (extension-only)."""
@@ -70,8 +85,6 @@ class RobotGeometry:
     def section_constants(self) -> tuple:
         """Per section: 3 r, L0, plate offset along Z, and the cosine and
         sine of the plate twist about Z."""
-        if len(self.sections) != N_SECTIONS:
-            raise ValueError(f"geometry must have {N_SECTIONS} sections, got {len(self.sections)}")
         return tuple((3.0 * s.radius, s.initial_length, s.plate_offset_length,
                       math.cos(s.plate_offset_angle), math.sin(s.plate_offset_angle))
                      for s in self.sections)
@@ -162,25 +175,6 @@ def default_geometry() -> RobotGeometry:
         SectionGeometry(radius=r, plate_offset_angle=a) for r, a in zip(radii, angles)
     )
     return RobotGeometry(sections=sections)
-
-
-def validate_geometry(geom: RobotGeometry) -> list:
-    """Check geometry invariants; returns the list of violations (empty = valid)."""
-    violations = []
-    if len(geom.sections) != N_SECTIONS:
-        violations.append("exactly 3 sections")
-        return violations
-    for i, sec in enumerate(geom.sections):
-        if not sec.radius > 0:
-            violations.append(f"section {i}: radius > 0")
-        if not sec.initial_length > 0:
-            violations.append(f"section {i}: initial_length > 0")
-        if not sec.actuator_max_elongation > 0:
-            violations.append(f"section {i}: actuator_max_elongation > 0")
-    radii = [s.radius for s in geom.sections]
-    if not (radii[0] >= radii[1] >= radii[2]):
-        violations.append("section radii non-increasing from base to tip")
-    return violations
 
 
 def elongation_to_pressure(elongation):

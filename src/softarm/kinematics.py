@@ -44,9 +44,10 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def _check_rotation(drift: float, det: float) -> None:
-    if drift > POSE_ORTHO_TOL:
+    # Negated so that a NaN drift or determinant fails too.
+    if not drift <= POSE_ORTHO_TOL:
         raise ValueError("rotation is not orthonormal")
-    if det < 0:
+    if not det >= 0:
         raise ValueError("rotation must be proper (det +1)")
 
 
@@ -65,6 +66,8 @@ class Pose:
                            position if position.shape == (3,) else position.reshape(3))
         object.__setattr__(self, "rotation",
                            rotation if rotation.shape == (3, 3) else rotation.reshape(3, 3))
+        if not all(map(math.isfinite, self.position.tolist())):
+            raise ValueError("position must be finite")
         _check_rotation(*rows_drift_and_det(self.rotation.tolist()))
 
     @classmethod

@@ -84,10 +84,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_scenario({"name": "x", "kind": "wat"})
 
-    def test_geometry_validation_enforced(self):
-        bad = {"sections": [{"radius": 0.04}, {"radius": 0.05}, {"radius": 0.06}]}
-        with pytest.raises(ConfigError):
-            geometry_from_dict(bad)
+    @pytest.mark.parametrize("sections, message", [
+        ([{"radius": 0.04}, {"radius": 0.05}, {"radius": 0.06}],
+         "geometry: sections: radii must not grow toward the tip"),
+        ([{"radius": 0.06}, {"radius": 0.05}],
+         "geometry: sections: must be 3, got 2"),
+        ([{"radius": 0.06}, {"radius": -0.05}, {"radius": -0.06}],
+         r"geometry.sections\[1\]: radius: must be positive"),
+        ([{"radius": 0.06}, {"radius": 0.05}, {"radius": 0.04, "initial_length": 0.0}],
+         r"geometry.sections\[2\]: initial_length: must be positive"),
+    ], ids=["growing-radii", "two-sections", "negative-radius", "zero-length"])
+    def test_geometry_validation_enforced(self, tmp_path, capsys, sections, message):
+        with pytest.raises(ConfigError, match=message):
+            geometry_from_dict({"sections": sections})
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text(json.dumps({"sections": sections}), encoding="utf-8")
+        for geometry in ({"sections": sections}, str(geom_path)):
+            path = write_config(tmp_path, minimal_controller_config(geometry=geometry))
+            assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: geometry")
+            assert not (tmp_path / "out").exists()
 
     def test_rotation_relative_to_upright(self):
         geom = default_geometry()

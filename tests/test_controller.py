@@ -143,6 +143,13 @@ class TestGainSchedule:
             GainSchedule(alpha=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "gamma_position", "gamma_orientation"])
+    def test_gains_must_be_finite(self, name, value):
+        # A NaN weight or step gain turns every command NaN.
+        with pytest.raises(ValueError, match="must be finite"):
+            GainSchedule(**{"alpha": 0.05, name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["value_far", "switch_threshold"])
     def test_schedule_values_must_be_finite(self, name, value):
         # A NaN threshold reads "never far", which switches the term off.

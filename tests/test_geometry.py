@@ -15,30 +15,47 @@ from softarm.geometry import (
     ELONGATION_PER_PSI,
     elongation_to_pressure,
     norm,
-    validate_geometry,
 )
 from softarm.kinematics import forward_kinematics
 
 
-def test_default_geometry_is_valid():
-    assert validate_geometry(default_geometry()) == []
+@pytest.mark.parametrize("field", [
+    "radius", "initial_length", "plate_offset_length", "plate_offset_angle",
+    "actuator_max_elongation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_section_rejects_non_finite_field(field, value):
+    with pytest.raises(ValueError, match=f"{field}: must be finite"):
+        SectionGeometry(**{"radius": 0.05, field: value})
 
 
-def test_zero_radius_is_violation():
-    geom = default_geometry()
-    bad = RobotGeometry(sections=(
-        SectionGeometry(radius=0.0),) + geom.sections[1:])
-    assert any("radius > 0" in v for v in validate_geometry(bad))
+@pytest.mark.parametrize("field", ["radius", "initial_length", "actuator_max_elongation"])
+@pytest.mark.parametrize("value", [0.0, -0.06])
+def test_section_rejects_non_positive_size(field, value):
+    with pytest.raises(ValueError, match=f"{field}: must be positive"):
+        SectionGeometry(**{"radius": 0.05, field: value})
 
 
-def test_wrong_section_count_is_violation():
-    bad = RobotGeometry(sections=default_geometry().sections[:2])
-    assert validate_geometry(bad) == ["exactly 3 sections"]
+def test_section_accepts_zero_and_negative_plate_offsets():
+    sec = SectionGeometry(radius=0.05, plate_offset_length=0.0, plate_offset_angle=-1.0)
+    assert sec.plate_offset_length == 0.0 and sec.plate_offset_angle == -1.0
 
 
-def test_nonmonotone_radii_is_violation():
-    secs = [SectionGeometry(radius=r) for r in (0.04, 0.05, 0.06)]
-    assert any("non-increasing" in v for v in validate_geometry(RobotGeometry(secs)))
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_geometry_rejects_section_count_other_than_three(count):
+    sections = (default_geometry().sections * 2)[:count]
+    with pytest.raises(ValueError, match=f"sections: must be 3, got {count}"):
+        RobotGeometry(sections=sections)
+
+
+@pytest.mark.parametrize("radii", [(0.04, 0.05, 0.06), (0.06, 0.04, 0.05), (0.05, 0.06, 0.06)])
+def test_geometry_rejects_radii_growing_toward_the_tip(radii):
+    with pytest.raises(ValueError, match="radii must not grow toward the tip"):
+        RobotGeometry([SectionGeometry(radius=r) for r in radii])
+
+
+def test_geometry_accepts_equal_radii_and_takes_any_sequence():
+    geom = RobotGeometry([SectionGeometry(radius=0.05)] * 3)
+    assert isinstance(geom.sections, tuple) and len(geom.sections) == 3
 
 
 def test_joint_limits_lower_bound_is_zero():
