@@ -39,12 +39,7 @@ from .geometry import (
     default_geometry,
     elongation_to_pressure,
 )
-from .jacobian import (
-    FullyStraightConfiguration,
-    Jacobian6x9,
-    jacobian,
-    pinv,
-)
+from .jacobian import Jacobian6x9, jacobian, pinv
 from .kinematics import Pose, forward_kinematics
 from .plant import Plant, PlantConfig, PlantObservation
 from .vision import (
@@ -72,7 +67,7 @@ __all__ = [
     "step_full",
     "JointLimits", "RobotGeometry", "SectionGeometry", "default_geometry",
     "elongation_to_pressure",
-    "FullyStraightConfiguration", "Jacobian6x9", "jacobian", "pinv",
+    "Jacobian6x9", "jacobian", "pinv",
     "Pose", "forward_kinematics",
     "Plant", "PlantConfig", "PlantObservation",
     "BerryTarget", "DegenerateConfiguration", "FrameRegistry",

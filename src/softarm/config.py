@@ -158,6 +158,15 @@ def geometry_from_dict(data) -> RobotGeometry:
         return RobotGeometry(sections=geom_sections)
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; a path that is not a readable
+    file, or bytes that are not UTF-8, are a config error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _parse_json(text: str, source: str):
     """JSON text with finite numbers only. Python's json reads NaN,
     Infinity and overflowing literals such as 1e999, and a NaN slips past
@@ -179,11 +188,8 @@ def _geometry(value) -> RobotGeometry:
     JSON file (same schema as the inline form)."""
     if not isinstance(value, str) or value == "default":
         return geometry_from_dict(value)
-    try:
-        text = Path(value).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read geometry file {value}: {exc}") from exc
-    return geometry_from_dict(_parse_json(text, f"geometry file {value}"))
+    return geometry_from_dict(_parse_json(_read_text(value, "geometry file"),
+                                          f"geometry file {value}"))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +316,8 @@ def target_pose_from_dict(data, geom: RobotGeometry, where: str = "scenario.targ
 
 def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
-    {"midpoint_jitter": j} drawn from the run RNG (keeps the start off the
-    straight singularity, mirroring the perturbation rule)."""
+    {"midpoint_jitter": j}, the joint-limit midpoint plus a uniform jitter
+    drawn from the run RNG."""
     with _block("scenario.initial_q"):
         if data is not None and not isinstance(data, dict):
             return _vector(data, 9)
@@ -500,7 +506,7 @@ def load_scenario_dict(path) -> dict:
         if candidate.is_file():
             return _parse_json(candidate.read_text(encoding="utf-8"), str(candidate))
         raise ConfigError(f"scenario file not found: {path}")
-    return _parse_json(p.read_text(encoding="utf-8"), str(path))
+    return _parse_json(_read_text(p, "scenario file"), str(path))
 
 
 def parse_scenario(data, seed_override=None) -> Scenario:

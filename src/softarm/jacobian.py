@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RobotGeometry
-from .kinematics import STRAIGHT_S_THRESHOLD, section_chain
+from .kinematics import section_chain
 
 #: Default relative singular-value cutoff for pseudoinverses.
 SV_TOL = 1e-8
-
-
-class FullyStraightConfiguration(Exception):
-    """Raised when every section is exactly straight; perturb and retry."""
 
 
 @dataclass(frozen=True)
@@ -46,16 +42,13 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
     velocity is (I + b W + g W^2) dw/du. Rotated by the base-frame rotation
     R of the section's base plate, a column moves the end effector by
     Jw = R omega and Jv = R dp + Jw x (p_E - o), o being the base-frame end
-    of the arc. Raises FullyStraightConfiguration when all three sections
-    are exactly straight, mirroring the perturbation rule the controller
-    applies to its initial state.
+    of the arc. The coefficients are exact at phi = 0, so straight sections
+    need no branch; with all three straight the stack loses the torsion
+    direction and has rank 5.
     """
     (e0, e1, e2), _, sections = section_chain(q, geom)
-    if all(section.s < STRAIGHT_S_THRESHOLD for section in sections):
-        raise FullyStraightConfiguration(
-            "Jacobian undefined at the fully straight configuration")
     flat = []
-    for _, (c0, c1), arc, (a, b, g, alpha, beta), R, (o0, o1, o2) in sections:
+    for (c0, c1), arc, (a, b, g, alpha, beta), R, (o0, o1, o2) in sections:
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
         d0, d1, d2 = e0 - o0, e1 - o1, e2 - o2
         bc0 = beta * c0

@@ -10,8 +10,8 @@ section transform is the closed form R = I + a W + b W^2,
 p = arc (b c_x, b c_y, a) in the coefficients of :func:`arc_coefficients`,
 so it has no atan2, no straight-section branch and is exact at straight.
 One walk chains the three sections and plate offsets with + - * / and the
-arc coefficients and hypot its caller passes in, so it runs on floats or
-on (N,) arrays: :func:`section_chain` walks one configuration in plain
+arc coefficients its caller passes in, so it runs on floats or on (N,)
+arrays: :func:`section_chain` walks one configuration in plain
 scalar arithmetic, and the forward kinematics and the analytic Jacobian
 (:mod:`softarm.jacobian`) both read it; the geometry keeps the last walk
 so the two share it at one configuration. :func:`forward_kinematics_many`
@@ -26,9 +26,6 @@ import numpy as np
 
 from .geometry import RobotGeometry, as_actuator_batch, as_actuator_vector
 from .rotations import orthonormalize, rows_drift_and_det
-
-#: Below this bending measure (m) a section is treated as exactly straight.
-STRAIGHT_S_THRESHOLD = 1e-9
 
 #: Orthonormality tolerance for Pose construction.
 POSE_ORTHO_TOL = 1e-9
@@ -134,7 +131,6 @@ def _arc_coefficients_many(phi2: np.ndarray) -> np.ndarray:
 class Section(NamedTuple):
     """One section of a configuration, as :func:`section_chain` sees it."""
 
-    s: float            # bending measure, m
     c: tuple            # (c0, c1) = (dx, dy) / (3 r)
     arc: float          # arc length, m
     coefficients: tuple  # arc_coefficients(c0^2 + c1^2)
@@ -142,11 +138,11 @@ class Section(NamedTuple):
     arc_end: tuple      # base-frame end point of the arc
 
 
-def _walk(lengths, geom: RobotGeometry, coefficients, hypot) -> tuple:
+def _walk(lengths, geom: RobotGeometry, coefficients) -> tuple:
     """Walk the nine ``lengths`` from the base: the end-effector position,
     rotation rows and :class:`Section` of each section. Only + - * / touch
     them, so they may be floats or (N,) arrays, one configuration per lane,
-    given the :func:`arc_coefficients` and ``hypot`` of their type."""
+    given the :func:`arc_coefficients` of their type."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     p0 = p1 = p2 = 0.0
     sections = []
@@ -167,7 +163,7 @@ def _walk(lengths, geom: RobotGeometry, coefficients, hypot) -> tuple:
         o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
         o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
         o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
-        sections.append(Section(0.5 * hypot(dx, dy), (c0, c1), arc, section_coefficients,
+        sections.append(Section((c0, c1), arc, section_coefficients,
                                 ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
                                 (o0, o1, o2)))
         # The plate: offset along the arc's end Z axis (s02, s12, s22), then
@@ -204,7 +200,7 @@ def section_chain(q, geom: RobotGeometry) -> tuple:
     last = geom._last_walk
     if last is not None and last[0] == key:
         return last[1]
-    walk = _walk(q.tolist(), geom, arc_coefficients, math.hypot)
+    walk = _walk(q.tolist(), geom, arc_coefficients)
     # The frozen instance's dict, as cached_property writes it; key and walk
     # go in as one tuple, so no reader pairs a key with another walk.
     geom.__dict__["_last_walk"] = key, walk
@@ -238,7 +234,7 @@ def forward_kinematics_many(qs, geom: RobotGeometry) -> list:
     :func:`forward_kinematics`, which keeps that lane's walk.
     """
     qs = as_actuator_batch(qs)
-    (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many, np.hypot)
+    (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many)
     drift, det = rows_drift_and_det(rows, np.sqrt)
     positions = np.stack((p0, p1, p2), axis=-1)
     rotations = np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)

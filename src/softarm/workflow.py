@@ -46,8 +46,7 @@ class HarvestState(enum.Enum):
 
 def _default_home_q() -> np.ndarray:
     # Mid-range (far from both actuator bounds, where the avoidance cost is
-    # flat), slightly asymmetric so the posture is off the straight
-    # singularity.
+    # flat). The bundled harvest outputs depend on this exact posture.
     return np.tile([0.051, 0.050, 0.049], 3)
 
 

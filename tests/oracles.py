@@ -129,3 +129,13 @@ def random_feasible_q(rng, limits, margin_fraction: float = 0.1) -> np.ndarray:
     lo = limits.lower + margin_fraction * span
     hi = limits.upper - margin_fraction * span
     return rng.uniform(lo, hi)
+
+
+def tail_rate(k: float, cutoff: float, dt: float) -> float:
+    """Per-step decay rate of a task's error near the goal of the filtered
+    resolved-rate loop with step gain k: the dominant eigenvalue of
+    [[1, -k], [a, 1 - a - a k]], a = 1 - exp(-cutoff dt), which maps the
+    true and low-pass filtered errors (e, f) of one step to the next
+    (e' = e - k f, f' = f + a (e' - f))."""
+    a = 1.0 - np.exp(-cutoff * dt)
+    return float(np.abs(np.linalg.eigvals([[1.0, -k], [a, 1.0 - a - a * k]])).max())

@@ -80,6 +80,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_scenario_dict(path)
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "scenario.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"name": "caf\xe9"}')  # Latin-1
+        with pytest.raises(ConfigError, match="cannot read scenario file"):
+            load_scenario_dict(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read scenario file")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_geometry_file_is_config_error(self, tmp_path):
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_bytes(b'{"sections": [], "note": "caf\xe9"}')  # Latin-1
+        with pytest.raises(ConfigError, match="cannot read geometry file"):
+            parse_scenario(minimal_controller_config(geometry=str(geom_path)))
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_scenario({"name": "x", "kind": "wat"})
@@ -647,6 +669,18 @@ class TestRunScenario:
             errs.mean() * 1e3, rel=1e-9)
         assert summary["aggregate"]["err_pos_std_mm"] == pytest.approx(
             errs.std() * 1e3, rel=1e-9)
+
+    def test_straight_start_converges(self, tmp_path):
+        # Every section exactly straight at the start: the run exits 0 with
+        # both targets converged (71 and 50 iterations).
+        cfg = load_scenario_dict("position_35pts")
+        cfg["targets"] = cfg["targets"][:2]
+        cfg["initial_q"] = [0.05] * 9
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["converged"], r["any_infeasible"]) for r in summary["runs"]] == \
+            [(True, False)] * 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path, minimal_controller_config())

@@ -36,7 +36,7 @@ from strategies import actuator_vectors
 
 GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
-Q_MID = np.tile([0.051, 0.050, 0.049], 3)  # midpoint nudged off the singularity
+Q_MID = np.tile([0.051, 0.050, 0.049], 3)  # the default home posture, just off the midpoint
 
 
 def make_cfg(mode, **kwargs):
@@ -319,6 +319,22 @@ class TestSolve:
         assert traj.converged
         assert traj.err_rot[-1] < cfg.orientation_tolerance
 
+    @pytest.mark.parametrize("mode, gains", [
+        (ControllerMode.ConventionalRR, gains_full_default),
+        (ControllerMode.PositionWithJL, gains_position_default),
+        (ControllerMode.OrientationWithJL, gains_orientation_default),
+        (ControllerMode.PosOriPriority, gains_full_default),
+        (ControllerMode.FullThreeTask, gains_full_default),
+    ])
+    def test_converges_from_the_exact_midpoint(self, mode, gains):
+        # Every section starts exactly straight, where J has rank 5; the
+        # SV_TOL cutoff drops the lost torsion direction (96, 61, 74, 685
+        # and 685 iterations).
+        desired = forward_kinematics(np.random.default_rng(0).uniform(0.02, 0.08, 9), GEOM)
+        traj = solve(LIMITS.midpoint(), desired, gains(), make_cfg(mode), Plant(PlantConfig()))
+        assert traj.converged and not traj.diverged
+        assert not traj.any_infeasible
+
     def test_conventional_rr_near_limit_goes_infeasible(self):
         # An extended-reach pose drives the unconstrained law to negative
         # elongations (negative commanded pressure).
@@ -522,11 +538,11 @@ class TestFactorFormEdges:
     must still be the law written out with np.linalg.pinv."""
 
     @pytest.mark.parametrize("mode", list(ControllerMode))
-    @pytest.mark.parametrize("offset, rank", [(1e-7, 3), (2e-9, 2)])
+    @pytest.mark.parametrize("offset, rank", [(1e-7, 3), (2e-9, 2), (0.0, 2)])
     def test_next_to_fully_straight(self, mode, offset, rank):
         # Sections 2 and 3 exactly straight, section 1 bent by one actuator's
         # offset: sigma_min / sigma_max of the orientation block is about
-        # 2.3 * offset, so it falls under sv_tol at 2e-9.
+        # 2.3 * offset, so it falls under sv_tol at 2e-9 and is 0 at 0.
         q = np.full(9, 0.05)
         q[0] += offset
         s = np.linalg.svd(jacobian(q, GEOM).Jw, compute_uv=False)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
-from softarm.jacobian import FullyStraightConfiguration, jacobian, pinv
-from softarm.kinematics import STRAIGHT_S_THRESHOLD, forward_kinematics, section_chain
+from softarm.jacobian import jacobian, pinv
+from softarm.kinematics import forward_kinematics, section_chain
 
 from oracles import fd_jacobian, random_feasible_q
 from strategies import actuator_vectors, with_straight_sections
@@ -14,31 +14,48 @@ GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
 
 
-def test_fully_straight_raises():
-    with pytest.raises(FullyStraightConfiguration):
-        jacobian(np.zeros(9), GEOM)
-    # equal elongations are just as straight
-    with pytest.raises(FullyStraightConfiguration):
-        jacobian(np.full(9, 0.05), GEOM)
+def assert_matches_fd_oracle(q):
+    """Criterion 2: J against the independent oracle's central differences,
+    to 1e-5 relative."""
+    J = jacobian(q, GEOM)
+    Jv_ref, Jw_ref = fd_jacobian(q, GEOM, h=1e-6)
+    assert np.linalg.norm(J.Jv - Jv_ref) / np.linalg.norm(Jv_ref) < 1e-5
+    assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
+    return J
+
+
+@pytest.mark.parametrize("q, sv", [
+    (np.zeros(9), (30.19, 30.19, 3.857, 3.857, 1.0)),
+    (np.full(9, 0.05), (30.65, 30.65, 4.917, 4.917, 1.0)),
+], ids=["zero", "equal-0.05"])
+def test_exactly_straight_matches_fd_oracle(q, sv):
+    # The closed form has no straight branch: with every section straight it
+    # meets the oracle (7.5e-10 absolute at 0.05) and has rank 5, the
+    # torsion direction lost and position at full rank.
+    J = assert_matches_fd_oracle(q)
+    s = np.linalg.svd(J.J, compute_uv=False)
+    np.testing.assert_allclose(s[:5], sv, rtol=1e-3)
+    assert s[5] <= 1e-12 * s[0]
+    assert np.linalg.svd(J.Jv, compute_uv=False)[-1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_equal_elongations_on_a_grid_are_exactly_straight():
-    # Every equal triple on a 0.1 mm grid; s from the squared form
-    # l1^2 + l2^2 + l3^2 - l1 l2 - l2 l3 - l1 l3 rounds 99 of them above
-    # the 1e-9 m straight threshold, so they read as bent.
-    for c in np.round(np.arange(0.0, 0.0981, 0.0001), 4):
+    # Every equal triple on a 0.1 mm grid walks with c exactly (0, 0); a
+    # tenth of them, the ends included, are checked against the oracle.
+    grid = np.round(np.arange(0.0, 0.0981, 0.0001), 4)
+    for c in grid:
         for section in section_chain(np.full(9, c), GEOM)[2]:
-            assert section.s < STRAIGHT_S_THRESHOLD
-        with pytest.raises(FullyStraightConfiguration):
-            jacobian(np.full(9, c), GEOM)
+            assert section.c == (0.0, 0.0)
+    for c in grid[::10]:
+        assert_matches_fd_oracle(np.full(9, c))
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
 def test_rank_next_to_fully_straight(delta):
     # Position keeps full rank next to (and at) straight; the 6x9 stack
     # loses the torsion direction, its smallest singular value shrinking
-    # linearly with the distance from straight. Exactly straight raises
-    # (test_fully_straight_raises).
+    # linearly with the distance from straight, to 0 at straight
+    # (test_exactly_straight_matches_fd_oracle).
     q = np.full(9, 0.05)
     q[0] += delta
     J = jacobian(q, GEOM)
@@ -66,11 +83,7 @@ def test_matches_independent_fd_oracle():
     # Different differencing step and an independent FK implementation.
     rng = np.random.default_rng(2)
     for _ in range(20):
-        q = random_feasible_q(rng, LIMITS)
-        J = jacobian(q, GEOM)
-        Jv_ref, Jw_ref = fd_jacobian(q, GEOM, h=1e-6)
-        assert np.linalg.norm(J.Jv - Jv_ref) / np.linalg.norm(Jv_ref) < 1e-5
-        assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
+        assert_matches_fd_oracle(random_feasible_q(rng, LIMITS))
 
 
 def test_angular_column_for_pure_single_section_bend():
@@ -85,17 +98,13 @@ def test_angular_column_for_pure_single_section_bend():
     np.testing.assert_allclose(Jw[:, 0], expected, rtol=1e-7, atol=1e-9)
 
 
-@pytest.mark.parametrize("n_straight", [1, 2])
+@pytest.mark.parametrize("n_straight", [1, 2, 3])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_matches_fd_oracle_with_straight_sections(n_straight, data):
     # Criterion 2's tolerance with exactly straight sections, where the
     # finite difference sees bending of the order of the step.
-    q = data.draw(with_straight_sections(n_straight))
-    J = jacobian(q, GEOM)
-    Jv_ref, Jw_ref = fd_jacobian(q, GEOM, h=1e-6)
-    assert np.linalg.norm(J.Jv - Jv_ref) / np.linalg.norm(Jv_ref) < 1e-5
-    assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
+    assert_matches_fd_oracle(data.draw(with_straight_sections(n_straight)))
 
 
 def vee(S):
@@ -121,8 +130,6 @@ def central_differences(q, h):
 def test_matches_central_differences_of_the_fk(q):
     # Bent, exactly straight and near-straight sections; the closed form has
     # no step, so it meets the differences' own error (~1e-10).
-    s = [section.s for section in section_chain(q, GEOM)[2]]
-    assume(max(s) >= STRAIGHT_S_THRESHOLD)
     J = jacobian(q, GEOM)
     Jv_fd, Jw_fd = central_differences(q, h=1e-6)
     assert np.linalg.norm(J.Jv - Jv_fd) / np.linalg.norm(Jv_fd) < 1e-8
@@ -135,7 +142,6 @@ def test_same_bytes_from_a_list_and_a_strided_view(q):
     # J is built from one flat list of the local columns; every form of the
     # same q, each on a fresh geometry so no walk is shared, gives the same
     # C-order bytes.
-    assume(not all(s.s < STRAIGHT_S_THRESHOLD for s in section_chain(q, GEOM)[2]))
     strided = np.repeat(q, 2)[::2]
     assert not strided.flags.c_contiguous
     J = jacobian(q, default_geometry()).J
@@ -146,11 +152,7 @@ def test_same_bytes_from_a_list_and_a_strided_view(q):
 
 def test_small_random_perturbation_scale():
     rng = np.random.default_rng(4)
-    q = np.full(9, 0.05) + rng.uniform(-1e-4, 1e-4, 9)
-    J = jacobian(q, GEOM)
-    Jv_ref, Jw_ref = fd_jacobian(q, GEOM, h=1e-6)
-    assert np.linalg.norm(J.Jv - Jv_ref) / np.linalg.norm(Jv_ref) < 1e-5
-    assert np.linalg.norm(J.Jw - Jw_ref) / np.linalg.norm(Jw_ref) < 1e-5
+    assert_matches_fd_oracle(np.full(9, 0.05) + rng.uniform(-1e-4, 1e-4, 9))
 
 
 def test_length_scale_invariance():

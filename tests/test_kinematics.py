@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from softarm import kinematics
 from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
-from softarm.jacobian import FullyStraightConfiguration, jacobian
+from softarm.jacobian import jacobian
 from softarm.kinematics import (
     SERIES_SWITCH,
-    STRAIGHT_S_THRESHOLD,
     Pose,
     arc_coefficients,
     forward_kinematics,
@@ -51,11 +50,10 @@ def first_section(l, radius=0.06, initial_length=0.15):
 
 class TestActuatorToConfig:
     """The actuator-to-arc-parameter map, as :func:`section_chain` reports it:
-    bending measure s, c = phi (cos theta, sin theta) and the arc length."""
+    c = phi (cos theta, sin theta) and the arc length."""
 
     def test_straight_section(self):
         section = section_chain(np.zeros(9), GEOM)[2][0]
-        assert section.s < STRAIGHT_S_THRESHOLD
         assert section.c == (0.0, 0.0)
         assert section.arc == pytest.approx(0.15)
 
@@ -64,7 +62,6 @@ class TestActuatorToConfig:
         # l = (0.01, 0, 0) on a 0.04 m radius section.
         section = first_section([0.01, 0.0, 0.0], radius=0.04)[0]
         phi = np.hypot(*section.c)
-        assert section.s == pytest.approx(0.01, rel=1e-12)
         assert phi == pytest.approx(1.0 / 6.0, rel=1e-12)
         assert section.arc / phi == pytest.approx(0.92, rel=1e-12)
         assert np.arctan2(section.c[1], section.c[0]) == pytest.approx(np.pi, abs=1e-12)
@@ -72,7 +69,7 @@ class TestActuatorToConfig:
     def test_equal_elongations_degenerate_to_straight(self):
         for c in (0.01, 0.05, 0.09):
             section = section_chain(np.full(9, c), GEOM)[2][1]
-            assert section.s < STRAIGHT_S_THRESHOLD
+            assert section.c == (0.0, 0.0)
             assert section.arc == pytest.approx(0.15 + c, rel=1e-12)
 
     def test_arc_length_identity(self):
@@ -88,8 +85,8 @@ class TestActuatorToConfig:
                 q[3 * i:3 * i + 3] = l
                 section = section_chain(q, GEOM)[2][i]
                 expected = sec.initial_length + l.mean()
-                if section.s >= STRAIGHT_S_THRESHOLD:
-                    phi = np.hypot(*section.c)
+                phi = np.hypot(*section.c)
+                if phi > 0.0:
                     chord = np.linalg.norm(np.array(section.arc_end) - base)
                     assert chord == pytest.approx(2 * expected / phi * np.sin(phi / 2),
                                                   rel=1e-12)
@@ -239,11 +236,7 @@ def _fk_bytes(q, geom):
 
 
 def _jacobian_bytes(q, geom):
-    """The Jacobian's bytes, or the exception type where it raises."""
-    try:
-        return jacobian(q, geom).J.tobytes()
-    except FullyStraightConfiguration:
-        return FullyStraightConfiguration
+    return jacobian(q, geom).J.tobytes()
 
 
 #: One geometry for the whole session, so its kept walk outlives each example.
@@ -264,7 +257,7 @@ class TestSharedWalk:
     def test_long_lived_geometry_matches_a_fresh_one(self, calls):
         # "new" passes another array, "edit" changes one entry of the same
         # array in place, "repeat" passes the same array unchanged. Straight
-        # sections are drawn twice as often, so the Jacobian also raises.
+        # sections are drawn twice as often, so some calls are fully straight.
         q = np.full(9, 0.05)
         for action, drawn, i, jacobian_first in calls:
             if action == "new":
@@ -286,14 +279,15 @@ class TestSharedWalk:
         q[3] += 1e-12
         assert section_chain(q, geom) is not walk
 
-    def test_fully_straight_raises_on_a_hit(self):
+    def test_fully_straight_jacobian_on_a_hit(self):
+        # The Jacobian read from the walk FK kept is the one a fresh
+        # geometry gives, at a configuration with every section straight.
         geom = default_geometry()
         q = np.full(9, 0.05)
         forward_kinematics(q, geom)
         walk = section_chain(q, geom)
         for _ in range(2):
-            with pytest.raises(FullyStraightConfiguration):
-                jacobian(q, geom)
+            assert _jacobian_bytes(q, geom) == _jacobian_bytes(q, default_geometry())
         assert section_chain(q, geom) is walk
 
     def test_failed_walk_keeps_the_last_one(self):
