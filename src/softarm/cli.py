@@ -62,7 +62,6 @@ def _say(quiet, *parts):
 def _write_csv(path: Path, header, lines) -> None:
     """Write ``header`` through csv, which quotes compared controller names,
     then each body line as it is produced: rows are never all in memory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(lines)
@@ -277,12 +276,18 @@ _RUNNERS = {"controller": _run_controller, "compare": _run_compare, "harvest": _
 
 
 def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
-    """Execute a scenario file of any kind; returns the exit code."""
+    """Execute a scenario file of any kind; returns the exit code. The output
+    directory is made before any run, so one that cannot be made is a config
+    error."""
     try:
         scenario = parse_scenario(load_scenario_dict(path), seed_override)
         _say(quiet, f"scenario {scenario.name} (kind={scenario.kind}, "
              f"seed={scenario.seed})")
         out = Path(out_dir) if out_dir else Path("out") / scenario.name
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
         return _RUNNERS[scenario.kind](scenario, out, quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

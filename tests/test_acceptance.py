@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Quantitative checks run at desk scale against the bundled scenario
 files; the hardware accuracies from the original system are not
 reproducible here and are replaced by the simulation tolerances below.
+Criteria 5, 6 and 8 read the session's one run of each bundled scenario
+(the ``bundled`` fixture of ``conftest.py``).
 """
 
 import time
@@ -69,13 +71,6 @@ def bundled_runs(name):
 
 def run_solve(run):
     return solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
-
-
-def run_bundled_targets(name):
-    """Run every target of a bundled controller scenario; yields
-    (trajectory, desired)."""
-    for run in bundled_runs(name).values():
-        yield run_solve(run), run.desired
 
 
 def test_criterion_1_kinematics_oracle_equivalence():
@@ -159,57 +154,59 @@ def test_criterion_4_barrier_property_on_near_limit_pose():
         assert time.time() - start < 10.0
 
 
-def test_criterion_5_convergence_suite():
+def test_criterion_5_convergence_suite(bundled):
     with criterion(5, "35-point position / 15-point orientation / 7-pose suites"
                       " plus mismatch+noise variants"):
-        start = time.time()
+        for result in bundled["position_35pts"].summary["runs"]:
+            assert result["converged"] and result["iterations"] <= 3000
+            assert result["final_err_pos_m"] < 0.8e-3
 
-        for trajectory, _ in run_bundled_targets("position_35pts"):
-            assert trajectory.converged and trajectory.iterations_used <= 3000
-            assert trajectory.err_pos[-1] < 0.8e-3
+        for result in bundled["orientation_15pts"].summary["runs"]:
+            assert result["converged"]
+            assert result["final_err_rot_rad"] < np.deg2rad(0.6)
 
-        for trajectory, _ in run_bundled_targets("orientation_15pts"):
-            assert trajectory.converged
-            assert trajectory.err_rot[-1] < np.deg2rad(0.6)
-
-        for trajectory, desired in run_bundled_targets("pose_7pts"):
-            assert trajectory.converged
-            assert trajectory.err_pos[-1] < 0.8e-3
-            R_c = rotvec_to_matrix(trajectory.rotvecs[-1])
-            e_zeta = matrix_to_rotvec(desired.rotation @ R_c.T)
+        pose = bundled["pose_7pts"]
+        targets = bundled_runs("pose_7pts")
+        for result in pose.summary["runs"]:
+            assert result["converged"]
+            assert result["final_err_pos_m"] < 0.8e-3
+            last = pose.rows[str(result["target"])][-1]
+            rotvec = np.array([float(last[axis]) for axis in ("rot_x", "rot_y", "rot_z")])
+            R_c = rotvec_to_matrix(rotvec)
+            e_zeta = matrix_to_rotvec(targets[result["target"]].desired.rotation @ R_c.T)
             xz = float(np.linalg.norm(e_zeta[[0, 2]]))
             assert xz < np.deg2rad(1.2), f"X/Z orientation error {np.rad2deg(xz)}"
 
         # 2% actuator mismatch + 0.5 mm measurement noise, tolerance x2
-        for name in ("position_35pts_noisy", "orientation_15pts_noisy",
-                     "pose_7pts_noisy"):
+        noisy = ("position_35pts_noisy", "orientation_15pts_noisy", "pose_7pts_noisy")
+        for name in noisy:
             block = load_scenario_dict(name)["controller"]
-            for trajectory, _ in run_bundled_targets(name):
-                assert trajectory.converged, f"{name} run did not terminate"
+            for result in bundled[name].summary["runs"]:
+                assert result["converged"], f"{name} run did not terminate"
                 if "position_tolerance" in block:
-                    assert trajectory.err_pos[-1] <= block["position_tolerance"]
+                    assert result["final_err_pos_m"] <= block["position_tolerance"]
                 if block.get("orientation_tolerance_deg") and \
                         block["mode"] != "FullThreeTask":
-                    assert trajectory.err_rot[-1] <= np.deg2rad(
+                    assert result["final_err_rot_rad"] <= np.deg2rad(
                         block["orientation_tolerance_deg"])
 
-        assert time.time() - start < 120.0
+        suites = ("position_35pts", "orientation_15pts", "pose_7pts") + noisy
+        assert sum(bundled[name].seconds for name in suites) < 120.0
 
 
-def test_criterion_6_joint_limit_awareness_is_faster():
+def test_criterion_6_joint_limit_awareness_is_faster(bundled):
     with criterion(6, "scheduled orientation law reaches 0.57 deg in strictly"
                       " fewer iterations than the conventional law"):
-        runs = bundled_runs("orientation_compare")
+        compare = bundled["orientation_compare"]
         threshold = np.deg2rad(0.57)
 
-        def iterations_to_threshold(run):
-            trajectory = run_solve(run)
-            below = np.nonzero(trajectory.err_rot <= threshold)[0]
+        def iterations_to_threshold(controller):
+            below = np.nonzero(compare.column(controller, "err_rot") <= threshold)[0]
             assert below.size, "never reached the threshold"
             return int(below[0])
 
-        with_jl = iterations_to_threshold(runs["orientation_with_jl"])
-        conventional = iterations_to_threshold(runs["conventional_rr_orientation"])
+        with_jl = iterations_to_threshold("orientation_with_jl")
+        conventional = iterations_to_threshold("conventional_rr_orientation")
         assert with_jl < conventional, (with_jl, conventional)
 
 
@@ -238,17 +235,13 @@ def test_criterion_7_vision_round_trip():
             assert residual < 1e-12
 
 
-def test_criterion_8_end_to_end_harvest(tmp_path):
+def test_criterion_8_end_to_end_harvest(bundled, tmp_path):
     with criterion(8, "harvest completes all four stages (with forced C1"
                       " occlusion) and is byte-reproducible"):
-        import json
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert run_scenario("harvest_default", out_dir=out_a, quiet=True) == 0
-        assert run_scenario("harvest_default", out_dir=out_b, quiet=True) == 0
+        harvest = bundled["harvest_default"]
+        assert run_scenario("harvest_default", out_dir=tmp_path, quiet=True) == 0
 
-        summary = json.loads((out_a / "summary.json").read_text())
-        runs = summary["runs"]
+        runs = harvest.summary["runs"]
         assert len(runs) == 2  # plain run and forced-occlusion run
         for run in runs:
             assert run["final_state"] == "Done"
@@ -259,4 +252,5 @@ def test_criterion_8_end_to_end_harvest(tmp_path):
             fine = run["stages"][1]
             assert fine["final_dist_true_m"] < 0.02
 
-        assert (out_a / "steps.csv").read_bytes() == (out_b / "steps.csv").read_bytes()
+        assert (harvest.out_dir / "steps.csv").read_bytes() == \
+            (tmp_path / "steps.csv").read_bytes()

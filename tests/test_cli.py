@@ -619,11 +619,10 @@ class TestCsvFormat:
             for k, row in enumerate(rows)]
 
     @pytest.mark.parametrize("scenario", ["pose_7pts_noisy", "harvest_default"])
-    def test_steps_csv_is_what_csv_writes(self, tmp_path, scenario):
+    def test_steps_csv_is_what_csv_writes(self, bundled, scenario):
         """Every body line ends in \\r\\n, has the header's column count, and
         reads back to rows that csv writes to the same bytes."""
-        assert run_scenario(scenario, out_dir=tmp_path, quiet=True) == 0
-        text = (tmp_path / "steps.csv").read_bytes().decode("utf-8")
+        text = (bundled[scenario].out_dir / "steps.csv").read_bytes().decode("utf-8")
         lines = text.splitlines(keepends=True)
         assert len(lines) > 1 and all(line.endswith("\r\n") for line in lines)
         header, *rows = csv.reader(io.StringIO(text, newline=""))
@@ -703,6 +702,19 @@ class TestRunScenario:
         cfg = minimal_controller_config(geometry="does/not/exist.json")
         path = write_config(tmp_path, cfg)
         assert run_scenario(path, out_dir=tmp_path / "out", quiet=True) == 1
+
+    @pytest.mark.parametrize("scenario", ["position_35pts", "orientation_compare",
+                                          "harvest_default"])
+    def test_output_path_that_is_a_file_exits_1_before_any_run(self, tmp_path, capsys,
+                                                                monkeypatch, scenario):
+        for runner in ("solve", "run_harvest"):
+            monkeypatch.setattr(f"softarm.cli.{runner}", lambda *args: pytest.fail("ran"))
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", scenario, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
 
     def test_geometry_loaded_from_file(self, tmp_path):
         geom_path = tmp_path / "geom.json"
@@ -796,14 +808,10 @@ class TestCompare:
 
 
 class TestHarvestScenario:
-    def test_bundled_harvest_runs(self, tmp_path):
-        assert main(["run", "harvest_default", "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert all(r["final_state"] == "Done" for r in summary["runs"])
-        with open(tmp_path / "out" / "steps.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        stages = [r["stage"] for r in rows if r["berry"] == "0"]
+    def test_bundled_harvest_runs(self, bundled):
+        harvest = bundled["harvest_default"]
+        assert all(r["final_state"] == "Done" for r in harvest.summary["runs"])
+        stages = [r["stage"] for r in harvest.rows["0"]]
         for stage in ("InitialPlacement", "FinePositioning", "Grasp", "ReturnHome"):
             assert stage in stages
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import softarm.controller
+from softarm import kinematics
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     DIVERGENCE_WINDOW,
     ORIENTATION,
@@ -353,6 +355,26 @@ class TestSolve:
         traj = solve(Q_MID, desired, gains_position_default(), cfg, Plant(PlantConfig()))
         steps = np.linalg.norm(np.diff(traj.qs, axis=0), axis=1)
         assert steps.max() < 0.05
+
+    @pytest.mark.parametrize("name, walks_per_step", [("position_35pts", 1),
+                                                      ("position_35pts_noisy", 2)])
+    def test_walks_per_step(self, monkeypatch, name, walks_per_step):
+        # On a plant without mismatch a step's Jacobian reads the walk the
+        # plant's FK of the last command left on the geometry, so each step
+        # walks once; a mismatched plant walks the scaled command, so each
+        # step walks twice. The two more are Plant()'s walk at q = 0, which
+        # reset() discards, and reset's walk at q0.
+        run = parse_scenario(load_scenario_dict(name)).runs[0]
+        walk, walks = kinematics._walk, 0
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return walk(*args)
+
+        monkeypatch.setattr(kinematics, "_walk", counted)
+        traj = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
+        assert walks == walks_per_step * traj.iterations_used + 2
 
     def test_divergence_detection_carries_trajectory(self):
         # A plant whose reported pose recedes from the target every step

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from softarm.cli import run_scenario
+from conftest import run_bundled
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.name.removesuffix(".json")
@@ -40,22 +40,17 @@ def behaviour(summary: dict) -> dict:
                      for r in summary["runs"]]}
 
 
-def run_behaviour(name: str, out_dir: Path) -> dict:
-    assert run_scenario(name, out_dir=out_dir, quiet=True) == 0
-    return behaviour(json.loads((out_dir / "summary.json").read_text(encoding="utf-8")))
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_bundled_scenario_matches_golden(name, tmp_path):
+def test_bundled_scenario_matches_golden(name, bundled):
     golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    assert run_behaviour(name, tmp_path) == golden
+    assert behaviour(bundled[name].summary) == golden
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
-            result = run_behaviour(name, Path(tmp))
+            result = behaviour(run_bundled(name, Path(tmp)).summary)
         (GOLDEN / f"{name}.json").write_text(json.dumps(result, indent=1) + "\n",
                                             encoding="utf-8")
         print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
