@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario_dict, parse_scenario
 from .controller import solve
+from .geometry import elongation_to_pressure
 from .plant import Plant
 from .workflow import HarvestState, run_harvest
 
@@ -82,7 +83,7 @@ def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: 
 
 def _trajectory_rows(trajectory, label, stage):
     return _csv_lines([(label, 0, k, stage) for k in range(trajectory.qs.shape[0])],
-                  (trajectory.qs, trajectory.pressures, trajectory.positions,
+                  (trajectory.qs, elongation_to_pressure(trajectory.qs), trajectory.positions,
                    trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
                    trajectory.err_pos_true, trajectory.err_rot_true),
                   [(_mask(flags),) for flags in trajectory.infeasible.tolist()])
@@ -229,7 +230,7 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 "berry": bi,
                 "final_state": log.final_state.value,
                 "failure_reason": log.failure_reason,
-                "grasp_success": log.grasp_success,
+                "grasp_success": log.final_state is HarvestState.Done,
                 "stages": [{"stage": s.stage, "iterations": s.end_iteration - s.start_iteration,
                             "outcome": s.outcome,
                             "final_dist_est_m": s.final_dist_est,
@@ -242,9 +243,11 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             if not log.rows:
                 continue
             kind = "occluded" if run.workflow.c1_occlusion_window else "plain"
+            qs = np.array([r.q for r in log.rows])
             yield from _csv_lines([(bi, kind, r.iteration, r.stage) for r in log.rows],
-                              tuple(zip(*((r.q, r.pressures, r.position, r.rotvec,
-                                           r.dist_est, r.dist_true) for r in log.rows))),
+                              (qs, elongation_to_pressure(qs),
+                               *zip(*((r.position, r.rotvec, r.dist_est, r.dist_true)
+                                      for r in log.rows))),
                               [(_mask(r.infeasible.tolist()), r.target_source)
                                for r in log.rows])
 

@@ -168,17 +168,27 @@ def _read_text(path, what: str) -> str:
 
 
 def _parse_json(text: str, source: str):
-    """JSON text with finite numbers only. Python's json reads NaN,
-    Infinity and overflowing literals such as 1e999, and a NaN slips past
-    range checks written as ``x < 0``."""
+    """JSON text with finite numbers and unique object keys only. Python's
+    json reads NaN, Infinity and overflowing literals such as 1e999, and a
+    NaN slips past range checks written as ``x < 0``; it also keeps the
+    last of two equal keys."""
     def finite(literal):
         value = float(literal)
         if not math.isfinite(value):
             raise ConfigError(f"{source}: non-finite number {literal} is not allowed")
         return value
 
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{source}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text, parse_float=finite, parse_constant=finite)
+        return json.loads(text, parse_float=finite, parse_constant=finite,
+                          object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
 
@@ -497,14 +507,16 @@ _KINDS = {
 
 
 def load_scenario_dict(path) -> dict:
-    """Load a scenario JSON file; bare bundled names (e.g.
-    'position_35pts') resolve to the packaged scenario directory."""
+    """Load a scenario JSON file. A bare bundled name (no directory part,
+    e.g. 'position_35pts') resolves to the packaged scenario directory
+    unless a regular file of that name exists."""
     p = Path(path)
-    if not p.exists():
+    if p.name == str(path) and not p.is_file():
         name = p.name if p.suffix else f"{p.name}.json"
         candidate = resources.files("softarm").joinpath("scenarios").joinpath(name)
         if candidate.is_file():
             return _parse_json(candidate.read_text(encoding="utf-8"), str(candidate))
+    if not p.exists():
         raise ConfigError(f"scenario file not found: {path}")
     return _parse_json(_read_text(p, "scenario file"), str(path))
 

@@ -282,9 +282,7 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
 class Trajectory:
     """Per-step record of a closed-loop solve. Row 0 is the initial state."""
 
-    mode: str
     qs: np.ndarray
-    pressures: np.ndarray
     positions: np.ndarray
     rotvecs: np.ndarray
     err_pos: np.ndarray
@@ -316,8 +314,8 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     the iteration budget, or sustained divergence.
 
     ``plant`` is any object with ``reset(q0)`` and ``apply_command(q)``,
-    which return observations with ``pose_filtered`` (the feedback pose),
-    ``pressures`` and ``infeasible_flags``, and ``true_pose()``, the
+    which return observations with ``pose_filtered`` (the feedback pose)
+    and ``infeasible_flags``, and ``true_pose()``, the
     noise-free pose the true errors are measured on (see
     :mod:`softarm.plant`).
     Stops with ``diverged=True`` when a tracked error norm stays above
@@ -333,7 +331,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         pose = observation.pose_filtered
         e = pose_error(desired, pose)
         true_pose = plant.true_pose()
-        rows.append((q_now.copy(), observation.pressures, pose.position.copy(),
+        rows.append((q_now.copy(), pose.position.copy(),
                      matrix_to_rotvec(pose.rotation), e.position_norm, e.orientation_norm,
                      norm(desired.position - true_pose.position),
                      norm(matrix_to_rotvec(desired.rotation @ true_pose.rotation.T)),
@@ -342,7 +340,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
 
     def finish(converged, diverged):
         *columns, flags = zip(*rows)
-        return Trajectory(cfg.mode.value, *map(np.array, columns),
+        return Trajectory(*map(np.array, columns),
                           np.array(flags, dtype=bool), converged, diverged)
 
     tracked_norms = TASK_STACKS[cfg.mode].norms

@@ -79,10 +79,6 @@ class Pose:
         object.__setattr__(pose, "rotation", rotation)
         return pose
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.zeros(3), np.eye(3))
-
     def compose(self, other: "Pose") -> "Pose":
         """self . other (apply ``other`` first, then ``self``)."""
         return Pose(self.position + self.rotation @ other.position,

@@ -21,7 +21,6 @@ from .geometry import (
     as_actuator_batch,
     as_actuator_vector,
     default_geometry,
-    elongation_to_pressure,
 )
 from .kinematics import Pose, forward_kinematics, forward_kinematics_many
 from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_matrix, rotvec_to_rows
@@ -56,7 +55,6 @@ class PlantConfig:
 @dataclass(frozen=True)
 class PlantObservation:
     pose_filtered: Pose
-    pressures: np.ndarray         # psi, from the command (can be negative)
     infeasible_flags: np.ndarray  # per actuator: command outside [0, l_max]
 
 
@@ -72,8 +70,7 @@ class Plant:
         # y_k = y_{k-1} + a (x_k - y_{k-1}), a = 1 - exp(-cutoff * dt).
         self._alpha = float(1.0 - np.exp(-self.config.filter_cutoff * self.config.dt))
         self._filtered = None  # (position, rotation) after the last measurement
-        self._true_pose = forward_kinematics(np.zeros(N_ACTUATORS),
-                                             self.config.true_geometry)
+        self._true_pose = None
 
     def reset(self, q0) -> PlantObservation:
         """Re-seed the RNG, drive the plant to q0, and start the filter at
@@ -82,9 +79,9 @@ class Plant:
         self._filtered = None
         return self.apply_command(q0)
 
-    def true_pose(self) -> Pose:
+    def true_pose(self) -> Pose | None:
         """Noise-free pose of the physical arm (simulation ground truth),
-        as of the last command."""
+        as of the last command; None before the first."""
         return self._true_pose
 
     def apply_command(self, q_cmd) -> PlantObservation:
@@ -94,14 +91,14 @@ class Plant:
         pose_true = forward_kinematics(
             np.minimum(np.maximum(q_cmd * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        return self._measure(pose_true, elongation_to_pressure(q_cmd), flags)
+        return self._measure(pose_true, flags)
 
     def apply_commands(self, q_cmds) -> Iterator[PlantObservation]:
         """Open-loop playback of the rows of the (N, 9) array q_cmds: the
         observations of N :meth:`apply_command` calls, in order.
 
-        The commands are validated, flagged, converted and saturated at
-        once, and their true poses come from one
+        The commands are validated, flagged and saturated at once, and
+        their true poses come from one
         :func:`~softarm.kinematics.forward_kinematics_many`. Noise, filter
         and :meth:`true_pose` advance as each observation is drawn from the
         returned iterator.
@@ -112,10 +109,9 @@ class Plant:
         poses_true = forward_kinematics_many(
             np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        return map(self._measure, poses_true, elongation_to_pressure(q_cmds), flags)
+        return map(self._measure, poses_true, flags)
 
-    def _measure(self, pose_true: Pose, pressures: np.ndarray,
-                 flags: np.ndarray) -> PlantObservation:
+    def _measure(self, pose_true: Pose, flags: np.ndarray) -> PlantObservation:
         """Take the arm to ``pose_true`` and observe it: seeded noise, then
         the low-pass filter."""
         self._true_pose = pose_true
@@ -142,8 +138,4 @@ class Plant:
         pose_filtered = Pose._checked(position_f, rotation_f,
                                       *rows_drift_and_det(rotation_f.tolist()))
 
-        return PlantObservation(
-            pose_filtered=pose_filtered,
-            pressures=pressures,
-            infeasible_flags=flags,
-        )
+        return PlantObservation(pose_filtered=pose_filtered, infeasible_flags=flags)

@@ -63,7 +63,6 @@ class FrameRegistry:
 
     base_in_cam1: Pose   # base frame expressed in C1 (maps base -> C1 coords)
     cam2_in_ee: Pose     # C2 mount expressed in the end-effector frame
-    registration_residual: float = 0.0
 
     @cached_property
     def _cam1_in_base(self) -> Pose:
@@ -78,22 +77,20 @@ class BerryTarget:
     position_c1: np.ndarray | None = None
 
 
-def berry_to_base(target: BerryTarget, ee_in_cam1: Pose,
+def berry_to_base(target: BerryTarget, ee_pose: Pose,
                   registry: FrameRegistry) -> np.ndarray | None:
     """Berry position in the base frame from the eye-in-hand camera, or
     None when C2 has no fix.
 
-    Chains base <- C1 <- EE <- C2 exactly: p_base = T_ee_base T_c2_ee p_c2
-    with T_ee_base = T_c1_base T_ee_c1, on the arrays, in the operations
-    and order of ``Pose.compose`` and ``Pose.transform_point``.
+    Chains base <- EE <- C2 through the measured base-frame end-effector
+    pose: p_base = T_ee_base T_c2_ee p_c2, on the arrays, in the operations
+    and order of ``ee_pose.compose(cam2_in_ee).transform_point(p_c2)``.
     """
     if target.position_c2 is None:
         return None
-    cam1, cam2 = registry._cam1_in_base, registry.cam2_in_ee
-    ee_rotation = cam1.rotation @ ee_in_cam1.rotation
-    ee_position = cam1.position + cam1.rotation @ ee_in_cam1.position
-    return (ee_position + ee_rotation @ cam2.position
-            + (ee_rotation @ cam2.rotation) @ np.asarray(target.position_c2, dtype=float))
+    cam2 = registry.cam2_in_ee
+    return (ee_pose.position + ee_pose.rotation @ cam2.position
+            + (ee_pose.rotation @ cam2.rotation) @ np.asarray(target.position_c2, dtype=float))
 
 
 def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndarray | None:
@@ -182,7 +179,6 @@ def build_registry(cam1_position=(0.0, -1.2, 0.4), cam1_target=(0.0, 0.25, 0.35)
     truth_base_in_cam1 = cam1_in_base.inverse()
     points = default_registration_points()
     observed_in_cam1 = np.array([truth_base_in_cam1.transform_point(p) for p in points])
-    base_in_cam1, residual = register_rigid(points, observed_in_cam1)
+    base_in_cam1, _ = register_rigid(points, observed_in_cam1)
     cam2_in_ee = Pose(np.asarray(cam2_offset, dtype=float), np.eye(3))
-    return FrameRegistry(base_in_cam1=base_in_cam1, cam2_in_ee=cam2_in_ee,
-                         registration_residual=residual)
+    return FrameRegistry(base_in_cam1=base_in_cam1, cam2_in_ee=cam2_in_ee)

@@ -88,7 +88,6 @@ class HarvestRow:
     iteration: int
     stage: str
     q: np.ndarray
-    pressures: np.ndarray
     position: np.ndarray
     rotvec: np.ndarray
     dist_est: float
@@ -114,7 +113,6 @@ class HarvestLog:
     gripper_events: list = field(default_factory=list)
     final_state: HarvestState = HarvestState.Failed
     failure_reason: str | None = None
-    grasp_success: bool = False
 
 
 def run_harvest(berry_base_truth, desired_approach_orientation, plant,
@@ -152,7 +150,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             iteration=iteration,
             stage=stage.value,
             q=q.copy(),
-            pressures=obs.pressures,
             position=pose.position.copy(),
             rotvec=matrix_to_rotvec(pose.rotation),
             dist_est=norm(pose.position - berry_est),
@@ -214,8 +211,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     stage_start = iteration
     ctrl_cfg = replace(cfg.controller, mode=ControllerMode.PositionWithJL)
     while True:
-        ee_in_cam1 = registry.base_in_cam1.compose(obs.pose_filtered)
-        fix = berry_to_base(observe(iteration), ee_in_cam1, registry)
+        fix = berry_to_base(observe(iteration), obs.pose_filtered, registry)
         berry_est = berry_est if fix is None else fix
         record(stage, berry_est, "c2_held" if fix is None else "c2")
         if log.rows[-1].dist_est <= cfg.grasp_threshold:
@@ -235,7 +231,6 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     log.gripper_events.append((iteration, "close"))
     record(stage, berry_est, log.rows[-1].target_source)
     grasped = log.rows[-1].dist_true <= cfg.grasp_threshold
-    log.grasp_success = grasped
     close_stage(stage, stage_start, "grasped" if grasped else "missed")
     if not grasped:
         return fail("Grasp: berry outside gripper workspace")

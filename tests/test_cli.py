@@ -24,9 +24,10 @@ from softarm.controller import (
     gains_position_default,
     solve,
 )
-from softarm.geometry import default_geometry
+from softarm.geometry import default_geometry, elongation_to_pressure
 from softarm.plant import Plant
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
+from softarm.workflow import run_harvest
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -74,16 +75,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_scenario_dict("no_such_scenario_anywhere")
 
+    def test_a_directory_does_not_hide_a_bundled_name(self, tmp_path, monkeypatch):
+        # The first run makes the directory near_limit_pose; the second
+        # still reads the bundled scenario of that name.
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["run", "near_limit_pose", "--out", "near_limit_pose",
+                         "--quiet"]) == 0
+        assert (tmp_path / "near_limit_pose" / "compare.csv").is_file()
+
+    def test_a_file_named_like_a_bundled_scenario_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, minimal_controller_config(), name="near_limit_pose")
+        assert load_scenario_dict("near_limit_pose")["name"] == "mini"
+
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_scenario_dict(path)
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
-    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind", ["directory", "bare-directory", "not-utf8"])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys, monkeypatch, kind):
         path = tmp_path / "scenario.json"
-        if kind == "directory":
+        if kind == "bare-directory":  # a bare name that no bundled scenario has
+            monkeypatch.chdir(tmp_path)
+            path = Path("scenario.json")
+            path.mkdir()
+        elif kind == "directory":
             path.mkdir()
         else:
             path.write_bytes(b'{"name": "caf\xe9"}')  # Latin-1
@@ -392,6 +411,26 @@ class TestConfigValueErrors:
         assert err.startswith("config error:") and "must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["scenario", "geometry"])
+    def test_duplicate_key(self, tmp_path, capsys, where):
+        # json would keep the last of the two values.
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text('{"sections": [{"radius": 0.06}, {"radius": 0.05},'
+                             ' {"radius": 0.04, "radius": 0.03}]}')
+        cfg = minimal_controller_config(geometry=str(geom_path) if where == "geometry"
+                                        else "default")
+        path = tmp_path / "scenario.json"
+        text = json.dumps(cfg)
+        if where == "scenario":
+            text = '{"strict": true, "strict": false, ' + text[1:]
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        source, key = ((path, "strict") if where == "scenario"
+                       else (f"geometry file {geom_path}", "radius"))
+        assert err == f"config error: {source}: duplicate key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_number_in_geometry_file(self, tmp_path, capsys):
         geom_path = tmp_path / "geom.json"
         geom_path.write_text('{"sections": [{"radius": 0.06}, {"radius": 0.05},'
@@ -633,6 +672,34 @@ class TestCsvFormat:
         assert rewritten.getvalue() == text
 
 
+class TestPressureColumns:
+    """``p1..p9`` of ``steps.csv`` are the regulator pressures of the
+    commands the controller or the harvest sent, not of the elongations a
+    mismatched plant applied."""
+
+    PRESSURES = [f"p{i + 1}" for i in range(9)]
+
+    def _written(self, rows):
+        return [[row[p] for p in self.PRESSURES] for row in rows]
+
+    def _expected(self, qs):
+        return [["%.12g" % v for v in row] for row in elongation_to_pressure(qs).tolist()]
+
+    def test_controller_rows(self, bundled):
+        run = parse_scenario(load_scenario_dict("position_35pts_noisy")).runs[0]
+        assert np.any(run.plant.length_scale_error)
+        traj = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
+        rows = bundled["position_35pts_noisy"].rows[str(run.label)]
+        assert self._written(rows) == self._expected(traj.qs)
+
+    def test_harvest_rows(self, bundled):
+        run = parse_scenario(load_scenario_dict("harvest_default")).runs[0]
+        log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry,
+                          run.workflow)
+        rows = bundled["harvest_default"].rows["0"]
+        assert self._written(rows) == self._expected(np.array([r.q for r in log.rows]))
+
+
 class TestRunScenario:
     def test_empty_target_list_succeeds(self, tmp_path):
         path = write_config(tmp_path, minimal_controller_config(targets=[]))
@@ -814,6 +881,15 @@ class TestHarvestScenario:
         stages = [r["stage"] for r in harvest.rows["0"]]
         for stage in ("InitialPlacement", "FinePositioning", "Grasp", "ReturnHome"):
             assert stage in stages
+
+    def test_failed_harvest_reports_no_grasp(self, tmp_path):
+        cfg = load_scenario_dict("harvest_default")
+        cfg["workflow"]["placement_max_iterations"] = 0
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["final_state"], r["grasp_success"]) for r in summary["runs"]] == \
+            [("Failed", False)] * 2
 
     @pytest.mark.parametrize("position", [None, [0.0, 0.4]], ids=["missing", "2-vector"])
     def test_bad_berry_position_exits_1_before_any_output(self, tmp_path, capsys, position):

@@ -27,7 +27,7 @@ from softarm.controller import (
     solve,
     step_full,
 )
-from softarm.geometry import default_geometry
+from softarm.geometry import default_geometry, elongation_to_pressure
 from softarm.jacobian import SV_TOL, Jacobian6x9, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
@@ -128,7 +128,7 @@ class TestGainSchedule:
         assert g.joint_limit.switch_threshold == 0.050
 
     def test_task_error_norms_are_python_floats(self):
-        e = pose_error(Pose(np.array([0.1, 0.2, 0.3]), rot_x(0.4)), Pose.identity())
+        e = pose_error(Pose(np.array([0.1, 0.2, 0.3]), rot_x(0.4)), Pose(np.zeros(3), np.eye(3)))
         assert type(e.position_norm) is float and type(e.orientation_norm) is float
         assert e.position_norm == float(np.linalg.norm(e.e_p))
         assert e.orientation_norm == float(np.linalg.norm(e.e_zeta))
@@ -294,8 +294,8 @@ class TestSolve:
         desired = forward_kinematics(Q_MID, GEOM)
         cfg = make_cfg(ControllerMode.FullThreeTask)
         traj = solve(Q_MID, desired, gains_full_default(), cfg, Plant(PlantConfig()))
-        assert (traj.mode, traj.converged, traj.diverged) == ("FullThreeTask", True, False)
-        for name, shape in (("qs", (1, 9)), ("pressures", (1, 9)), ("positions", (1, 3)),
+        assert (traj.converged, traj.diverged) == (True, False)
+        for name, shape in (("qs", (1, 9)), ("positions", (1, 3)),
                             ("rotvecs", (1, 3)), ("err_pos", (1,)), ("err_rot", (1,)),
                             ("err_pos_true", (1,)), ("err_rot_true", (1,))):
             column = getattr(traj, name)
@@ -312,7 +312,7 @@ class TestSolve:
         assert traj.converged
         assert traj.err_pos[-1] < cfg.position_tolerance
         assert not traj.any_infeasible
-        assert np.all(traj.pressures >= 0.0)
+        assert np.all(elongation_to_pressure(traj.qs) >= 0.0)
 
     def test_orientation_solve_converges(self):
         desired = Pose(np.zeros(3), rot_x(np.deg2rad(-90.0)) @ rot_z(2 * np.pi / 3))
@@ -344,7 +344,7 @@ class TestSolve:
         cfg = make_cfg(ControllerMode.ConventionalRR, max_iterations=800)
         traj = solve(Q_MID, desired, GainSchedule(alpha=0.05), cfg, Plant(PlantConfig()))
         assert traj.any_infeasible
-        assert np.any(traj.pressures < 0.0)
+        assert np.any(elongation_to_pressure(traj.qs) < 0.0)
 
     def test_trajectory_steps_are_bounded(self):
         # Gain switching changes qdot, never q: consecutive commanded states
@@ -362,8 +362,7 @@ class TestSolve:
         # On a plant without mismatch a step's Jacobian reads the walk the
         # plant's FK of the last command left on the geometry, so each step
         # walks once; a mismatched plant walks the scaled command, so each
-        # step walks twice. The two more are Plant()'s walk at q = 0, which
-        # reset() discards, and reset's walk at q0.
+        # step walks twice. The one more is reset's walk at q0.
         run = parse_scenario(load_scenario_dict(name)).runs[0]
         walk, walks = kinematics._walk, 0
 
@@ -374,7 +373,7 @@ class TestSolve:
 
         monkeypatch.setattr(kinematics, "_walk", counted)
         traj = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
-        assert walks == walks_per_step * traj.iterations_used + 2
+        assert walks == walks_per_step * traj.iterations_used + 1
 
     def test_divergence_detection_carries_trajectory(self):
         # A plant whose reported pose recedes from the target every step
@@ -389,8 +388,7 @@ class TestSolve:
                 self._drift += 0.05
                 away = Pose(obs.pose_filtered.position + np.array([0.0, 0.0, self._drift]),
                             obs.pose_filtered.rotation)
-                return type(obs)(pose_filtered=away, pressures=obs.pressures,
-                                 infeasible_flags=obs.infeasible_flags)
+                return type(obs)(pose_filtered=away, infeasible_flags=obs.infeasible_flags)
 
         desired = forward_kinematics(Q_MID, GEOM)
         desired = Pose(desired.position + np.array([0.0, 0.0, 0.005]), desired.rotation)
@@ -414,7 +412,7 @@ class TestSolve:
         def observation(dz, angle):
             pose = Pose(desired.position + np.array([0.0, 0.0, dz]),
                         rot_x(angle) @ desired.rotation)
-            return PlantObservation(pose, np.zeros(9), np.zeros(9, dtype=bool))
+            return PlantObservation(pose, np.zeros(9, dtype=bool))
 
         script = iter([observation(1e-6, tilt)] + [observation(1e-4, tilt)] * (window - 1)
                       + [observation(1e-4, 0.0)])
