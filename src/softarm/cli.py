@@ -60,6 +60,14 @@ def _say(quiet, *parts):
         print(*parts)
 
 
+def _report(lines: list, quiet: bool, *new: str) -> None:
+    """Keep the text-report lines ``new`` in ``lines`` and echo each one,
+    indented, unless ``quiet``: a report line is formatted once."""
+    lines.extend(new)
+    for line in new:
+        _say(quiet, f"  {line}".rstrip())
+
+
 def _write_csv(path: Path, header, lines) -> None:
     """Write ``header`` through csv, which quotes compared controller names,
     then each body line as it is produced: rows are never all in memory."""
@@ -90,12 +98,13 @@ def _trajectory_rows(trajectory, label, stage):
 
 
 def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    results = []
+    """Solve each target; returns the number of runs that failed."""
+    results, lines = [], []
 
     def rows():
         for run in scenario.runs:
             trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
-            results.append({
+            r = {
                 "target": run.label,
                 "repetition": 0,
                 "converged": trajectory.converged,
@@ -106,35 +115,22 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 "final_err_pos_true_m": float(trajectory.err_pos_true[-1]),
                 "final_err_rot_true_rad": float(trajectory.err_rot_true[-1]),
                 "any_infeasible": trajectory.any_infeasible,
-            })
-            _say(quiet, f"  target {run.label} rep 0: "
-                 f"{'converged' if trajectory.converged else 'NOT converged'} "
-                 f"in {trajectory.iterations_used} iters, "
-                 f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
-                 f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg")
+            }
+            results.append(r)
+            _report(lines, quiet,
+                    f"target {r['target']:3d} rep {r['repetition']}: "
+                    f"{'converged' if r['converged'] else 'not-converged'}"
+                    f"{' diverged' if r['diverged'] else ''} "
+                    f"iters={r['iterations']:5d} "
+                    f"err_pos={r['final_err_pos_m'] * 1e3:8.4f} mm "
+                    f"err_rot={np.rad2deg(r['final_err_rot_rad']):8.4f} deg"
+                    f"{' infeasible-pressures' if r['any_infeasible'] else ''}")
             yield from _trajectory_rows(trajectory, run.label, run.controller.mode.value)
 
     _write_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER, rows())
-    summary = _controller_summary(scenario, results)
-    _write_summary(out_dir, scenario, summary, "summary.txt", _controller_lines(summary))
-    _say(quiet, f"  wrote {out_dir / 'steps.csv'}")
-    agg = summary["aggregate"]
-    if agg["n_runs"]:
-        _say(quiet, f"  position error: {agg['err_pos_mean_mm']:.3f} +/- "
-             f"{agg['err_pos_std_mm']:.3f} mm; orientation error: "
-             f"{agg['err_rot_mean_deg']:.3f} +/- {agg['err_rot_std_deg']:.3f} deg")
-
-    failed = [r for r in results if not r["converged"] or r["diverged"]]
-    if scenario.strict and failed:
-        _say(quiet, f"  STRICT: {len(failed)} run(s) failed")
-        return 2
-    return 0
-
-
-def _controller_summary(scenario, results):
-    ep = np.array([r["final_err_pos_m"] for r in results]) if results else np.empty(0)
-    er = np.array([r["final_err_rot_rad"] for r in results]) if results else np.empty(0)
-    aggregate = {
+    ep = np.array([r["final_err_pos_m"] for r in results])
+    er = np.array([r["final_err_rot_rad"] for r in results])
+    agg = {
         "n_runs": len(results),
         "n_converged": int(sum(r["converged"] for r in results)),
         "err_pos_mean_mm": float(ep.mean() * 1e3) if results else 0.0,
@@ -142,27 +138,16 @@ def _controller_summary(scenario, results):
         "err_rot_mean_deg": float(np.rad2deg(er.mean())) if results else 0.0,
         "err_rot_std_deg": float(np.rad2deg(er.std())) if results else 0.0,
     }
-    return {"name": scenario.name, "kind": scenario.kind, "seed": scenario.seed,
-            "runs": results, "aggregate": aggregate}
-
-
-def _controller_lines(summary) -> list:
-    """The per-run and aggregate lines of a controller ``summary.txt``."""
-    agg = summary["aggregate"]
-    lines = [f"target {r['target']:3d} rep {r['repetition']}: "
-             f"{'converged' if r['converged'] else 'not-converged'}"
-             f"{' diverged' if r['diverged'] else ''} "
-             f"iters={r['iterations']:5d} "
-             f"err_pos={r['final_err_pos_m'] * 1e3:8.4f} mm "
-             f"err_rot={np.rad2deg(r['final_err_rot_rad']):8.4f} deg"
-             f"{' infeasible-pressures' if r['any_infeasible'] else ''}"
-             for r in summary["runs"]]
-    return lines + ["",
-                    f"runs: {agg['n_runs']}  converged: {agg['n_converged']}",
-                    f"position error: {agg['err_pos_mean_mm']:.4f} +/- "
-                    f"{agg['err_pos_std_mm']:.4f} mm",
-                    f"orientation error: {agg['err_rot_mean_deg']:.4f} +/- "
-                    f"{agg['err_rot_std_deg']:.4f} deg"]
+    _report(lines, quiet, "",
+            f"runs: {agg['n_runs']}  converged: {agg['n_converged']}",
+            f"position error: {agg['err_pos_mean_mm']:.4f} +/- {agg['err_pos_std_mm']:.4f} mm",
+            f"orientation error: {agg['err_rot_mean_deg']:.4f} +/- "
+            f"{agg['err_rot_std_deg']:.4f} deg")
+    _write_summary(out_dir, scenario,
+                   {"name": scenario.name, "kind": scenario.kind, "seed": scenario.seed,
+                    "runs": results, "aggregate": agg},
+                   "summary.txt", lines)
+    return sum(not r["converged"] or r["diverged"] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +155,9 @@ def _controller_lines(summary) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    runs = {}
-    verdicts = {}
+    """Solve with each compared controller; returns the number that did not
+    converge."""
+    runs, verdicts, lines = {}, {}, []
     for run in scenario.runs:
         trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
         runs[run.label] = trajectory
@@ -180,10 +166,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         if trajectory.any_infeasible:
             verdict += ", infeasible-pressures-detected"
         verdicts[run.label] = verdict
-        _say(quiet, f"  {run.label}: {verdict} "
-             f"(iters={trajectory.iterations_used}, "
-             f"err_pos={trajectory.err_pos[-1] * 1e3:.3f} mm, "
-             f"err_rot={np.rad2deg(trajectory.err_rot[-1]):.3f} deg)")
+        _report(lines, quiet, f"{run.label}: {verdict} iters={trajectory.iterations_used}")
 
     names = list(runs)
 
@@ -206,13 +189,8 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         "iterations": {n: runs[n].iterations_used for n in names},
         "any_infeasible": {n: bool(runs[n].any_infeasible) for n in names},
     }
-    _write_summary(out_dir, scenario, summary, "verdicts.txt",
-                   [f"{n}: {verdicts[n]} iters={runs[n].iterations_used}" for n in names])
-    _say(quiet, f"  wrote {out_dir / 'compare.csv'}")
-
-    if scenario.strict and any(not t.converged for t in runs.values()):
-        return 2
-    return 0
+    _write_summary(out_dir, scenario, summary, "verdicts.txt", lines)
+    return sum(not t.converged for t in runs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +198,8 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    results = []
+    """Harvest each berry; returns the number of runs that did not end Done."""
+    results, lines = [], []
 
     def rows():
         for bi, run in enumerate(scenario.runs):
@@ -238,8 +217,12 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                            for s in log.stages],
                 "gripper_events": log.gripper_events,
             })
-            _say(quiet, f"  berry {bi}: {log.final_state.value}"
-                 f"{' (' + log.failure_reason + ')' if log.failure_reason else ''}")
+            _report(lines, quiet,
+                    f"berry {bi}: {log.final_state.value}"
+                    + (f" ({log.failure_reason})" if log.failure_reason else ""),
+                    *(f"    {s.stage:<18} iters={s.end_iteration - s.start_iteration:5d} "
+                      f"outcome={s.outcome:<8} dist_true={s.final_dist_true * 1e3:8.2f} mm"
+                      for s in log.stages))
             if not log.rows:
                 continue
             kind = "occluded" if run.workflow.c1_occlusion_window else "plain"
@@ -252,23 +235,10 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                                for r in log.rows])
 
     _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())
-    lines = []
-    for r in results:
-        lines.append(f"berry {r['berry']}: {r['final_state']}"
-                     + (f" ({r['failure_reason']})" if r["failure_reason"] else ""))
-        for s in r["stages"]:
-            lines.append(f"    {s['stage']:<18} iters={s['iterations']:5d} "
-                         f"outcome={s['outcome']:<8} "
-                         f"dist_true={s['final_dist_true_m'] * 1e3:8.2f} mm")
     _write_summary(out_dir, scenario,
                    {"name": scenario.name, "seed": scenario.seed, "runs": results},
                    "summary.txt", lines)
-    _say(quiet, f"  wrote {out_dir / 'steps.csv'}")
-
-    if scenario.strict and any(r["final_state"] != HarvestState.Done.value
-                               for r in results):
-        return 2
-    return 0
+    return sum(not r["grasp_success"] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +249,9 @@ _RUNNERS = {"controller": _run_controller, "compare": _run_compare, "harvest": _
 
 
 def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
-    """Execute a scenario file of any kind; returns the exit code. The output
-    directory is made before any run, so one that cannot be made is a config
-    error."""
+    """Execute a scenario file of any kind; returns the exit code: 2 when the
+    scenario is strict and a run failed. The output directory is made before
+    any run, so one that cannot be made is a config error."""
     try:
         scenario = parse_scenario(load_scenario_dict(path), seed_override)
         _say(quiet, f"scenario {scenario.name} (kind={scenario.kind}, "
@@ -291,10 +261,15 @@ def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
-        return _RUNNERS[scenario.kind](scenario, out, quiet)
+        failed = _RUNNERS[scenario.kind](scenario, out, quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    _say(quiet, f"  wrote {out}")
+    if scenario.strict and failed:
+        _say(quiet, f"  STRICT: {failed} run(s) failed")
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:

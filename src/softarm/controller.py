@@ -356,10 +356,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         norms = tracked_norms(e)
         ratio = max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
                     default=0.0)
-        if ratio > DIVERGENCE_FACTOR:
-            growth_streak += 1
-            if growth_streak >= DIVERGENCE_WINDOW:
-                return finish(converged=False, diverged=True)
-        else:
-            growth_streak = 0
+        growth_streak = growth_streak + 1 if ratio > DIVERGENCE_FACTOR else 0
+        if growth_streak >= DIVERGENCE_WINDOW:
+            return finish(converged=False, diverged=True)
     return finish(converged=_tolerance_met(e, norms, cfg), diverged=False)

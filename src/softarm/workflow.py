@@ -169,61 +169,48 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         log.failure_reason = reason
         return log
 
-    # Stage 1: initial placement on the standoff pose, berry from C1, under
-    # the full three-task law.
-    stage = HarvestState.InitialPlacement
-    stage_start = iteration
-    ctrl_cfg = replace(cfg.controller, mode=ControllerMode.FullThreeTask)
+    # Stages 1 and 2 close the loop on the berry estimate, one entry each:
+    # stage, camera tag, the distance that ends it, budget, gains, law, how a
+    # fix is read at the measured pose, and the task error from that pose.
+    # Placement drives onto the standoff pose from C1 fixes; fine positioning
+    # onto the berry from C2 fixes, with the orientation frozen (zero error).
     standoff = approach @ cfg.standoff_offset
-    initial_dist = None
-    growth_streak = 0
-    while True:
-        fix = cam1_target_to_base(observe(iteration), registry)
-        if fix is None and berry_est is None:
-            return fail(f"{stage.value}: berry occluded and never seen before")
-        berry_est = berry_est if fix is None else fix
-        record(stage, berry_est, "c1_held" if fix is None else "c1")
-        dist = log.rows[-1].dist_est
-        if initial_dist is None:
-            initial_dist = dist
-        if dist <= cfg.coarse_threshold:
-            close_stage(stage, stage_start, "reached")
-            break
-        if iteration - stage_start >= cfg.placement_max_iterations:
-            close_stage(stage, stage_start, "timeout")
-            return fail(f"StageTimeout({stage.value})")
-        if dist > DIVERGENCE_FACTOR * initial_dist:
-            growth_streak += 1
+    closed_loop_stages = (
+        (HarvestState.InitialPlacement, "c1", cfg.coarse_threshold,
+         cfg.placement_max_iterations, cfg.placement_gains, ControllerMode.FullThreeTask,
+         lambda target, pose: cam1_target_to_base(target, registry),
+         lambda berry, pose: pose_error(Pose(berry + standoff, approach), pose)),
+        (HarvestState.FinePositioning, "c2", cfg.grasp_threshold,
+         cfg.fine_max_iterations, cfg.fine_gains, ControllerMode.PositionWithJL,
+         lambda target, pose: berry_to_base(target, pose, registry),
+         lambda berry, pose: TaskError(berry - pose.position, np.zeros(3))),
+    )
+    for stage, source, threshold, budget, gains, mode, locate, task_error in closed_loop_stages:
+        stage_start = iteration
+        first_row = len(log.rows)
+        ctrl_cfg = replace(cfg.controller, mode=mode)
+        growth_streak = 0
+        while True:
+            fix = locate(observe(iteration), obs.pose_filtered)
+            if fix is None and berry_est is None:
+                return fail(f"{stage.value}: berry occluded and never seen before")
+            berry_est = berry_est if fix is None else fix
+            record(stage, berry_est, f"{source}_held" if fix is None else source)
+            dist = log.rows[-1].dist_est
+            if dist <= threshold:
+                close_stage(stage, stage_start, "reached")
+                break
+            if iteration - stage_start >= budget:
+                close_stage(stage, stage_start, "timeout")
+                return fail(f"StageTimeout({stage.value})")
+            growth_streak = (growth_streak + 1
+                             if dist > DIVERGENCE_FACTOR * log.rows[first_row].dist_est else 0)
             if growth_streak >= DIVERGENCE_WINDOW:
                 close_stage(stage, stage_start, "diverged")
                 return fail(f"{stage.value}: diverged")
-        else:
-            growth_streak = 0
-        desired = Pose(berry_est + standoff, approach)
-        q = step_full(q, pose_error(desired, obs.pose_filtered), cfg.placement_gains, ctrl_cfg)
-        obs = plant.apply_command(q)
-        iteration += 1
-
-    # Stage 2: fine positioning on the berry itself, berry from C2 chained
-    # through the measured end-effector pose, under the position law;
-    # orientation stays frozen, so its error is zero.
-    stage = HarvestState.FinePositioning
-    stage_start = iteration
-    ctrl_cfg = replace(cfg.controller, mode=ControllerMode.PositionWithJL)
-    while True:
-        fix = berry_to_base(observe(iteration), obs.pose_filtered, registry)
-        berry_est = berry_est if fix is None else fix
-        record(stage, berry_est, "c2_held" if fix is None else "c2")
-        if log.rows[-1].dist_est <= cfg.grasp_threshold:
-            close_stage(stage, stage_start, "reached")
-            break
-        if iteration - stage_start >= cfg.fine_max_iterations:
-            close_stage(stage, stage_start, "timeout")
-            return fail(f"StageTimeout({stage.value})")
-        e = TaskError(berry_est - obs.pose_filtered.position, np.zeros(3))
-        q = step_full(q, e, cfg.fine_gains, ctrl_cfg)
-        obs = plant.apply_command(q)
-        iteration += 1
+            q = step_full(q, task_error(berry_est, obs.pose_filtered), gains, ctrl_cfg)
+            obs = plant.apply_command(q)
+            iteration += 1
 
     # Stage 3: grasp. Success judged on the true gripper-to-berry distance.
     stage = HarvestState.Grasp

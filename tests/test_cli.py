@@ -56,6 +56,43 @@ def minimal_controller_config(**overrides):
     return cfg
 
 
+def minimal_compare_config():
+    return {
+        "name": "cmp",
+        "kind": "compare",
+        "seed": 3,
+        "initial_q": [0.051, 0.05, 0.049] * 3,
+        "target": {"position": [-0.0498, 0.0657, 0.6674]},
+        "controllers": [
+            {"name": "a", "mode": "PositionWithJL", "max_iterations": 500,
+             "gains": {"alpha": 0.074,
+                       "joint_limit": {"value_far": -0.01,
+                                       "switch_threshold": 0.03}}},
+            {"name": "b", "mode": "PositionWithJL", "max_iterations": 500,
+             "gains": {"alpha": 0.074}},
+        ],
+    }
+
+
+def one_of_each_kind(kind, fail_one=False):
+    """A small scenario of ``kind`` with two runs; with ``fail_one`` the
+    second run fails."""
+    if kind == "controller":
+        cfg = minimal_controller_config(targets=[
+            {"position": [-0.0498, 0.0657, 0.6674]},
+            # [0, 0.9, 0.5] is beyond the arm's reach
+            {"position": [0.0, 0.9, 0.5] if fail_one else [-0.0601, -0.1457, 0.6309]}])
+    elif kind == "compare":
+        cfg = minimal_compare_config()
+        if fail_one:
+            cfg["controllers"][1]["max_iterations"] = 2  # cannot converge in 2 steps
+    else:
+        cfg = load_scenario_dict("harvest_default")
+        if fail_one:
+            cfg["berries"][1]["c1_occlusion_window"] = [0, 10]  # C1 never sees the berry
+    return cfg
+
+
 def _with(cfg, path, value):
     """``cfg`` with the value at the key path ``path`` set to ``value``."""
     block = cfg
@@ -755,11 +792,31 @@ class TestRunScenario:
         assert (tmp_path / "a" / "steps.csv").read_bytes() == \
             (tmp_path / "b" / "steps.csv").read_bytes()
 
-    def test_strict_mode_fails_on_nonconverged(self, tmp_path):
-        cfg = minimal_controller_config(strict=True)
-        cfg["controller"]["max_iterations"] = 2  # cannot converge in 2 steps
-        path = write_config(tmp_path, cfg)
-        assert run_scenario(path, out_dir=tmp_path / "out", quiet=True) == 2
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("kind", ["controller", "compare", "harvest"])
+    def test_strict_mode_fails_on_a_failed_run(self, tmp_path, capsys, kind, strict):
+        path = write_config(tmp_path, dict(one_of_each_kind(kind, fail_one=True),
+                                           strict=strict))
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out) == (2 if strict else 0)
+        tail = [f"  wrote {out}"] + (["  STRICT: 1 run(s) failed"] if strict else [])
+        assert capsys.readouterr().out.splitlines()[-len(tail):] == tail
+
+    @pytest.mark.parametrize("kind, report", [("controller", "summary.txt"),
+                                              ("compare", "verdicts.txt"),
+                                              ("harvest", "summary.txt")])
+    def test_stdout_echoes_the_text_report(self, tmp_path, capsys, kind, report):
+        # Each report line is formatted once, as its run ends: stdout is the
+        # scenario line, the report's body indented, and the output directory.
+        cfg = one_of_each_kind(kind)
+        out = tmp_path / "out"
+        assert run_scenario(write_config(tmp_path, cfg), out_dir=out) == 0
+        head, *body = (out / report).read_text(encoding="utf-8").split("\n\n", 1)
+        assert head == f"scenario: {cfg['name']}\nseed: {cfg['seed']}"
+        assert capsys.readouterr().out.splitlines() == (
+            [f"scenario {cfg['name']} (kind={kind}, seed={cfg['seed']})"]
+            + [f"  {line}".rstrip() for line in body[0].splitlines()]
+            + [f"  wrote {out}"])
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"name": "x"})  # missing kind
@@ -794,25 +851,8 @@ class TestRunScenario:
 
 
 class TestCompare:
-    def compare_config(self):
-        return {
-            "name": "cmp",
-            "kind": "compare",
-            "seed": 3,
-            "initial_q": [0.051, 0.05, 0.049] * 3,
-            "target": {"position": [-0.0498, 0.0657, 0.6674]},
-            "controllers": [
-                {"name": "a", "mode": "PositionWithJL", "max_iterations": 500,
-                 "gains": {"alpha": 0.074,
-                           "joint_limit": {"value_far": -0.01,
-                                           "switch_threshold": 0.03}}},
-                {"name": "b", "mode": "PositionWithJL", "max_iterations": 500,
-                 "gains": {"alpha": 0.074}},
-            ],
-        }
-
     def test_compare_writes_aligned_csv_and_verdicts(self, tmp_path):
-        path = write_config(tmp_path, self.compare_config())
+        path = write_config(tmp_path, minimal_compare_config())
         assert main(["run", path, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
         with open(tmp_path / "out" / "compare.csv", newline="") as fh:
@@ -823,7 +863,7 @@ class TestCompare:
         assert "a: converged" in verdicts and "b: converged" in verdicts
 
     def test_mode_compared_with_itself_is_identical(self, tmp_path):
-        cfg = self.compare_config()
+        cfg = minimal_compare_config()
         cfg["controllers"][1] = dict(cfg["controllers"][0], name="a2")
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"),
@@ -834,7 +874,7 @@ class TestCompare:
                 assert row["a_err_rot"] == row["a2_err_rot"]
 
     def test_controller_name_csv_must_quote_round_trips(self, tmp_path):
-        cfg = self.compare_config()
+        cfg = minimal_compare_config()
         cfg["controllers"][0]["name"] = 'a,"b"'
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"),
@@ -850,7 +890,7 @@ class TestCompare:
     @pytest.mark.parametrize("name, label", [(None, "PositionWithJL"), ("", "PositionWithJL"),
                                              ("c", "c")], ids=["null", "empty", "string"])
     def test_controller_name_defaults_to_the_mode(self, name, label):
-        cfg = self.compare_config()
+        cfg = minimal_compare_config()
         cfg["controllers"][0]["name"] = name
         assert [run.label for run in parse_scenario(cfg).runs] == [label, "b"]
 
@@ -859,7 +899,7 @@ class TestCompare:
     def test_controller_name_must_be_a_string(self, tmp_path, capsys, name):
         # str() once named the controller "7", "False" or "['a']", and 0 or
         # false fell back to the mode name.
-        cfg = self.compare_config()
+        cfg = minimal_compare_config()
         cfg["controllers"][0]["name"] = name
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -868,7 +908,7 @@ class TestCompare:
         assert not (tmp_path / "out").exists()
 
     def test_compare_requires_two_controllers(self, tmp_path):
-        cfg = self.compare_config()
+        cfg = minimal_compare_config()
         cfg["controllers"] = cfg["controllers"][:1]
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--quiet"]) == 1

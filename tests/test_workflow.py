@@ -53,6 +53,37 @@ class RecedingPlant(Plant):
             pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation))
 
 
+class RecedingAfterHandover(RecedingPlant):
+    """Follows the reset and the ``placement_steps`` commands of a clean
+    placement, then recedes like :class:`RecedingPlant`, the true pose with
+    the reported one: the eye-in-hand fix is chained through the reported
+    pose, so only a true recession shows in the fine stage's distance."""
+
+    def __init__(self, config, placement_steps):
+        super().__init__(config)
+        self.clean_commands = 1 + placement_steps  # the reset sends one
+
+    def apply_command(self, q_cmd):
+        if self.clean_commands:
+            self.clean_commands -= 1
+            return Plant.apply_command(self, q_cmd)
+        return super().apply_command(q_cmd)
+
+    def true_pose(self):
+        pose = super().true_pose()
+        return Pose(pose.position + np.array([0.0, 0.0, self.drift]), pose.rotation)
+
+
+def receding_plant(stage: str):
+    """A plant whose pose recedes from the berry during ``stage``."""
+    if stage == "InitialPlacement":
+        return RecedingPlant(PlantConfig())
+    clean = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), make_workflow())
+    placement = clean.stages[0]
+    return RecedingAfterHandover(PlantConfig(),
+                                 placement.end_iteration - placement.start_iteration)
+
+
 class TestWorkflowConfig:
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -141,32 +172,38 @@ class TestHarvestRun:
             run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
                         make_workflow())
 
-    def test_placement_divergence_reads_the_controller_rule(self):
+    @pytest.mark.parametrize("stage", ["InitialPlacement", "FinePositioning"])
+    def test_divergence_reads_the_controller_rule(self, stage):
         # The reported pose recedes from the berry faster every step; the
-        # placement stage closes as diverged once the distance has stayed
-        # above DIVERGENCE_FACTOR times its initial value for
+        # stage closes as diverged once the distance has stayed above
+        # DIVERGENCE_FACTOR times its value on the stage's first row for
         # DIVERGENCE_WINDOW steps.
-        log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(),
+        log = run_harvest(BERRY, APPROACH, receding_plant(stage), registry(),
                           make_workflow())
-        placement = log.stages[0]
-        assert (placement.stage, placement.outcome) == ("InitialPlacement", "diverged")
-        assert log.failure_reason == "InitialPlacement: diverged"
-        dists = [row.dist_est for row in log.rows]
+        closed = log.stages[-1]
+        assert (closed.stage, closed.outcome) == (stage, "diverged")
+        assert log.failure_reason == f"{stage}: diverged"
+        dists = [row.dist_est for row in log.rows if row.stage == stage]
         passed = next(k for k, d in enumerate(dists) if d > DIVERGENCE_FACTOR * dists[0])
-        assert (placement.end_iteration - placement.start_iteration
-                == passed + DIVERGENCE_WINDOW - 1)
+        assert closed.end_iteration - closed.start_iteration == passed + DIVERGENCE_WINDOW - 1
+        assert len(dists) == passed + DIVERGENCE_WINDOW
 
-    def test_placement_budget_is_checked_before_divergence(self):
+    @pytest.mark.parametrize("stage, budget", [
+        ("InitialPlacement", "placement_max_iterations"),
+        ("FinePositioning", "fine_max_iterations"),
+    ])
+    def test_budget_is_checked_before_divergence(self, stage, budget):
         # A budget that ends on the row where the divergence window ends
         # closes the stage as a timeout.
         wf = make_workflow()
-        diverged = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
-        assert diverged.stages[0].outcome == "diverged"
-        end = diverged.stages[0].end_iteration
-        wf = replace(wf, placement_max_iterations=end)
-        log = run_harvest(BERRY, APPROACH, RecedingPlant(PlantConfig()), registry(), wf)
-        assert (log.stages[0].outcome, log.stages[0].end_iteration) == ("timeout", end)
-        assert log.failure_reason == "StageTimeout(InitialPlacement)"
+        diverged = run_harvest(BERRY, APPROACH, receding_plant(stage), registry(), wf).stages[-1]
+        assert (diverged.stage, diverged.outcome) == (stage, "diverged")
+        wf = replace(wf, **{budget: diverged.end_iteration - diverged.start_iteration})
+        log = run_harvest(BERRY, APPROACH, receding_plant(stage), registry(), wf)
+        closed = log.stages[-1]
+        assert (closed.stage, closed.outcome, closed.end_iteration) == (
+            stage, "timeout", diverged.end_iteration)
+        assert log.failure_reason == f"StageTimeout({stage})"
 
     def test_repeat_runs_identical(self):
         a = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(),
