@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,21 +22,14 @@ from .workflow import HarvestState, run_harvest
 
 _FLOAT_FMT = "%.12g"
 
-CONTROLLER_CSV_HEADER = (
-    ["target", "repetition", "iteration", "stage"]
-    + [f"q{i+1}" for i in range(9)]
-    + [f"p{i+1}" for i in range(9)]
-    + ["pos_x", "pos_y", "pos_z", "rot_x", "rot_y", "rot_z",
-       "err_pos", "err_rot", "err_pos_true", "err_rot_true", "infeasible"]
-)
+_STATE_COLUMNS = ([f"q{i+1}" for i in range(9)] + [f"p{i+1}" for i in range(9)]
+                  + ["pos_x", "pos_y", "pos_z", "rot_x", "rot_y", "rot_z"])
 
-HARVEST_CSV_HEADER = (
-    ["berry", "run", "iteration", "stage"]
-    + [f"q{i+1}" for i in range(9)]
-    + [f"p{i+1}" for i in range(9)]
-    + ["pos_x", "pos_y", "pos_z", "rot_x", "rot_y", "rot_z",
-       "dist_est", "dist_true", "infeasible", "target_source"]
-)
+CONTROLLER_CSV_HEADER = (["target", "repetition", "iteration", "stage"] + _STATE_COLUMNS
+                         + ["err_pos", "err_rot", "err_pos_true", "err_rot_true", "infeasible"])
+
+HARVEST_CSV_HEADER = (["berry", "run", "iteration", "stage"] + _STATE_COLUMNS
+                      + ["dist_est", "dist_true", "infeasible", "target_source"])
 
 
 def _csv_lines(lead, columns, trail):
@@ -68,12 +62,14 @@ def _report(lines: list, quiet: bool, *new: str) -> None:
         _say(quiet, f"  {line}".rstrip())
 
 
-def _write_csv(path: Path, header, lines) -> None:
-    """Write ``header`` through csv, which quotes compared controller names,
-    then each body line as it is produced: rows are never all in memory."""
+@contextmanager
+def _open_csv(path: Path, header):
+    """The file ``path``, open for writing, with ``header`` written through
+    csv, which quotes compared controller names. Callers write each run's
+    body lines as the run ends: rows are never all in memory."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(lines)
+        yield fh
 
 
 def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: str,
@@ -89,19 +85,10 @@ def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: 
 # Controller scenarios
 # ---------------------------------------------------------------------------
 
-def _trajectory_rows(trajectory, label, stage):
-    return _csv_lines([(label, 0, k, stage) for k in range(trajectory.qs.shape[0])],
-                  (trajectory.qs, elongation_to_pressure(trajectory.qs), trajectory.positions,
-                   trajectory.rotvecs, trajectory.err_pos, trajectory.err_rot,
-                   trajectory.err_pos_true, trajectory.err_rot_true),
-                  [(_mask(flags),) for flags in trajectory.infeasible.tolist()])
-
-
 def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     """Solve each target; returns the number of runs that failed."""
     results, lines = [], []
-
-    def rows():
+    with _open_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER) as fh:
         for run in scenario.runs:
             trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
             r = {
@@ -125,9 +112,13 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                     f"err_pos={r['final_err_pos_m'] * 1e3:8.4f} mm "
                     f"err_rot={np.rad2deg(r['final_err_rot_rad']):8.4f} deg"
                     f"{' infeasible-pressures' if r['any_infeasible'] else ''}")
-            yield from _trajectory_rows(trajectory, run.label, run.controller.mode.value)
-
-    _write_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER, rows())
+            qs, stage = trajectory.qs, run.controller.mode.value
+            fh.writelines(_csv_lines(
+                [(run.label, 0, k, stage) for k in range(qs.shape[0])],
+                (qs, elongation_to_pressure(qs), trajectory.positions, trajectory.rotvecs,
+                 trajectory.err_pos, trajectory.err_rot, trajectory.err_pos_true,
+                 trajectory.err_rot_true),
+                [(_mask(flags),) for flags in trajectory.infeasible.tolist()]))
     ep = np.array([r["final_err_pos_m"] for r in results])
     er = np.array([r["final_err_rot_rad"] for r in results])
     agg = {
@@ -169,8 +160,8 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         _report(lines, quiet, f"{run.label}: {verdict} iters={trajectory.iterations_used}")
 
     names = list(runs)
-
-    def rows():
+    with _open_csv(out_dir / "compare.csv", ["iteration"] + [
+            f"{n}_{c}" for n in names for c in ("err_pos", "err_rot")]) as fh:
         for k in range(max(t.qs.shape[0] for t in runs.values())):
             row = [str(k)]
             for t in runs.values():
@@ -178,11 +169,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                     row += [_FLOAT_FMT % t.err_pos[k], _FLOAT_FMT % t.err_rot[k]]
                 else:
                     row += ["", ""]
-            yield ",".join(row) + "\r\n"
-
-    _write_csv(out_dir / "compare.csv",
-               ["iteration"] + [f"{n}_{c}" for n in names for c in ("err_pos", "err_rot")],
-               rows())
+            fh.write(",".join(row) + "\r\n")
     summary = {
         "name": scenario.name, "seed": scenario.seed,
         "verdicts": verdicts,
@@ -200,8 +187,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     """Harvest each berry; returns the number of runs that did not end Done."""
     results, lines = [], []
-
-    def rows():
+    with _open_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER) as fh:
         for bi, run in enumerate(scenario.runs):
             log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry,
                               run.workflow)
@@ -227,14 +213,12 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 continue
             kind = "occluded" if run.workflow.c1_occlusion_window else "plain"
             qs = np.array([r.q for r in log.rows])
-            yield from _csv_lines([(bi, kind, r.iteration, r.stage) for r in log.rows],
-                              (qs, elongation_to_pressure(qs),
-                               *zip(*((r.position, r.rotvec, r.dist_est, r.dist_true)
-                                      for r in log.rows))),
-                              [(_mask(r.infeasible.tolist()), r.target_source)
-                               for r in log.rows])
+            fh.writelines(_csv_lines(
+                [(bi, kind, r.iteration, r.stage) for r in log.rows],
+                (qs, elongation_to_pressure(qs),
+                 *zip(*((r.position, r.rotvec, r.dist_est, r.dist_true) for r in log.rows))),
+                [(_mask(r.infeasible.tolist()), r.target_source) for r in log.rows]))
 
-    _write_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER, rows())
     _write_summary(out_dir, scenario,
                    {"name": scenario.name, "seed": scenario.seed, "runs": results},
                    "summary.txt", lines)

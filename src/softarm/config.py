@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import (
+    TASK_STACKS,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -42,8 +43,7 @@ def _read(data, where: str, **convert) -> dict:
     A key the block leaves out is not passed on, so the dataclass that owns
     its default applies. A key with no converter is a ConfigError, and a
     converter's TypeError, ValueError or OverflowError comes out as a
-    ValueError that names the key. So does a float that is not finite:
-    ``float`` reads the strings "nan" and "inf".
+    ValueError that names the key.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where.removeprefix('scenario.')}: must be an object")
@@ -55,8 +55,6 @@ def _read(data, where: str, **convert) -> dict:
     for key, value in data.items():
         try:
             given[key] = convert[key](value)
-            if isinstance(given[key], float) and not math.isfinite(given[key]):
-                raise ValueError("must be finite")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
     return given
@@ -111,13 +109,21 @@ def _integer(value) -> int:
     return value
 
 
-def _vector(value, n: int = 3) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"must be a {n}-vector")
-    if not np.isfinite(v).all():
+def _number(value) -> float:
+    """A JSON number, never a bool, and finite. ``float`` would read true as
+    1.0 and the strings "0.05", "nan" and "inf"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("must be a number")
+    value = float(value)
+    if not math.isfinite(value):
         raise ValueError("must be finite")
-    return v
+    return value
+
+
+def _vector(value, n: int = 3) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"must be a {n}-vector")
+    return np.array([_number(v) for v in value])
 
 
 def derive_seed(*keys) -> int:
@@ -148,7 +154,7 @@ def geometry_from_dict(data) -> RobotGeometry:
         raise ConfigError("geometry must be 'default' or {'sections': [...]}")
     with _block("geometry"):
         sections = _read(data, "geometry", sections=_list)["sections"]
-    section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), float)
+    section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), _number)
     geom_sections = []
     for i, sec in enumerate(sections):
         where = f"geometry.sections[{i}]"
@@ -209,7 +215,7 @@ def _geometry(value) -> RobotGeometry:
 def _joint_limit(data, where: str) -> JointLimitSchedule | None:
     if data is None:
         return None
-    kwargs = _read(data, where, value_far=float, switch_threshold=float, metric=str)
+    kwargs = _read(data, where, value_far=_number, switch_threshold=_number, metric=str)
     if "metric" in kwargs:
         kwargs["threshold_metric"] = kwargs.pop("metric")
     return JointLimitSchedule(**kwargs)
@@ -219,7 +225,7 @@ def _gains(data, where: str) -> GainSchedule:
     if not isinstance(data, dict) or "alpha" not in data:
         raise ConfigError(f"{where} must be an object with at least 'alpha'")
     return GainSchedule(**_read(
-        data, where, alpha=float, gamma_position=float, gamma_orientation=float,
+        data, where, alpha=_number, gamma_position=_number, gamma_orientation=_number,
         joint_limit=lambda j: _joint_limit(j, f"{where}.joint_limit")))
 
 
@@ -244,8 +250,8 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
     if not isinstance(data, dict) or "mode" not in data or "gains" not in data:
         raise ConfigError(f"{where} needs a 'mode' and 'gains'")
     with _block(where):
-        kwargs = _read(data, where, mode=_mode, position_tolerance=float,
-                       orientation_tolerance_deg=lambda deg: float(np.deg2rad(deg)),
+        kwargs = _read(data, where, mode=_mode, position_tolerance=_number,
+                       orientation_tolerance_deg=lambda deg: float(np.deg2rad(_number(deg))),
                        max_iterations=_integer,
                        orientation_error_axes=_axes,
                        gains=lambda g: _gains(g, f"{where}.gains"), **extra)
@@ -263,9 +269,9 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
     with _block("scenario.plant"):
-        kwargs = _read({} if data is None else data, "scenario.plant", mismatch=float,
-                       position_noise_std=float, rotation_noise_std=float,
-                       filter_cutoff=float, dt=float)
+        kwargs = _read({} if data is None else data, "scenario.plant", mismatch=_number,
+                       position_noise_std=_number, rotation_noise_std=_number,
+                       filter_cutoff=_number, dt=_number)
         mismatch = kwargs.pop("mismatch", 0.0)
         if mismatch < 0:
             raise ValueError("mismatch must be non-negative")
@@ -297,7 +303,7 @@ def _relative_to(name):
 def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
     """Rotation spec: {"rotvec": [...]} (radians, absolute) or
     {"axis": "x", "angle_deg": a, "relative_to": "upright"|"base"}."""
-    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=float,
+    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=_number,
                  relative_to=_relative_to)
     if "rotvec" in spec:
         for key in ("axis", "angle_deg", "relative_to"):
@@ -313,8 +319,9 @@ def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
 
 
 def target_pose_from_dict(data, geom: RobotGeometry, where: str = "scenario.target") -> Pose:
-    """A target is a position, a rotation, or both. Missing parts default
-    to the straight-arm pose (ignored by single-task modes)."""
+    """A target is a position, a rotation, or both. A missing position reads
+    as the base origin and a missing rotation as the upright one: values for
+    a part no task of the mode tracks (see :func:`_check_tracked`)."""
     if not isinstance(data, dict) or ("position" not in data and "rotation" not in data):
         raise ConfigError("target needs 'position' and/or 'rotation'")
     with _block(where):
@@ -324,6 +331,14 @@ def target_pose_from_dict(data, geom: RobotGeometry, where: str = "scenario.targ
                 target["rotation"] if "rotation" in target else upright_rotation(geom))
 
 
+def _check_tracked(data: dict, controller: ControllerConfig, where: str) -> None:
+    """The target ``data`` gives each part its controller's mode tracks."""
+    for part, tracked in zip(("position", "rotation"), TASK_STACKS[controller.mode].tracks):
+        if tracked and part not in data:
+            raise ConfigError(f"{where.removeprefix('scenario.')}: {controller.mode.value} "
+                              f"tracks the {part}, which the target does not give")
+
+
 def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
     {"midpoint_jitter": j}, the joint-limit midpoint plus a uniform jitter
@@ -331,7 +346,7 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     with _block("scenario.initial_q"):
         if data is not None and not isinstance(data, dict):
             return _vector(data, 9)
-        jitter = _read(data or {}, "scenario.initial_q", midpoint_jitter=float).get(
+        jitter = _read(data or {}, "scenario.initial_q", midpoint_jitter=_number).get(
             "midpoint_jitter", 1e-3)
         return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
 
@@ -375,8 +390,8 @@ def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
     with _block(where):
         return WorkflowConfig(controller=controller, **_read(
             {} if data is None else data, where,
-            coarse_threshold=float, grasp_threshold=float,
-            observation_noise_std=float, home_iterations=_integer,
+            coarse_threshold=_number, grasp_threshold=_number,
+            observation_noise_std=_number, home_iterations=_integer,
             standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
             placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
             placement_max_iterations=_integer,
@@ -448,9 +463,13 @@ def _controller_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     if not given.get("targets"):  # no run reads the shared blocks; check them all the same
         initial_q_from_dict(given.get("initial_q"), geom, np.random.default_rng(seed))
         plant_config_from_dict(given.get("plant"), geom, seed)
-    return [_solve(i, controller, target_pose_from_dict(target, geom, f"scenario.targets[{i}]"),
-                   given, geom, seed, i)
-            for i, target in enumerate(given.get("targets", []))]
+    runs = []
+    for i, target in enumerate(given.get("targets", [])):
+        where = f"scenario.targets[{i}]"
+        desired = target_pose_from_dict(target, geom, where)
+        _check_tracked(target, controller[0], where)
+        runs.append(_solve(i, controller, desired, given, geom, seed, i))
+    return runs
 
 
 def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
@@ -465,6 +484,7 @@ def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     for i, entry in enumerate(entries):
         *controller, name = _controller(entry, geom, f"scenario.controllers[{i}]",
                                         name=lambda name: None if name is None else _string(name))
+        _check_tracked(given["target"], controller[0], "scenario.target")
         label = name or controller[0].mode.value
         if label in (run.label for run in runs):
             raise ConfigError(f"duplicate controller name {label!r}")

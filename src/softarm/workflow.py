@@ -20,6 +20,7 @@ from .controller import (
     GainSchedule,
     TaskError,
     gains_full_default,
+    gains_position_default,
     pose_error,
     step_full,
 )
@@ -65,7 +66,8 @@ class WorkflowConfig:
     # The fine stage starts inside the coarse threshold, i.e. in the
     # near-goal regime where the avoidance schedule is off; it runs the
     # plain position law.
-    fine_gains: GainSchedule = field(default_factory=lambda: GainSchedule(alpha=0.074))
+    fine_gains: GainSchedule = field(
+        default_factory=lambda: replace(gains_position_default(), joint_limit=None))
     fine_max_iterations: int = 1000
     home_iterations: int = 100
     observation_noise_std: float = 0.0

@@ -338,8 +338,10 @@ class TestPublishedTuning:
             assert run.workflow.placement_gains == defaults["pose"]
         workloads = _load_module("bench/workloads.py")
         for kind in workloads.CONTROLLERS:
+            # A target gives each part its mode tracks, so this one gives both.
             task = {"kind": kind, "noisy": False, "scenario_seed": 1,
-                    "target": {"position": [0.0, 0.4, 0.45]}}
+                    "target": {"position": [0.0, 0.4, 0.45],
+                               "rotation": {"axis": "x", "angle_deg": -30.0}}}
             assert parse_scenario(workloads.scenario_dict(task, 0)).runs[0].gains == \
                 defaults[kind], kind
 
@@ -378,7 +380,7 @@ class TestConfigValueErrors:
     @pytest.mark.parametrize("registry, message", [
         ({"cam1_position": [0, 1]}, "cam1_position: must be a 3-vector"),
         ({"cam1_position": 5}, "cam1_position: must be a 3-vector"),
-        ({"cam2_offset": "abc"}, "cam2_offset: could not convert"),
+        ({"cam2_offset": "abc"}, "cam2_offset: must be a 3-vector"),
         ({"cam1_position": [0.0, 0.4, 0.45]}, "a camera cannot look at its own position"),
         ([], "must be an object"),
         (0, "must be an object"),
@@ -440,12 +442,71 @@ class TestConfigValueErrors:
     ], ids=["mismatch-nan", "mismatch-inf", "gamma_position-nan", "jitter-inf",
             "target-nan"])
     def test_non_finite_string_value(self, tmp_path, capsys, path, value):
-        # float() reads the strings "nan" and "inf".
+        # float() reads the strings "nan" and "inf"; a number is a JSON number.
         cfg = _with(minimal_controller_config(plant={}, initial_q={}), path, value)
         config = write_config(tmp_path, cfg)
         assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "must be finite" in err
+        assert err.startswith("config error:") and "must be a number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, path, value, message", [
+        ("controller", ("controller", "gains", "alpha"), True, "gains: alpha"),
+        ("controller", ("controller", "gains", "joint_limit", "switch_threshold"), False,
+         "joint_limit: switch_threshold"),
+        ("controller", ("plant", "dt"), "0.05", "plant: dt"),
+        ("controller", ("controller", "position_tolerance"), " 8e-4 ",
+         "controller: position_tolerance"),
+        ("controller", ("targets", 0, "position"), [True, 0, 0.5], "targets[0]: position"),
+        ("harvest_default", ("berries", 0, "approach", "angle_deg"), "-90", "angle_deg"),
+    ], ids=["alpha-true", "switch_threshold-false", "dt-string", "tolerance-string",
+            "target-bool", "angle-string"])
+    def test_numbers_take_json_numbers(self, tmp_path, capsys, scenario, path, value,
+                                       message):
+        # float(True) is 1.0 and float("0.05") is 0.05: a switch threshold of
+        # false kept the joint-limit term on all the way to the goal.
+        cfg = (minimal_controller_config(plant={}) if scenario == "controller"
+               else load_scenario_dict(scenario))
+        config = write_config(tmp_path, _with(cfg, path, value))
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{message}: must be a number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_numbers_read_as_given(self):
+        cfg = minimal_controller_config(plant={"dt": 1}, targets=[{"position": [0, 0, 1]}])
+        cfg["controller"]["gains"]["alpha"] = 2
+        run = parse_scenario(cfg).runs[0]
+        assert run.plant.dt == 1.0 and run.gains.alpha == 2.0
+        assert run.desired.position.tolist() == [0.0, 0.0, 1.0]
+        cfg["controller"]["gains"]["alpha"] = float("nan")  # a dict, not JSON text
+        with pytest.raises(ConfigError, match="alpha: must be finite"):
+            parse_scenario(cfg)
+
+    @pytest.mark.parametrize("scenario, target, message", [
+        ("position_35pts", {"rotation": {"axis": "x", "angle_deg": -30}},
+         "targets[0]: PositionWithJL tracks the position"),
+        ("pose_7pts", {"position": [0, 0.2, 0.5]},
+         "targets[0]: FullThreeTask tracks the rotation"),
+        ("orientation_15pts", {"position": [0, 0.2, 0.5]},
+         "targets[0]: OrientationWithJL tracks the rotation"),
+        ("near_limit_pose", {"position": [0.0, 0.35, 0.45]},
+         "target: FullThreeTask tracks the rotation"),
+    ], ids=["position-without-position", "pose-without-rotation",
+            "orientation-without-rotation", "compare-without-rotation"])
+    def test_target_gives_every_part_its_mode_tracks(self, tmp_path, capsys, scenario,
+                                                     target, message):
+        # A missing position once read as the base origin, which
+        # PositionWithJL then tracked, and a missing rotation as upright.
+        cfg = load_scenario_dict(scenario)
+        if "targets" in cfg:
+            cfg["targets"] = [target]
+        else:
+            cfg["target"] = target
+        config = write_config(tmp_path, cfg)
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {message}, which the target does not give\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["scenario", "geometry"])

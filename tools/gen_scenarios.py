@@ -18,7 +18,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from softarm.config import parse_scenario
-from softarm.controller import solve
+from softarm.controller import (
+    gains_full_default,
+    gains_orientation_default,
+    gains_position_default,
+    solve,
+)
 from softarm.geometry import default_geometry
 from softarm.kinematics import forward_kinematics
 from softarm.plant import Plant
@@ -29,22 +34,24 @@ GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
 SEED = 20260810
 
-POSITION_GAINS = {
-    "alpha": 0.074,
-    "joint_limit": {"value_far": -0.01, "switch_threshold": 0.030,
-                    "metric": "position"},
-}
-ORIENTATION_GAINS = {
-    "alpha": 0.05,
-    "joint_limit": {"value_far": -0.005,
-                    "switch_threshold": float(np.deg2rad(30.0)),
-                    "metric": "orientation"},
-}
-FULL_GAINS = {
-    "alpha": 0.05, "gamma_position": 1.0, "gamma_orientation": 0.1,
-    "joint_limit": {"value_far": -5e-5, "switch_threshold": 0.050,
-                    "metric": "position"},
-}
+
+def gains_dict(gains, two_task=False):
+    """The scenario-file form of a published tuning: alpha, the two task
+    weights for the two-task law only, then the joint-limit schedule."""
+    out = {"alpha": gains.alpha}
+    if two_task:
+        out |= {"gamma_position": gains.gamma_position,
+                "gamma_orientation": gains.gamma_orientation}
+    jl = gains.joint_limit
+    out["joint_limit"] = {"value_far": jl.value_far,
+                          "switch_threshold": float(jl.switch_threshold),
+                          "metric": jl.threshold_metric}
+    return out
+
+
+POSITION_GAINS = gains_dict(gains_position_default())
+ORIENTATION_GAINS = gains_dict(gains_orientation_default())
+FULL_GAINS = gains_dict(gains_full_default(), two_task=True)
 
 
 def scenario(name, kind, strict=True, **blocks):
