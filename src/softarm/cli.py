@@ -138,7 +138,7 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                    {"name": scenario.name, "kind": scenario.kind, "seed": scenario.seed,
                     "runs": results, "aggregate": agg},
                    "summary.txt", lines)
-    return sum(not r["converged"] or r["diverged"] for r in results)
+    return sum(not r["converged"] for r in results)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 One step law, :func:`step_full`, serves every :class:`ControllerMode`. A
 mode is an entry of :data:`TASK_STACKS`: the rows of the stacked 6-D pose
-error its tasks track, in priority order, and whether an error-norm-
-scheduled joint-limit descent (off near the goal) fills the null space
-that is left. The modes are conventional resolved rate on the 6-D error,
-position or orientation with joint-limit avoidance, position before
-orientation, and the full three-task law: position, then orientation in
-the position null space, then joint-limit avoidance.
+error its tasks track, in priority order. The modes are conventional
+resolved rate on the 6-D error, position, orientation, and the three-task
+law: position, then orientation in the position null space. The gains,
+not the mode, turn joint-limit avoidance on: a :class:`GainSchedule` with
+a ``joint_limit`` schedule adds an error-norm-scheduled joint-limit
+descent (off near the goal) in the null space the tasks leave, in every
+mode.
 
 ``solve`` iterates the step law in closed loop against a plant, reading
 the current pose from plant feedback rather than from the kinematic model.
@@ -88,9 +89,9 @@ class GainSchedule:
     """Step gain plus the secondary-task gains of the redundancy laws.
 
     ``gamma_position`` and ``gamma_orientation`` weight the position and
-    orientation tasks of the two-task modes (single-task modes use weight
-    1); ``joint_limit`` schedules the avoidance gain (None disables the
-    term entirely).
+    orientation tasks of the two-task mode (single-task modes use weight
+    1); ``joint_limit`` schedules the avoidance gain and is the term's one
+    switch: None leaves the term out, in every mode.
     """
 
     alpha: float
@@ -103,9 +104,6 @@ class GainSchedule:
             raise ValueError("alpha, gamma_position and gamma_orientation must be finite")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-
-    def gamma_jl(self, error: TaskError | ErrorNorms) -> float:
-        return 0.0 if self.joint_limit is None else self.joint_limit.gamma(error)
 
 
 def gains_position_default() -> GainSchedule:
@@ -142,7 +140,6 @@ class ControllerMode(enum.Enum):
     ConventionalRR = "ConventionalRR"
     PositionWithJL = "PositionWithJL"
     OrientationWithJL = "OrientationWithJL"
-    PosOriPriority = "PosOriPriority"
     FullThreeTask = "FullThreeTask"
 
 
@@ -155,10 +152,10 @@ DIVERGENCE_WINDOW = 50
 @dataclass(frozen=True)
 class TaskStack:
     """A mode's law: one slice of the stacked error [e_p; e_zeta] per task,
-    in priority order, and whether the joint-limit descent is on."""
+    in priority order. Whether the joint-limit descent runs is the gains'
+    choice (:attr:`GainSchedule.joint_limit`), not the stack's."""
 
     tasks: tuple
-    joint_limit: bool
 
     @cached_property
     def tracks(self) -> tuple:
@@ -173,11 +170,10 @@ class TaskStack:
 
 
 TASK_STACKS = {
-    ControllerMode.ConventionalRR: TaskStack((POSE,), joint_limit=False),
-    ControllerMode.PositionWithJL: TaskStack((POSITION,), joint_limit=True),
-    ControllerMode.OrientationWithJL: TaskStack((ORIENTATION,), joint_limit=True),
-    ControllerMode.PosOriPriority: TaskStack((POSITION, ORIENTATION), joint_limit=False),
-    ControllerMode.FullThreeTask: TaskStack((POSITION, ORIENTATION), joint_limit=True),
+    ControllerMode.ConventionalRR: TaskStack((POSE,)),
+    ControllerMode.PositionWithJL: TaskStack((POSITION,)),
+    ControllerMode.OrientationWithJL: TaskStack((ORIENTATION,)),
+    ControllerMode.FullThreeTask: TaskStack((POSITION, ORIENTATION)),
 }
 
 
@@ -229,10 +225,10 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     (ICAR 1991) starts from qdot = 0 and P = I; each task k, in priority
     order, adds w_k (J_k P)^+ (e_k - J_k qdot) and shrinks P by
     (J_k P)^+ J_k P, so it cannot disturb the rates of the tasks above it.
-    The scheduled joint-limit descent, where the mode has it, acts in the
-    null space that is left. No feasibility clamp: infeasible updates
-    (negative elongation, hence negative commanded pressure) are returned
-    as-is so the caller can flag them.
+    When ``gains`` carry a joint-limit schedule, in any mode, its descent
+    acts in the null space that is left. No feasibility clamp: infeasible
+    updates (negative elongation, hence negative commanded pressure) are
+    returned as-is so the caller can flag them.
 
     The recursion runs on SVD factors, in the null-space-basis form of
     hierarchical least squares (Escande, Mansard & Wieber, IJRR 2014), and
@@ -245,8 +241,9 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     """
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]
-    gamma = gains.gamma_jl(stack.norms(e)) if stack.joint_limit else 0.0
-    weights = (gains.gamma_position, gains.gamma_orientation)  # two-task modes only
+    schedule = gains.joint_limit
+    gamma = 0.0 if schedule is None else schedule.gamma(stack.norms(e))
+    weights = (gains.gamma_position, gains.gamma_orientation)  # the two-task mode only
     J = jacobian(q, cfg.geometry).J
     last = len(stack.tasks) - 1
     qdot = N = None  # qdot = 0 and N = I until the first task

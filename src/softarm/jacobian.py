@@ -24,14 +24,6 @@ SV_TOL = 1e-8
 class Jacobian6x9:
     J: np.ndarray  # 6x9 stack: linear part (m/m) over angular part (rad/m)
 
-    @property
-    def Jv(self) -> np.ndarray:
-        return self.J[:3]
-
-    @property
-    def Jw(self) -> np.ndarray:
-        return self.J[3:]
-
 
 def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
     """6x9 end-effector Jacobian at q, in closed form.

@@ -509,6 +509,18 @@ class TestConfigValueErrors:
             f"config error: {message}, which the target does not give\n")
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_mode(self, tmp_path, capsys):
+        # A mode is only its task list: FullThreeTask without a joint-limit
+        # schedule is what PosOriPriority named.
+        cfg = minimal_controller_config()
+        cfg["controller"]["mode"] = "PosOriPriority"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: controller: mode: unknown mode 'PosOriPriority'; one of: "
+            "ConventionalRR, PositionWithJL, OrientationWithJL, FullThreeTask\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where", ["scenario", "geometry"])
     def test_duplicate_key(self, tmp_path, capsys, where):
         # json would keep the last of the two values.

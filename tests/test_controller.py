@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,11 +168,11 @@ class TestControllerConfig:
     def test_orientation_error_axes_are_distinct_axes(self, axes):
         # () once made the tolerance check read every orientation error as 0.
         with pytest.raises(ValueError, match="orientation_error_axes"):
-            make_cfg(ControllerMode.PosOriPriority, orientation_error_axes=axes)
+            make_cfg(ControllerMode.FullThreeTask, orientation_error_axes=axes)
 
     @pytest.mark.parametrize("axes", [None, (1,), (2, 0, 1)])
     def test_orientation_error_axes_read_as_given(self, axes):
-        assert make_cfg(ControllerMode.PosOriPriority,
+        assert make_cfg(ControllerMode.FullThreeTask,
                         orientation_error_axes=axes).orientation_error_axes == axes
 
 
@@ -224,7 +226,7 @@ class TestStepLaws:
             cfg = make_cfg(ControllerMode.PositionWithJL)
             with_jl = step(q, target, gains_position_default(), cfg)
             no_jl = step(q, target, GainSchedule(alpha=0.074), cfg)
-            Jv = jacobian(q, GEOM).Jv
+            Jv = jacobian(q, GEOM).J[:3]
             rate_diff = Jv @ (with_jl - no_jl)
             scale = max(np.linalg.norm(Jv @ (no_jl - q)), 1e-9)
             assert np.linalg.norm(rate_diff) / scale < 1e-8
@@ -238,7 +240,7 @@ class TestStepLaws:
             cfg = make_cfg(ControllerMode.OrientationWithJL)
             with_jl = step(q, desired, gains_orientation_default(), cfg)
             no_jl = step(q, desired, GainSchedule(alpha=0.05), cfg)
-            Jw = jacobian(q, GEOM).Jw
+            Jw = jacobian(q, GEOM).J[3:]
             rate_diff = Jw @ (with_jl - no_jl)
             scale = max(np.linalg.norm(Jw @ (no_jl - q)), 1e-9)
             assert np.linalg.norm(rate_diff) / scale < 1e-8
@@ -259,24 +261,30 @@ class TestStepLaws:
             cfg_pos = make_cfg(ControllerMode.PositionWithJL)
             dq_full = step(q, desired, gains_full, cfg_full) - q
             dq_pos = step(q, desired, gains_pos, cfg_pos) - q
-            Jv = jacobian(q, GEOM).Jv
+            Jv = jacobian(q, GEOM).J[:3]
             ratio = gains_full.gamma_position * gains_full.alpha / gains_pos.alpha
             lhs = Jv @ dq_full
             rhs = ratio * (Jv @ dq_pos)
             assert np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-12) < 1e-8
 
-    def test_pos_ori_priority_is_full_law_without_jl(self):
-        q = Q_MID + np.linspace(-0.02, 0.02, 9)
-        pose = forward_kinematics(q, GEOM)
-        desired = Pose(pose.position + np.array([0.0, 0.08, 0.0]),
-                       rot_x(0.3) @ pose.rotation)
-        cfg = make_cfg(ControllerMode.PosOriPriority)
-        gains = gains_full_default()
-        via_mode = step(q, desired, gains, cfg)
-        explicit = step(q, desired, GainSchedule(
-            alpha=gains.alpha, gamma_position=1.0, gamma_orientation=0.1),
-            make_cfg(ControllerMode.FullThreeTask), )
-        np.testing.assert_allclose(via_mode, explicit, atol=1e-15)
+    def test_a_schedule_turns_the_jl_term_on_in_conventional_rr(self):
+        # The gains alone switch the term, so a schedule that is on
+        # everywhere changes the 6-D law's step, but only inside the null
+        # space of the full 6x9 J: the commanded pose rate is unchanged.
+        rng = np.random.default_rng(8)
+        cfg = make_cfg(ControllerMode.ConventionalRR)
+        scheduled = GainSchedule(alpha=0.05, joint_limit=JointLimitSchedule(
+            value_far=-0.01, switch_threshold=0.0))
+        for _ in range(10):
+            q = random_feasible_q(rng, LIMITS)
+            desired = offset_target(q, rng)
+            with_jl = step(q, desired, scheduled, cfg)
+            no_jl = step(q, desired, GainSchedule(alpha=0.05), cfg)
+            assert np.linalg.norm(with_jl - no_jl) > 1e-6 * np.linalg.norm(no_jl - q)
+            J = jacobian(q, GEOM).J
+            rate_diff = J @ (with_jl - no_jl)
+            scale = max(np.linalg.norm(J @ (no_jl - q)), 1e-9)
+            assert np.linalg.norm(rate_diff) / scale < 1e-8
 
 
 class TestSolve:
@@ -325,13 +333,13 @@ class TestSolve:
         (ControllerMode.ConventionalRR, gains_full_default),
         (ControllerMode.PositionWithJL, gains_position_default),
         (ControllerMode.OrientationWithJL, gains_orientation_default),
-        (ControllerMode.PosOriPriority, gains_full_default),
         (ControllerMode.FullThreeTask, gains_full_default),
+        (ControllerMode.FullThreeTask, lambda: replace(gains_full_default(), joint_limit=None)),
     ])
     def test_converges_from_the_exact_midpoint(self, mode, gains):
         # Every section starts exactly straight, where J has rank 5; the
         # SV_TOL cutoff drops the lost torsion direction (96, 61, 74, 685
-        # and 685 iterations).
+        # and 685 iterations, the last without the joint-limit term).
         desired = forward_kinematics(np.random.default_rng(0).uniform(0.02, 0.08, 9), GEOM)
         traj = solve(LIMITS.midpoint(), desired, gains(), make_cfg(mode), Plant(PlantConfig()))
         assert traj.converged and not traj.diverged
@@ -437,36 +445,34 @@ class TestSolve:
 
 
 def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):
-    """Each mode's law as a closed form, with np.linalg.pinv throughout."""
+    """Each mode's law as a closed form, with np.linalg.pinv throughout. A
+    joint-limit schedule adds its term in every mode, in the null space of
+    the mode's tasks, when the error it is scheduled on is one the mode
+    tracks and is past the switch."""
     def pinv(M):
         return np.linalg.pinv(M, rcond=SV_TOL)
 
-    def gamma_jl(norm, metric):
-        sched = gains.joint_limit
-        if sched is None or sched.threshold_metric != metric:
-            return 0.0  # off, or scheduled on an error this mode does not track
-        return sched.value_far if norm > sched.switch_threshold else 0.0
-
-    jac = jacobian(q, GEOM)
-    Jv, Jw, eye = jac.Jv, jac.Jw, np.eye(9)
-    grad = jl_gradient(q, LIMITS)
+    J = jacobian(q, GEOM).J
+    Jv, Jw, eye = J[:3], J[3:], np.eye(9)
     if mode is ControllerMode.ConventionalRR:
-        qdot = pinv(np.vstack([Jv, Jw])) @ np.concatenate([e.e_p, e.e_zeta])
+        qdot = pinv(J) @ np.concatenate([e.e_p, e.e_zeta])
+        null, tracked = eye - pinv(J) @ J, ("position", "orientation")
     elif mode is ControllerMode.PositionWithJL:
-        gamma = gamma_jl(np.linalg.norm(e.e_p), "position")
-        qdot = pinv(Jv) @ e.e_p + gamma * (eye - pinv(Jv) @ Jv) @ grad
+        qdot = pinv(Jv) @ e.e_p
+        null, tracked = eye - pinv(Jv) @ Jv, ("position",)
     elif mode is ControllerMode.OrientationWithJL:
-        gamma = gamma_jl(np.linalg.norm(e.e_zeta), "orientation")
-        qdot = pinv(Jw) @ e.e_zeta + gamma * (eye - pinv(Jw) @ Jw) @ grad
+        qdot = pinv(Jw) @ e.e_zeta
+        null, tracked = eye - pinv(Jw) @ Jw, ("orientation",)
     else:
         Jt = Jw @ (eye - pinv(Jv) @ Jv)
         qdot_p = gains.gamma_position * pinv(Jv) @ e.e_p
         qdot = qdot_p + gains.gamma_orientation * pinv(Jt) @ (e.e_zeta - Jw @ qdot_p)
-        if mode is ControllerMode.FullThreeTask:
-            norm = np.linalg.norm(e.e_p if gains.joint_limit.threshold_metric == "position"
-                                  else e.e_zeta)
-            gamma = gamma_jl(norm, gains.joint_limit.threshold_metric)
-            qdot = qdot + gamma * (eye - pinv(Jv) @ Jv - pinv(Jt) @ Jt) @ grad
+        null, tracked = eye - pinv(Jv) @ Jv - pinv(Jt) @ Jt, ("position", "orientation")
+    sched = gains.joint_limit
+    if sched is not None and sched.threshold_metric in tracked:
+        norm = np.linalg.norm(e.e_p if sched.threshold_metric == "position" else e.e_zeta)
+        if norm > sched.switch_threshold:
+            qdot = qdot + sched.value_far * null @ jl_gradient(q, LIMITS)
     return q + gains.alpha * qdot
 
 
@@ -482,6 +488,7 @@ TABLE_GAINS = [
     GainSchedule(alpha=0.074, gamma_position=0.7, gamma_orientation=0.3,
                  joint_limit=JointLimitSchedule(value_far=-0.005, switch_threshold=0.0,
                                                 threshold_metric="orientation")),
+    GainSchedule(alpha=0.05, gamma_position=1.0, gamma_orientation=0.1),  # no term
 ]
 
 
@@ -494,15 +501,16 @@ def written_out_tolerance(q, mode) -> float:
     values pinv keeps; step_full forms none of the three. At the pinned
     near-straight example (cond(J_t) = 150), against the law evaluated in
     60 digits, step_full is within 4e-14 relative and the written-out law
-    off by 1.4e-12 (PosOriPriority) and 1.8e-12 (FullThreeTask). So the
+    off by 1.8e-12 with the joint-limit term and 1.4e-12 without it. So the
     bound is 1e-12 or 1000 eps cond(J_t), the larger; over 2,500
-    configurations from these tests' strategies, each in both two-task
-    modes with both TABLE_GAINS, the gap stayed under 170 eps cond(J_t).
+    configurations from these tests' strategies, each with and without
+    the term and with both scheduled TABLE_GAINS, the gap stayed under
+    170 eps cond(J_t).
     """
     if len(TASK_STACKS[mode].tasks) < 2:
         return 1e-12
-    jac = jacobian(q, GEOM)
-    s = np.linalg.svd(jac.Jw @ (np.eye(9) - np.linalg.pinv(jac.Jv, rcond=SV_TOL) @ jac.Jv),
+    J = jacobian(q, GEOM).J
+    s = np.linalg.svd(J[3:] @ (np.eye(9) - np.linalg.pinv(J[:3], rcond=SV_TOL) @ J[:3]),
                       compute_uv=False)
     kept = s[s > SV_TOL * s[0]]
     cond = kept[0] / kept[-1] if kept.size else 1.0  # a zero J_t: pinv(J_t) is 0
@@ -528,15 +536,18 @@ class TestModeTable:
             assert_matches_written_out(q, offset_target(q, rng), gains, mode)
 
     @pytest.mark.parametrize("mode", list(ControllerMode))
+    @pytest.mark.parametrize("gains", [TABLE_GAINS[0], TABLE_GAINS[2]],
+                             ids=["with_jl", "without_jl"])
     @settings(max_examples=15, deadline=None)
     @given(q=actuator_vectors(st.permutations(["near", "bent", "bent"])),
            seed=st.integers(0, 2**32 - 1))
-    # cond(J_t) = 150: the written-out law is 1.4e-12 off, step_full 4e-14.
+    # cond(J_t) = 150: the written-out law is 1.8e-12 off with the term and
+    # 1.4e-12 without it, step_full 4e-14.
     @example(q=np.array([0.0625, 0.062499788675134595, 0.062499211324865404, 0.0625,
                          0.01171875, 0.078125, 0.05078125, 0.048828125, 0.046875]), seed=0)
-    def test_step_matches_written_out_law_near_straight(self, mode, q, seed):
+    def test_step_matches_written_out_law_near_straight(self, mode, gains, q, seed):
         rng = np.random.default_rng(seed)
-        assert_matches_written_out(q, offset_target(q, rng), TABLE_GAINS[0], mode)
+        assert_matches_written_out(q, offset_target(q, rng), gains, mode)
 
     def test_schedule_on_an_untracked_error_stays_off(self):
         # The orientation error is far past the switch, but PositionWithJL
@@ -565,7 +576,7 @@ class TestFactorFormEdges:
         # 2.3 * offset, so it falls under sv_tol at 2e-9 and is 0 at 0.
         q = np.full(9, 0.05)
         q[0] += offset
-        s = np.linalg.svd(jacobian(q, GEOM).Jw, compute_uv=False)
+        s = np.linalg.svd(jacobian(q, GEOM).J[3:], compute_uv=False)
         assert np.count_nonzero(s > SV_TOL * s[0]) == rank
         rng = np.random.default_rng(3)
         for gains in TABLE_GAINS:
@@ -576,8 +587,6 @@ class TestFactorFormEdges:
         (ControllerMode.ConventionalRR, POSE),
         (ControllerMode.PositionWithJL, POSITION),
         (ControllerMode.OrientationWithJL, ORIENTATION),
-        (ControllerMode.PosOriPriority, POSITION),
-        (ControllerMode.PosOriPriority, ORIENTATION),
         (ControllerMode.FullThreeTask, POSITION),
         (ControllerMode.FullThreeTask, ORIENTATION),
     ])
