@@ -8,7 +8,9 @@ law: position, then orientation in the position null space. The gains,
 not the mode, turn joint-limit avoidance on: a :class:`GainSchedule` with
 a ``joint_limit`` schedule adds an error-norm-scheduled joint-limit
 descent (off near the goal) in the null space the tasks leave, in every
-mode.
+mode. Each task block A is inverted in Gram form, A^T (A A^T)^-1 with the
+3x3 inverse by cofactors, when a guard on A A^T bounds its conditioning,
+and by the truncated SVD otherwise.
 
 ``solve`` iterates the step law in closed loop against a plant, reading
 the current pose from plant feedback rather than from the kinematic model.
@@ -22,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import JointLimits, RobotGeometry, as_actuator_vector, norm
-from .jacobian import SV_TOL, jacobian
+from .jacobian import GRAM_TOL, SV_TOL, jacobian
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec
 
@@ -218,60 +220,82 @@ def jl_gradient(q, limits: JointLimits) -> np.ndarray:
     return num / den
 
 
+def _pinv(A) -> np.ndarray:
+    """A^+ of a task block A (m x 9).
+
+    A 3-row block takes the Gram form A^T G^-1, G = A A^T, with G^-1 the
+    cofactor matrix over det G on Python floats, when det G > GRAM_TOL
+    tr G m2, m2 being the trace of the cofactor matrix: the guard bounds
+    cond(G) (see GRAM_TOL) and fails for a zero, near-singular or
+    non-finite G. Every other block takes the truncated SVD, V_r S_r^-1
+    U_r^T over the singular values above SV_TOL times the largest.
+    """
+    if A.shape[0] == 3:
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (A @ A.T).tolist()
+        c00 = g11 * g22 - g12 * g12
+        c11 = g00 * g22 - g02 * g02
+        c22 = g00 * g11 - g01 * g01
+        c01 = g02 * g12 - g01 * g22
+        c02 = g01 * g12 - g02 * g11
+        c12 = g01 * g02 - g00 * g12
+        det = g00 * c00 + g01 * c01 + g02 * c02
+        if det > GRAM_TOL * (g00 + g11 + g22) * (c00 + c11 + c22):
+            return A.T @ (np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    sigmas = s.tolist()
+    cut = SV_TOL * sigmas[0]
+    rank = len([sigma for sigma in sigmas if sigma > cut])
+    return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+
+
 def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np.ndarray:
     """One step of the configured mode's task-priority law.
 
     ``e`` is the task error at q. The recursion of Siciliano & Slotine
     (ICAR 1991) starts from qdot = 0 and P = I; each task k, in priority
-    order, adds w_k (J_k P)^+ (e_k - J_k qdot) and shrinks P by
-    (J_k P)^+ J_k P, so it cannot disturb the rates of the tasks above it.
+    order, adds w_k A_k^+ (e_k - J_k qdot) with A_k = J_k P and shrinks P
+    by A_k^+ A_k, so it cannot disturb the rates of the tasks above it.
     When ``gains`` carry a joint-limit schedule, in any mode, its descent
     acts in the null space that is left. No feasibility clamp: infeasible
     updates (negative elongation, hence negative commanded pressure) are
     returned as-is so the caller can flag them.
 
-    The recursion runs on SVD factors, in the null-space-basis form of
-    hierarchical least squares (Escande, Mansard & Wieber, IJRR 2014), and
-    forms no pseudoinverse and no projector: P = N N^T for an orthonormal
-    basis N of the null space left, so with A_k = J_k N = U S V^T and r the
-    number of singular values above ``SV_TOL`` times the largest,
-    (J_k P)^+ = N V_r^T S_r^-1 U_r^T and the next basis is N V[r:]^T. The
-    last task takes the thin SVD; the joint-limit term then removes its
-    rows V_r from N^T grad H instead of shrinking N.
+    No projector is formed. A_k is J_k with the rows of the blocks above
+    removed, J_k - (J_k A_i^+) A_i, and the joint-limit gradient loses
+    every block's rows the same way, x - (x A_i^+) A_i; the blocks' row
+    spaces are orthogonal, so the order does not matter. Each A_k^+ is the
+    right pseudoinverse A^T (A A^T)^-1 of resolved-rate control (Whitney,
+    IEEE TMMS 1969) where a guard finds A A^T well conditioned, and the
+    truncated SVD elsewhere (:func:`_pinv`): at straight configurations,
+    where the orientation block has rank 2, for near-singular, zero and
+    non-finite blocks, and for the 6-row ``ConventionalRR`` block.
     """
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]
     schedule = gains.joint_limit
     gamma = 0.0 if schedule is None else schedule.gamma(stack.norms(e))
-    weights = (gains.gamma_position, gains.gamma_orientation)  # the two-task mode only
+    # Single-task modes use weight 1; the two-task mode its two gains.
+    weights = (1.0,) if len(stack.tasks) == 1 else (gains.gamma_position, gains.gamma_orientation)
     J = jacobian(q, cfg.geometry).J
-    last = len(stack.tasks) - 1
-    qdot = N = None  # qdot = 0 and N = I until the first task
-    for k, rows in enumerate(stack.tasks):
-        J_k = J[rows]
-        e_k = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
-               else np.concatenate([e.e_p, e.e_zeta])[rows])
-        if N is None:
-            A, residual = J_k, e_k
-        else:
-            A, residual = J_k @ N, e_k - J_k @ qdot
-        u, s, vt = np.linalg.svd(A, full_matrices=k < last)
-        sigmas = s.tolist()
-        cut = SV_TOL * sigmas[0]
-        rank = len([sigma for sigma in sigmas if sigma > cut])
-        v_r = vt[:rank]
-        rate = ((residual @ u[:, :rank]) / s[:rank]) @ v_r  # A^+ residual, in N's coordinates
-        if N is None:
-            qdot = rate if last == 0 else weights[0] * rate  # one task: weight 1
-        else:
-            qdot = qdot + weights[k] * (N @ rate)
-        if k < last:
-            N = vt[rank:].T if N is None else N @ vt[rank:].T
+    qdot = None  # qdot = 0 until the first task
+    blocks = []  # (A_k, A_k^+) of the tasks so far
+    for rows, weight in zip(stack.tasks, weights):
+        A = J_k = J[rows]
+        residual = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
+                    else np.concatenate([e.e_p, e.e_zeta])[rows])
+        if qdot is not None:
+            residual = residual - J_k @ qdot
+        for A_i, A_i_pinv in blocks:
+            A = A - (A @ A_i_pinv) @ A_i
+        A_pinv = _pinv(A)
+        rate = weight * (A_pinv @ residual)
+        qdot = rate if qdot is None else qdot + rate
+        blocks.append((A, A_pinv))
     if gamma != 0.0:
-        grad = jl_gradient(q, cfg.joint_limits)
-        x = grad if N is None else grad @ N
-        x = x - (v_r @ x) @ v_r  # project out the last task's rows
-        qdot = qdot + gamma * (x if N is None else N @ x)
+        x = jl_gradient(q, cfg.joint_limits)
+        for A, A_pinv in blocks:
+            x = x - (x @ A_pinv) @ A
+        qdot = qdot + gamma * x
     return q + gains.alpha * qdot
 
 

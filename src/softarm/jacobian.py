@@ -16,8 +16,22 @@ import numpy as np
 from .geometry import RobotGeometry
 from .kinematics import section_chain
 
-#: Default relative singular-value cutoff for pseudoinverses.
+#: Relative singular-value cutoff of every truncated-SVD pseudoinverse:
+#: :func:`pinv` and the controller step's SVD fallback drop the singular
+#: values at or below SV_TOL times the largest, so it alone decides a task
+#: block's rank.
 SV_TOL = 1e-8
+#: Guard of the controller step's Gram form A^T G^-1, G = A A^T, for a 3-row
+#: block. With eigenvalues l1 >= l2 >= l3 >= 0 of G and m2 the trace of its
+#: cofactor matrix, det G / (tr G m2) = l1 l2 l3 / ((l1 + l2 + l3)
+#: (l1 l2 + l1 l3 + l2 l3)) lies in [l3 / (9 l1), l3 / l1]. The form is
+#: taken only where that ratio exceeds GRAM_TOL, so there cond(G) <= 1e3,
+#: and its rounding, of order eps cond(G) <= 2.2e-13, stays inside the
+#: 1e-12 relative agreement with the written-out pinv law that the
+#: controller's tests hold (1e-4 would allow 2.2e-12). Every other block
+#: takes the SVD; as 1e-3 >> SV_TOL^2, the Gram form never keeps a
+#: direction the cutoff drops.
+GRAM_TOL = 1e-3
 
 
 @dataclass(frozen=True)

@@ -1041,3 +1041,76 @@ class TestOutputsDigest:
         got["a/summary.json"] = "5"
         assert digest.main([str(tmp_path / "out"), "--against", str(listing)]) == 1
         assert capsys.readouterr().err == "differs: a/summary.json\n"
+
+
+class TestOutputsDiff:
+    """``tools/outputs_diff.py OLD_DIR NEW_DIR``: which floats moved where,
+    and exit 1 when anything but a float moved."""
+
+    HEADER = "target,iteration,stage,q1,err_pos,infeasible\r\n"
+    ROWS = ["0,0,PositionWithJL,0.05081032075,0.388367871855,000000000\r\n",
+            "0,1,PositionWithJL,0.048942172231,0.377110592463,000000000\r\n"]
+    SUMMARY = {"name": "s", "runs": [{"converged": True, "iterations": 1,
+                                      "final_state": "Done", "final_err_pos_m": 0.25}]}
+
+    def tree(self, root, rows=None, summary=None, text="target 0: iters=1\n"):
+        (root / "s").mkdir(parents=True)
+        (root / "s" / "steps.csv").write_text(self.HEADER + "".join(rows or self.ROWS),
+                                              newline="")
+        (root / "s" / "summary.json").write_text(json.dumps(summary or self.SUMMARY))
+        (root / "s" / "summary.txt").write_text(text)
+        return root
+
+    def run(self, tmp_path, capsys, **new):
+        tool = _load_module("tools/outputs_diff.py")
+        old = self.tree(tmp_path / "old")
+        code = tool.main([str(old), str(self.tree(tmp_path / "new", **new))])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_equal_trees_report_nothing(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys) == (0, [])
+
+    def test_moved_floats_are_counted_per_column(self, tmp_path, capsys):
+        rows = [self.ROWS[0].replace("0.388367871855", "0.388367871856"),
+                self.ROWS[1].replace("0.048942172231", "0.048942172331")
+                .replace("0.377110592463", "0.377110592462")]
+        summary = json.loads(json.dumps(self.SUMMARY))
+        summary["runs"][0]["final_err_pos_m"] = 0.25 + 2.0 ** -52
+        code, lines = self.run(tmp_path, capsys, rows=rows, summary=summary)
+        assert code == 0
+        assert lines == [
+            "s/steps.csv: 2 rows, 2 changed",
+            "  q1: 1 cells, max abs 1e-10, max rel 2.04e-09",
+            "  err_pos: 2 cells, max abs 1e-12, max rel 2.65e-12",
+            "s/summary.json: 5 fields, 1 changed",
+            "  runs[].final_err_pos_m: 1 cells, max abs 2.22e-16, max rel 8.88e-16",
+        ]
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"rows": ROWS[:1]}, "row count: 2 -> 1"),
+        ({"rows": [ROWS[0].replace("PositionWithJL", "FullThreeTask"), ROWS[1]]},
+         "stage: 'PositionWithJL' -> 'FullThreeTask'"),
+        ({"rows": [ROWS[0], ROWS[1].replace("000000000", "000000001")]},
+         "infeasible: '000000000' -> '000000001'"),
+        ({"rows": [ROWS[0], ROWS[1].replace("0,1,", "0,2,")]}, "iteration: '1' -> '2'"),
+        ({"summary": {**SUMMARY, "runs": [{**SUMMARY["runs"][0], "iterations": 2}]}},
+         "runs[].iterations: 1 -> 2"),
+        ({"summary": {**SUMMARY, "runs": [{**SUMMARY["runs"][0], "converged": False}]}},
+         "runs[].converged: True -> False"),
+        ({"summary": {**SUMMARY, "runs": [{**SUMMARY["runs"][0], "final_state": "Failed"}]}},
+         "runs[].final_state: 'Done' -> 'Failed'"),
+        ({"text": "target 0: iters=2\n"}, "field 2: 'iters=1' -> 'iters=2'"),
+    ], ids=["rows", "stage", "mask", "iteration", "iterations", "converged", "final_state",
+            "text"])
+    def test_anything_but_a_float_exits_1(self, tmp_path, capsys, change, problem):
+        code, lines = self.run(tmp_path, capsys, **change)
+        assert code == 1
+        assert f"  not a float: {problem}" in lines
+
+    def test_a_file_on_one_side_exits_1(self, tmp_path, capsys):
+        tool = _load_module("tools/outputs_diff.py")
+        old = self.tree(tmp_path / "old")
+        new = self.tree(tmp_path / "new")
+        (new / "s" / "extra.csv").write_text(self.HEADER)
+        assert tool.main([str(old), str(new)]) == 1
+        assert capsys.readouterr().out == "s/extra.csv: only in NEW_DIR\n"

@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from softarm.controller import (
     step_full,
 )
 from softarm.geometry import default_geometry, elongation_to_pressure
-from softarm.jacobian import SV_TOL, Jacobian6x9, jacobian
+from softarm.jacobian import GRAM_TOL, SV_TOL, Jacobian6x9, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
@@ -498,14 +499,15 @@ def written_out_tolerance(q, mode) -> float:
     The two-task modes of the written-out law form the projector
     I - Jv^+ Jv, then J_t = Jw (I - Jv^+ Jv) and pinv(J_t), so their
     rounding grows with the condition number of J_t over the singular
-    values pinv keeps; step_full forms none of the three. At the pinned
-    near-straight example (cond(J_t) = 150), against the law evaluated in
-    60 digits, step_full is within 4e-14 relative and the written-out law
-    off by 1.8e-12 with the joint-limit term and 1.4e-12 without it. So the
-    bound is 1e-12 or 1000 eps cond(J_t), the larger; over 2,500
-    configurations from these tests' strategies, each with and without
-    the term and with both scheduled TABLE_GAINS, the gap stayed under
-    170 eps cond(J_t).
+    values pinv keeps; step_full forms no projector, but it forms J_t as
+    Jw - (Jw Jv^+) Jv and inverts it, by the SVD at that conditioning. At
+    the pinned near-straight example (cond(J_t) = 150), against the law
+    evaluated in 60 digits, step_full is within 1.8e-13 relative and the
+    written-out law off by 1.8e-12 with the joint-limit term and 1.4e-12
+    without it. So the bound is 1e-12 or 1000 eps cond(J_t), the larger;
+    over 5,000 configurations of bent, straight and near-straight
+    sections, each with all three TABLE_GAINS, the gap stayed under
+    140 eps cond(J_t) in the two-task mode and under 5e-13 in the others.
     """
     if len(TASK_STACKS[mode].tasks) < 2:
         return 1e-12
@@ -542,7 +544,7 @@ class TestModeTable:
     @given(q=actuator_vectors(st.permutations(["near", "bent", "bent"])),
            seed=st.integers(0, 2**32 - 1))
     # cond(J_t) = 150: the written-out law is 1.8e-12 off with the term and
-    # 1.4e-12 without it, step_full 4e-14.
+    # 1.4e-12 without it, step_full 1.8e-13.
     @example(q=np.array([0.0625, 0.062499788675134595, 0.062499211324865404, 0.0625,
                          0.01171875, 0.078125, 0.05078125, 0.048828125, 0.046875]), seed=0)
     def test_step_matches_written_out_law_near_straight(self, mode, gains, q, seed):
@@ -564,16 +566,79 @@ class TestModeTable:
         assert_matches_written_out(q, desired, on_orientation, ControllerMode.PositionWithJL)
 
 
+def guard_ratio(A) -> float:
+    """det G / (tr G m2) of G = A A^T, m2 the sum of G's principal 2x2
+    minors: the ratio step_full's Gram-form guard compares with GRAM_TOL."""
+    G = A @ A.T
+    m2 = sum(np.linalg.det(np.delete(np.delete(G, i, 0), i, 1)) for i in range(3))
+    return float(np.linalg.det(G) / (np.trace(G) * m2))
+
+
+def written_out_blocks(q, mode) -> list:
+    """The 3-row task blocks of ``mode`` as the written-out law forms them."""
+    J = jacobian(q, GEOM).J
+    Jv, Jw = J[:3], J[3:]
+    return {ControllerMode.PositionWithJL: [Jv], ControllerMode.OrientationWithJL: [Jw],
+            ControllerMode.FullThreeTask: [
+                Jv, Jw @ (np.eye(9) - np.linalg.pinv(Jv, rcond=SV_TOL) @ Jv)]}[mode]
+
+
+@contextlib.contextmanager
+def svd_spy():
+    """Every block handed to np.linalg.svd inside the ``with``; within a
+    step only step_full's SVD fallback calls it."""
+    blocks, svd = [], np.linalg.svd
+
+    def spy(A, *args, **kwargs):
+        blocks.append(np.array(A))
+        return svd(A, *args, **kwargs)
+
+    np.linalg.svd = spy
+    try:
+        yield blocks
+    finally:
+        np.linalg.svd = svd
+
+
+def fallback_blocks(q, desired, gains, mode) -> list:
+    """The blocks one step_full call at q sends to the SVD fallback."""
+    e = pose_error(desired, forward_kinematics(q, GEOM))
+    with svd_spy() as blocks:
+        step_full(q, e, gains, make_cfg(mode))
+    return blocks
+
+
+#: Bent and mid-range: every 3-row block passes the guard with room,
+#: det G / (tr G m2) being 6.1e-3 for J_v, 4.0e-3 for J_w and 1.5e-3 for J_t.
+Q_BENT = Q_MID + np.linspace(0.02, -0.02, 9)
+
+
+def schedule_on(mode) -> GainSchedule:
+    """Published-style weights with a joint-limit schedule on the error
+    ``mode`` tracks, past its switch everywhere."""
+    metric = "orientation" if mode is ControllerMode.OrientationWithJL else "position"
+    return GainSchedule(alpha=0.05, gamma_orientation=0.1, joint_limit=JointLimitSchedule(
+        value_far=-0.01, switch_threshold=0.0, threshold_metric=metric))
+
+
 class TestFactorFormEdges:
-    """``step_full`` works on SVD factors; where a task block loses rank it
-    must still be the law written out with np.linalg.pinv."""
+    """``step_full`` inverts each 3-row task block in Gram form when the
+    guard passes and by the truncated SVD otherwise. Where a block loses
+    rank or is not finite it must take the SVD, and the step must still be
+    the law written out with np.linalg.pinv."""
 
     @pytest.mark.parametrize("mode", list(ControllerMode))
     @pytest.mark.parametrize("offset, rank", [(1e-7, 3), (2e-9, 2), (0.0, 2)])
     def test_next_to_fully_straight(self, mode, offset, rank):
         # Sections 2 and 3 exactly straight, section 1 bent by one actuator's
         # offset: sigma_min / sigma_max of the orientation block is about
-        # 2.3 * offset, so it falls under sv_tol at 2e-9 and is 0 at 0.
+        # 2.3 * offset, so it falls under sv_tol at 2e-9 and is 0 at 0. The
+        # orientation block (J_t in the two-task mode) fails the guard at
+        # every offset and takes the SVD, as does the 6-row block; the
+        # position block passes it.
+        fallback = {ControllerMode.ConventionalRR: [(6, 9)], ControllerMode.PositionWithJL: [],
+                    ControllerMode.OrientationWithJL: [(3, 9)],
+                    ControllerMode.FullThreeTask: [(3, 9)]}[mode]
         q = np.full(9, 0.05)
         q[0] += offset
         s = np.linalg.svd(jacobian(q, GEOM).J[3:], compute_uv=False)
@@ -581,7 +646,10 @@ class TestFactorFormEdges:
         rng = np.random.default_rng(3)
         for gains in TABLE_GAINS:
             for _ in range(5):
-                assert_matches_written_out(q, offset_target(q, rng), gains, mode)
+                desired = offset_target(q, rng)
+                taken = fallback_blocks(q, desired, gains, mode)
+                assert [A.shape for A in taken] == fallback
+                assert_matches_written_out(q, desired, gains, mode)
 
     @pytest.mark.parametrize("mode, rows", [
         (ControllerMode.ConventionalRR, POSE),
@@ -603,6 +671,102 @@ class TestFactorFormEdges:
         rng = np.random.default_rng(5)
         for gains in TABLE_GAINS:
             desired = offset_target(q, rng)
-            assert np.isfinite(step_full(q, pose_error(desired, forward_kinematics(q, GEOM)),
-                                         gains, make_cfg(mode))).all()
+            with svd_spy() as taken:
+                q_next = step_full(q, pose_error(desired, forward_kinematics(q, GEOM)),
+                                   gains, make_cfg(mode))
+            assert np.isfinite(q_next).all()
+            assert any(not A.any() for A in taken)  # the zero block took the SVD
             assert_matches_written_out(q, desired, gains, mode)
+
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    def test_a_nan_in_the_jacobian_takes_the_svd(self, monkeypatch, mode):
+        # A NaN fails the guard, as every comparison with NaN is false, so
+        # the first block goes to the SVD, which raises LinAlgError on it or
+        # returns NaN factors.
+        J = jacobian(Q_BENT, GEOM).J.copy()
+        J[:, 0] = np.nan
+        monkeypatch.setattr(softarm.controller, "jacobian", lambda q, geom: Jacobian6x9(J=J))
+        desired = offset_target(Q_BENT, np.random.default_rng(6))
+        e = pose_error(desired, forward_kinematics(Q_BENT, GEOM))
+        with svd_spy() as blocks:
+            try:
+                q_next = step_full(Q_BENT, e, gains_full_default(), make_cfg(mode))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                assert not np.isfinite(q_next).all()
+        assert np.isnan(blocks[0]).any()
+
+    @pytest.mark.parametrize("jl", [True, False], ids=["with_jl", "without_jl"])
+    @pytest.mark.parametrize("mode, fallback", [
+        (ControllerMode.ConventionalRR, [(6, 9)]),
+        (ControllerMode.PositionWithJL, []),
+        (ControllerMode.OrientationWithJL, []),
+        (ControllerMode.FullThreeTask, []),
+    ])
+    def test_bent_mid_range_blocks_take_the_gram_form(self, mode, fallback, jl):
+        # Only the 6-row ConventionalRR block takes the SVD.
+        gains = schedule_on(mode) if jl else replace(schedule_on(mode), joint_limit=None)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            desired = offset_target(Q_BENT, rng)
+            taken = fallback_blocks(Q_BENT, desired, gains, mode)
+            assert [A.shape for A in taken] == fallback
+            assert_matches_written_out(Q_BENT, desired, gains, mode)
+
+
+class TestGramGuard:
+    """det G / (tr G m2) brackets lmin / lmax of G = A A^T within a factor
+    of 9, and step_full's guard sends exactly the blocks at or under
+    GRAM_TOL to the SVD."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_eigenvalues=st.lists(st.floats(-7.0, 0.0), min_size=3, max_size=3),
+           log_scale=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    @example(log_eigenvalues=[0.0, 0.0, 0.0], log_scale=0.0, seed=0)  # ratio 1/9
+    def test_guard_ratio_brackets_the_eigenvalue_ratio(self, log_eigenvalues, log_scale,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        rows = np.linalg.qr(rng.normal(size=(9, 3)))[0].T  # orthonormal
+        eigenvalues = 10.0 ** (np.array(log_eigenvalues) + log_scale)
+        A = (rotation * np.sqrt(eigenvalues)) @ rows
+        lam = np.linalg.eigvalsh(A @ A.T)
+        ratio = guard_ratio(A)
+        assert ratio <= lam[0] / lam[-1] * (1 + 1e-6)
+        assert lam[0] / lam[-1] <= 9 * ratio * (1 + 1e-6)
+        with svd_spy() as blocks:
+            pinv = softarm.controller._pinv(A)
+        if abs(ratio / GRAM_TOL - 1) > 1e-6:
+            assert len(blocks) == (ratio <= GRAM_TOL)
+        expected = np.linalg.pinv(A, rcond=SV_TOL)
+        # Gram-form rounding is of order eps cond(G), and cond(G) <= 1e3 there.
+        assert np.linalg.norm(pinv - expected) <= 1e-11 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("mode", [ControllerMode.PositionWithJL,
+                                      ControllerMode.OrientationWithJL,
+                                      ControllerMode.FullThreeTask])
+    @pytest.mark.parametrize("jl", [True, False], ids=["with_jl", "without_jl"])
+    @settings(max_examples=15, deadline=None)
+    @given(q=actuator_vectors(st.permutations(["near", "near", "bent"])),
+           seed=st.integers(0, 2**32 - 1))
+    # Every block passes the guard.
+    @example(q=np.array([0.011322210842282328, 0.07506161913602179, 0.08302044618221774,
+                         0.058530862061374395, 0.05853074525661519, 0.05853098069318157,
+                         0.07526828432972257, 0.07526835405632816, 0.07526835405540992]),
+             seed=0)
+    # J_w and J_t fail it; J_v passes.
+    @example(q=np.array([0.0515170442483001, 0.05151704422231059, 0.05151704423364003,
+                         0.07786502519261425, 0.07786502514351536, 0.07786502523401771,
+                         0.047462686537131725, 0.03694823164899147, 0.03727630919072247]),
+             seed=0)
+    def test_near_straight_blocks_on_both_sides_of_the_guard(self, mode, jl, q, seed):
+        # Two near-straight sections put the orientation block and J_t on
+        # either side of GRAM_TOL; both sides match the written-out law.
+        gains = schedule_on(mode) if jl else replace(schedule_on(mode), joint_limit=None)
+        desired = offset_target(q, np.random.default_rng(seed))
+        ratios = [guard_ratio(A) for A in written_out_blocks(q, mode)]
+        taken = fallback_blocks(q, desired, gains, mode)
+        if all(abs(ratio / GRAM_TOL - 1) > 1e-6 for ratio in ratios):
+            assert len(taken) == sum(ratio <= GRAM_TOL for ratio in ratios)
+        assert_matches_written_out(q, desired, gains, mode)
