@@ -15,7 +15,8 @@ arrays: :func:`section_chain` walks one configuration in plain
 scalar arithmetic, and the forward kinematics and the analytic Jacobian
 (:mod:`softarm.jacobian`) both read it; the geometry keeps the last walk
 so the two share it at one configuration. :func:`forward_kinematics_many`
-walks a batch of commands known in advance, one configuration per lane.
+walks a batch of commands known in advance, one configuration per lane,
+and returns the stacked positions and rotations, not a Pose per lane.
 """
 
 import math
@@ -220,21 +221,27 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
     return Pose._checked(np.array(position), rotation, drift, det)
 
 
-def forward_kinematics_many(qs, geom: RobotGeometry) -> list:
-    """:func:`forward_kinematics` of each row of the (N, 9) array qs: a
-    list of N Poses, byte for byte the scalar ones.
+def forward_kinematics_many(qs, geom: RobotGeometry) -> tuple:
+    """:func:`forward_kinematics` of each row of the (N, 9) array qs, as
+    stacked arrays: the positions (N, 3) and rotations (N, 3, 3), each lane
+    byte for byte the scalar Pose.
 
     The walk of :func:`section_chain`, on (N,) arrays with one
     configuration per lane; the batch keeps no walk on the geometry. A lane
-    whose rotation drifts past ``FK_DRIFT_TOL`` goes through
-    :func:`forward_kinematics`, which keeps that lane's walk.
+    whose rotation drifts past ``FK_DRIFT_TOL`` takes the pose of
+    :func:`forward_kinematics`, which keeps that lane's walk; every other
+    lane passes the drift and determinant check a Pose makes.
     """
     qs = as_actuator_batch(qs)
     (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many)
     drift, det = rows_drift_and_det(rows, np.sqrt)
     positions = np.stack((p0, p1, p2), axis=-1)
     rotations = np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)
-    return [forward_kinematics(q, geom) if d > FK_DRIFT_TOL
-            else Pose._checked(position, rotation, d, dt)
-            for q, position, rotation, d, dt in zip(
-                qs, positions, rotations, drift.tolist(), det.tolist())]
+    drifted = drift > FK_DRIFT_TOL
+    for k in np.flatnonzero(drifted).tolist():
+        pose = forward_kinematics(qs[k], geom)
+        positions[k], rotations[k] = pose.position, pose.rotation
+    # The worst of the other lanes; max and min pass a NaN on.
+    kept = ~drifted
+    _check_rotation(drift[kept].max(initial=0.0), det[kept].min(initial=1.0))
+    return positions, rotations

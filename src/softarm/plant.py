@@ -4,13 +4,14 @@ Quasi-static: a commanded elongation is scaled by a per-actuator mismatch
 factor, saturated to the physical range, and pushed through the true
 forward kinematics. The measured pose gets additive seeded noise and a
 first-order low-pass (matching the 10 rad/s filter applied to the camera
-pose stream). Commands known in advance play back as one batch, through
-one vectorized forward-kinematics pass. Commands outside the feasible
-elongation range are accepted but flagged, so controllers without
-joint-limit handling reproduce the infeasible negative-pressure behavior.
+pose stream). Commands known in advance play back as one batch: one
+vectorized forward-kinematics pass, then the filter lane by lane, with the
+results returned as stacked arrays rather than an observation per command.
+Commands outside the feasible elongation range are accepted but flagged,
+so controllers without joint-limit handling reproduce the infeasible
+negative-pressure behavior.
 """
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .geometry import (
     as_actuator_vector,
     default_geometry,
 )
-from .kinematics import Pose, forward_kinematics, forward_kinematics_many
+from .kinematics import Pose, _check_rotation, forward_kinematics, forward_kinematics_many
 from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_matrix, rotvec_to_rows
 
 
@@ -91,51 +92,57 @@ class Plant:
         pose_true = forward_kinematics(
             np.minimum(np.maximum(q_cmd * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        return self._measure(pose_true, flags)
+        self._true_pose = pose_true
+        return PlantObservation(Pose._checked(*self._filter(pose_true.position,
+                                                            pose_true.rotation)), flags)
 
-    def apply_commands(self, q_cmds) -> Iterator[PlantObservation]:
-        """Open-loop playback of the rows of the (N, 9) array q_cmds: the
-        observations of N :meth:`apply_command` calls, in order.
+    def apply_commands(self, q_cmds) -> tuple:
+        """Open-loop playback of the rows of the (N, 9) array q_cmds: N
+        :meth:`apply_command` calls, in order and byte for byte, returned as
+        stacked arrays. They are the infeasible flags (N, 9), the true
+        positions (N, 3), and the filtered positions (N, 3) and rotations
+        (N, 3, 3).
 
-        The commands are validated, flagged and saturated at once, and
-        their true poses come from one
-        :func:`~softarm.kinematics.forward_kinematics_many`. Noise, filter
-        and :meth:`true_pose` advance as each observation is drawn from the
-        returned iterator.
+        The commands are validated, flagged and saturated at once, before
+        any is sent, and their true poses come from one
+        :func:`~softarm.kinematics.forward_kinematics_many`. Noise and filter
+        then advance lane by lane, and :meth:`true_pose` is the last lane's
+        pose afterwards.
         """
         q_cmds = as_actuator_batch(q_cmds)
         limits = self._limits
         flags = (q_cmds < limits.lower) | (q_cmds > limits.upper)
-        poses_true = forward_kinematics_many(
+        positions, rotations = forward_kinematics_many(
             np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        return map(self._measure, poses_true, flags)
+        positions_f, rotations_f = np.empty_like(positions), np.empty_like(rotations)
+        for k in range(len(q_cmds)):
+            positions_f[k], rotations_f[k], drift, det = self._filter(positions[k], rotations[k])
+            _check_rotation(drift, det)
+        if len(q_cmds):  # The returned positions are the caller's; keep a copy.
+            self._true_pose = Pose(positions[-1].copy(), rotations[-1])
+        return flags, positions, positions_f, rotations_f
 
-    def _measure(self, pose_true: Pose, flags: np.ndarray) -> PlantObservation:
-        """Take the arm to ``pose_true`` and observe it: seeded noise, then
-        the low-pass filter."""
-        self._true_pose = pose_true
-        position_raw = pose_true.position
-        rotation_raw = pose_true.rotation
+    def _filter(self, position: np.ndarray, rotation: np.ndarray) -> tuple:
+        """Observe the arm at the true ``position`` and ``rotation``: seeded
+        noise, then the low-pass filter. Returns the filtered position and
+        rotation, and that rotation's drift and determinant for the check
+        a Pose makes."""
         if self.config.position_noise_std > 0:
-            position_raw = position_raw + self._rng.normal(
-                0.0, self.config.position_noise_std, 3)
+            position = position + self._rng.normal(0.0, self.config.position_noise_std, 3)
         if self.config.rotation_noise_std > 0:
             wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
-            rotation_raw = rotvec_to_matrix(wobble) @ rotation_raw
+            rotation = rotvec_to_matrix(wobble) @ rotation
 
         if self._filtered is None:
-            position_f, rotation_f = position_raw.copy(), rotation_raw
+            position_f, rotation_f = position.copy(), rotation
         else:
             alpha = self._alpha
             position_f, rotation_f = self._filtered
-            position_f = position_f + alpha * (position_raw - position_f)
+            position_f = position_f + alpha * (position - position_f)
             # Filter the incremental axis-angle so the state stays a rotation.
             # The 3x3 products stay in numpy, whose rounding they define.
-            w0, w1, w2 = rows_to_rotvec((rotation_raw @ rotation_f.T).tolist())
+            w0, w1, w2 = rows_to_rotvec((rotation @ rotation_f.T).tolist())
             rotation_f = np.array(rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)) @ rotation_f
         self._filtered = position_f, rotation_f
-        pose_filtered = Pose._checked(position_f, rotation_f,
-                                      *rows_drift_and_det(rotation_f.tolist()))
-
-        return PlantObservation(pose_filtered=pose_filtered, infeasible_flags=flags)
+        return position_f, rotation_f, *rows_drift_and_det(rotation_f.tolist())

@@ -26,7 +26,7 @@ from .controller import (
 )
 from .geometry import norm
 from .kinematics import Pose
-from .rotations import matrix_to_rotvec
+from .rotations import matrix_to_rotvec, rows_to_rotvec
 from .vision import (
     BerryTarget,
     FrameRegistry,
@@ -226,15 +226,19 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
 
     # Stage 4: open-loop joint-space return to the home posture. Every
     # command is known before the first is sent, so the plant plays them
-    # back as one batch.
+    # back as one batch, and the rows are built from its stacked arrays.
     stage = HarvestState.ReturnHome
     stage_start = iteration
     home = np.asarray(cfg.home_q, dtype=float)
     n = cfg.home_iterations
     q_cmds = q + (np.arange(1, n + 1) / n)[:, None] * (home - q)
-    for q, obs in zip(q_cmds, plant.apply_commands(q_cmds)):
+    flags, positions_true, positions, rotations = plant.apply_commands(q_cmds)
+    rotvecs = np.array(list(map(rows_to_rotvec, rotations.tolist())))
+    for q, position, rotvec, gap_est, gap_true, infeasible in zip(
+            q_cmds, positions, rotvecs, positions - berry_est, positions_true - berry_truth, flags):
         iteration += 1
-        record(stage, berry_est, "none")
+        log.rows.append(HarvestRow(iteration, stage.value, q, position, rotvec, norm(gap_est),
+                                   norm(gap_true), infeasible, "none"))
     log.gripper_events.append((iteration, "open"))
     close_stage(stage, stage_start, "home")
 

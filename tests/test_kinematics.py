@@ -373,30 +373,32 @@ class TestOnePassPerPose:
             forward_kinematics(self.QS[0], GEOM)
 
 
-def assert_same_pose(got: Pose, want: Pose):
-    for a, b in ((got.position, want.position), (got.rotation, want.rotation)):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert a.tobytes() == b.tobytes()
+def assert_each_lane_is_scalar(qs):
+    """Each lane of the batch is the scalar Pose of its row, byte for byte."""
+    positions, rotations = forward_kinematics_many(qs, GEOM)
+    assert (positions.shape, rotations.shape) == ((len(qs), 3), (len(qs), 3, 3))
+    for position, rotation, q in zip(positions, rotations, qs, strict=True):
+        want = forward_kinematics(q, GEOM)
+        for a, b in ((position, want.position), (rotation, want.rotation)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestForwardKinematicsMany:
-    """The batch kernel gives each configuration's scalar Pose, byte for
-    byte, and divides by no zero on the way."""
+    """The batch kernel gives each configuration's scalar pose as stacked
+    arrays, byte for byte, and divides by no zero on the way."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(actuator_vectors(), min_size=1, max_size=12))
     def test_each_pose_is_the_scalar_one(self, qs):
         # Bent, exactly straight and near-straight sections share a batch,
         # so series and closed-form lanes run side by side.
-        for pose, q in zip(forward_kinematics_many(np.array(qs), GEOM), qs, strict=True):
-            assert_same_pose(pose, forward_kinematics(q, GEOM))
+        assert_each_lane_is_scalar(np.array(qs))
 
     def test_empty_and_single_batches(self):
-        assert forward_kinematics_many(np.empty((0, 9)), GEOM) == []
-        q = np.tile([0.03, 0.06, 0.05], 3)
-        [pose] = forward_kinematics_many(q[None], GEOM)
-        assert_same_pose(pose, forward_kinematics(q, GEOM))
+        assert_each_lane_is_scalar(np.empty((0, 9)))
+        assert_each_lane_is_scalar(np.tile([0.03, 0.06, 0.05], 3)[None])
 
     def test_series_switch_straight_and_outside_the_box(self):
         # The proximal section bent to phi^2 on both sides of SERIES_SWITCH,
@@ -412,8 +414,7 @@ class TestForwardKinematicsMany:
         qs[-1] = np.linspace(-0.05, 0.2, 9)
         phi2 = [section_chain(q, GEOM)[2][0].c[0] ** 2 for q in qs[:len(scales)]]
         assert phi2[1] < SERIES_SWITCH < phi2[3]
-        for pose, q in zip(forward_kinematics_many(qs, GEOM), qs, strict=True):
-            assert_same_pose(pose, forward_kinematics(q, GEOM))
+        assert_each_lane_is_scalar(qs)
 
     def test_a_drifted_lane_takes_the_scalar_path(self, monkeypatch):
         qs = np.random.default_rng(15).uniform(0.0, 0.1, (9, 9))
@@ -421,10 +422,26 @@ class TestForwardKinematicsMany:
         fixed = []
         monkeypatch.setattr(kinematics, "orthonormalize",
                             lambda R: fixed.append(R) or orthonormalize(R))
-        poses = forward_kinematics_many(qs, GEOM)
+        forward_kinematics_many(qs, GEOM)
         assert 0 < len(fixed) <= len(qs)
-        for pose, q in zip(poses, qs, strict=True):
-            assert_same_pose(pose, forward_kinematics(q, GEOM))
+        assert_each_lane_is_scalar(qs)
+
+    @pytest.mark.parametrize("index, value, message", [(0, np.nan, "not orthonormal"),
+                                                      (1, -1.0, "proper")],
+                             ids=["nan-drift", "reflected"])
+    def test_a_lane_that_fails_the_check_raises(self, monkeypatch, index, value, message):
+        # Lane 1 of three fails on the batch's own drift or determinant.
+        qs = np.random.default_rng(16).uniform(0.0, 0.1, (3, 9))
+        check = kinematics.rows_drift_and_det
+
+        def corrupted(rows, sqrt):
+            drift_and_det = check(rows, sqrt)
+            drift_and_det[index][1] = value
+            return drift_and_det
+
+        monkeypatch.setattr(kinematics, "rows_drift_and_det", corrupted)
+        with pytest.raises(ValueError, match=message):
+            forward_kinematics_many(qs, GEOM)
 
     @pytest.mark.parametrize("qs", [np.full(9, 0.05), np.zeros((2, 8)), np.zeros((1, 2, 9)),
                                     np.array([[0.05] * 8 + [np.nan]])],

@@ -161,7 +161,8 @@ def pose_bytes(pose) -> tuple:
 
 
 class TestPlayback:
-    """``apply_commands`` is N ``apply_command`` calls, byte for byte."""
+    """``apply_commands`` is N ``apply_command`` calls, byte for byte, as
+    stacked arrays."""
 
     CFG = PlantConfig(length_scale_error=np.linspace(-0.03, 0.03, 9), position_noise_std=1e-3,
                       rotation_noise_std=2e-3, rng_seed=11)
@@ -174,23 +175,33 @@ class TestPlayback:
         one, batch = Plant(self.CFG), Plant(self.CFG)
         one.reset(Q0)
         batch.reset(Q0)
+        lanes = batch.apply_commands(commands)
+        assert [(a.dtype, a.shape) for a in lanes] == [
+            (bool, (40, 9)), (float, (40, 3)), (float, (40, 3)), (float, (40, 3, 3))]
         flagged = 0
-        for q, got in zip(commands, batch.apply_commands(commands), strict=True):
+        for q, *lane in zip(commands, *lanes, strict=True):
             want = one.apply_command(q)
-            assert observation_bytes(got) == observation_bytes(want)
-            assert pose_bytes(batch.true_pose()) == pose_bytes(one.true_pose())
+            assert [a.tobytes() for a in lane] == [
+                want.infeasible_flags.tobytes(), one.true_pose().position.tobytes(),
+                want.pose_filtered.position.tobytes(), want.pose_filtered.rotation.tobytes()]
             flagged += bool(want.infeasible_flags.any())
         assert 0 < flagged < len(commands)
+        assert pose_bytes(batch.true_pose()) == pose_bytes(one.true_pose())
         # The filter state and the noise stream after the last command.
-        assert observation_bytes(batch.apply_command(Q1)) == observation_bytes(
-            one.apply_command(Q1))
+        for q in (Q1, Q0):
+            assert observation_bytes(batch.apply_command(q)) == observation_bytes(
+                one.apply_command(q))
 
     def test_an_empty_batch_leaves_the_plant_as_it_was(self):
-        plant = Plant(self.CFG)
+        plant, untouched = Plant(self.CFG), Plant(self.CFG)
         plant.reset(Q0)
+        untouched.reset(Q0)
         before = plant.true_pose()
-        assert list(plant.apply_commands(np.empty((0, 9)))) == []
+        lanes = plant.apply_commands(np.empty((0, 9)))
+        assert [a.shape for a in lanes] == [(0, 9), (0, 3), (0, 3), (0, 3, 3)]
         assert plant.true_pose() is before
+        assert observation_bytes(plant.apply_command(Q1)) == observation_bytes(
+            untouched.apply_command(Q1))
 
     @pytest.mark.parametrize("q_cmds", [Q1, np.zeros((2, 8)), np.array([Q1, Q1 * np.inf])],
                              ids=["one-vector", "eight-columns", "infinite"])
@@ -201,6 +212,14 @@ class TestPlayback:
         with pytest.raises(ValueError, match="actuator"):
             plant.apply_commands(q_cmds)
         assert plant.true_pose() is before
+
+    def test_a_filtered_rotation_that_fails_the_check_raises(self, monkeypatch):
+        plant = Plant(self.CFG)
+        plant.reset(Q0)
+        monkeypatch.setattr(plant_module, "rotvec_to_rows",
+                            lambda *w: [[1.001 * x for x in row] for row in rotvec_to_rows(*w)])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            plant.apply_commands(np.array([Q1, Q0]))
 
 
 class TestConfigValues:

@@ -17,10 +17,12 @@ from softarm import workflow
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose
 from softarm.plant import Plant, PlantConfig
-from softarm.rotations import rot_x, rot_z
+from softarm.rotations import matrix_to_rotvec, rot_x, rot_z
 from softarm.vision import build_registry
 from softarm.workflow import (
+    HarvestRow,
     HarvestState,
+    StageRecord,
     WorkflowConfig,
     run_harvest,
 )
@@ -228,11 +230,12 @@ def row_values(row) -> tuple:
 
 
 class TestReturnHome:
-    @pytest.mark.parametrize("home_iterations", [0, 1, 7])
-    def test_short_returns_match_one_command_at_a_time(self, monkeypatch, home_iterations):
+    @pytest.mark.parametrize("home_iterations", [0, 1, 7, 100])
+    def test_returns_match_one_command_at_a_time(self, monkeypatch, home_iterations):
         # The bundled harvest on a mismatched, noisy plant with noisy
-        # observations. The reference sends each command on its own, each
-        # from the interpolation k / n of the command before the return.
+        # observations. The reference stops at the grasp, then sends each
+        # command on its own, the interpolation k / n from the command
+        # before the return, and writes its row from the observation.
         runs = parse_scenario(load_scenario_dict("harvest_default")).runs
         for run in runs:
             wf = replace(run.workflow, home_iterations=home_iterations,
@@ -240,22 +243,35 @@ class TestReturnHome:
             plant_cfg = replace(run.plant, length_scale_error=np.full(9, 0.03),
                                 position_noise_std=1e-4, rotation_noise_std=1e-3)
             log = run_harvest(run.berry, run.approach, Plant(plant_cfg), run.registry, wf)
-            with monkeypatch.context() as patch:
-                patch.setattr(Plant, "apply_commands",
-                              lambda plant, q_cmds: map(plant.apply_command, q_cmds))
-                reference = run_harvest(run.berry, run.approach, Plant(plant_cfg),
-                                        run.registry, wf)
+            # The fixes of the reference run; the last one is held to the end.
+            fixes = []
+            for name in ("cam1_target_to_base", "berry_to_base"):
+                monkeypatch.setattr(workflow, name, lambda *args, convert=getattr(workflow, name):
+                                    fixes.append(convert(*args)) or fixes[-1])
+            plant = Plant(plant_cfg)
+            reference = run_harvest(run.berry, run.approach, plant, run.registry,
+                                    replace(wf, home_iterations=0))
+            monkeypatch.undo()
+            berry_est = [fix for fix in fixes if fix is not None][-1]
+            grasp = reference.rows[-1]
+            rows = list(reference.rows)
+            for k in range(1, home_iterations + 1):
+                q = grasp.q + (k / home_iterations) * (wf.home_q - grasp.q)
+                obs = plant.apply_command(q)
+                pose = obs.pose_filtered
+                rows.append(HarvestRow(
+                    grasp.iteration + k, "ReturnHome", q, pose.position,
+                    matrix_to_rotvec(pose.rotation),
+                    float(np.linalg.norm(pose.position - berry_est)),
+                    float(np.linalg.norm(plant.true_pose().position - run.berry)),
+                    obs.infeasible_flags, "none"))
             assert log.final_state is reference.final_state is HarvestState.Done
-            assert [row_values(row) for row in log.rows] == [
-                row_values(row) for row in reference.rows]
-            assert (log.stages, log.gripper_events) == (reference.stages,
-                                                        reference.gripper_events)
-            home = [row for row in log.rows if row.stage == "ReturnHome"]
-            assert len(home) == home_iterations
-            q_from = log.rows[-1 - home_iterations].q
-            for k, row in enumerate(home, 1):
-                assert row.q.tobytes() == (
-                    q_from + (k / home_iterations) * (wf.home_q - q_from)).tobytes()
+            assert [row_values(row) for row in log.rows] == [row_values(row) for row in rows]
+            end = grasp.iteration + home_iterations
+            assert log.stages == [*reference.stages[:3], StageRecord(
+                "ReturnHome", grasp.iteration, end, "home", rows[-1].dist_est,
+                rows[-1].dist_true)]
+            assert log.gripper_events == [(grasp.iteration, "close"), (end, "open")]
 
 
 def run_recording(monkeypatch, wf, c2_lost=lambda n: False):
