@@ -8,9 +8,10 @@ law: position, then orientation in the position null space. The gains,
 not the mode, turn joint-limit avoidance on: a :class:`GainSchedule` with
 a ``joint_limit`` schedule adds an error-norm-scheduled joint-limit
 descent (off near the goal) in the null space the tasks leave, in every
-mode. Each task block A is inverted in Gram form, A^T (A A^T)^-1 with the
-3x3 inverse by cofactors, when a guard on A A^T bounds its conditioning,
-and by the truncated SVD otherwise.
+mode. Each 3-row task block A is inverted in Gram form, A^T (A A^T)^-1
+with the 3x3 inverse by cofactors and one Newton-Schulz correction, when
+a guard bounds cond(A A^T) below 1e6. Past the guard, and for the 6-row
+block, the truncated SVD serves.
 
 ``solve`` iterates the step law in closed loop against a plant, reading
 the current pose from plant feedback rather than from the kinematic model.
@@ -226,9 +227,11 @@ def _pinv(A) -> np.ndarray:
     A 3-row block takes the Gram form A^T G^-1, G = A A^T, with G^-1 the
     cofactor matrix over det G on Python floats, when det G > GRAM_TOL
     tr G m2, m2 being the trace of the cofactor matrix: the guard bounds
-    cond(G) (see GRAM_TOL) and fails for a zero, near-singular or
-    non-finite G. Every other block takes the truncated SVD, V_r S_r^-1
-    U_r^T over the singular values above SV_TOL times the largest.
+    cond(G) below 1e6 (see GRAM_TOL) and fails for a zero, near-singular
+    or non-finite G. One Newton-Schulz step X (2I - A X) then brings the
+    cofactor form's error to about eps cond(A). Every other block, 6-row
+    ones too, takes the truncated SVD, V_r S_r^-1 U_r^T over the singular
+    values above SV_TOL times the largest.
     """
     if A.shape[0] == 3:
         (g00, g01, g02), (_, g11, g12), (_, _, g22) = (A @ A.T).tolist()
@@ -240,7 +243,8 @@ def _pinv(A) -> np.ndarray:
         c12 = g01 * g02 - g00 * g12
         det = g00 * c00 + g01 * c01 + g02 * c02
         if det > GRAM_TOL * (g00 + g11 + g22) * (c00 + c11 + c22):
-            return A.T @ (np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det)
+            X = A.T @ (np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det)
+            return 2.0 * X - X @ (A @ X)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     sigmas = s.tolist()
     cut = SV_TOL * sigmas[0]
@@ -265,10 +269,11 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     every block's rows the same way, x - (x A_i^+) A_i; the blocks' row
     spaces are orthogonal, so the order does not matter. Each A_k^+ is the
     right pseudoinverse A^T (A A^T)^-1 of resolved-rate control (Whitney,
-    IEEE TMMS 1969) where a guard finds A A^T well conditioned, and the
-    truncated SVD elsewhere (:func:`_pinv`): at straight configurations,
-    where the orientation block has rank 2, for near-singular, zero and
-    non-finite blocks, and for the 6-row ``ConventionalRR`` block.
+    IEEE TMMS 1969) where a guard finds cond(A A^T) < 1e6, and the
+    truncated SVD elsewhere (:func:`_pinv`): at and next to straight
+    configurations, where the orientation block has rank 2 or nearly so,
+    for zero and non-finite blocks, and for the 6-row ``ConventionalRR``
+    block.
     """
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]

@@ -8,8 +8,11 @@ Without the option the default profile applies.
 The ``bundled`` fixture runs each bundled scenario through
 ``run_scenario`` once per session, on first use, so the golden, acceptance,
 tail-rate and CSV checks all read one run instead of each solving it again.
+``svd_spy`` records what np.linalg.svd is handed, for the tests of the
+controller step's SVD fallback.
 """
 
+import contextlib
 import csv
 import json
 import time
@@ -84,3 +87,20 @@ class BundledRuns(dict):
 @pytest.fixture(scope="session")
 def bundled(tmp_path_factory) -> BundledRuns:
     return BundledRuns(tmp_path_factory.mktemp("bundled"))
+
+
+@contextlib.contextmanager
+def svd_spy():
+    """Every block handed to np.linalg.svd inside the ``with``; within a
+    step only step_full's SVD fallback calls it."""
+    blocks, svd = [], np.linalg.svd
+
+    def spy(A, *args, **kwargs):
+        blocks.append(np.array(A))
+        return svd(A, *args, **kwargs)
+
+    np.linalg.svd = spy
+    try:
+        yield blocks
+    finally:
+        np.linalg.svd = svd

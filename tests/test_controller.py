@@ -1,4 +1,3 @@
-import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
 from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
 
+from conftest import svd_spy
 from oracles import fd_gradient, log_rotvec, random_feasible_q
 from strategies import actuator_vectors
 
@@ -492,6 +492,22 @@ TABLE_GAINS = [
     GainSchedule(alpha=0.05, gamma_position=1.0, gamma_orientation=0.1),  # no term
 ]
 
+#: Top of the ill-conditioned band of the Gram form, GRAM_TOL < det G /
+#: (tr G m2) <= ILL_CONDITIONED: there cond(G) > 1e3 and the cofactor form
+#: alone is up to 7e-7 off np.linalg.pinv, so the band's accuracy rests on
+#: the Newton-Schulz correction.
+ILL_CONDITIONED = 1e-3
+
+#: Near-straight configurations with blocks in the ill-conditioned band:
+#: J_t at 2.7e-5 (cond(J_t) = 150), and J_w at 1.3e-4 with J_t at 3.7e-4.
+#: J_v's ratio stays above 3.6e-3 over the feasible box (20,000 uniform
+#: draws), so no J_v block is in the band.
+Q_BAND_JT = np.array([0.0625, 0.062499788675134595, 0.062499211324865404, 0.0625,
+                         0.01171875, 0.078125, 0.05078125, 0.048828125, 0.046875])
+Q_BAND_JW = np.array([0.047772759649650665, 0.03482990920665355, 0.03865348242900034,
+                         0.027731843719918145, 0.029493715245830332, 0.025290308366361057,
+                         0.027693766057124397, 0.027693765791246158, 0.027693766236603235])
+
 
 def written_out_tolerance(q, mode) -> float:
     """Relative bound on the gap between step_full and written_out_law.
@@ -500,14 +516,17 @@ def written_out_tolerance(q, mode) -> float:
     I - Jv^+ Jv, then J_t = Jw (I - Jv^+ Jv) and pinv(J_t), so their
     rounding grows with the condition number of J_t over the singular
     values pinv keeps; step_full forms no projector, but it forms J_t as
-    Jw - (Jw Jv^+) Jv and inverts it, by the SVD at that conditioning. At
-    the pinned near-straight example (cond(J_t) = 150), against the law
-    evaluated in 60 digits, step_full is within 1.8e-13 relative and the
-    written-out law off by 1.8e-12 with the joint-limit term and 1.4e-12
-    without it. So the bound is 1e-12 or 1000 eps cond(J_t), the larger;
-    over 5,000 configurations of bent, straight and near-straight
-    sections, each with all three TABLE_GAINS, the gap stayed under
-    140 eps cond(J_t) in the two-task mode and under 5e-13 in the others.
+    Jw - (Jw Jv^+) Jv and inverts it at that conditioning, in the corrected
+    Gram form or by the SVD. At the pinned near-straight example
+    (cond(J_t) = 150, in the ill-conditioned band), against the law evaluated in
+    60 digits, step_full is within 1.4e-13 relative and the written-out
+    law off by 1.8e-12 with the joint-limit term and 1.4e-12 without it.
+    So the bound is 1e-12 or 1000 eps cond(J_t), the larger; over 20,000
+    configurations of bent, straight and near-straight sections (four
+    seeds), each with all three TABLE_GAINS, the gap stayed under
+    215 eps cond(J_t) in the two-task mode and under 7.5e-13 in the
+    others, but for ConventionalRR with two near-straight or straight
+    sections, which no test draws: up to 1.2e-12, on its 6-row SVD path.
     """
     if len(TASK_STACKS[mode].tasks) < 2:
         return 1e-12
@@ -544,12 +563,24 @@ class TestModeTable:
     @given(q=actuator_vectors(st.permutations(["near", "bent", "bent"])),
            seed=st.integers(0, 2**32 - 1))
     # cond(J_t) = 150: the written-out law is 1.8e-12 off with the term and
-    # 1.4e-12 without it, step_full 1.8e-13.
-    @example(q=np.array([0.0625, 0.062499788675134595, 0.062499211324865404, 0.0625,
-                         0.01171875, 0.078125, 0.05078125, 0.048828125, 0.046875]), seed=0)
+    # 1.4e-12 without it, step_full 1.4e-13 with its correction.
+    @example(q=Q_BAND_JT, seed=0)
+    @example(q=Q_BAND_JW, seed=0)
     def test_step_matches_written_out_law_near_straight(self, mode, gains, q, seed):
-        rng = np.random.default_rng(seed)
-        assert_matches_written_out(q, offset_target(q, rng), gains, mode)
+        # Blocks in the ill-conditioned band take no SVD in any mode.
+        desired = offset_target(q, np.random.default_rng(seed))
+        assert_fallback_follows_the_guard(q, desired, gains, mode)
+        assert_matches_written_out(q, desired, gains, mode)
+
+    @pytest.mark.parametrize("mode, q", [(ControllerMode.OrientationWithJL, Q_BAND_JW),
+                                         (ControllerMode.FullThreeTask, Q_BAND_JT),
+                                         (ControllerMode.FullThreeTask, Q_BAND_JW)])
+    def test_pinned_near_straight_examples_reach_the_ill_conditioned_band(self, mode, q):
+        # So the examples above run the corrected Gram form at cond(G) > 1e3,
+        # not the SVD. PositionWithJL never reaches the band (J_v), and
+        # ConventionalRR's one block has 6 rows.
+        assert any(GRAM_TOL < guard_ratio(A) <= ILL_CONDITIONED
+                   for A in written_out_blocks(q, mode))
 
     def test_schedule_on_an_untracked_error_stays_off(self):
         # The orientation error is far past the switch, but PositionWithJL
@@ -578,26 +609,10 @@ def written_out_blocks(q, mode) -> list:
     """The 3-row task blocks of ``mode`` as the written-out law forms them."""
     J = jacobian(q, GEOM).J
     Jv, Jw = J[:3], J[3:]
-    return {ControllerMode.PositionWithJL: [Jv], ControllerMode.OrientationWithJL: [Jw],
+    return {ControllerMode.ConventionalRR: [],
+            ControllerMode.PositionWithJL: [Jv], ControllerMode.OrientationWithJL: [Jw],
             ControllerMode.FullThreeTask: [
                 Jv, Jw @ (np.eye(9) - np.linalg.pinv(Jv, rcond=SV_TOL) @ Jv)]}[mode]
-
-
-@contextlib.contextmanager
-def svd_spy():
-    """Every block handed to np.linalg.svd inside the ``with``; within a
-    step only step_full's SVD fallback calls it."""
-    blocks, svd = [], np.linalg.svd
-
-    def spy(A, *args, **kwargs):
-        blocks.append(np.array(A))
-        return svd(A, *args, **kwargs)
-
-    np.linalg.svd = spy
-    try:
-        yield blocks
-    finally:
-        np.linalg.svd = svd
 
 
 def fallback_blocks(q, desired, gains, mode) -> list:
@@ -608,8 +623,18 @@ def fallback_blocks(q, desired, gains, mode) -> list:
     return blocks
 
 
-#: Bent and mid-range: every 3-row block passes the guard with room,
-#: det G / (tr G m2) being 6.1e-3 for J_v, 4.0e-3 for J_w and 1.5e-3 for J_t.
+def assert_fallback_follows_the_guard(q, desired, gains, mode):
+    """step_full sends to the SVD exactly the 3-row blocks whose ratio is at
+    or under GRAM_TOL; a ratio within 1e-6 of it is not judged."""
+    ratios = [guard_ratio(A) for A in written_out_blocks(q, mode)]
+    taken = fallback_blocks(q, desired, gains, mode)
+    if all(abs(ratio / GRAM_TOL - 1) > 1e-6 for ratio in ratios):
+        assert sum(A.shape[0] == 3 for A in taken) == sum(ratio <= GRAM_TOL for ratio in ratios)
+
+
+#: Bent and mid-range: every 3-row block passes the guard with room and
+#: takes the Gram form, det G / (tr G m2) being 6.1e-3 for J_v, 4.0e-3 for
+#: J_w and 1.5e-3 for J_t, all above ILL_CONDITIONED.
 Q_BENT = Q_MID + np.linspace(0.02, -0.02, 9)
 
 
@@ -718,12 +743,16 @@ class TestFactorFormEdges:
 class TestGramGuard:
     """det G / (tr G m2) brackets lmin / lmax of G = A A^T within a factor
     of 9, and step_full's guard sends exactly the blocks at or under
-    GRAM_TOL to the SVD."""
+    GRAM_TOL to the SVD; the Gram form, with its one Newton-Schulz step,
+    reaches eps cond(A) in the ill-conditioned band."""
 
     @settings(max_examples=200, deadline=None)
     @given(log_eigenvalues=st.lists(st.floats(-7.0, 0.0), min_size=3, max_size=3),
            log_scale=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
     @example(log_eigenvalues=[0.0, 0.0, 0.0], log_scale=0.0, seed=0)  # ratio 1/9
+    @example(log_eigenvalues=[0.0, -2.0, -4.5], log_scale=3.0, seed=1)  # 3.1e-5, in the band
+    @example(log_eigenvalues=[0.0, -5.0, -5.5], log_scale=-3.0, seed=2)  # 2.4e-6, in the band
+    @example(log_eigenvalues=[0.0, -0.5, -6.2], log_scale=0.0, seed=3)  # 4.8e-7, the SVD
     def test_guard_ratio_brackets_the_eigenvalue_ratio(self, log_eigenvalues, log_scale,
                                                        seed):
         rng = np.random.default_rng(seed)
@@ -740,8 +769,13 @@ class TestGramGuard:
         if abs(ratio / GRAM_TOL - 1) > 1e-6:
             assert len(blocks) == (ratio <= GRAM_TOL)
         expected = np.linalg.pinv(A, rcond=SV_TOL)
-        # Gram-form rounding is of order eps cond(G), and cond(G) <= 1e3 there.
-        assert np.linalg.norm(pinv - expected) <= 1e-11 * np.linalg.norm(expected)
+        error = np.linalg.norm(pinv - expected)
+        # The corrected Gram form is within eps cond(A) of np.linalg.pinv in
+        # the ill-conditioned band, where the cofactor form alone is not.
+        assert error <= 1e-11 * np.linalg.norm(expected)
+        if GRAM_TOL * (1 + 1e-6) < ratio < ILL_CONDITIONED:
+            cond = lam[-1] ** 0.5 / lam[0] ** 0.5
+            assert error <= 10 * np.finfo(float).eps * cond * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("mode", [ControllerMode.PositionWithJL,
                                       ControllerMode.OrientationWithJL,
@@ -750,23 +784,32 @@ class TestGramGuard:
     @settings(max_examples=15, deadline=None)
     @given(q=actuator_vectors(st.permutations(["near", "near", "bent"])),
            seed=st.integers(0, 2**32 - 1))
-    # Every block passes the guard.
+    # Every block is above ILL_CONDITIONED: the Gram form at cond(G) < 1e3.
     @example(q=np.array([0.011322210842282328, 0.07506161913602179, 0.08302044618221774,
                          0.058530862061374395, 0.05853074525661519, 0.05853098069318157,
                          0.07526828432972257, 0.07526835405632816, 0.07526835405540992]),
              seed=0)
-    # J_w and J_t fail it; J_v passes.
+    # J_w (9.2e-4) and J_t (6.7e-4) at the top of the ill-conditioned band; J_v
+    # (5.1e-3) above it.
     @example(q=np.array([0.0515170442483001, 0.05151704422231059, 0.05151704423364003,
                          0.07786502519261425, 0.07786502514351536, 0.07786502523401771,
                          0.047462686537131725, 0.03694823164899147, 0.03727630919072247]),
              seed=0)
+    # J_w (9.5e-6) and J_t (6.4e-6) deep in the ill-conditioned band.
+    @example(q=np.array([0.023091388201136057, 0.023091388524489272, 0.023091388677834012,
+                         0.07438234786544104, 0.07438231991060533, 0.07438233042045476,
+                         0.052052054053792124, 0.05200396794467155, 0.05098415700616927]),
+             seed=0)
+    # J_w (1.5e-7) and J_t (1.1e-7) under GRAM_TOL take the SVD. The third
+    # section spreads 1.5e-4 m, less bent than the strategy draws.
+    @example(q=np.array([0.0515170442483001, 0.05151704422231059, 0.05151704423364003,
+                         0.07786502519261425, 0.07786502514351536, 0.07786502523401771,
+                         0.04, 0.0401, 0.03995]), seed=0)
     def test_near_straight_blocks_on_both_sides_of_the_guard(self, mode, jl, q, seed):
-        # Two near-straight sections put the orientation block and J_t on
-        # either side of GRAM_TOL; both sides match the written-out law.
+        # Two near-straight sections put the orientation block and J_t
+        # above ILL_CONDITIONED, in the ill-conditioned band or under
+        # GRAM_TOL; every case matches the written-out law.
         gains = schedule_on(mode) if jl else replace(schedule_on(mode), joint_limit=None)
         desired = offset_target(q, np.random.default_rng(seed))
-        ratios = [guard_ratio(A) for A in written_out_blocks(q, mode)]
-        taken = fallback_blocks(q, desired, gains, mode)
-        if all(abs(ratio / GRAM_TOL - 1) > 1e-6 for ratio in ratios):
-            assert len(taken) == sum(ratio <= GRAM_TOL for ratio in ratios)
+        assert_fallback_follows_the_guard(q, desired, gains, mode)
         assert_matches_written_out(q, desired, gains, mode)

@@ -27,6 +27,8 @@ from softarm.workflow import (
     run_harvest,
 )
 
+from conftest import svd_spy
+
 GEOM = default_geometry()
 BERRY = np.array([0.0, 0.40, 0.45])
 APPROACH = rot_x(np.deg2rad(-90.0)) @ rot_z(2 * np.pi / 3)
@@ -222,6 +224,18 @@ class TestHarvestRun:
         log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), cfg)
         last = log.rows[-1]
         np.testing.assert_allclose(last.q, cfg.home_q, atol=1e-12)
+
+    def test_first_placement_steps_take_no_svd(self):
+        # From the near-straight home posture, the guard ratio of the
+        # projected orientation block J_t of harvest_default's berry 0 climbs
+        # from 4e-5 to 7e-4 over the first 20 placement steps: cond(G) over
+        # 1e3, but far above GRAM_TOL, so none sends it to the SVD.
+        run = parse_scenario(load_scenario_dict("harvest_default")).runs[0]
+        wf = replace(run.workflow, placement_max_iterations=20)
+        with svd_spy() as blocks:
+            log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry, wf)
+        assert (log.stages[0].stage, log.stages[0].end_iteration) == ("InitialPlacement", 20)
+        assert (3, 9) not in [A.shape for A in blocks]
 
 
 def row_values(row) -> tuple:
