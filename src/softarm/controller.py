@@ -58,7 +58,7 @@ def pose_error(desired: Pose, current: Pose) -> TaskError:
     """Base-frame task error: e_p = p_d - p_c, e_zeta = axis-angle of
     R_d R_c^T (consistent with the spatial angular Jacobian)."""
     e_p = desired.position - current.position
-    e_zeta = matrix_to_rotvec(desired.rotation @ current.rotation.T)
+    e_zeta = matrix_to_rotvec(desired.rotation.dot(current.rotation.T))
     return TaskError(e_p=e_p, e_zeta=e_zeta)
 
 
@@ -234,7 +234,7 @@ def _pinv(A) -> np.ndarray:
     values above SV_TOL times the largest.
     """
     if A.shape[0] == 3:
-        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (A @ A.T).tolist()
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = A.dot(A.T).tolist()
         c00 = g11 * g22 - g12 * g12
         c11 = g00 * g22 - g02 * g02
         c22 = g00 * g11 - g01 * g01
@@ -243,13 +243,15 @@ def _pinv(A) -> np.ndarray:
         c12 = g01 * g02 - g00 * g12
         det = g00 * c00 + g01 * c01 + g02 * c02
         if det > GRAM_TOL * (g00 + g11 + g22) * (c00 + c11 + c22):
-            X = A.T @ (np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det)
-            return 2.0 * X - X @ (A @ X)
+            i01, i02, i12 = c01 / det, c02 / det, c12 / det
+            X = A.T.dot(np.array([[c00 / det, i01, i02], [i01, c11 / det, i12],
+                                  [i02, i12, c22 / det]]))
+            return 2.0 * X - X.dot(A.dot(X))
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     sigmas = s.tolist()
     cut = SV_TOL * sigmas[0]
     rank = len([sigma for sigma in sigmas if sigma > cut])
-    return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    return (vt[:rank].T / s[:rank]).dot(u[:, :rank].T)
 
 
 def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np.ndarray:
@@ -289,17 +291,17 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
         residual = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
                     else np.concatenate([e.e_p, e.e_zeta])[rows])
         if qdot is not None:
-            residual = residual - J_k @ qdot
+            residual = residual - J_k.dot(qdot)
         for A_i, A_i_pinv in blocks:
-            A = A - (A @ A_i_pinv) @ A_i
+            A = A - A.dot(A_i_pinv).dot(A_i)
         A_pinv = _pinv(A)
-        rate = weight * (A_pinv @ residual)
+        rate = weight * A_pinv.dot(residual)
         qdot = rate if qdot is None else qdot + rate
         blocks.append((A, A_pinv))
     if gamma != 0.0:
         x = jl_gradient(q, cfg.joint_limits)
         for A, A_pinv in blocks:
-            x = x - (x @ A_pinv) @ A
+            x = x - x.dot(A_pinv).dot(A)
         qdot = qdot + gamma * x
     return q + gains.alpha * qdot
 
@@ -360,7 +362,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         rows.append((q_now.copy(), pose.position.copy(),
                      matrix_to_rotvec(pose.rotation), e.position_norm, e.orientation_norm,
                      norm(desired.position - true_pose.position),
-                     norm(matrix_to_rotvec(desired.rotation @ true_pose.rotation.T)),
+                     norm(matrix_to_rotvec(desired.rotation.dot(true_pose.rotation.T))),
                      observation.infeasible_flags))
         return e
 

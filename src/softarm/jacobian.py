@@ -80,7 +80,7 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
                      r10 * p0 + r11 * p1 + r12 * p2 + z * d0 - x * d2,
                      r20 * p0 + r21 * p1 + r22 * p2 + x * d1 - y * d0, x, y, z)
     # Row m of the 9x6 array is local column m, so its transpose is J_u.
-    return Jacobian6x9(J=np.fromiter(flat, float, 54).reshape(9, 6).T @ geom.actuator_map)
+    return Jacobian6x9(J=np.fromiter(flat, float, 54).reshape(9, 6).T.dot(geom.actuator_map))
 
 
 def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:

@@ -89,7 +89,7 @@ class Pose:
         return Pose(-self.rotation.T @ self.position, self.rotation.T)
 
     def transform_point(self, p) -> np.ndarray:
-        return self.position + self.rotation @ np.asarray(p, dtype=float)
+        return self.position + self.rotation.dot(np.asarray(p, dtype=float))
 
 
 def arc_coefficients(phi2: float) -> tuple:

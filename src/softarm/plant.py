@@ -132,7 +132,7 @@ class Plant:
             position = position + self._rng.normal(0.0, self.config.position_noise_std, 3)
         if self.config.rotation_noise_std > 0:
             wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
-            rotation = rotvec_to_matrix(wobble) @ rotation
+            rotation = rotvec_to_matrix(wobble).dot(rotation)
 
         if self._filtered is None:
             position_f, rotation_f = position.copy(), rotation
@@ -142,7 +142,8 @@ class Plant:
             position_f = position_f + alpha * (position - position_f)
             # Filter the incremental axis-angle so the state stays a rotation.
             # The 3x3 products stay in numpy, whose rounding they define.
-            w0, w1, w2 = rows_to_rotvec((rotation @ rotation_f.T).tolist())
-            rotation_f = np.array(rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)) @ rotation_f
+            w0, w1, w2 = rows_to_rotvec(rotation.dot(rotation_f.T).tolist())
+            rotation_f = np.array(
+                rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)).dot(rotation_f)
         self._filtered = position_f, rotation_f
         return position_f, rotation_f, *rows_drift_and_det(rotation_f.tolist())

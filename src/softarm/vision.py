@@ -89,8 +89,8 @@ def berry_to_base(target: BerryTarget, ee_pose: Pose,
     if target.position_c2 is None:
         return None
     cam2 = registry.cam2_in_ee
-    return (ee_pose.position + ee_pose.rotation @ cam2.position
-            + (ee_pose.rotation @ cam2.rotation) @ np.asarray(target.position_c2, dtype=float))
+    return (ee_pose.position + ee_pose.rotation.dot(cam2.position)
+            + ee_pose.rotation.dot(cam2.rotation).dot(np.asarray(target.position_c2, dtype=float)))
 
 
 def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndarray | None:
@@ -103,10 +103,10 @@ def cam1_target_to_base(target: BerryTarget, registry: FrameRegistry) -> np.ndar
 
 def _ee_blocks_ray(cam_origin, berry, ee_position) -> bool:
     ray = berry - cam_origin
-    length_sq = float(ray @ ray)
+    length_sq = float(ray.dot(ray))
     if length_sq == 0.0:
         return False
-    t = float((ee_position - cam_origin) @ ray) / length_sq
+    t = float((ee_position - cam_origin).dot(ray)) / length_sq
     if not 0.0 < t < 1.0:
         return False
     closest = cam_origin + t * ray
@@ -135,9 +135,9 @@ def simulate_observation(true_berry_base, ee_pose: Pose, registry: FrameRegistry
     # (T_ee_base T_c2_ee)^-1 p_base, on the arrays, in the operations and
     # order of Pose.compose, Pose.inverse and Pose.transform_point.
     cam2 = registry.cam2_in_ee
-    base_in_cam2 = (ee_pose.rotation @ cam2.rotation).T
-    position_c2 = (-base_in_cam2 @ (ee_pose.position + ee_pose.rotation @ cam2.position)
-                   + base_in_cam2 @ p_base)
+    base_in_cam2 = ee_pose.rotation.dot(cam2.rotation).T
+    position_c2 = ((-base_in_cam2).dot(ee_pose.position + ee_pose.rotation.dot(cam2.position))
+                   + base_in_cam2.dot(p_base))
     if noise_std > 0:
         position_c2 = position_c2 + rng.normal(0.0, noise_std, 3)
 
