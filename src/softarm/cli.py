@@ -45,8 +45,11 @@ def _csv_lines(lead, columns, trail):
         yield fmt % (*head, *row, *tail)
 
 
-def _mask(flags):
-    return "".join("1" if f else "0" for f in flags)
+def _masks(flags: np.ndarray) -> list:
+    """The 0/1 mask of each row of the (N, 9) bool array ``flags``, each a
+    slice of one buffer of ASCII digits."""
+    text, width = (flags.view(np.uint8) + 48).tobytes().decode("ascii"), flags.shape[1]
+    return [text[k:k + width] for k in range(0, len(text), width)]
 
 
 def _say(quiet, *parts):
@@ -118,7 +121,7 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 (qs, elongation_to_pressure(qs), trajectory.positions, trajectory.rotvecs,
                  trajectory.err_pos, trajectory.err_rot, trajectory.err_pos_true,
                  trajectory.err_rot_true),
-                [(_mask(flags),) for flags in trajectory.infeasible.tolist()]))
+                [(mask,) for mask in _masks(trajectory.infeasible)]))
     ep = np.array([r["final_err_pos_m"] for r in results])
     er = np.array([r["final_err_rot_rad"] for r in results])
     agg = {
@@ -217,7 +220,8 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 [(bi, kind, r.iteration, r.stage) for r in log.rows],
                 (qs, elongation_to_pressure(qs),
                  *zip(*((r.position, r.rotvec, r.dist_est, r.dist_true) for r in log.rows))),
-                [(_mask(r.infeasible.tolist()), r.target_source) for r in log.rows]))
+                list(zip(_masks(np.array([r.infeasible for r in log.rows])),
+                         (r.target_source for r in log.rows)))))
 
     _write_summary(out_dir, scenario,
                    {"name": scenario.name, "seed": scenario.seed, "runs": results},

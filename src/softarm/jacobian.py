@@ -60,8 +60,8 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
     """
     (e0, e1, e2), _, sections = section_chain(q, geom)
     flat = []
-    for (c0, c1), arc, (a, b, g, alpha, beta), R, (o0, o1, o2) in sections:
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    for (c0, c1, arc, (a, b, g, alpha, beta),
+         r00, r01, r02, r10, r11, r12, r20, r21, r22, o0, o1, o2) in sections:
         d0, d1, d2 = e0 - o0, e1 - o1, e2 - o2
         bc0 = beta * c0
         bc1 = beta * c1

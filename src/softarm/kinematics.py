@@ -14,14 +14,16 @@ arc coefficients its caller passes in, so it runs on floats or on (N,)
 arrays: :func:`section_chain` walks one configuration in plain
 scalar arithmetic, and the forward kinematics and the analytic Jacobian
 (:mod:`softarm.jacobian`) both read it; the geometry keeps the last walk
-so the two share it at one configuration. :func:`forward_kinematics_many`
-walks a batch of commands known in advance, one configuration per lane,
-and returns the stacked positions and rotations, not a Pose per lane.
+so the two share it at one configuration. The walk records each section
+as one flat tuple of its bending, arc length, arc coefficients, base-plate
+rotation entries and arc end point, which the Jacobian unpacks as it is.
+:func:`forward_kinematics_many` walks a batch of commands known in
+advance, one configuration per lane, and returns the stacked positions and
+rotations, not a Pose per lane.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,11 @@ FK_DRIFT_TOL = 1e-12
 SERIES_SWITCH = 1e-2
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def _check_position(position: np.ndarray) -> None:
+    if not all(map(math.isfinite, position.tolist())):
+        raise ValueError("position must be finite")
 
 
 def _check_rotation(drift: float, det: float) -> None:
@@ -64,8 +71,7 @@ class Pose:
                            position if position.shape == (3,) else position.reshape(3))
         object.__setattr__(self, "rotation",
                            rotation if rotation.shape == (3, 3) else rotation.reshape(3, 3))
-        if not all(map(math.isfinite, self.position.tolist())):
-            raise ValueError("position must be finite")
+        _check_position(self.position)
         _check_rotation(*rows_drift_and_det(self.rotation.tolist()))
 
     @classmethod
@@ -125,21 +131,16 @@ def _arc_coefficients_many(phi2: np.ndarray) -> np.ndarray:
     return np.array(list(map(arc_coefficients, phi2.tolist()))).reshape(-1, 5).T
 
 
-class Section(NamedTuple):
-    """One section of a configuration, as :func:`section_chain` sees it."""
-
-    c: tuple            # (c0, c1) = (dx, dy) / (3 r)
-    arc: float          # arc length, m
-    coefficients: tuple  # arc_coefficients(c0^2 + c1^2)
-    base_rotation: tuple  # rows of the base-frame rotation of the base plate
-    arc_end: tuple      # base-frame end point of the arc
-
-
 def _walk(lengths, geom: RobotGeometry, coefficients) -> tuple:
     """Walk the nine ``lengths`` from the base: the end-effector position,
-    rotation rows and :class:`Section` of each section. Only + - * / touch
-    them, so they may be floats or (N,) arrays, one configuration per lane,
-    given the :func:`arc_coefficients` of their type."""
+    rotation rows and the record of each section, one flat tuple
+    (c0, c1, arc, coefficients, r00, r01, ..., r22, o0, o1, o2): the
+    bending (c0, c1) = (dx, dy) / (3 r), the arc length, the
+    :func:`arc_coefficients` of c0^2 + c1^2, the rows of the base-frame
+    rotation of the section's base plate and the base-frame end point o of
+    its arc. Only + - * / touch the lengths, so they may be floats or (N,)
+    arrays, one configuration per lane, given the coefficients of their
+    type."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     p0 = p1 = p2 = 0.0
     sections = []
@@ -160,9 +161,8 @@ def _walk(lengths, geom: RobotGeometry, coefficients) -> tuple:
         o0 = p0 + r00 * t0 + r01 * t1 + r02 * t2
         o1 = p1 + r10 * t0 + r11 * t1 + r12 * t2
         o2 = p2 + r20 * t0 + r21 * t1 + r22 * t2
-        sections.append(Section((c0, c1), arc, section_coefficients,
-                                ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
-                                (o0, o1, o2)))
+        sections.append((c0, c1, arc, section_coefficients,
+                         r00, r01, r02, r10, r11, r12, r20, r21, r22, o0, o1, o2))
         # The plate: offset along the arc's end Z axis (s02, s12, s22), then
         # R <- R S T for the twist T about it.
         t0, t1, t2 = offset * s02, offset * s12, offset * s22
@@ -183,10 +183,10 @@ def _walk(lengths, geom: RobotGeometry, coefficients) -> tuple:
 
 def section_chain(q, geom: RobotGeometry) -> tuple:
     """Walk one configuration from the base: returns the end-effector
-    position and rotation rows (plain floats) and the tuple of the
-    :class:`Section` of each section. After its arc, each section adds the
-    rigid plate offset along the local Z and the plate twist about Z; the
-    last pair is the gripper mount.
+    position and rotation rows (plain floats) and the tuple of the flat
+    record of each section (see :func:`_walk`). After its arc, each
+    section adds the rigid plate offset along the local Z and the plate
+    twist about Z; the last pair is the gripper mount.
 
     The geometry keeps its last walk, keyed by the bytes of q, so the
     forward kinematics and the Jacobian at one configuration walk it once.

@@ -4,9 +4,11 @@ Quasi-static: a commanded elongation is scaled by a per-actuator mismatch
 factor, saturated to the physical range, and pushed through the true
 forward kinematics. The measured pose gets additive seeded noise and a
 first-order low-pass (matching the 10 rad/s filter applied to the camera
-pose stream). Commands known in advance play back as one batch: one
-vectorized forward-kinematics pass, then the filter lane by lane, with the
-results returned as stacked arrays rather than an observation per command.
+pose stream). The filter carries its position as three floats and its
+rotation as a 3x3 array. Commands known in advance play back as one batch:
+one vectorized forward-kinematics pass, then the filter lane by lane, then
+one stacked rotation check of every lane, with the results returned as
+stacked arrays rather than an observation per command.
 Commands outside the feasible elongation range are accepted but flagged,
 so controllers without joint-limit handling reproduce the infeasible
 negative-pressure behavior.
@@ -93,8 +95,9 @@ class Plant:
             np.minimum(np.maximum(q_cmd * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
         self._true_pose = pose_true
-        return PlantObservation(Pose._checked(*self._filter(pose_true.position,
-                                                            pose_true.rotation)), flags)
+        position_f, rotation_f = self._filter(*pose_true.position.tolist(), pose_true.rotation)
+        return PlantObservation(Pose._checked(np.array(position_f), rotation_f,
+                                              *rows_drift_and_det(rotation_f.tolist())), flags)
 
     def apply_commands(self, q_cmds) -> tuple:
         """Open-loop playback of the rows of the (N, 9) array q_cmds: N
@@ -106,8 +109,11 @@ class Plant:
         The commands are validated, flagged and saturated at once, before
         any is sent, and their true poses come from one
         :func:`~softarm.kinematics.forward_kinematics_many`. Noise and filter
-        then advance lane by lane, and :meth:`true_pose` is the last lane's
-        pose afterwards.
+        then advance lane by lane, and the filtered rotations take the check
+        a Pose makes in one stacked pass after the last lane: a lane that
+        fails it raises only then, with the filter past every lane and
+        :meth:`true_pose` still the pose before the batch. Otherwise
+        :meth:`true_pose` is the last lane's pose afterwards.
         """
         q_cmds = as_actuator_batch(q_cmds)
         limits = self._limits
@@ -115,35 +121,40 @@ class Plant:
         positions, rotations = forward_kinematics_many(
             np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        positions_f, rotations_f = np.empty_like(positions), np.empty_like(rotations)
-        for k in range(len(q_cmds)):
-            positions_f[k], rotations_f[k], drift, det = self._filter(positions[k], rotations[k])
-            _check_rotation(drift, det)
+        lanes = list(map(self._filter, *positions.T.tolist(), rotations))
+        positions_f = np.array([position_f for position_f, _ in lanes]).reshape(-1, 3)
+        rotations_f = np.array([rotation_f for _, rotation_f in lanes]).reshape(-1, 3, 3)
+        drift, det = rows_drift_and_det(rotations_f.transpose(1, 2, 0), np.sqrt)
+        # The worst lane; max and min pass a NaN on.
+        _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
         if len(q_cmds):  # The returned positions are the caller's; keep a copy.
             self._true_pose = Pose(positions[-1].copy(), rotations[-1])
         return flags, positions, positions_f, rotations_f
 
-    def _filter(self, position: np.ndarray, rotation: np.ndarray) -> tuple:
-        """Observe the arm at the true ``position`` and ``rotation``: seeded
-        noise, then the low-pass filter. Returns the filtered position and
-        rotation, and that rotation's drift and determinant for the check
-        a Pose makes."""
+    def _filter(self, p0: float, p1: float, p2: float, rotation: np.ndarray) -> tuple:
+        """Observe the arm at the true position (p0, p1, p2) and
+        ``rotation``: seeded noise, then the low-pass filter. Returns the
+        filtered position as three floats and the filtered rotation. Each
+        position component takes the one IEEE add (noise), and the subtract,
+        multiply and add (filter), that (3,) array arithmetic gives it, so
+        its bytes are the same; the rotation products stay in numpy, whose
+        rounding they define."""
         if self.config.position_noise_std > 0:
-            position = position + self._rng.normal(0.0, self.config.position_noise_std, 3)
+            n0, n1, n2 = self._rng.normal(0.0, self.config.position_noise_std, 3).tolist()
+            p0, p1, p2 = p0 + n0, p1 + n1, p2 + n2
         if self.config.rotation_noise_std > 0:
             wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
             rotation = rotvec_to_matrix(wobble).dot(rotation)
 
         if self._filtered is None:
-            position_f, rotation_f = position.copy(), rotation
+            position_f, rotation_f = (p0, p1, p2), rotation
         else:
             alpha = self._alpha
-            position_f, rotation_f = self._filtered
-            position_f = position_f + alpha * (position - position_f)
+            (f0, f1, f2), rotation_f = self._filtered
+            position_f = f0 + alpha * (p0 - f0), f1 + alpha * (p1 - f1), f2 + alpha * (p2 - f2)
             # Filter the incremental axis-angle so the state stays a rotation.
-            # The 3x3 products stay in numpy, whose rounding they define.
             w0, w1, w2 = rows_to_rotvec(rotation.dot(rotation_f.T).tolist())
             rotation_f = np.array(
                 rotvec_to_rows(alpha * w0, alpha * w1, alpha * w2)).dot(rotation_f)
         self._filtered = position_f, rotation_f
-        return position_f, rotation_f, *rows_drift_and_det(rotation_f.tolist())
+        return position_f, rotation_f

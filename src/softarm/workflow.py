@@ -21,11 +21,10 @@ from .controller import (
     TaskError,
     gains_full_default,
     gains_position_default,
-    pose_error,
     step_full,
 )
 from .geometry import norm
-from .kinematics import Pose
+from .kinematics import Pose, _check_position
 from .rotations import matrix_to_rotvec, rows_to_rotvec
 from .vision import (
     BerryTarget,
@@ -117,6 +116,14 @@ class HarvestLog:
     failure_reason: str | None = None
 
 
+def _placement_error(position: np.ndarray, approach: np.ndarray, pose: Pose) -> TaskError:
+    """``pose_error(Pose(position, approach), pose)`` for an ``approach``
+    that has passed the rotation check of ``Pose()``: only the desired
+    position is checked, and the error takes the same operations."""
+    _check_position(position)
+    return TaskError(position - pose.position, matrix_to_rotvec(approach.dot(pose.rotation.T)))
+
+
 def run_harvest(berry_base_truth, desired_approach_orientation, plant,
                 registry: FrameRegistry, cfg: WorkflowConfig) -> HarvestLog:
     """Execute one harvesting attempt against a simulated plant.
@@ -130,7 +137,9 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     Any other exception propagates.
     """
     berry_truth = np.asarray(berry_base_truth, dtype=float)
-    approach = np.asarray(desired_approach_orientation, dtype=float)
+    # Checked once, as Pose() checks a rotation; placement steps check only
+    # their desired position.
+    approach = Pose(np.zeros(3), desired_approach_orientation).rotation
     log = HarvestLog()
     rng = np.random.default_rng(cfg.rng_seed)
 
@@ -181,7 +190,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         (HarvestState.InitialPlacement, "c1", cfg.coarse_threshold,
          cfg.placement_max_iterations, cfg.placement_gains, ControllerMode.FullThreeTask,
          lambda target, pose: cam1_target_to_base(target, registry),
-         lambda berry, pose: pose_error(Pose(berry + standoff, approach), pose)),
+         lambda berry, pose: _placement_error(berry + standoff, approach, pose)),
         (HarvestState.FinePositioning, "c2", cfg.grasp_threshold,
          cfg.fine_max_iterations, cfg.fine_gains, ControllerMode.PositionWithJL,
          lambda target, pose: berry_to_base(target, pose, registry),

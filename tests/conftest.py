@@ -9,7 +9,8 @@ The ``bundled`` fixture runs each bundled scenario through
 ``run_scenario`` once per session, on first use, so the golden, acceptance,
 tail-rate and CSV checks all read one run instead of each solving it again.
 ``svd_spy`` records what np.linalg.svd is handed, for the tests of the
-controller step's SVD fallback.
+controller step's SVD fallback. ``section_fields`` names the slots of the
+flat section record that ``section_chain`` returns.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -104,3 +106,22 @@ def svd_spy():
         yield blocks
     finally:
         np.linalg.svd = svd
+
+
+class SectionFields(NamedTuple):
+    """One section of a walk, its slots named."""
+
+    c: tuple             # (c0, c1) = (dx, dy) / (3 r)
+    arc: float           # arc length, m
+    coefficients: tuple  # arc_coefficients(c0^2 + c1^2)
+    base_rotation: tuple  # rows of the base-frame rotation of the base plate
+    arc_end: tuple       # base-frame end point of the arc
+
+
+def section_fields(record: tuple) -> SectionFields:
+    """The flat record (c0, c1, arc, coefficients, r00, ..., r22, o0, o1, o2)
+    of one section of ``section_chain``, by name."""
+    c0, c1, arc, coefficients, *rest = record
+    assert len(rest) == 12
+    return SectionFields((c0, c1), arc, coefficients, (tuple(rest[0:3]), tuple(rest[3:6]),
+                                                       tuple(rest[6:9])), tuple(rest[9:12]))

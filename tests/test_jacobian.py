@@ -7,6 +7,7 @@ from softarm.geometry import RobotGeometry, SectionGeometry, default_geometry
 from softarm.jacobian import jacobian, pinv
 from softarm.kinematics import forward_kinematics, section_chain
 
+from conftest import section_fields
 from oracles import fd_jacobian, random_feasible_q
 from strategies import actuator_vectors, with_straight_sections
 
@@ -44,7 +45,7 @@ def test_equal_elongations_on_a_grid_are_exactly_straight():
     # tenth of them, the ends included, are checked against the oracle.
     grid = np.round(np.arange(0.0, 0.0981, 0.0001), 4)
     for c in grid:
-        for section in section_chain(np.full(9, c), GEOM)[2]:
+        for section in map(section_fields, section_chain(np.full(9, c), GEOM)[2]):
             assert section.c == (0.0, 0.0)
     for c in grid[::10]:
         assert_matches_fd_oracle(np.full(9, c))

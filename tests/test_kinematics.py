@@ -16,6 +16,7 @@ from softarm.kinematics import (
 )
 from softarm.rotations import orthonormalize, rot_y, rot_z
 
+from conftest import section_fields
 from oracles import fk_reference, rotation_angle_between
 from strategies import KINDS, actuator_vectors, with_straight_sections
 
@@ -38,14 +39,15 @@ def textbook_arc(l, sec):
 
 
 def first_section(l, radius=0.06, initial_length=0.15):
-    """The proximal :class:`Section` of elongations ``l`` on a geometry with
+    """The proximal section record of elongations ``l`` on a geometry with
     no plate offset or twist, with its arc end and the arc's rotation (the
     next section's base rotation)."""
     sec = SectionGeometry(radius=radius, initial_length=initial_length,
                           plate_offset_length=0.0, plate_offset_angle=0.0)
     q = np.concatenate([l, np.zeros(6)])
-    sections = section_chain(q, RobotGeometry(sections=(sec, sec, sec)))[2]
-    return sections[0], np.array(sections[0].arc_end), np.array(sections[1].base_rotation)
+    first, second = map(section_fields,
+                        section_chain(q, RobotGeometry(sections=(sec, sec, sec)))[2][:2])
+    return first, np.array(first.arc_end), np.array(second.base_rotation)
 
 
 class TestActuatorToConfig:
@@ -53,7 +55,7 @@ class TestActuatorToConfig:
     c = phi (cos theta, sin theta) and the arc length."""
 
     def test_straight_section(self):
-        section = section_chain(np.zeros(9), GEOM)[2][0]
+        section = section_fields(section_chain(np.zeros(9), GEOM)[2][0])
         assert section.c == (0.0, 0.0)
         assert section.arc == pytest.approx(0.15)
 
@@ -68,7 +70,7 @@ class TestActuatorToConfig:
 
     def test_equal_elongations_degenerate_to_straight(self):
         for c in (0.01, 0.05, 0.09):
-            section = section_chain(np.full(9, c), GEOM)[2][1]
+            section = section_fields(section_chain(np.full(9, c), GEOM)[2][1])
             assert section.c == (0.0, 0.0)
             assert section.arc == pytest.approx(0.15 + c, rel=1e-12)
 
@@ -83,7 +85,7 @@ class TestActuatorToConfig:
                 l = rng.uniform(0.0, 0.1, 3)
                 q = np.zeros(9)
                 q[3 * i:3 * i + 3] = l
-                section = section_chain(q, GEOM)[2][i]
+                section = section_fields(section_chain(q, GEOM)[2][i])
                 expected = sec.initial_length + l.mean()
                 phi = np.hypot(*section.c)
                 if phi > 0.0:
@@ -96,7 +98,7 @@ class TestActuatorToConfig:
         thetas = []
         for l in ([0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01],
                   [0, 0.01, 0.01], [0.01, 0, 0.01], [0.01, 0.01, 0]):
-            c0, c1 = section_chain(np.concatenate([l, np.zeros(6)]), GEOM)[2][0].c
+            c0, c1 = section_fields(section_chain(np.concatenate([l, np.zeros(6)]), GEOM)[2][0]).c
             thetas.append(np.arctan2(c1, c0))
         assert min(thetas) < -np.pi / 2
         assert max(thetas) > np.pi / 2
@@ -209,7 +211,7 @@ class TestForwardKinematics:
         q = np.zeros(9)
         q[6] = 0.03
         sec = GEOM.sections[2]
-        section = section_chain(q, GEOM)[2][2]
+        section = section_fields(section_chain(q, GEOM)[2][2])
         base = np.array([0.0, 0.0, sum(s.initial_length + s.plate_offset_length
                                        for s in GEOM.sections[:2])])
         local_end = np.array(section.base_rotation).T @ (np.array(section.arc_end) - base)
@@ -412,7 +414,7 @@ class TestForwardKinematicsMany:
             qs[row, 1:3] += 1.5 * radius * np.sqrt(SERIES_SWITCH) * scale
         qs[-2] = 0.0
         qs[-1] = np.linspace(-0.05, 0.2, 9)
-        phi2 = [section_chain(q, GEOM)[2][0].c[0] ** 2 for q in qs[:len(scales)]]
+        phi2 = [section_fields(section_chain(q, GEOM)[2][0]).c[0] ** 2 for q in qs[:len(scales)]]
         assert phi2[1] < SERIES_SWITCH < phi2[3]
         assert_each_lane_is_scalar(qs)
 

@@ -213,13 +213,22 @@ class TestPlayback:
             plant.apply_commands(q_cmds)
         assert plant.true_pose() is before
 
-    def test_a_filtered_rotation_that_fails_the_check_raises(self, monkeypatch):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda rows: [[1.001 * x for x in row] for row in rows], "not orthonormal"),
+        (lambda rows: [rows[0], rows[1], [-x for x in rows[2]]], "proper"),
+    ], ids=["stretched", "reflected"])
+    def test_a_filtered_rotation_that_fails_the_check_raises(self, monkeypatch, corrupt,
+                                                             message):
+        # The batch is checked after its last lane: the true pose is still
+        # the one before it.
         plant = Plant(self.CFG)
         plant.reset(Q0)
+        before = plant.true_pose()
         monkeypatch.setattr(plant_module, "rotvec_to_rows",
-                            lambda *w: [[1.001 * x for x in row] for row in rotvec_to_rows(*w)])
-        with pytest.raises(ValueError, match="not orthonormal"):
+                            lambda *w: corrupt(rotvec_to_rows(*w)))
+        with pytest.raises(ValueError, match=message):
             plant.apply_commands(np.array([Q1, Q0]))
+        assert plant.true_pose() is before
 
 
 class TestConfigValues:

@@ -15,7 +15,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from softarm import controller, vision
+from softarm import controller, vision, workflow
 from softarm.geometry import default_geometry
 from softarm.jacobian import jacobian
 from softarm.kinematics import Pose
@@ -95,6 +95,7 @@ PER_STEP = [
     controller.step_full,
     controller._pinv,
     controller.pose_error,
+    workflow._placement_error,
     controller.solve,
     jacobian,
     Plant._filter,

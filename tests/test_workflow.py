@@ -17,7 +17,7 @@ from softarm import workflow
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose
 from softarm.plant import Plant, PlantConfig
-from softarm.rotations import matrix_to_rotvec, rot_x, rot_z
+from softarm.rotations import matrix_to_rotvec, rot_x, rot_z, rotvec_to_matrix
 from softarm.vision import build_registry
 from softarm.workflow import (
     HarvestRow,
@@ -121,8 +121,9 @@ class TestHarvestRun:
         # Orientation is frozen in the fine stage, so no pose error (and no
         # rotation log) is formed there; its steps get a zero e_zeta.
         poses, fine_errors = [], []
-        monkeypatch.setattr(workflow, "pose_error",
-                            lambda d, c: poses.append(d) or pose_error(d, c))
+        placement_error = workflow._placement_error
+        monkeypatch.setattr(workflow, "_placement_error",
+                            lambda *args: poses.append(args) or placement_error(*args))
 
         def recording_step(q, e, gains, cfg):
             if cfg.mode is ControllerMode.PositionWithJL:
@@ -236,6 +237,55 @@ class TestHarvestRun:
             log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry, wf)
         assert (log.stages[0].stage, log.stages[0].end_iteration) == ("InitialPlacement", 20)
         assert (3, 9) not in [A.shape for A in blocks]
+
+
+def error_bytes(error) -> tuple:
+    return (error.e_p.tobytes(), error.e_zeta.tobytes(), error.position_norm,
+            error.orientation_norm)
+
+
+class TestPlacementError:
+    """Placement steps form ``pose_error(Pose(berry + standoff, approach),
+    pose)`` with the approach checked once per harvest."""
+
+    def test_has_the_bytes_of_pose_error(self):
+        rng = np.random.default_rng(31)
+        offset = make_workflow().standoff_offset
+        for _ in range(2000):
+            # Rotation vectors past pi in norm, so errors near pi are drawn too.
+            approach, measured = (rotvec_to_matrix(w) for w in
+                                  rng.normal(size=(2, 3)) * rng.uniform(0.0, 1.2, (2, 1)))
+            berry = rng.uniform(-0.5, 0.5, 3)
+            pose = Pose(rng.uniform(-0.5, 0.5, 3), measured)
+            standoff = approach @ offset
+            assert error_bytes(workflow._placement_error(berry + standoff, approach, pose)) == \
+                error_bytes(pose_error(Pose(berry + standoff, approach), pose))
+
+    def test_every_placement_step_takes_it(self, monkeypatch):
+        calls = []
+        placement_error = workflow._placement_error
+        monkeypatch.setattr(workflow, "_placement_error", lambda *args: calls.append(
+            (args, placement_error(*args))) or calls[-1][1])
+        log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), make_workflow())
+        placement = log.stages[0]
+        assert len(calls) == placement.end_iteration - placement.start_iteration > 0
+        for (position, approach, pose), error in calls:
+            assert approach.tobytes() == APPROACH.tobytes()
+            assert error_bytes(error) == error_bytes(pose_error(Pose(position, APPROACH), pose))
+
+    @pytest.mark.parametrize("approach, message", [
+        (APPROACH * [[1.0], [1.0], [-1.0]], "proper"),
+        (1.001 * APPROACH, "not orthonormal"),
+    ], ids=["reflected", "stretched"])
+    def test_a_bad_approach_raises(self, approach, message):
+        with pytest.raises(ValueError, match=message):
+            run_harvest(BERRY, approach, Plant(PlantConfig()), registry(), make_workflow())
+
+    def test_a_non_finite_berry_estimate_raises(self, monkeypatch):
+        monkeypatch.setattr(workflow, "cam1_target_to_base",
+                            lambda target, registry: np.array([0.0, np.nan, 0.45]))
+        with pytest.raises(ValueError, match="position must be finite"):
+            run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), make_workflow())
 
 
 def row_values(row) -> tuple:
