@@ -66,32 +66,31 @@ def _report(lines: list, quiet: bool, *new: str) -> None:
 
 
 @contextmanager
-def _open_csv(path: Path, header):
-    """The file ``path``, open for writing, with ``header`` written through
-    csv, which quotes compared controller names. Callers write each run's
-    body lines as the run ends: rows are never all in memory."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _open_csv(paths: tuple, header):
+    """The CSV log of ``paths``, open for writing, with ``header`` written
+    through csv, which quotes compared controller names. Callers write each
+    run's body lines as the run ends: rows are never all in memory."""
+    with open(paths[0], "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         yield fh
 
 
-def _write_summary(out_dir: Path, scenario: Scenario, summary: dict, text_name: str,
-                   lines: list) -> None:
-    """Write ``summary.json`` and the text report ``text_name``."""
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                          encoding="utf-8")
+def _write_summary(paths: tuple, scenario: Scenario, summary: dict, lines: list) -> None:
+    """Write the JSON ``summary`` and the text report of ``paths``."""
+    _, json_path, text_path = paths
+    json_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     head = [f"scenario: {scenario.name}", f"seed: {scenario.seed}", ""]
-    (out_dir / text_name).write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+    text_path.write_text("\n".join(head + lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Controller scenarios
 # ---------------------------------------------------------------------------
 
-def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_controller(scenario: Scenario, paths: tuple, quiet: bool) -> int:
     """Solve each target; returns the number of runs that failed."""
     results, lines = [], []
-    with _open_csv(out_dir / "steps.csv", CONTROLLER_CSV_HEADER) as fh:
+    with _open_csv(paths, CONTROLLER_CSV_HEADER) as fh:
         for run in scenario.runs:
             trajectory = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
             r = {
@@ -137,10 +136,9 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             f"position error: {agg['err_pos_mean_mm']:.4f} +/- {agg['err_pos_std_mm']:.4f} mm",
             f"orientation error: {agg['err_rot_mean_deg']:.4f} +/- "
             f"{agg['err_rot_std_deg']:.4f} deg")
-    _write_summary(out_dir, scenario,
+    _write_summary(paths, scenario,
                    {"name": scenario.name, "kind": scenario.kind, "seed": scenario.seed,
-                    "runs": results, "aggregate": agg},
-                   "summary.txt", lines)
+                    "runs": results, "aggregate": agg}, lines)
     return sum(not r["converged"] for r in results)
 
 
@@ -148,7 +146,7 @@ def _run_controller(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Controller comparison
 # ---------------------------------------------------------------------------
 
-def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_compare(scenario: Scenario, paths: tuple, quiet: bool) -> int:
     """Solve with each compared controller; returns the number that did not
     converge."""
     runs, verdicts, lines = {}, {}, []
@@ -163,7 +161,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         _report(lines, quiet, f"{run.label}: {verdict} iters={trajectory.iterations_used}")
 
     names = list(runs)
-    with _open_csv(out_dir / "compare.csv", ["iteration"] + [
+    with _open_csv(paths, ["iteration"] + [
             f"{n}_{c}" for n in names for c in ("err_pos", "err_rot")]) as fh:
         for k in range(max(t.qs.shape[0] for t in runs.values())):
             row = [str(k)]
@@ -179,7 +177,7 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         "iterations": {n: runs[n].iterations_used for n in names},
         "any_infeasible": {n: bool(runs[n].any_infeasible) for n in names},
     }
-    _write_summary(out_dir, scenario, summary, "verdicts.txt", lines)
+    _write_summary(paths, scenario, summary, lines)
     return sum(not t.converged for t in runs.values())
 
 
@@ -187,10 +185,10 @@ def _run_compare(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Harvest scenarios
 # ---------------------------------------------------------------------------
 
-def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _run_harvest(scenario: Scenario, paths: tuple, quiet: bool) -> int:
     """Harvest each berry; returns the number of runs that did not end Done."""
     results, lines = [], []
-    with _open_csv(out_dir / "steps.csv", HARVEST_CSV_HEADER) as fh:
+    with _open_csv(paths, HARVEST_CSV_HEADER) as fh:
         for bi, run in enumerate(scenario.runs):
             log = run_harvest(run.berry, run.approach, Plant(run.plant), run.registry,
                               run.workflow)
@@ -223,9 +221,8 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
                 list(zip(_masks(np.array([r.infeasible for r in log.rows])),
                          (r.target_source for r in log.rows)))))
 
-    _write_summary(out_dir, scenario,
-                   {"name": scenario.name, "seed": scenario.seed, "runs": results},
-                   "summary.txt", lines)
+    _write_summary(paths, scenario,
+                   {"name": scenario.name, "seed": scenario.seed, "runs": results}, lines)
     return sum(not r["grasp_success"] for r in results)
 
 
@@ -233,13 +230,17 @@ def _run_harvest(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 # Entry points
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {"controller": _run_controller, "compare": _run_compare, "harvest": _run_harvest}
+#: Each kind's runner and output files: the CSV log, JSON summary, text report.
+_KINDS = {"controller": (_run_controller, ("steps.csv", "summary.json", "summary.txt")),
+          "compare": (_run_compare, ("compare.csv", "summary.json", "verdicts.txt")),
+          "harvest": (_run_harvest, ("steps.csv", "summary.json", "summary.txt"))}
 
 
 def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
     """Execute a scenario file of any kind; returns the exit code: 2 when the
-    scenario is strict and a run failed. The output directory is made before
-    any run, so one that cannot be made is a config error."""
+    scenario is strict and a run failed. Before any run the output directory
+    is made and the kind's earlier outputs in it removed, or it is a config
+    error: each output is a new file, and a run that raises leaves no earlier one."""
     try:
         scenario = parse_scenario(load_scenario_dict(path), seed_override)
         _say(quiet, f"scenario {scenario.name} (kind={scenario.kind}, "
@@ -249,7 +250,14 @@ def run_scenario(path, out_dir=None, seed_override=None, quiet=False) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
-        failed = _RUNNERS[scenario.kind](scenario, out, quiet)
+        runner, names = _KINDS[scenario.kind]
+        paths = tuple(out / name for name in names)
+        try:
+            for output in paths:
+                output.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove earlier output {output}: {exc}") from exc
+        failed = runner(scenario, paths, quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import JointLimits, RobotGeometry, as_actuator_vector, norm
 from .jacobian import GRAM_TOL, SV_TOL, jacobian
 from .kinematics import Pose
-from .rotations import matrix_to_rotvec
+from .rotations import matrix_to_rotvec, rows_to_rotvec
 
 
 @dataclass(frozen=True)
@@ -353,22 +353,23 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
     q = as_actuator_vector(q0).copy()
     obs = plant.reset(q)
 
-    rows = []  # one tuple per step, in the order of Trajectory's array fields
+    rows = []  # per step: Trajectory's fields in order, rotations in place of their logs
 
     def record(q_now, observation):
         pose = observation.pose_filtered
         e = pose_error(desired, pose)
         true_pose = plant.true_pose()
-        rows.append((q_now.copy(), pose.position.copy(),
-                     matrix_to_rotvec(pose.rotation), e.position_norm, e.orientation_norm,
-                     norm(desired.position - true_pose.position),
-                     norm(matrix_to_rotvec(desired.rotation.dot(true_pose.rotation.T))),
-                     observation.infeasible_flags))
+        rows.append((q_now.copy(), pose.position.copy(), pose.rotation, e.position_norm,
+                     e.orientation_norm, norm(desired.position - true_pose.position),
+                     desired.rotation.dot(true_pose.rotation.T), observation.infeasible_flags))
         return e
 
-    def finish(converged, diverged):
+    def finish(converged, diverged):  # the logs only the record reads, one pass each
         *columns, flags = zip(*rows)
-        return Trajectory(*map(np.array, columns),
+        qs, positions, rotations, *norms, true_errors = map(np.array, columns)
+        rotvecs, true_rotvecs = (np.array(list(map(rows_to_rotvec, stack.tolist())))
+                                 for stack in (rotations, true_errors))
+        return Trajectory(qs, positions, rotvecs, *norms, np.array(list(map(norm, true_rotvecs))),
                           np.array(flags, dtype=bool), converged, diverged)
 
     tracked_norms = TASK_STACKS[cfg.mode].norms

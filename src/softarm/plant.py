@@ -26,7 +26,7 @@ from .geometry import (
     default_geometry,
 )
 from .kinematics import Pose, _check_rotation, forward_kinematics, forward_kinematics_many
-from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_matrix, rotvec_to_rows
+from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_rows
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class Plant:
         any is sent, and their true poses come from one
         :func:`~softarm.kinematics.forward_kinematics_many`. Noise and filter
         then advance lane by lane, and the filtered rotations take the check
-        a Pose makes in one stacked pass after the last lane: a lane that
-        fails it raises only then, with the filter past every lane and
-        :meth:`true_pose` still the pose before the batch. Otherwise
-        :meth:`true_pose` is the last lane's pose afterwards.
+        a Pose makes in one stacked pass after the last lane. A lane that
+        fails it raises only then, and the plant is left as it was before
+        the batch: filter state, noise stream and :meth:`true_pose`.
+        Otherwise :meth:`true_pose` is the last lane's pose afterwards.
         """
         q_cmds = as_actuator_batch(q_cmds)
         limits = self._limits
@@ -121,12 +121,17 @@ class Plant:
         positions, rotations = forward_kinematics_many(
             np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
             self.config.true_geometry)
-        lanes = list(map(self._filter, *positions.T.tolist(), rotations))
-        positions_f = np.array([position_f for position_f, _ in lanes]).reshape(-1, 3)
-        rotations_f = np.array([rotation_f for _, rotation_f in lanes]).reshape(-1, 3, 3)
-        drift, det = rows_drift_and_det(rotations_f.transpose(1, 2, 0), np.sqrt)
-        # The worst lane; max and min pass a NaN on.
-        _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
+        filtered, rng_state = self._filtered, self._rng.bit_generator.state
+        try:
+            lanes = list(map(self._filter, *positions.T.tolist(), rotations))
+            positions_f = np.array([position_f for position_f, _ in lanes]).reshape(-1, 3)
+            rotations_f = np.array([rotation_f for _, rotation_f in lanes]).reshape(-1, 3, 3)
+            drift, det = rows_drift_and_det(rotations_f.transpose(1, 2, 0), np.sqrt)
+            # The worst lane; max and min pass a NaN on.
+            _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
+        except ValueError:
+            self._filtered, self._rng.bit_generator.state = filtered, rng_state
+            raise
         if len(q_cmds):  # The returned positions are the caller's; keep a copy.
             self._true_pose = Pose(positions[-1].copy(), rotations[-1])
         return flags, positions, positions_f, rotations_f
@@ -138,13 +143,18 @@ class Plant:
         position component takes the one IEEE add (noise), and the subtract,
         multiply and add (filter), that (3,) array arithmetic gives it, so
         its bytes are the same; the rotation products stay in numpy, whose
-        rounding they define."""
-        if self.config.position_noise_std > 0:
-            n0, n1, n2 = self._rng.normal(0.0, self.config.position_noise_std, 3).tolist()
-            p0, p1, p2 = p0 + n0, p1 + n1, p2 + n2
-        if self.config.rotation_noise_std > 0:
-            wobble = self._rng.normal(0.0, self.config.rotation_noise_std, 3)
-            rotation = rotvec_to_matrix(wobble).dot(rotation)
+        rounding they define. The noise is one ``standard_normal`` draw, the
+        position's values first, each 0.0 + std * z as numpy's ``normal``."""
+        p_std, r_std = self.config.position_noise_std, self.config.rotation_noise_std
+        if p_std > 0 or r_std > 0:
+            z = self._rng.standard_normal(6 if p_std > 0 and r_std > 0 else 3).tolist()
+            if p_std > 0:
+                p0, p1, p2 = (p0 + (0.0 + p_std * z[0]), p1 + (0.0 + p_std * z[1]),
+                              p2 + (0.0 + p_std * z[2]))
+            if r_std > 0:
+                w0, w1, w2 = z[-3:]
+                rotation = np.array(rotvec_to_rows(0.0 + r_std * w0, 0.0 + r_std * w1,
+                                                   0.0 + r_std * w2)).dot(rotation)
 
         if self._filtered is None:
             position_f, rotation_f = (p0, p1, p2), rotation

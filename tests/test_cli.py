@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import softarm.cli
 from softarm.cli import _csv_lines, main, run_scenario
 from softarm.config import (
     ConfigError,
@@ -859,11 +860,42 @@ class TestRunScenario:
             [(True, False)] * 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # Into a new directory, and again over the first run's files.
         path = write_config(tmp_path, minimal_controller_config())
-        run_scenario(path, out_dir=tmp_path / "a", quiet=True)
-        run_scenario(path, out_dir=tmp_path / "b", quiet=True)
-        assert (tmp_path / "a" / "steps.csv").read_bytes() == \
-            (tmp_path / "b" / "steps.csv").read_bytes()
+        outputs = []
+        for out in ("a", "b", "a"):
+            assert run_scenario(path, out_dir=tmp_path / out, quiet=True) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+        assert sorted(outputs[0]) == ["steps.csv", "summary.json", "summary.txt"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("kind, runner", [("controller", "solve"), ("compare", "solve"),
+                                              ("harvest", "run_harvest")])
+    def test_a_rerun_that_raises_leaves_no_earlier_output(self, tmp_path, monkeypatch, kind,
+                                                         runner):
+        # Rerun into the directory of an earlier run that converged, the
+        # second run raises: no summary of the earlier run is left beside
+        # the new, partial log to be read as this run's.
+        path = write_config(tmp_path, one_of_each_kind(kind))
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out, quiet=True) == 0
+        assert json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        calls, run = 0, getattr(softarm.cli, runner)
+
+        def raises_in_the_second_run(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise RuntimeError("mid-run")
+            return run(*args)
+
+        monkeypatch.setattr(softarm.cli, runner, raises_in_the_second_run)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            run_scenario(path, out_dir=out, quiet=True)
+        # The log of a controller or harvest run is opened before its first
+        # run; a comparison writes nothing until every run is done.
+        assert sorted(p.name for p in out.iterdir()) == ([] if kind == "compare"
+                                                         else ["steps.csv"])
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("kind", ["controller", "compare", "harvest"])
@@ -911,6 +943,20 @@ class TestRunScenario:
         assert main(["run", scenario, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, name", [("position_35pts", "steps.csv"),
+                                                ("orientation_compare", "verdicts.txt"),
+                                                ("harvest_default", "summary.json")])
+    def test_an_output_that_is_a_directory_exits_1_before_any_run(self, tmp_path, capsys,
+                                                                   monkeypatch, scenario, name):
+        for runner in ("solve", "run_harvest"):
+            monkeypatch.setattr(f"softarm.cli.{runner}", lambda *args: pytest.fail("ran"))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", scenario, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot remove earlier output {out / name}: ")
         assert err.count("\n") == 1
 
     def test_geometry_loaded_from_file(self, tmp_path):

@@ -29,11 +29,11 @@ from softarm.controller import (
     solve,
     step_full,
 )
-from softarm.geometry import default_geometry, elongation_to_pressure
+from softarm.geometry import default_geometry, elongation_to_pressure, norm
 from softarm.jacobian import GRAM_TOL, SV_TOL, Jacobian6x9, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
-from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
+from softarm.rotations import matrix_to_rotvec, rot_x, rot_z, rotvec_to_matrix
 
 from conftest import svd_spy
 from oracles import fd_gradient, log_rotvec, random_feasible_q
@@ -383,6 +383,27 @@ class TestSolve:
         monkeypatch.setattr(kinematics, "_walk", counted)
         traj = solve(run.q0, run.desired, run.gains, run.controller, Plant(run.plant))
         assert walks == walks_per_step * traj.iterations_used + 1
+
+    def test_recorded_logs_match_each_step_s_own(self):
+        # solve takes the rotation logs only its record reads once per run:
+        # on a noisy plant with mismatch they have the bytes of each step's
+        # logs of the filtered rotation and of R_d R_true^T.
+        run = parse_scenario(load_scenario_dict("pose_7pts_noisy")).runs[0]
+        logs = []
+
+        class LoggingPlant(Plant):
+            def apply_command(self, q_cmd):  # reset sends q0 through here too
+                obs = super().apply_command(q_cmd)
+                logs.append((matrix_to_rotvec(obs.pose_filtered.rotation), norm(matrix_to_rotvec(
+                    run.desired.rotation.dot(self.true_pose().rotation.T)))))
+                return obs
+
+        assert run.plant.position_noise_std > 0 and run.plant.length_scale_error.any()
+        traj = solve(run.q0, run.desired, run.gains, run.controller, LoggingPlant(run.plant))
+        assert traj.iterations_used > 10 and len(logs) == traj.iterations_used + 1
+        rotvecs, err_rot_true = zip(*logs)
+        assert traj.rotvecs.tobytes() == np.array(rotvecs).tobytes()
+        assert traj.err_rot_true.tobytes() == np.array(err_rot_true).tobytes()
 
     def test_divergence_detection_carries_trajectory(self):
         # A plant whose reported pose recedes from the target every step

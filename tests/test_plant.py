@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -219,16 +221,19 @@ class TestPlayback:
     ], ids=["stretched", "reflected"])
     def test_a_filtered_rotation_that_fails_the_check_raises(self, monkeypatch, corrupt,
                                                              message):
-        # The batch is checked after its last lane: the true pose is still
-        # the one before it.
-        plant = Plant(self.CFG)
+        # The batch is checked after its last lane and leaves the plant as
+        # it was: the true pose, the filter state and the noise stream.
+        plant, untouched = Plant(self.CFG), Plant(self.CFG)
         plant.reset(Q0)
+        untouched.reset(Q0)
         before = plant.true_pose()
-        monkeypatch.setattr(plant_module, "rotvec_to_rows",
-                            lambda *w: corrupt(rotvec_to_rows(*w)))
-        with pytest.raises(ValueError, match=message):
-            plant.apply_commands(np.array([Q1, Q0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(plant_module, "rotvec_to_rows", lambda *w: corrupt(rotvec_to_rows(*w)))
+            with pytest.raises(ValueError, match=message):
+                plant.apply_commands(np.array([Q1, Q0]))
         assert plant.true_pose() is before
+        assert observation_bytes(plant.apply_command(Q1)) == observation_bytes(
+            untouched.apply_command(Q1))
 
 
 class TestConfigValues:
@@ -266,7 +271,8 @@ class TestMismatch:
 
 def reference_filtered_poses(cfg: PlantConfig, q0, commands) -> list:
     """The measured poses of a plant reset to q0 and then commanded, as the
-    array log/exp and ``Pose()`` write the filter."""
+    array log/exp and ``Pose()`` write the filter, with ``normal`` drawing
+    three values for each part whose noise std is positive."""
     rng = np.random.default_rng(cfg.rng_seed)
     limits = cfg.true_geometry.joint_limits()
     alpha = 1.0 - np.exp(-cfg.filter_cutoff * cfg.dt)
@@ -276,8 +282,11 @@ def reference_filtered_poses(cfg: PlantConfig, q0, commands) -> list:
         true = forward_kinematics(
             np.minimum(np.maximum(q * (1.0 + cfg.length_scale_error), limits.lower),
                        limits.upper), cfg.true_geometry)
-        position = true.position + rng.normal(0.0, cfg.position_noise_std, 3)
-        rotation = rotvec_to_matrix(rng.normal(0.0, cfg.rotation_noise_std, 3)) @ true.rotation
+        position, rotation = true.position, true.rotation
+        if cfg.position_noise_std > 0:
+            position = position + rng.normal(0.0, cfg.position_noise_std, 3)
+        if cfg.rotation_noise_std > 0:
+            rotation = rotvec_to_matrix(rng.normal(0.0, cfg.rotation_noise_std, 3)) @ rotation
         if position_f is None:
             position_f, rotation_f = position, rotation
         else:
@@ -292,11 +301,18 @@ class TestFilteredPose:
     CONFIG = PlantConfig(length_scale_error=np.linspace(-0.02, 0.02, 9),
                          position_noise_std=2e-3, rotation_noise_std=2e-2, rng_seed=11)
 
-    def test_matches_the_array_filter_bit_for_bit(self):
+    @pytest.mark.parametrize("position_std, rotation_std", [(2e-3, 0.0), (0.0, 2e-2),
+                                                            (2e-3, 2e-2), (0.0, 0.0)],
+                             ids=["position", "rotation", "both", "none"])
+    def test_matches_the_array_filter_bit_for_bit(self, position_std, rotation_std):
+        # The plant draws the noise of both parts in one call, the
+        # reference in one call per part.
+        cfg = replace(self.CONFIG, position_noise_std=position_std,
+                      rotation_noise_std=rotation_std)
         commands = list(np.random.default_rng(8).uniform(-0.01, 0.11, (200, 9)))
-        plant = Plant(self.CONFIG)
+        plant = Plant(cfg)
         observed = [plant.reset(Q0)] + [plant.apply_command(q) for q in commands]
-        expected = reference_filtered_poses(self.CONFIG, Q0, commands)
+        expected = reference_filtered_poses(cfg, Q0, commands)
         for obs, pose in zip(observed, expected, strict=True):
             for got, want in ((obs.pose_filtered.position, pose.position),
                               (obs.pose_filtered.rotation, pose.rotation)):
