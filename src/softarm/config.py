@@ -548,7 +548,7 @@ def parse_scenario(data, seed_override=None) -> Scenario:
     for key in ("name", "kind"):
         if key not in data:
             raise ConfigError(f"scenario missing required key {key!r}")
-    if data["kind"] not in _KINDS:
+    if not isinstance(data["kind"], str) or data["kind"] not in _KINDS:  # a list is unhashable
         raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {data['kind']!r}")
     resolve, blocks = _KINDS[data["kind"]]
     with _block("scenario"):

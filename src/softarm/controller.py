@@ -1,17 +1,17 @@
 """Resolved-rate control with task-priority redundancy resolution.
 
 One step law, :func:`step_full`, serves every :class:`ControllerMode`. A
-mode is an entry of :data:`TASK_STACKS`: the rows of the stacked 6-D pose
-error its tasks track, in priority order. The modes are conventional
-resolved rate on the 6-D error, position, orientation, and the three-task
-law: position, then orientation in the position null space. The gains,
-not the mode, turn joint-limit avoidance on: a :class:`GainSchedule` with
-a ``joint_limit`` schedule adds an error-norm-scheduled joint-limit
-descent (off near the goal) in the null space the tasks leave, in every
-mode. Each 3-row task block A is inverted in Gram form, A^T (A A^T)^-1
-with the 3x3 inverse by cofactors and one Newton-Schulz correction, when
-a guard bounds cond(A A^T) below 1e6. Past the guard, and for the 6-row
-block, the truncated SVD serves.
+mode is an entry of :data:`TASK_STACKS`: the 3-row slices of the stacked
+pose error [e_p; e_zeta] its tasks track, in priority order. The modes are
+conventional resolved rate (position, then orientation, at weights 1),
+position, orientation, and the three-task law, which weights the same two
+tasks by its gains. The gains, not the mode, turn joint-limit avoidance
+on: a :class:`GainSchedule` with a ``joint_limit`` schedule adds an
+error-norm-scheduled joint-limit descent (off near the goal) in the null
+space the tasks leave, in every mode. Each 3x9 task block A is inverted in
+Gram form, A^T (A A^T)^-1 with the 3x3 inverse by cofactors and one
+Newton-Schulz correction, when a guard bounds cond(A A^T) below 1e6; past
+it, the truncated SVD of :func:`softarm.jacobian.pinv` serves.
 
 ``solve`` iterates the step law in closed loop against a plant, reading
 the current pose from plant feedback rather than from the kinematic model.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import JointLimits, RobotGeometry, as_actuator_vector, norm
-from .jacobian import GRAM_TOL, SV_TOL, jacobian
+from .jacobian import GRAM_TOL, jacobian, pinv
 from .kinematics import Pose
 from .rotations import matrix_to_rotvec, rows_to_rotvec
 
@@ -92,7 +92,7 @@ class GainSchedule:
     """Step gain plus the secondary-task gains of the redundancy laws.
 
     ``gamma_position`` and ``gamma_orientation`` weight the position and
-    orientation tasks of the two-task mode (single-task modes use weight
+    orientation tasks of ``FullThreeTask`` (every other mode uses weight
     1); ``joint_limit`` schedules the avoidance gain and is the term's one
     switch: None leaves the term out, in every mode.
     """
@@ -146,7 +146,7 @@ class ControllerMode(enum.Enum):
     FullThreeTask = "FullThreeTask"
 
 
-POSITION, ORIENTATION, POSE = slice(0, 3), slice(3, 6), slice(0, 6)
+POSITION, ORIENTATION = slice(0, 3), slice(3, 6)
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 50
@@ -163,7 +163,7 @@ class TaskStack:
     @cached_property
     def tracks(self) -> tuple:
         """Whether some task tracks the position, and the orientation, error."""
-        return (any(t.start < 3 for t in self.tasks), any(t.stop > 3 for t in self.tasks))
+        return POSITION in self.tasks, ORIENTATION in self.tasks
 
     def norms(self, e: TaskError) -> ErrorNorms:
         """The norms of ``e``, 0 for an error no task tracks."""
@@ -173,7 +173,7 @@ class TaskStack:
 
 
 TASK_STACKS = {
-    ControllerMode.ConventionalRR: TaskStack((POSE,)),
+    ControllerMode.ConventionalRR: TaskStack((POSITION, ORIENTATION)),
     ControllerMode.PositionWithJL: TaskStack((POSITION,)),
     ControllerMode.OrientationWithJL: TaskStack((ORIENTATION,)),
     ControllerMode.FullThreeTask: TaskStack((POSITION, ORIENTATION)),
@@ -222,36 +222,30 @@ def jl_gradient(q, limits: JointLimits) -> np.ndarray:
 
 
 def _pinv(A) -> np.ndarray:
-    """A^+ of a task block A (m x 9).
+    """A^+ of a 3x9 task block A.
 
-    A 3-row block takes the Gram form A^T G^-1, G = A A^T, with G^-1 the
-    cofactor matrix over det G on Python floats, when det G > GRAM_TOL
-    tr G m2, m2 being the trace of the cofactor matrix: the guard bounds
-    cond(G) below 1e6 (see GRAM_TOL) and fails for a zero, near-singular
-    or non-finite G. One Newton-Schulz step X (2I - A X) then brings the
-    cofactor form's error to about eps cond(A). Every other block, 6-row
-    ones too, takes the truncated SVD, V_r S_r^-1 U_r^T over the singular
-    values above SV_TOL times the largest.
+    The Gram form A^T G^-1, G = A A^T, with G^-1 the cofactor matrix over
+    det G on Python floats, serves when det G > GRAM_TOL tr G m2, m2 being
+    the trace of the cofactor matrix: the guard bounds cond(G) below 1e6
+    (see GRAM_TOL) and fails for a zero, near-singular or non-finite G. One
+    Newton-Schulz step X (2I - A X) then brings the cofactor form's error
+    to about eps cond(A). Past the guard the block takes the truncated SVD
+    of :func:`softarm.jacobian.pinv`.
     """
-    if A.shape[0] == 3:
-        (g00, g01, g02), (_, g11, g12), (_, _, g22) = A.dot(A.T).tolist()
-        c00 = g11 * g22 - g12 * g12
-        c11 = g00 * g22 - g02 * g02
-        c22 = g00 * g11 - g01 * g01
-        c01 = g02 * g12 - g01 * g22
-        c02 = g01 * g12 - g02 * g11
-        c12 = g01 * g02 - g00 * g12
-        det = g00 * c00 + g01 * c01 + g02 * c02
-        if det > GRAM_TOL * (g00 + g11 + g22) * (c00 + c11 + c22):
-            i01, i02, i12 = c01 / det, c02 / det, c12 / det
-            X = A.T.dot(np.array([[c00 / det, i01, i02], [i01, c11 / det, i12],
-                                  [i02, i12, c22 / det]]))
-            return 2.0 * X - X.dot(A.dot(X))
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    sigmas = s.tolist()
-    cut = SV_TOL * sigmas[0]
-    rank = len([sigma for sigma in sigmas if sigma > cut])
-    return (vt[:rank].T / s[:rank]).dot(u[:, :rank].T)
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = A.dot(A.T).tolist()
+    c00 = g11 * g22 - g12 * g12
+    c11 = g00 * g22 - g02 * g02
+    c22 = g00 * g11 - g01 * g01
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    c12 = g01 * g02 - g00 * g12
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    if det > GRAM_TOL * (g00 + g11 + g22) * (c00 + c11 + c22):
+        i01, i02, i12 = c01 / det, c02 / det, c12 / det
+        X = A.T.dot(np.array([[c00 / det, i01, i02], [i01, c11 / det, i12],
+                              [i02, i12, c22 / det]]))
+        return 2.0 * X - X.dot(A.dot(X))
+    return pinv(A)
 
 
 def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np.ndarray:
@@ -274,22 +268,26 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     IEEE TMMS 1969) where a guard finds cond(A A^T) < 1e6, and the
     truncated SVD elsewhere (:func:`_pinv`): at and next to straight
     configurations, where the orientation block has rank 2 or nearly so,
-    for zero and non-finite blocks, and for the 6-row ``ConventionalRR``
-    block.
+    and for zero and non-finite blocks.
+
+    ``ConventionalRR`` is the two-task recursion at weights (1, 1): J^+ e
+    wherever J has full row rank. An SVD cutoff is relative to its own
+    block, so next to fully straight the orientation block can drop a
+    direction J^+ keeps: 7.4e-8 (relative) off J^+ e at a 2e-9 m bend.
     """
     q = as_actuator_vector(q)
     stack = TASK_STACKS[cfg.mode]
     schedule = gains.joint_limit
     gamma = 0.0 if schedule is None else schedule.gamma(stack.norms(e))
-    # Single-task modes use weight 1; the two-task mode its two gains.
-    weights = (1.0,) if len(stack.tasks) == 1 else (gains.gamma_position, gains.gamma_orientation)
+    # FullThreeTask weights its tasks by its gains, every other mode by 1.
+    weights = ((gains.gamma_position, gains.gamma_orientation)
+               if cfg.mode is ControllerMode.FullThreeTask else (1.0, 1.0))
     J = jacobian(q, cfg.geometry).J
     qdot = None  # qdot = 0 until the first task
     blocks = []  # (A_k, A_k^+) of the tasks so far
     for rows, weight in zip(stack.tasks, weights):
         A = J_k = J[rows]
-        residual = (e.e_p if rows is POSITION else e.e_zeta if rows is ORIENTATION
-                    else np.concatenate([e.e_p, e.e_zeta])[rows])
+        residual = e.e_p if rows is POSITION else e.e_zeta
         if qdot is not None:
             residual = residual - J_k.dot(qdot)
         for A_i, A_i_pinv in blocks:

@@ -16,10 +16,10 @@ import numpy as np
 from .geometry import RobotGeometry
 from .kinematics import section_chain
 
-#: Relative singular-value cutoff of every truncated-SVD pseudoinverse:
-#: :func:`pinv` and the controller step's SVD fallback drop the singular
-#: values at or below SV_TOL times the largest, so it alone decides a task
-#: block's rank.
+#: Relative singular-value cutoff of :func:`pinv`, the package's one
+#: truncated-SVD pseudoinverse and the controller step's SVD fallback: it
+#: drops the singular values at or below SV_TOL times the largest, so
+#: SV_TOL alone decides a task block's rank.
 SV_TOL = 1e-8
 #: Guard of the controller step's Gram form X0 = A^T G^-1, G = A A^T, for a
 #: 3-row block. With eigenvalues l1 >= l2 >= l3 >= 0 of G and m2 the trace
@@ -83,11 +83,11 @@ def jacobian(q, geom: RobotGeometry) -> Jacobian6x9:
     return Jacobian6x9(J=np.fromiter(flat, float, 54).reshape(9, 6).T.dot(geom.actuator_map))
 
 
-def pinv(M, sv_tol: float = SV_TOL) -> np.ndarray:
+def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values at or below
-    sv_tol * sigma_max are treated as zero. The same steps as
-    ``np.linalg.pinv(M, rcond=sv_tol)``, without its general wrapper."""
+    SV_TOL * sigma_max are treated as zero. The same steps and bytes as
+    ``np.linalg.pinv(M, rcond=SV_TOL)``, without its general wrapper."""
     u, s, vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
-    large = s > sv_tol * s.max()
+    large = s > SV_TOL * s.max()
     s = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    return vt.T @ (s[:, None] * u.T)
+    return vt.T.dot(s[:, None] * u.T)

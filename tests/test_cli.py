@@ -163,6 +163,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_scenario({"name": "x", "kind": "wat"})
 
+    @pytest.mark.parametrize("kind", [["controller"], {"controller": {}}], ids=["list", "object"])
+    def test_a_kind_that_is_not_a_string_is_one_config_error_line(self, tmp_path, capsys, kind):
+        path = write_config(tmp_path, {"name": "x", "kind": kind})
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kind must be one of ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("sections, message", [
         ([{"radius": 0.04}, {"radius": 0.05}, {"radius": 0.06}],
          "geometry: sections: radii must not grow toward the tip"),

@@ -12,9 +12,7 @@ from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     DIVERGENCE_WINDOW,
     ORIENTATION,
-    POSE,
     POSITION,
-    TASK_STACKS,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -542,14 +540,25 @@ def written_out_tolerance(q, mode) -> float:
     (cond(J_t) = 150, in the ill-conditioned band), against the law evaluated in
     60 digits, step_full is within 1.4e-13 relative and the written-out
     law off by 1.8e-12 with the joint-limit term and 1.4e-12 without it.
-    So the bound is 1e-12 or 1000 eps cond(J_t), the larger; over 20,000
-    configurations of bent, straight and near-straight sections (four
-    seeds), each with all three TABLE_GAINS, the gap stayed under
-    215 eps cond(J_t) in the two-task mode and under 7.5e-13 in the
-    others, but for ConventionalRR with two near-straight or straight
-    sections, which no test draws: up to 1.2e-12, on its 6-row SVD path.
+    So FullThreeTask's bound is 1e-12 or 1000 eps cond(J_t), the larger;
+    over 20,000 configurations of bent, straight and near-straight
+    sections (four seeds), each with all three TABLE_GAINS, the gap stayed
+    under 215 eps cond(J_t) there and under 7.5e-13 in the single-task
+    modes.
+
+    ConventionalRR's law is J^+ e with np.linalg.pinv and its bound 1e-12,
+    which its step, the unit-weight two-task recursion, holds with less
+    room. With all three TABLE_GAINS the gap reached 4.1e-13 on 11,500
+    random feasible q and 9.5e-13 on 18,000 with one near-straight section
+    (the worst: step_full 7.0e-13 off J^+ e in 50 digits, np.linalg.pinv
+    9.1e-14, cond(J) 1.5e3); 8,000 hypothesis examples of the near-straight
+    mode-table test passed. With two near-straight or straight sections,
+    which no test draws for it, cond(J) reaches 5e6 and the gap 6.2e-10,
+    the two sides about as far from J^+ e in 50 digits (1.5e-10 and
+    1.1e-10 at the worst). Right next to fully straight the step parts
+    from J^+ e: see test_next_to_fully_straight.
     """
-    if len(TASK_STACKS[mode].tasks) < 2:
+    if mode is not ControllerMode.FullThreeTask:  # ConventionalRR's law is J^+ e
         return 1e-12
     J = jacobian(q, GEOM).J
     s = np.linalg.svd(J[3:] @ (np.eye(9) - np.linalg.pinv(J[:3], rcond=SV_TOL) @ J[:3]),
@@ -559,12 +568,17 @@ def written_out_tolerance(q, mode) -> float:
     return max(1e-12, 1e3 * np.finfo(float).eps * cond)
 
 
-def assert_matches_written_out(q, desired, gains, mode):
-    cfg = make_cfg(mode)
+def assert_matches_written_out(q, desired, gains, mode, written_mode=None, written_gains=None,
+                               tolerance=None):
+    """One step_full step of ``mode`` from q is within ``tolerance``
+    (relative; by default written_out_tolerance) of the written-out law of
+    ``written_mode`` with ``written_gains``, by default the same mode and
+    gains."""
     e = pose_error(desired, forward_kinematics(q, GEOM))
-    law = step_full(q, e, gains, cfg) - q
-    written = written_out_law(q, e, gains, mode) - q
-    tolerance = written_out_tolerance(q, mode)
+    law = step_full(q, e, gains, make_cfg(mode)) - q
+    written = written_out_law(q, e, written_gains or gains, written_mode or mode) - q
+    if tolerance is None:
+        tolerance = written_out_tolerance(q, mode)
     assert np.linalg.norm(law - written) <= tolerance * np.linalg.norm(written)
 
 
@@ -593,13 +607,14 @@ class TestModeTable:
         assert_fallback_follows_the_guard(q, desired, gains, mode)
         assert_matches_written_out(q, desired, gains, mode)
 
-    @pytest.mark.parametrize("mode, q", [(ControllerMode.OrientationWithJL, Q_BAND_JW),
+    @pytest.mark.parametrize("mode, q", [(ControllerMode.ConventionalRR, Q_BAND_JT),
+                                         (ControllerMode.ConventionalRR, Q_BAND_JW),
+                                         (ControllerMode.OrientationWithJL, Q_BAND_JW),
                                          (ControllerMode.FullThreeTask, Q_BAND_JT),
                                          (ControllerMode.FullThreeTask, Q_BAND_JW)])
     def test_pinned_near_straight_examples_reach_the_ill_conditioned_band(self, mode, q):
         # So the examples above run the corrected Gram form at cond(G) > 1e3,
-        # not the SVD. PositionWithJL never reaches the band (J_v), and
-        # ConventionalRR's one block has 6 rows.
+        # not the SVD. PositionWithJL never reaches the band (J_v).
         assert any(GRAM_TOL < guard_ratio(A) <= ILL_CONDITIONED
                    for A in written_out_blocks(q, mode))
 
@@ -630,10 +645,10 @@ def written_out_blocks(q, mode) -> list:
     """The 3-row task blocks of ``mode`` as the written-out law forms them."""
     J = jacobian(q, GEOM).J
     Jv, Jw = J[:3], J[3:]
-    return {ControllerMode.ConventionalRR: [],
+    Jt = Jw @ (np.eye(9) - np.linalg.pinv(Jv, rcond=SV_TOL) @ Jv)
+    return {ControllerMode.ConventionalRR: [Jv, Jt],
             ControllerMode.PositionWithJL: [Jv], ControllerMode.OrientationWithJL: [Jw],
-            ControllerMode.FullThreeTask: [
-                Jv, Jw @ (np.eye(9) - np.linalg.pinv(Jv, rcond=SV_TOL) @ Jv)]}[mode]
+            ControllerMode.FullThreeTask: [Jv, Jt]}[mode]
 
 
 def fallback_blocks(q, desired, gains, mode) -> list:
@@ -678,11 +693,10 @@ class TestFactorFormEdges:
     def test_next_to_fully_straight(self, mode, offset, rank):
         # Sections 2 and 3 exactly straight, section 1 bent by one actuator's
         # offset: sigma_min / sigma_max of the orientation block is about
-        # 2.3 * offset, so it falls under sv_tol at 2e-9 and is 0 at 0. The
-        # orientation block (J_t in the two-task mode) fails the guard at
-        # every offset and takes the SVD, as does the 6-row block; the
-        # position block passes it.
-        fallback = {ControllerMode.ConventionalRR: [(6, 9)], ControllerMode.PositionWithJL: [],
+        # 2.3 * offset, so it falls under SV_TOL at 2e-9 and is 0 at 0. The
+        # orientation block (J_t in the two-task modes) fails the guard at
+        # every offset and takes the SVD; the position block passes it.
+        fallback = {ControllerMode.ConventionalRR: [(3, 9)], ControllerMode.PositionWithJL: [],
                     ControllerMode.OrientationWithJL: [(3, 9)],
                     ControllerMode.FullThreeTask: [(3, 9)]}[mode]
         q = np.full(9, 0.05)
@@ -695,10 +709,20 @@ class TestFactorFormEdges:
                 desired = offset_target(q, rng)
                 taken = fallback_blocks(q, desired, gains, mode)
                 assert [A.shape for A in taken] == fallback
-                assert_matches_written_out(q, desired, gains, mode)
+                if mode is ControllerMode.ConventionalRR and offset and rank == 2:
+                    # J_t drops the direction under SV_TOL that the 6x9 J keeps:
+                    # the step is the unit-weight two-task law (to 5.3e-15) and
+                    # 7.4e-8 off J^+ e.
+                    unit = replace(gains, gamma_position=1.0, gamma_orientation=1.0)
+                    assert_matches_written_out(q, desired, gains, mode,
+                                               ControllerMode.FullThreeTask, unit, 1e-12)
+                    assert_matches_written_out(q, desired, gains, mode, tolerance=1e-7)
+                else:
+                    assert_matches_written_out(q, desired, gains, mode)
 
     @pytest.mark.parametrize("mode, rows", [
-        (ControllerMode.ConventionalRR, POSE),
+        (ControllerMode.ConventionalRR, POSITION),
+        (ControllerMode.ConventionalRR, ORIENTATION),
         (ControllerMode.PositionWithJL, POSITION),
         (ControllerMode.OrientationWithJL, ORIENTATION),
         (ControllerMode.FullThreeTask, POSITION),
@@ -745,13 +769,12 @@ class TestFactorFormEdges:
 
     @pytest.mark.parametrize("jl", [True, False], ids=["with_jl", "without_jl"])
     @pytest.mark.parametrize("mode, fallback", [
-        (ControllerMode.ConventionalRR, [(6, 9)]),
+        (ControllerMode.ConventionalRR, []),
         (ControllerMode.PositionWithJL, []),
         (ControllerMode.OrientationWithJL, []),
         (ControllerMode.FullThreeTask, []),
     ])
     def test_bent_mid_range_blocks_take_the_gram_form(self, mode, fallback, jl):
-        # Only the 6-row ConventionalRR block takes the SVD.
         gains = schedule_on(mode) if jl else replace(schedule_on(mode), joint_limit=None)
         rng = np.random.default_rng(9)
         for _ in range(5):

@@ -17,7 +17,7 @@ import pytest
 
 from softarm import controller, vision, workflow
 from softarm.geometry import default_geometry
-from softarm.jacobian import jacobian
+from softarm.jacobian import jacobian, pinv
 from softarm.kinematics import Pose
 from softarm.plant import Plant
 
@@ -39,6 +39,13 @@ def _and_transpose(a):
     return a, a.T
 
 
+def _svd_factors(rng, rows):
+    """The two factors jacobian.pinv multiplies for a (rows, 9) matrix: vt.T,
+    (9, rows) in Fortran order, and S^-1 U^T, (rows, rows)."""
+    u, s, vt = np.linalg.svd(_values(rng, (rows, 9)), full_matrices=False)
+    return vt.T, (1.0 / s)[:, None] * u.T
+
+
 # Layout name -> rng -> (a, b). Each names where the step path forms it.
 LAYOUTS = {
     # _pinv: G = A A^T, the Gram form's A^T G^-1, the correction X (A X).
@@ -57,16 +64,10 @@ LAYOUTS = {
     "(3,3).(3,9)": lambda rng: (_values(rng, (3, 3)), _values(rng, (3, 9))),
     "(9,).(9,3)": lambda rng: (_values(rng, 9), _values(rng, (9, 3))),
     "(3,).(3,9)": lambda rng: (_values(rng, 3), _values(rng, (3, 9))),
-    # The 6-row ConventionalRR block and its SVD pseudoinverse.
-    "(6,9).(9,)": lambda rng: (_values(rng, (6, 9)), _values(rng, 9)),
-    "(9,6).(6,)": lambda rng: (_values(rng, (9, 6)), _values(rng, 6)),
-    "(9,).(9,6)": lambda rng: (_values(rng, 9), _values(rng, (9, 6))),
-    "(6,).(6,9)": lambda rng: (_values(rng, 6), _values(rng, (6, 9))),
-    # The SVD fallback's V_r S_r^-1 times U_r^T, a transposed column slice.
-    "(9,3).U[:,:3].T": lambda rng: (_values(rng, (9, 3)), _values(rng, (3, 3))[:, :3].T),
-    "(9,2).U[:,:2].T": lambda rng: (_values(rng, (9, 2)), _values(rng, (3, 3))[:, :2].T),
-    "(9,6).U[:,:6].T": lambda rng: (_values(rng, (9, 6)), _values(rng, (6, 6))[:, :6].T),
-    "(9,5).U[:,:5].T": lambda rng: (_values(rng, (9, 5)), _values(rng, (6, 6))[:, :5].T),
+    # jacobian.pinv, the step's SVD fallback on a task block and the
+    # pseudoinverse of the stacked J: V times S^-1 U^T.
+    "vt.T(9,3).(3,3)": lambda rng: _svd_factors(rng, 3),
+    "vt.T(9,6).(6,6)": lambda rng: _svd_factors(rng, 6),
     # Rotations: pose errors, the plant's filter, vision and Pose.
     "(3,3).(3,3)": lambda rng: (_values(rng, (3, 3)), _values(rng, (3, 3))),
     "(3,3).(3,3).T": lambda rng: (_values(rng, (3, 3)), _values(rng, (3, 3)).T),
@@ -94,6 +95,7 @@ def test_dot_gives_the_bytes_of_matmul(layout):
 PER_STEP = [
     controller.step_full,
     controller._pinv,
+    pinv,
     controller.pose_error,
     workflow._placement_error,
     controller.solve,
