@@ -4,14 +4,17 @@ One JSON file fully describes a run: geometry, plant, controller(s) or
 workflow, targets, seed. :func:`parse_scenario` checks the file and resolves
 it into the runs it describes, so a config error surfaces before anything
 runs. Each block parser names the keys it reads, through :func:`_read`, and
-any other key is a config error. Every random draw derives from the scenario
-seed so re-running a file reproduces its outputs byte for byte.
+any other key is a config error. An error names its place by the chain of
+keys and list items above it, ``controller: gains: alpha: must be a
+number``, built as it travels up. Every random draw derives from the
+scenario seed so re-running a file reproduces its outputs byte for byte.
 """
 
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -36,48 +39,57 @@ class ConfigError(Exception):
     """Schema violation or unresolvable reference in a scenario file."""
 
 
-def _read(data, where: str, **convert) -> dict:
+#: What a converter or a dataclass raises on a value it rejects, an
+#: overflow included (numpy's uniform draw on a jitter near 1e308).
+_REJECTED = (ConfigError, TypeError, ValueError, OverflowError)
+
+
+@contextmanager
+def _at(place: str):
+    """Report an error raised inside as a ConfigError at ``place``, a key or
+    list item put in front of the place the error already names."""
+    try:
+        yield
+    except _REJECTED as exc:
+        raise ConfigError(f"{place}: {exc}") from exc
+
+
+def _read(data, required=(), **convert) -> dict:
     """Each key of the block ``data`` passed through its converter in
-    ``convert``.
+    ``convert``; each key in ``required`` must be given.
 
     A key the block leaves out is not passed on, so the dataclass that owns
-    its default applies. A key with no converter is a ConfigError, and a
-    converter's TypeError, ValueError or OverflowError comes out as a
-    ValueError that names the key.
+    its default applies. A key with no converter is a ConfigError, and so
+    is a converter's error, at that key: :func:`_at` written out, since a
+    context manager per key made a parse 10-20 % slower.
     """
     if not isinstance(data, dict):
-        raise ConfigError(f"{where.removeprefix('scenario.')}: must be an object")
+        raise ConfigError("must be an object")
     for key in data:
         if key not in convert:
             known = ", ".join(sorted(convert))
-            raise ConfigError(f"unknown key {key!r} in {where}; expected one of: {known}")
+            raise ConfigError(f"unknown key {key!r}; expected one of: {known}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"needs {key!r}")
     given = {}
     for key, value in data.items():
         try:
             given[key] = convert[key](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{key}: {exc}") from exc
+        except _REJECTED as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return given
-
-
-@contextmanager
-def _block(where: str):
-    """Report a value the block at ``where`` rejects, or one too large for
-    it (numpy's uniform draw overflows on a jitter near 1e308), as a
-    ConfigError."""
-    try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where.removeprefix('scenario.')}: {exc}") from exc
 
 
 def _as_given(value):
     return value
 
 
-def _list(value) -> list:
+def _list(value, least: int = 0) -> list:
     if not isinstance(value, list):
         raise ValueError("must be a list")
+    if len(value) < least:
+        raise ValueError(f"needs {least} or more entries")
     return value
 
 
@@ -150,17 +162,12 @@ def geometry_from_dict(data) -> RobotGeometry:
     """
     if data == "default" or data is None:
         return default_geometry()
-    if not isinstance(data, dict) or "sections" not in data:
-        raise ConfigError("geometry must be 'default' or {'sections': [...]}")
-    with _block("geometry"):
-        sections = _read(data, "geometry", sections=_list)["sections"]
     section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), _number)
-    geom_sections = []
-    for i, sec in enumerate(sections):
-        where = f"geometry.sections[{i}]"
-        with _block(where):
-            geom_sections.append(SectionGeometry(**_read(sec, where, **section_keys)))
-    with _block("geometry"):
+    with _at("geometry"):
+        geom_sections = []
+        for i, sec in enumerate(_read(data, ("sections",), sections=_list)["sections"]):
+            with _at(f"sections[{i}]"):
+                geom_sections.append(SectionGeometry(**_read(sec, ("radius",), **section_keys)))
         return RobotGeometry(sections=geom_sections)
 
 
@@ -201,7 +208,9 @@ def _parse_json(text: str, source: str):
 
 def _geometry(value) -> RobotGeometry:
     """A scenario's geometry: "default", inline, or the path of a geometry
-    JSON file (same schema as the inline form)."""
+    JSON file (same schema as the inline form). An error in the file's
+    contents is at ``geometry``; one that keeps the file from being read as
+    JSON names the file."""
     if not isinstance(value, str) or value == "default":
         return geometry_from_dict(value)
     return geometry_from_dict(_parse_json(_read_text(value, "geometry file"),
@@ -212,21 +221,19 @@ def _geometry(value) -> RobotGeometry:
 # Gains / controller
 # ---------------------------------------------------------------------------
 
-def _joint_limit(data, where: str) -> JointLimitSchedule | None:
+def _joint_limit(data) -> JointLimitSchedule | None:
     if data is None:
         return None
-    kwargs = _read(data, where, value_far=_number, switch_threshold=_number, metric=str)
+    kwargs = _read(data, ("value_far", "switch_threshold"), value_far=_number,
+                   switch_threshold=_number, metric=_string)
     if "metric" in kwargs:
         kwargs["threshold_metric"] = kwargs.pop("metric")
     return JointLimitSchedule(**kwargs)
 
 
-def _gains(data, where: str) -> GainSchedule:
-    if not isinstance(data, dict) or "alpha" not in data:
-        raise ConfigError(f"{where} must be an object with at least 'alpha'")
-    return GainSchedule(**_read(
-        data, where, alpha=_number, gamma_position=_number, gamma_orientation=_number,
-        joint_limit=lambda j: _joint_limit(j, f"{where}.joint_limit")))
+def _gains(data) -> GainSchedule:
+    return GainSchedule(**_read(data, ("alpha",), alpha=_number, gamma_position=_number,
+                                gamma_orientation=_number, joint_limit=_joint_limit))
 
 
 def _mode(name) -> ControllerMode:
@@ -243,23 +250,18 @@ def _axes(value) -> tuple | None:
     return None if value is None else tuple(map(_integer, _list(value)))
 
 
-def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
+def _controller(data, geom: RobotGeometry, **extra) -> tuple:
     """(ControllerConfig, GainSchedule) of a controller block, followed by
     the value (or None) of each key in ``extra``, the converters of the keys
     only the caller reads."""
-    if not isinstance(data, dict) or "mode" not in data or "gains" not in data:
-        raise ConfigError(f"{where} needs a 'mode' and 'gains'")
-    with _block(where):
-        kwargs = _read(data, where, mode=_mode, position_tolerance=_number,
-                       orientation_tolerance_deg=lambda deg: float(np.deg2rad(_number(deg))),
-                       max_iterations=_integer,
-                       orientation_error_axes=_axes,
-                       gains=lambda g: _gains(g, f"{where}.gains"), **extra)
-        if "orientation_tolerance_deg" in kwargs:
-            kwargs["orientation_tolerance"] = kwargs.pop("orientation_tolerance_deg")
-        gains = kwargs.pop("gains")
-        extras = [kwargs.pop(key, None) for key in extra]
-        cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), **kwargs)
+    kwargs = _read(data, ("mode", "gains"), mode=_mode, position_tolerance=_number,
+                   orientation_tolerance_deg=lambda deg: float(np.deg2rad(_number(deg))),
+                   max_iterations=_integer, orientation_error_axes=_axes, gains=_gains, **extra)
+    if "orientation_tolerance_deg" in kwargs:
+        kwargs["orientation_tolerance"] = kwargs.pop("orientation_tolerance_deg")
+    gains = kwargs.pop("gains")
+    extras = [kwargs.pop(key, None) for key in extra]
+    cfg = ControllerConfig(geometry=geom, joint_limits=geom.joint_limits(), **kwargs)
     return (cfg, gains, *extras)
 
 
@@ -268,8 +270,8 @@ def _controller(data, geom: RobotGeometry, where: str, **extra) -> tuple:
 # ---------------------------------------------------------------------------
 
 def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
-    with _block("scenario.plant"):
-        kwargs = _read({} if data is None else data, "scenario.plant", mismatch=_number,
+    with _at("plant"):
+        kwargs = _read({} if data is None else data, mismatch=_number,
                        position_noise_std=_number, rotation_noise_std=_number,
                        filter_cutoff=_number, dt=_number)
         mismatch = kwargs.pop("mismatch", 0.0)
@@ -289,7 +291,7 @@ _AXES = {"x": rot_x, "y": rot_y, "z": rot_z}
 
 
 def _axis(name):
-    if name not in _AXES:
+    if not isinstance(name, str) or name not in _AXES:  # a list is unhashable
         raise ValueError(f"rotation axis must be one of x/y/z, got {name!r}")
     return _AXES[name]
 
@@ -300,11 +302,10 @@ def _relative_to(name):
     return name
 
 
-def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
+def _rotation(data, geom: RobotGeometry) -> np.ndarray:
     """Rotation spec: {"rotvec": [...]} (radians, absolute) or
     {"axis": "x", "angle_deg": a, "relative_to": "upright"|"base"}."""
-    spec = _read(data, where, rotvec=_vector, axis=_axis, angle_deg=_number,
-                 relative_to=_relative_to)
+    spec = _read(data, rotvec=_vector, axis=_axis, angle_deg=_number, relative_to=_relative_to)
     if "rotvec" in spec:
         for key in ("axis", "angle_deg", "relative_to"):
             if key in spec:
@@ -318,36 +319,33 @@ def _rotation(data, geom: RobotGeometry, where: str) -> np.ndarray:
     return R
 
 
-def target_pose_from_dict(data, geom: RobotGeometry, where: str = "scenario.target") -> Pose:
+def target_pose_from_dict(data, geom: RobotGeometry) -> Pose:
     """A target is a position, a rotation, or both. A missing position reads
     as the base origin and a missing rotation as the upright one: values for
     a part no task of the mode tracks (see :func:`_check_tracked`)."""
-    if not isinstance(data, dict) or ("position" not in data and "rotation" not in data):
-        raise ConfigError("target needs 'position' and/or 'rotation'")
-    with _block(where):
-        target = _read(data, where, position=_vector,
-                       rotation=lambda r: _rotation(r, geom, f"{where}.rotation"))
+    target = _read(data, position=_vector, rotation=lambda r: _rotation(r, geom))
+    if not target:
+        raise ConfigError("needs 'position' and/or 'rotation'")
     return Pose(target["position"] if "position" in target else np.zeros(3),
                 target["rotation"] if "rotation" in target else upright_rotation(geom))
 
 
-def _check_tracked(data: dict, controller: ControllerConfig, where: str) -> None:
+def _check_tracked(data: dict, controller: ControllerConfig) -> None:
     """The target ``data`` gives each part its controller's mode tracks."""
     for part, tracked in zip(("position", "rotation"), TASK_STACKS[controller.mode].tracks):
         if tracked and part not in data:
-            raise ConfigError(f"{where.removeprefix('scenario.')}: {controller.mode.value} "
-                              f"tracks the {part}, which the target does not give")
+            raise ConfigError(f"{controller.mode.value} tracks the {part}, "
+                              "which the target does not give")
 
 
 def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
     """Initial actuator state: explicit 9-vector or
     {"midpoint_jitter": j}, the joint-limit midpoint plus a uniform jitter
     drawn from the run RNG."""
-    with _block("scenario.initial_q"):
+    with _at("initial_q"):
         if data is not None and not isinstance(data, dict):
             return _vector(data, 9)
-        jitter = _read(data or {}, "scenario.initial_q", midpoint_jitter=_number).get(
-            "midpoint_jitter", 1e-3)
+        jitter = _read(data or {}, midpoint_jitter=_number).get("midpoint_jitter", 1e-3)
         return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
 
 
@@ -366,43 +364,36 @@ def _window(value) -> tuple | None:
     return start, length
 
 
-def _berry(data, geom: RobotGeometry, where: str) -> tuple:
+def _berry(data, geom: RobotGeometry) -> tuple:
     """(position, approach rotation, C1 occlusion window or None) of one
     berry. An approach without a rotvec defaults to -90 deg about x,
     relative to upright."""
     def approach(spec):
         if isinstance(spec, dict) and "rotvec" not in spec:
             spec = {"axis": "x", "angle_deg": -90.0} | spec
-        return _rotation(spec, geom, f"{where}.approach")
+        return _rotation(spec, geom)
 
-    with _block(where):
-        berry = _read(data, where, position=_vector, approach=approach,
-                      c1_occlusion_window=_window)
-        if "position" not in berry:
-            raise ValueError("needs a 'position'")
-        return (berry["position"], berry["approach"] if "approach" in berry else approach({}),
-                berry.get("c1_occlusion_window"))
+    berry = _read(data, ("position",), position=_vector, approach=approach,
+                  c1_occlusion_window=_window)
+    return (berry["position"], berry["approach"] if "approach" in berry else approach({}),
+            berry.get("c1_occlusion_window"))
 
 
 def _workflow(data, controller: ControllerConfig) -> WorkflowConfig:
     """The harvest workflow a scenario's ``workflow`` block describes."""
-    where = "scenario.workflow"
-    with _block(where):
+    with _at("workflow"):
         return WorkflowConfig(controller=controller, **_read(
-            {} if data is None else data, where,
-            coarse_threshold=_number, grasp_threshold=_number,
+            {} if data is None else data, coarse_threshold=_number, grasp_threshold=_number,
             observation_noise_std=_number, home_iterations=_integer,
             standoff_offset=_vector, home_q=lambda q: _vector(q, 9),
-            placement_gains=lambda g: _gains(g, f"{where}.placement_gains"),
-            placement_max_iterations=_integer,
-            fine_gains=lambda g: _gains(g, f"{where}.fine_gains"),
-            fine_max_iterations=_integer))
+            placement_gains=_gains, placement_max_iterations=_integer,
+            fine_gains=_gains, fine_max_iterations=_integer))
 
 
 def _registry(data) -> dict:
     """The ``build_registry`` arguments a scenario gives."""
-    with _block("scenario.registry"):
-        return _read({} if data is None else data, "scenario.registry", cam1_position=_vector,
+    with _at("registry"):
+        return _read({} if data is None else data, cam1_position=_vector,
                      cam1_target=_vector, cam2_offset=_vector)
 
 
@@ -457,37 +448,33 @@ def _solve(label, controller: tuple, desired: Pose, given: dict, geom: RobotGeom
 
 
 def _controller_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
-    if "controller" not in given:
-        raise ConfigError("controller scenario needs a 'controller' block")
-    controller = _controller(given["controller"], geom, "scenario.controller")
+    with _at("controller"):
+        controller = _controller(given["controller"], geom)
     if not given.get("targets"):  # no run reads the shared blocks; check them all the same
-        initial_q_from_dict(given.get("initial_q"), geom, np.random.default_rng(seed))
-        plant_config_from_dict(given.get("plant"), geom, seed)
+        _solve(None, controller, None, given, geom, seed, 0)
     runs = []
     for i, target in enumerate(given.get("targets", [])):
-        where = f"scenario.targets[{i}]"
-        desired = target_pose_from_dict(target, geom, where)
-        _check_tracked(target, controller[0], where)
+        with _at(f"targets[{i}]"):
+            desired = target_pose_from_dict(target, geom)
+            _check_tracked(target, controller[0])
         runs.append(_solve(i, controller, desired, given, geom, seed, i))
     return runs
 
 
 def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     """One solve per compared controller, all from the seeds of target 0."""
-    entries = given.get("controllers", [])
-    if len(entries) < 2:
-        raise ConfigError("compare scenario needs >= 2 entries in 'controllers'")
-    if "target" not in given:
-        raise ConfigError("compare scenario needs a single 'target'")
-    desired = target_pose_from_dict(given["target"], geom, "scenario.target")
+    with _at("target"):
+        desired = target_pose_from_dict(given["target"], geom)
     runs = []
-    for i, entry in enumerate(entries):
-        *controller, name = _controller(entry, geom, f"scenario.controllers[{i}]",
-                                        name=lambda name: None if name is None else _string(name))
-        _check_tracked(given["target"], controller[0], "scenario.target")
-        label = name or controller[0].mode.value
-        if label in (run.label for run in runs):
-            raise ConfigError(f"duplicate controller name {label!r}")
+    for i, entry in enumerate(given["controllers"]):
+        with _at(f"controllers[{i}]"):
+            *controller, name = _controller(
+                entry, geom, name=lambda name: None if name is None else _string(name))
+            label = name or controller[0].mode.value
+            if label in (run.label for run in runs):
+                raise ConfigError(f"duplicate controller name {label!r}")
+        with _at("target"):
+            _check_tracked(given["target"], controller[0])
         runs.append(_solve(label, controller, desired, given, geom, seed, 0))
     return runs
 
@@ -495,15 +482,14 @@ def _compare_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
 def _harvest_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     """One run per berry. The workflow sets each stage's gains and budget;
     the shared controller config supplies the rest."""
-    if not given.get("berries"):
-        raise ConfigError("harvest scenario needs a 'berries' list")
     workflow = _workflow(given.get("workflow"), ControllerConfig(
         geometry=geom, joint_limits=geom.joint_limits(), mode=ControllerMode.FullThreeTask))
     layout = _registry(given.get("registry"))
     runs = []
     for i, data in enumerate(given["berries"]):
-        berry, approach, window = _berry(data, geom, f"scenario.berries[{i}]")
-        with _block("scenario.registry"):
+        with _at(f"berries[{i}]"):
+            berry, approach, window = _berry(data, geom)
+        with _at("registry"):
             registry = build_registry(**({"cam1_target": berry} | layout))
         runs.append(Harvest(
             berry, approach,
@@ -513,16 +499,19 @@ def _harvest_runs(given: dict, geom: RobotGeometry, seed: int) -> list:
     return runs
 
 
-#: Each kind's resolver and the top-level blocks it reads, on top of the
-#: name, kind, seed, strict, geometry and plant that every kind takes. The
-#: resolver parses each block; here a list is only checked to be one.
+#: Each kind's resolver, the top-level blocks it needs and those it reads,
+#: on top of the name, kind, seed, strict, geometry and plant that every
+#: kind takes. The resolver parses each block; here a list is only checked
+#: to be one, with enough entries.
 _KINDS = {
-    "controller": (_controller_runs,
+    "controller": (_controller_runs, ("controller",),
                    {"controller": _as_given, "initial_q": _as_given, "targets": _list}),
-    "compare": (_compare_runs,
-                {"controllers": _list, "initial_q": _as_given, "target": _as_given}),
-    "harvest": (_harvest_runs,
-                {"berries": _list, "registry": _as_given, "workflow": _as_given}),
+    "compare": (_compare_runs, ("controllers", "target"),
+                {"controllers": partial(_list, least=2), "initial_q": _as_given,
+                 "target": _as_given}),
+    "harvest": (_harvest_runs, ("berries",),
+                {"berries": partial(_list, least=1), "registry": _as_given,
+                 "workflow": _as_given}),
 }
 
 
@@ -545,18 +534,15 @@ def parse_scenario(data, seed_override=None) -> Scenario:
     """Check a scenario dict and resolve it into its runs."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    for key in ("name", "kind"):
-        if key not in data:
-            raise ConfigError(f"scenario missing required key {key!r}")
-    if not isinstance(data["kind"], str) or data["kind"] not in _KINDS:  # a list is unhashable
-        raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {data['kind']!r}")
-    resolve, blocks = _KINDS[data["kind"]]
-    with _block("scenario"):
-        given = _read(data, "scenario", name=_scenario_name, kind=str, seed=_integer, strict=_flag,
-                      geometry=_geometry, plant=_as_given, **blocks)
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
+        raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {kind!r}")
+    resolve, required, blocks = _KINDS[kind]
+    given = _read(data, ("name", *required), name=_scenario_name, kind=_as_given, seed=_integer,
+                  strict=_flag, geometry=_as_given, plant=_as_given, **blocks)
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    geom = given["geometry"] if "geometry" in given else default_geometry()
+        raise ConfigError(f"seed: must be non-negative, got {seed}")
+    geom = _geometry(given.get("geometry"))
     return Scenario(name=given["name"], kind=given["kind"], seed=seed,
                     strict=given.get("strict", False), runs=resolve(given, geom, seed))

@@ -28,13 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RobotGeometry, as_actuator_batch, as_actuator_vector
-from .rotations import orthonormalize, rows_drift_and_det
+from .rotations import rows_drift_and_det
 
 #: Orthonormality tolerance for Pose construction.
 POSE_ORTHO_TOL = 1e-9
-
-#: FK re-orthonormalizes a rotation when its drift exceeds this.
-FK_DRIFT_TOL = 1e-12
 
 #: Below this phi^2 the arc coefficients are Taylor series in phi^2: the
 #: closed forms of g, alpha and beta lose about eps / phi^4 to cancellation.
@@ -209,16 +206,12 @@ def forward_kinematics(q, geom: RobotGeometry) -> Pose:
 
     Chains, per section: the arc transform, the rigid plate offset along
     the local Z, and the plate twist about Z. The last offset pair is the
-    gripper mount. A rotation whose orthonormality drift exceeds
-    ``FK_DRIFT_TOL`` is re-orthonormalized; any other is checked once,
-    by the drift and determinant of that test.
+    gripper mount. The rotation is checked once, by its orthonormality
+    drift and determinant.
     """
     position, rows, _ = section_chain(q, geom)
     rotation = np.fromiter(rows[0] + rows[1] + rows[2], float, 9).reshape(3, 3)
-    drift, det = rows_drift_and_det(rows)
-    if drift > FK_DRIFT_TOL:
-        return Pose(position, orthonormalize(rotation))
-    return Pose._checked(np.array(position), rotation, drift, det)
+    return Pose._checked(np.array(position), rotation, *rows_drift_and_det(rows))
 
 
 def forward_kinematics_many(qs, geom: RobotGeometry) -> tuple:
@@ -227,21 +220,15 @@ def forward_kinematics_many(qs, geom: RobotGeometry) -> tuple:
     byte for byte the scalar Pose.
 
     The walk of :func:`section_chain`, on (N,) arrays with one
-    configuration per lane; the batch keeps no walk on the geometry. A lane
-    whose rotation drifts past ``FK_DRIFT_TOL`` takes the pose of
-    :func:`forward_kinematics`, which keeps that lane's walk; every other
-    lane passes the drift and determinant check a Pose makes.
+    configuration per lane; the batch keeps no walk on the geometry. Every
+    lane passes the drift and determinant check a Pose makes, checked at
+    once on the worst of them.
     """
     qs = as_actuator_batch(qs)
     (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many)
     drift, det = rows_drift_and_det(rows, np.sqrt)
     positions = np.stack((p0, p1, p2), axis=-1)
     rotations = np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)
-    drifted = drift > FK_DRIFT_TOL
-    for k in np.flatnonzero(drifted).tolist():
-        pose = forward_kinematics(qs[k], geom)
-        positions[k], rotations[k] = pose.position, pose.rotation
-    # The worst of the other lanes; max and min pass a NaN on.
-    kept = ~drifted
-    _check_rotation(drift[kept].max(initial=0.0), det[kept].min(initial=1.0))
+    # max and min pass a NaN on.
+    _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
     return positions, rotations

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import io
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -168,7 +169,7 @@ class TestConfigParsing:
         path = write_config(tmp_path, {"name": "x", "kind": kind})
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: kind must be one of ")
+        assert err.startswith("config error: kind: must be one of ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("sections, message", [
@@ -177,9 +178,9 @@ class TestConfigParsing:
         ([{"radius": 0.06}, {"radius": 0.05}],
          "geometry: sections: must be 3, got 2"),
         ([{"radius": 0.06}, {"radius": -0.05}, {"radius": -0.06}],
-         r"geometry.sections\[1\]: radius: must be positive"),
+         r"geometry: sections\[1\]: radius: must be positive, got -0.05"),
         ([{"radius": 0.06}, {"radius": 0.05}, {"radius": 0.04, "initial_length": 0.0}],
-         r"geometry.sections\[2\]: initial_length: must be positive"),
+         r"geometry: sections\[2\]: initial_length: must be positive, got 0.0"),
     ], ids=["growing-radii", "two-sections", "negative-radius", "zero-length"])
     def test_geometry_validation_enforced(self, tmp_path, capsys, sections, message):
         with pytest.raises(ConfigError, match=message):
@@ -190,7 +191,7 @@ class TestConfigParsing:
             path = write_config(tmp_path, minimal_controller_config(geometry=geometry))
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("config error: geometry")
+            assert re.match(f"config error: {message}", err) and err.count("\n") == 1
             assert not (tmp_path / "out").exists()
 
     def test_rotation_relative_to_upright(self):
@@ -244,7 +245,8 @@ class TestStrictSchema:
         cfg["controller"]["postion_tolerance"] = cfg["controller"].pop("position_tolerance")
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert "'postion_tolerance' in scenario.controller" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: controller: unknown key 'postion_tolerance'; expected one of: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, typo", [
@@ -295,15 +297,16 @@ class TestStrictSchema:
         cfg = (minimal_controller_config() if scenario == "controller"
                else load_scenario_dict(scenario))
         cfg[key] = value
-        with pytest.raises(ConfigError, match=f"unknown key {key!r} in scenario;"):
+        with pytest.raises(ConfigError, match=f"^unknown key {key!r}; expected one of: "):
             parse_scenario(cfg)
 
     def test_unknown_key_in_compare_entry_and_geometry(self):
         cfg = load_scenario_dict("near_limit_pose")
         cfg["controllers"][1]["label"] = "x"
-        with pytest.raises(ConfigError, match=r"scenario\.controllers\[1\]"):
+        with pytest.raises(ConfigError, match=r"^controllers\[1\]: unknown key 'label'; "):
             parse_scenario(cfg)
-        with pytest.raises(ConfigError, match="'radius_mm'"):
+        with pytest.raises(ConfigError,
+                           match=r"^geometry: sections\[2\]: unknown key 'radius_mm'; "):
             geometry_from_dict({"sections": [{"radius": 0.06}, {"radius": 0.05},
                                              {"radius_mm": 40.0}]})
 
@@ -581,7 +584,7 @@ class TestConfigValueErrors:
         cfg[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert f"config error: scenario: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escaped", "a\\b", "/absolute"],
@@ -597,16 +600,17 @@ class TestConfigValueErrors:
             name = str(tmp_path / "absolute")
         path = write_config(tmp_path, minimal_controller_config(name=name))
         assert main(["run", path, "--quiet"]) == 1
-        assert "config error: scenario: name: " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: name: ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
 
-    @pytest.mark.parametrize("seed, options", [(-3, []), (7, ["--seed", "-1"])],
+    @pytest.mark.parametrize("seed, options, given", [(-3, [], -3), (7, ["--seed", "-1"], -1)],
                              ids=["file", "override"])
-    def test_negative_seed(self, tmp_path, capsys, seed, options):
+    def test_negative_seed(self, tmp_path, capsys, seed, options, given):
         # numpy's SeedSequence once rejected it with a traceback.
         path = write_config(tmp_path, minimal_controller_config(seed=seed))
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet", *options]) == 1
-        assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: seed: must be non-negative, got {given}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", ["controller", "near_limit_pose"])
@@ -614,14 +618,14 @@ class TestConfigValueErrors:
         # A block without gains once ran on a step gain of 0.05 that no
         # dataclass gives as its default.
         if scenario == "controller":
-            cfg = minimal_controller_config()
+            cfg, place = minimal_controller_config(), "controller"
             del cfg["controller"]["gains"]
         else:
-            cfg = load_scenario_dict(scenario)
+            cfg, place = load_scenario_dict(scenario), "controllers[1]"
             del cfg["controllers"][1]["gains"]
         assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 1
-        assert "needs a 'mode' and 'gains'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {place}: needs 'gains'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("strict", [True, False])
@@ -756,6 +760,61 @@ class TestConfigValueErrors:
         for axes, parsed in [([2, 0, 1], (2, 0, 1)), (None, None)]:
             cfg["controller"]["orientation_error_axes"] = axes
             assert parse_scenario(cfg).runs[0].controller.orientation_error_axes == parsed
+
+    @pytest.mark.parametrize("scenario, path, value, place", [
+        ("controller", ("geometry",),
+         {"sections": [{"radius": 0.06}, {"radius": -0.05}, {"radius": 0.04}]},
+         "geometry: sections[1]"),
+        ("controller", ("controller", "gains", "joint_limit"), 5,
+         "controller: gains: joint_limit"),
+        ("pose_7pts", ("targets", 1, "rotation"), {"axis": "w"}, "targets[1]: rotation"),
+        ("position_35pts", ("targets", 3), {}, "targets[3]"),
+        ("near_limit_pose", ("controllers", 1, "gains"), {"gamma_position": 1.0},
+         "controllers[1]: gains"),
+        ("harvest_default", ("berries", 1, "approach"), 5, "berries[1]: approach"),
+        ("harvest_default", ("workflow", "fine_gains"), {"alpha": -1.0},
+         "workflow: fine_gains"),
+        ("harvest_default", ("registry",), {"cam1_position": [0, 1]}, "registry"),
+        ("controller", ("plant",), {"dt": -1.0}, "plant"),
+        ("controller", ("initial_q",), [0.05] * 8, "initial_q"),
+    ], ids=["geometry-section", "joint_limit", "target-rotation", "empty-target",
+            "compare-gains", "berry-approach", "fine_gains", "registry", "plant", "initial_q"])
+    def test_an_error_names_its_place_by_its_key_chain(self, tmp_path, capsys, scenario, path,
+                                                        value, place):
+        # Every place reads as the keys and list items down to it, one way:
+        # no "scenario." prefix, no dotted path, no message without a place.
+        cfg = (minimal_controller_config() if scenario == "controller"
+               else load_scenario_dict(scenario))
+        config = write_config(tmp_path, _with(cfg, path, value))
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {place}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis", [["x"], {"x": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize("scenario, path, place", [
+        ("pose_7pts", ("targets", 0, "rotation"), "targets[0]: rotation"),
+        ("harvest_default", ("berries", 0, "approach"), "berries[0]: approach"),
+    ], ids=["target", "approach"])
+    def test_a_rotation_axis_that_is_not_a_string(self, tmp_path, capsys, scenario, path,
+                                                   place, axis):
+        # A list or an object once read as "unhashable type: 'list'".
+        cfg = _with(load_scenario_dict(scenario), path, {"axis": axis, "angle_deg": -30.0})
+        config = write_config(tmp_path, cfg)
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {place}: axis: rotation axis must be one of x/y/z, got {axis!r}\n")
+
+    @pytest.mark.parametrize("metric", [5, ["position"]], ids=["number", "list"])
+    def test_joint_limit_metric_takes_a_string(self, tmp_path, capsys, metric):
+        # str() once read 5 as "5", which the schedule then rejected under
+        # the name threshold_metric, a key the file does not have.
+        cfg = _with(minimal_controller_config(),
+                    ("controller", "gains", "joint_limit", "metric"), metric)
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: controller: gains: joint_limit: metric: must be a string\n")
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -1039,6 +1098,14 @@ class TestCompare:
         cfg["controllers"] = cfg["controllers"][:1]
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--quiet"]) == 1
+
+    def test_controller_names_must_differ(self, tmp_path, capsys):
+        cfg = minimal_compare_config()
+        cfg["controllers"][1]["name"] = "a"
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: controllers[1]: duplicate controller name 'a'\n")
 
 
 class TestHarvestScenario:

@@ -14,7 +14,7 @@ from softarm.kinematics import (
     forward_kinematics_many,
     section_chain,
 )
-from softarm.rotations import orthonormalize, rot_y, rot_z
+from softarm.rotations import rot_y, rot_z
 
 from conftest import section_fields
 from oracles import fk_reference, rotation_angle_between
@@ -178,23 +178,6 @@ class TestForwardKinematics:
             p_ref, R_ref = fk_reference(q, GEOM)
             assert np.linalg.norm(pose.position - p_ref) < 1e-6
             assert rotation_angle_between(pose.rotation, R_ref) < 1e-6
-
-    def test_drifted_rotation_is_reorthonormalized(self, monkeypatch):
-        qs = np.random.default_rng(14).uniform(0.0, 0.1, (19, 9))
-        poses = [forward_kinematics(q, GEOM) for q in qs]
-        fixed = []
-        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
-        monkeypatch.setattr(kinematics, "orthonormalize",
-                            lambda R: fixed.append(R) or orthonormalize(R))
-        for q, pose in zip(qs, poses):
-            pose_fixed = forward_kinematics(q, GEOM)
-            np.testing.assert_array_equal(pose_fixed.position, pose.position)
-            np.testing.assert_allclose(pose_fixed.rotation, pose.rotation, rtol=0.0,
-                                       atol=1e-15)
-            rotation = pose_fixed.rotation
-            assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-14
-            assert np.linalg.det(rotation) > 0.0
-        assert len(fixed) == len(qs)
 
     @settings(max_examples=60, deadline=None)
     @given(actuator_vectors())
@@ -374,6 +357,17 @@ class TestOnePassPerPose:
         with pytest.raises(ValueError, match="proper"):
             forward_kinematics(self.QS[0], GEOM)
 
+    def test_fk_rejects_a_drifted_rotation(self, monkeypatch):
+        # FK keeps the rotation its walk gives: one that drifts past the
+        # Pose tolerance raises rather than being re-orthonormalized.
+        def drifted(q, geom):
+            position, (r0, r1, r2), sections = section_chain(q, geom)
+            return position, (r0, r1, tuple(1.001 * x for x in r2)), sections
+
+        monkeypatch.setattr(kinematics, "section_chain", drifted)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            forward_kinematics(self.QS[0], GEOM)
+
 
 def assert_each_lane_is_scalar(qs):
     """Each lane of the batch is the scalar Pose of its row, byte for byte."""
@@ -418,19 +412,10 @@ class TestForwardKinematicsMany:
         assert phi2[1] < SERIES_SWITCH < phi2[3]
         assert_each_lane_is_scalar(qs)
 
-    def test_a_drifted_lane_takes_the_scalar_path(self, monkeypatch):
-        qs = np.random.default_rng(15).uniform(0.0, 0.1, (9, 9))
-        monkeypatch.setattr(kinematics, "FK_DRIFT_TOL", 0.0)
-        fixed = []
-        monkeypatch.setattr(kinematics, "orthonormalize",
-                            lambda R: fixed.append(R) or orthonormalize(R))
-        forward_kinematics_many(qs, GEOM)
-        assert 0 < len(fixed) <= len(qs)
-        assert_each_lane_is_scalar(qs)
-
     @pytest.mark.parametrize("index, value, message", [(0, np.nan, "not orthonormal"),
+                                                      (0, 1e-6, "not orthonormal"),
                                                       (1, -1.0, "proper")],
-                             ids=["nan-drift", "reflected"])
+                             ids=["nan-drift", "drifted", "reflected"])
     def test_a_lane_that_fails_the_check_raises(self, monkeypatch, index, value, message):
         # Lane 1 of three fails on the batch's own drift or determinant.
         qs = np.random.default_rng(16).uniform(0.0, 0.1, (3, 9))
