@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import (
-    TASK_STACKS,
+    TRACKS,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -224,11 +224,9 @@ def _geometry(value) -> RobotGeometry:
 def _joint_limit(data) -> JointLimitSchedule | None:
     if data is None:
         return None
-    kwargs = _read(data, ("value_far", "switch_threshold"), value_far=_number,
-                   switch_threshold=_number, metric=_string)
-    if "metric" in kwargs:
-        kwargs["threshold_metric"] = kwargs.pop("metric")
-    return JointLimitSchedule(**kwargs)
+    return JointLimitSchedule(**_read(data, ("value_far", "switch_threshold"),
+                                      value_far=_number, switch_threshold=_number,
+                                      metric=_string))
 
 
 def _gains(data) -> GainSchedule:
@@ -275,8 +273,8 @@ def plant_config_from_dict(data, geom: RobotGeometry, seed: int) -> PlantConfig:
                        position_noise_std=_number, rotation_noise_std=_number,
                        filter_cutoff=_number, dt=_number)
         mismatch = kwargs.pop("mismatch", 0.0)
-        if mismatch < 0:
-            raise ValueError("mismatch must be non-negative")
+        if not 0 <= mismatch < 1:  # so each true length scale 1 + e, |e| <= mismatch, is > 0
+            raise ValueError(f"mismatch: must be in [0, 1), got {mismatch}")
         if mismatch > 0:
             kwargs["length_scale_error"] = np.random.default_rng(
                 derive_seed(seed, 0xA11)).uniform(-mismatch, mismatch, 9)
@@ -332,7 +330,7 @@ def target_pose_from_dict(data, geom: RobotGeometry) -> Pose:
 
 def _check_tracked(data: dict, controller: ControllerConfig) -> None:
     """The target ``data`` gives each part its controller's mode tracks."""
-    for part, tracked in zip(("position", "rotation"), TASK_STACKS[controller.mode].tracks):
+    for part, tracked in zip(("position", "rotation"), TRACKS[controller.mode]):
         if tracked and part not in data:
             raise ConfigError(f"{controller.mode.value} tracks the {part}, "
                               "which the target does not give")
@@ -346,6 +344,8 @@ def initial_q_from_dict(data, geom: RobotGeometry, rng) -> np.ndarray:
         if data is not None and not isinstance(data, dict):
             return _vector(data, 9)
         jitter = _read(data or {}, midpoint_jitter=_number).get("midpoint_jitter", 1e-3)
+        if jitter < 0:
+            raise ValueError(f"midpoint_jitter: must be non-negative, got {jitter}")
         return geom.joint_limits().midpoint() + rng.uniform(-jitter, jitter, 9)
 
 

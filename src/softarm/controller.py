@@ -1,8 +1,8 @@
 """Resolved-rate control with task-priority redundancy resolution.
 
 One step law, :func:`step_full`, serves every :class:`ControllerMode`. A
-mode is an entry of :data:`TASK_STACKS`: the 3-row slices of the stacked
-pose error [e_p; e_zeta] its tasks track, in priority order. The modes are
+mode is its entry of :data:`TRACKS`: whether it tracks the position error
+and the orientation error, each a 3-row task, position first. The modes are
 conventional resolved rate (position, then orientation, at weights 1),
 position, orientation, and the three-task law, which weights the same two
 tasks by its gains. The gains, not the mode, turn joint-limit avoidance
@@ -19,8 +19,6 @@ the current pose from plant feedback rather than from the kinematic model.
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +44,6 @@ class TaskError:
         object.__setattr__(self, "orientation_norm", norm(self.e_zeta))
 
 
-class ErrorNorms(NamedTuple):
-    """The position (m) and orientation (rad) error norms a mode tracks; an
-    error the mode does not track reads 0."""
-
-    position_norm: float
-    orientation_norm: float
-
-
 def pose_error(desired: Pose, current: Pose) -> TaskError:
     """Base-frame task error: e_p = p_d - p_c, e_zeta = axis-angle of
     R_d R_c^T (consistent with the spatial angular Jacobian)."""
@@ -73,17 +63,18 @@ class JointLimitSchedule:
 
     value_far: float
     switch_threshold: float
-    threshold_metric: str = "position"  # "position" (m) or "orientation" (rad)
+    metric: str = "position"  # "position" (m) or "orientation" (rad)
 
     def __post_init__(self):
-        if self.threshold_metric not in ("position", "orientation"):
-            raise ValueError("threshold_metric must be 'position' or 'orientation'")
+        if self.metric not in ("position", "orientation"):
+            raise ValueError(f"metric: must be 'position' or 'orientation', got {self.metric!r}")
         if not np.isfinite((self.value_far, self.switch_threshold)).all():
             raise ValueError("value_far and switch_threshold must be finite")
 
-    def gamma(self, error: TaskError | ErrorNorms) -> float:
-        norm = (error.position_norm if self.threshold_metric == "position"
-                else error.orientation_norm)
+    def gamma(self, norms: tuple) -> float:
+        """The gain at the (position, orientation) error norms ``norms``."""
+        position, orientation = norms
+        norm = position if self.metric == "position" else orientation
         return self.value_far if norm > self.switch_threshold else 0.0
 
 
@@ -124,7 +115,7 @@ def gains_orientation_default() -> GainSchedule:
         joint_limit=JointLimitSchedule(
             value_far=-0.005,
             switch_threshold=np.deg2rad(30.0),
-            threshold_metric="orientation",
+            metric="orientation",
         ),
     )
 
@@ -146,38 +137,25 @@ class ControllerMode(enum.Enum):
     FullThreeTask = "FullThreeTask"
 
 
-POSITION, ORIENTATION = slice(0, 3), slice(3, 6)
+#: Whether a mode tracks the position error, and the orientation error:
+#: its tasks, position first. An untracked error counts as 0 in the
+#: tolerance, divergence and joint-limit schedule checks.
+TRACKS = {
+    ControllerMode.ConventionalRR: (True, True),
+    ControllerMode.PositionWithJL: (True, False),
+    ControllerMode.OrientationWithJL: (False, True),
+    ControllerMode.FullThreeTask: (True, True),
+}
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 50
 
 
-@dataclass(frozen=True)
-class TaskStack:
-    """A mode's law: one slice of the stacked error [e_p; e_zeta] per task,
-    in priority order. Whether the joint-limit descent runs is the gains'
-    choice (:attr:`GainSchedule.joint_limit`), not the stack's."""
-
-    tasks: tuple
-
-    @cached_property
-    def tracks(self) -> tuple:
-        """Whether some task tracks the position, and the orientation, error."""
-        return POSITION in self.tasks, ORIENTATION in self.tasks
-
-    def norms(self, e: TaskError) -> ErrorNorms:
-        """The norms of ``e``, 0 for an error no task tracks."""
-        position, orientation = self.tracks
-        return ErrorNorms(e.position_norm if position else 0.0,
-                          e.orientation_norm if orientation else 0.0)
-
-
-TASK_STACKS = {
-    ControllerMode.ConventionalRR: TaskStack((POSITION, ORIENTATION)),
-    ControllerMode.PositionWithJL: TaskStack((POSITION,)),
-    ControllerMode.OrientationWithJL: TaskStack((ORIENTATION,)),
-    ControllerMode.FullThreeTask: TaskStack((POSITION, ORIENTATION)),
-}
+def tracked_norms(e: TaskError, mode: ControllerMode) -> tuple:
+    """The (position, orientation) norms of ``e``, 0 for an error ``mode``
+    does not track."""
+    position, orientation = TRACKS[mode]
+    return (e.position_norm if position else 0.0, e.orientation_norm if orientation else 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,18 +254,19 @@ def step_full(q, e: TaskError, gains: GainSchedule, cfg: ControllerConfig) -> np
     direction J^+ keeps: 7.4e-8 (relative) off J^+ e at a 2e-9 m bend.
     """
     q = as_actuator_vector(q)
-    stack = TASK_STACKS[cfg.mode]
     schedule = gains.joint_limit
-    gamma = 0.0 if schedule is None else schedule.gamma(stack.norms(e))
+    gamma = 0.0 if schedule is None else schedule.gamma(tracked_norms(e, cfg.mode))
     # FullThreeTask weights its tasks by its gains, every other mode by 1.
     weights = ((gains.gamma_position, gains.gamma_orientation)
                if cfg.mode is ControllerMode.FullThreeTask else (1.0, 1.0))
     J = jacobian(q, cfg.geometry).J
     qdot = None  # qdot = 0 until the first task
     blocks = []  # (A_k, A_k^+) of the tasks so far
-    for rows, weight in zip(stack.tasks, weights):
-        A = J_k = J[rows]
-        residual = e.e_p if rows is POSITION else e.e_zeta
+    for tracked, J_k, residual, weight in zip(TRACKS[cfg.mode], (J[:3], J[3:]),
+                                              (e.e_p, e.e_zeta), weights):
+        if not tracked:
+            continue
+        A = J_k
         if qdot is not None:
             residual = residual - J_k.dot(qdot)
         for A_i, A_i_pinv in blocks:
@@ -328,11 +307,11 @@ class Trajectory:
         return bool(self.infeasible.any())
 
 
-def _tolerance_met(e: TaskError, norms: ErrorNorms, cfg: ControllerConfig) -> bool:
-    rot = norms.orientation_norm
+def _tolerance_met(e: TaskError, norms: tuple, cfg: ControllerConfig) -> bool:
+    position, rot = norms  # tracked_norms(e, cfg.mode)
     if rot and cfg.orientation_error_axes is not None:  # an untracked error reads 0
         rot = norm(e.e_zeta[list(cfg.orientation_error_axes)])
-    return norms.position_norm <= cfg.position_tolerance and rot <= cfg.orientation_tolerance
+    return position <= cfg.position_tolerance and rot <= cfg.orientation_tolerance
 
 
 def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) -> Trajectory:
@@ -370,9 +349,8 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         return Trajectory(qs, positions, rotvecs, *norms, np.array(list(map(norm, true_rotvecs))),
                           np.array(flags, dtype=bool), converged, diverged)
 
-    tracked_norms = TASK_STACKS[cfg.mode].norms
     e = record(q, obs)
-    norms = norms0 = tracked_norms(e)
+    norms = norms0 = tracked_norms(e, cfg.mode)
     growth_streak = 0
     for _ in range(cfg.max_iterations):
         if _tolerance_met(e, norms, cfg):
@@ -380,7 +358,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         q = step_full(q, e, gains, cfg)
         obs = plant.apply_command(q)
         e = record(q, obs)
-        norms = tracked_norms(e)
+        norms = tracked_norms(e, cfg.mode)
         ratio = max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
                     default=0.0)
         growth_streak = growth_streak + 1 if ratio > DIVERGENCE_FACTOR else 0

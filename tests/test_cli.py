@@ -816,6 +816,41 @@ class TestConfigValueErrors:
         assert capsys.readouterr().err == (
             "config error: controller: gains: joint_limit: metric: must be a string\n")
 
+    def test_joint_limit_metric_names_its_key(self, tmp_path, capsys):
+        # It once read "joint_limit: threshold_metric must be ...", the
+        # schedule's old field name.
+        cfg = _with(minimal_controller_config(),
+                    ("controller", "gains", "joint_limit", "metric"), "foo")
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: controller: gains: joint_limit: metric: must be 'position' or "
+            "'orientation', got 'foo'\n")
+
+    def test_negative_midpoint_jitter(self, tmp_path, capsys):
+        # It once read numpy's "initial_q: high - low < 0".
+        cfg = minimal_controller_config(initial_q={"midpoint_jitter": -1.0})
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: initial_q: midpoint_jitter: must be non-negative, got -1.0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mismatch, shown", [(2.0, "2.0"), (1.0, "1.0"), (1e308, "1e+308"),
+                                                 (-0.02, "-0.02")],
+                             ids=["two", "one", "1e308", "negative"])
+    def test_mismatch_keeps_every_length_scale_positive(self, tmp_path, capsys, mismatch,
+                                                        shown):
+        # Each true length scale is 1 + e, |e| <= mismatch: 2.0 once ran with
+        # scales that could be negative, and 1e308 read numpy's "high - low
+        # range exceeds valid bounds".
+        cfg = minimal_controller_config(plant={"mismatch": mismatch})
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: plant: mismatch: must be in [0, 1), got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1.2345678901234567e300])

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     DIVERGENCE_WINDOW,
-    ORIENTATION,
-    POSITION,
+    TRACKS,
     ControllerConfig,
     ControllerMode,
     GainSchedule,
@@ -40,6 +39,10 @@ from strategies import actuator_vectors
 GEOM = default_geometry()
 LIMITS = GEOM.joint_limits()
 Q_MID = np.tile([0.051, 0.050, 0.049], 3)  # the default home posture, just off the midpoint
+
+
+#: The rows of the 6x9 Jacobian of the position and the orientation task.
+POSITION, ORIENTATION = slice(0, 3), slice(3, 6)
 
 
 def make_cfg(mode, **kwargs):
@@ -138,8 +141,8 @@ class TestGainSchedule:
         sched = JointLimitSchedule(value_far=-0.01, switch_threshold=0.030)
         far = TaskError(e_p=np.array([0.05, 0.0, 0.0]), e_zeta=np.zeros(3))
         near = TaskError(e_p=np.array([0.02, 0.0, 0.0]), e_zeta=np.zeros(3))
-        assert sched.gamma(far) == -0.01
-        assert sched.gamma(near) == 0.0
+        assert sched.gamma((far.position_norm, far.orientation_norm)) == -0.01
+        assert sched.gamma((near.position_norm, near.orientation_norm)) == 0.0
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -489,8 +492,8 @@ def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):
         qdot = qdot_p + gains.gamma_orientation * pinv(Jt) @ (e.e_zeta - Jw @ qdot_p)
         null, tracked = eye - pinv(Jv) @ Jv - pinv(Jt) @ Jt, ("position", "orientation")
     sched = gains.joint_limit
-    if sched is not None and sched.threshold_metric in tracked:
-        norm = np.linalg.norm(e.e_p if sched.threshold_metric == "position" else e.e_zeta)
+    if sched is not None and sched.metric in tracked:
+        norm = np.linalg.norm(e.e_p if sched.metric == "position" else e.e_zeta)
         if norm > sched.switch_threshold:
             qdot = qdot + sched.value_far * null @ jl_gradient(q, LIMITS)
     return q + gains.alpha * qdot
@@ -507,7 +510,7 @@ TABLE_GAINS = [
                  joint_limit=JointLimitSchedule(value_far=-0.01, switch_threshold=0.0)),
     GainSchedule(alpha=0.074, gamma_position=0.7, gamma_orientation=0.3,
                  joint_limit=JointLimitSchedule(value_far=-0.005, switch_threshold=0.0,
-                                                threshold_metric="orientation")),
+                                                metric="orientation")),
     GainSchedule(alpha=0.05, gamma_position=1.0, gamma_orientation=0.1),  # no term
 ]
 
@@ -626,11 +629,33 @@ class TestModeTable:
         desired = Pose(pose.position + np.array([0.0, 0.05, 0.0]),
                        rot_x(1.0) @ pose.rotation)
         on_orientation = GainSchedule(alpha=0.074, joint_limit=JointLimitSchedule(
-            value_far=-0.01, switch_threshold=0.01, threshold_metric="orientation"))
+            value_far=-0.01, switch_threshold=0.01, metric="orientation"))
         cfg = make_cfg(ControllerMode.PositionWithJL)
         np.testing.assert_array_equal(step(q, desired, on_orientation, cfg),
                                       step(q, desired, GainSchedule(alpha=0.074), cfg))
         assert_matches_written_out(q, desired, on_orientation, ControllerMode.PositionWithJL)
+
+    def test_every_mode_has_a_tracks_entry(self):
+        assert set(TRACKS) == set(ControllerMode)
+        assert all(len(tracks) == 2 and any(tracks) for tracks in TRACKS.values())
+
+    @pytest.mark.parametrize("gains", TABLE_GAINS,
+                             ids=["on_position", "on_orientation", "no_schedule"])
+    @pytest.mark.parametrize("mode, untracked", [
+        (ControllerMode.PositionWithJL, "e_zeta"),
+        (ControllerMode.OrientationWithJL, "e_p"),
+    ], ids=["PositionWithJL", "OrientationWithJL"])
+    def test_an_untracked_error_never_reaches_the_step(self, mode, untracked, gains):
+        # Fine positioning runs PositionWithJL on an orientation it does not
+        # track: whatever that error holds, NaN included, the step is the
+        # one it takes on zeros, with the schedule on or off.
+        q = Q_BENT
+        e = pose_error(offset_target(q, np.random.default_rng(5)), forward_kinematics(q, GEOM))
+        cfg = make_cfg(mode)
+        zeros, nans = (replace(e, **{untracked: np.full(3, value)}) for value in (0.0, np.nan))
+        stepped = step_full(q, zeros, gains, cfg)
+        assert np.isfinite(stepped).all()
+        assert step_full(q, nans, gains, cfg).tobytes() == stepped.tobytes()
 
 
 def guard_ratio(A) -> float:
@@ -679,7 +704,7 @@ def schedule_on(mode) -> GainSchedule:
     ``mode`` tracks, past its switch everywhere."""
     metric = "orientation" if mode is ControllerMode.OrientationWithJL else "position"
     return GainSchedule(alpha=0.05, gamma_orientation=0.1, joint_limit=JointLimitSchedule(
-        value_far=-0.01, switch_threshold=0.0, threshold_metric=metric))
+        value_far=-0.01, switch_threshold=0.0, metric=metric))
 
 
 class TestFactorFormEdges:

@@ -45,7 +45,7 @@ def gains_dict(gains, two_task=False):
     jl = gains.joint_limit
     out["joint_limit"] = {"value_far": jl.value_far,
                           "switch_threshold": float(jl.switch_threshold),
-                          "metric": jl.threshold_metric}
+                          "metric": jl.metric}
     return out
 
 
