@@ -44,11 +44,9 @@ from .kinematics import Pose, forward_kinematics
 from .plant import Plant, PlantConfig, PlantObservation
 from .vision import (
     BerryTarget,
-    DegenerateConfiguration,
     FrameRegistry,
     berry_to_base,
     build_registry,
-    register_rigid,
     simulate_observation,
 )
 from .workflow import (
@@ -70,7 +68,7 @@ __all__ = [
     "Jacobian6x9", "jacobian", "pinv",
     "Pose", "forward_kinematics",
     "Plant", "PlantConfig", "PlantObservation",
-    "BerryTarget", "DegenerateConfiguration", "FrameRegistry",
-    "berry_to_base", "build_registry", "register_rigid", "simulate_observation",
+    "BerryTarget", "FrameRegistry", "berry_to_base", "build_registry",
+    "simulate_observation",
     "HarvestLog", "HarvestState", "WorkflowConfig", "run_harvest",
 ]

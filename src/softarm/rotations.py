@@ -105,14 +105,6 @@ def rows_to_rotvec(rows) -> tuple:
     return scale * x, scale * y, scale * z
 
 
-def orthonormalize(R) -> np.ndarray:
-    """Nearest proper rotation (Frobenius sense) via SVD; R may be a stack
-    (..., 3, 3)."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    U[..., :, 2] *= np.sign(np.linalg.det(U @ Vt))[..., None]
-    return U @ Vt
-
-
 def rows_drift_and_det(rows, sqrt=math.sqrt) -> tuple[float, float]:
     """Orthonormality defect ||R^T R - I||_F and determinant of a 3x3
     matrix R given as three rows of floats, in one scalar pass over its

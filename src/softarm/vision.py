@@ -2,10 +2,10 @@
 
 Transform naming: ``x_in_y`` is the pose of frame x expressed in frame y,
 i.e. the rigid map taking x-frame coordinates to y-frame coordinates.
-The registry stores the base pose in C1 (from point registration) and the
-C2 mount pose in the end-effector frame; berry fixes from C2 are chained
-through the measured end-effector pose back into the base frame. A
-camera without a fix yields ``None``; holding the last fix is up to the
+The registry stores the base pose in C1 (the inverse of C1's pose) and
+the C2 mount pose in the end-effector frame; berry fixes from C2 are
+chained through the measured end-effector pose back into the base frame.
+A camera without a fix yields ``None``; holding the last fix is up to the
 caller.
 """
 
@@ -16,45 +16,9 @@ import numpy as np
 
 from .geometry import norm
 from .kinematics import Pose
-from .rotations import orthonormalize
 
 #: Radius (m) of the line-of-sight tube blocked by the end-effector.
 OCCLUSION_FOOTPRINT_RADIUS = 0.04
-
-
-class DegenerateConfiguration(Exception):
-    """Point registration needs >= 3 non-collinear correspondences."""
-
-
-def register_rigid(points_a, points_b):
-    """Least-squares rigid transform T minimizing sum ||T a_i - b_i||^2.
-
-    Rotation from the SVD of the cross-covariance with reflection
-    correction, translation from the centroids. Returns (Pose, rms_residual).
-    Raises DegenerateConfiguration for fewer than 3 points or a collinear
-    source set (rotation about the line would be unobservable).
-    """
-    A = np.asarray(points_a, dtype=float)
-    B = np.asarray(points_b, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[1] != 3:
-        raise ValueError("point sets must be matching (N, 3) arrays")
-    if A.shape[0] < 3:
-        raise DegenerateConfiguration("need at least 3 correspondences")
-    centroid_a = A.mean(axis=0)
-    centroid_b = B.mean(axis=0)
-    Ac = A - centroid_a
-    Bc = B - centroid_b
-    sv = np.linalg.svd(Ac, compute_uv=False)
-    if sv[1] <= 1e-12 * max(sv[0], 1e-300):
-        raise DegenerateConfiguration("source points are collinear")
-    H = Ac.T @ Bc
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    R = orthonormalize(R)
-    t = centroid_b - R @ centroid_a
-    residual = float(np.sqrt(np.mean(np.sum((A @ R.T + t - B) ** 2, axis=1))))
-    return Pose(t, R), residual
 
 
 @dataclass(frozen=True)
@@ -148,10 +112,14 @@ def look_at(eye, point) -> Pose:
     """Camera pose in the parent frame with +Z viewing toward ``point``, +X
     level (normal to the parent's +Z) unless the view is vertical."""
     eye = np.asarray(eye, dtype=float)
-    z = np.asarray(point, dtype=float) - eye
-    if not np.any(z):
+    with np.errstate(over="ignore"):
+        z = np.asarray(point, dtype=float) - eye
+        distance = np.linalg.norm(z)
+    if distance == 0.0:
         raise ValueError("a camera cannot look at its own position")
-    z = z / np.linalg.norm(z)
+    if not np.isfinite(distance):
+        raise ValueError("a camera is too far from its target: the squared distance overflows")
+    z = z / distance
     x = np.cross(np.array([0.0, 0.0, 1.0]), z)
     if np.linalg.norm(x) < 1e-12:
         x = np.cross(np.array([0.0, 1.0, 0.0]), z)
@@ -160,25 +128,11 @@ def look_at(eye, point) -> Pose:
     return Pose(eye, np.column_stack([x, y, z]))
 
 
-def default_registration_points() -> np.ndarray:
-    """Six base-frame fiducials on a cube of side 0.2 m."""
-    return np.array([
-        [0.1, 0.1, 0.0], [-0.1, 0.1, 0.0], [0.1, -0.1, 0.0],
-        [-0.1, -0.1, 0.2], [0.1, 0.1, 0.2], [-0.1, 0.1, 0.2],
-    ])
-
-
 def build_registry(cam1_position=(0.0, -1.2, 0.4), cam1_target=(0.0, 0.25, 0.35),
                    cam2_offset=(0.0, 0.0, 0.01)) -> FrameRegistry:
     """Registry for the default scenario layout: eye-to-hand camera 1.2 m
     behind the base looking at the berry region, eye-in-hand camera at the
     gripper center looking along the approach axis. ``base_in_cam1`` is
-    recovered by registering the fiducials rather than copied from ground
-    truth, so the registration path is exercised end to end."""
-    cam1_in_base = look_at(cam1_position, cam1_target)
-    truth_base_in_cam1 = cam1_in_base.inverse()
-    points = default_registration_points()
-    observed_in_cam1 = np.array([truth_base_in_cam1.transform_point(p) for p in points])
-    base_in_cam1, _ = register_rigid(points, observed_in_cam1)
-    cam2_in_ee = Pose(np.asarray(cam2_offset, dtype=float), np.eye(3))
-    return FrameRegistry(base_in_cam1=base_in_cam1, cam2_in_ee=cam2_in_ee)
+    the inverse of the C1 pose: the calibration is exact."""
+    return FrameRegistry(base_in_cam1=look_at(cam1_position, cam1_target).inverse(),
+                         cam2_in_ee=Pose(np.asarray(cam2_offset, dtype=float), np.eye(3)))

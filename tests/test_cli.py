@@ -394,18 +394,22 @@ class TestConfigValueErrors:
         ({"cam1_position": 5}, "cam1_position: must be a 3-vector"),
         ({"cam2_offset": "abc"}, "cam2_offset: must be a 3-vector"),
         ({"cam1_position": [0.0, 0.4, 0.45]}, "a camera cannot look at its own position"),
+        # No RuntimeWarning either: this suite's filterwarnings make one an error.
+        ({"cam1_position": [1e300, 0.0, 0.0]},
+         "a camera is too far from its target: the squared distance overflows"),
         ([], "must be an object"),
         (0, "must be an object"),
         (False, "must be an object"),
         ("", "must be an object"),
-    ], ids=["2-vector", "scalar", "string", "camera-on-its-target", "block-list",
-            "block-zero", "block-false", "block-empty-string"])
+    ], ids=["2-vector", "scalar", "string", "camera-on-its-target", "camera-too-far",
+            "block-list", "block-zero", "block-false", "block-empty-string"])
     def test_harvest_registry(self, tmp_path, capsys, registry, message):
         cfg = load_scenario_dict("harvest_default")
         cfg["registry"] = registry
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert f"config error: registry: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: registry: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out" / "steps.csv").exists()
 
     @pytest.mark.parametrize("block, value", [

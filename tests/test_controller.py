@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -468,18 +469,20 @@ class TestSolve:
 
 
 def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):
-    """Each mode's law as a closed form, with np.linalg.pinv throughout. A
-    joint-limit schedule adds its term in every mode, in the null space of
-    the mode's tasks, when the error it is scheduled on is one the mode
-    tracks and is past the switch."""
+    """Each mode's law as a closed form, with np.linalg.pinv throughout
+    except ConventionalRR's J^+ and null projector, which are evaluated in
+    50 digits (pinv_and_null_50_digits). A joint-limit schedule adds its
+    term in every mode, in the null space of the mode's tasks, when the
+    error it is scheduled on is one the mode tracks and is past the
+    switch."""
     def pinv(M):
         return np.linalg.pinv(M, rcond=SV_TOL)
 
     J = jacobian(q, GEOM).J
     Jv, Jw, eye = J[:3], J[3:], np.eye(9)
     if mode is ControllerMode.ConventionalRR:
-        qdot = pinv(J) @ np.concatenate([e.e_p, e.e_zeta])
-        null, tracked = eye - pinv(J) @ J, ("position", "orientation")
+        J_pinv, null = pinv_and_null_50_digits(J)
+        qdot, tracked = J_pinv @ np.concatenate([e.e_p, e.e_zeta]), ("position", "orientation")
     elif mode is ControllerMode.PositionWithJL:
         qdot = pinv(Jv) @ e.e_p
         null, tracked = eye - pinv(Jv) @ Jv, ("position",)
@@ -497,6 +500,24 @@ def written_out_law(q, e: TaskError, gains: GainSchedule, mode: ControllerMode):
         if norm > sched.switch_threshold:
             qdot = qdot + sched.value_far * null @ jl_gradient(q, LIMITS)
     return q + gains.alpha * qdot
+
+
+def pinv_and_null_50_digits(J):
+    """J^+ and its null projector I - J^+ J of the float matrix J, each
+    evaluated in 50 digits and rounded to floats. J^+ = J^T (J J^T)^+ from
+    the eigenpairs (l_k, u_k) of J J^T, dropping those with l_k <=
+    SV_TOL^2 l_max: the singular values np.linalg.pinv(J, rcond=SV_TOL)
+    drops."""
+    with mpmath.workdps(50):
+        J = mpmath.matrix(J.tolist())
+        eigenvalues, U = mpmath.eigsy(J * J.T)
+        cutoff = SV_TOL ** 2 * max(eigenvalues)
+        J_pinv = mpmath.zeros(J.cols, J.rows)
+        for k, l_k in enumerate(eigenvalues):
+            if l_k > cutoff:
+                J_pinv += J.T * U[:, k] * (U[:, k].T / l_k)
+        null = mpmath.eye(J.cols) - J_pinv * J
+        return np.array(J_pinv.tolist(), dtype=float), np.array(null.tolist(), dtype=float)
 
 
 def offset_target(q, rng):
@@ -549,17 +570,18 @@ def written_out_tolerance(q, mode) -> float:
     under 215 eps cond(J_t) there and under 7.5e-13 in the single-task
     modes.
 
-    ConventionalRR's law is J^+ e with np.linalg.pinv and its bound 1e-12,
-    which its step, the unit-weight two-task recursion, holds with less
-    room. With all three TABLE_GAINS the gap reached 4.1e-13 on 11,500
-    random feasible q and 9.5e-13 on 18,000 with one near-straight section
-    (the worst: step_full 7.0e-13 off J^+ e in 50 digits, np.linalg.pinv
-    9.1e-14, cond(J) 1.5e3); 8,000 hypothesis examples of the near-straight
-    mode-table test passed. With two near-straight or straight sections,
-    which no test draws for it, cond(J) reaches 5e6 and the gap 6.2e-10,
-    the two sides about as far from J^+ e in 50 digits (1.5e-10 and
-    1.1e-10 at the worst). Right next to fully straight the step parts
-    from J^+ e: see test_next_to_fully_straight.
+    ConventionalRR's law is J^+ e with J^+ and I - J^+ J in 50 digits, so
+    the gap is its step's own error, and its bound is 1e-12. Its step, the
+    unit-weight two-task recursion, holds that with less room. With all
+    three TABLE_GAINS the gap reached 2.1e-13 on 11,500 random feasible q,
+    and 5.9e-13 and 2.8e-13 on 18,000 and 9,000 with one near-straight
+    section; 8,000 hypothesis examples of the near-straight mode-table test
+    passed. A third 18,000 reached 2.0e-12 with the joint-limit term
+    (cond(J) 1.2e3; np.linalg.pinv's law 3.7e-14 off the 50-digit one), so
+    a draw can still fail the bound. With two near-straight or straight
+    sections, which no test draws for it, cond(J) reaches 5e6 and the step
+    1.5e-10 off J^+ e in 50 digits. Right next to fully straight the step
+    parts from J^+ e: see test_next_to_fully_straight.
     """
     if mode is not ControllerMode.FullThreeTask:  # ConventionalRR's law is J^+ e
         return 1e-12

@@ -7,84 +7,19 @@ from hypothesis import strategies as st
 
 from softarm.geometry import default_geometry
 from softarm.kinematics import Pose, forward_kinematics
-from softarm.rotations import rot_x, rot_z, rotvec_to_matrix
+from softarm.rotations import rot_x, rotvec_to_matrix
 from softarm.vision import (
     BerryTarget,
     _ee_blocks_ray,
-    DegenerateConfiguration,
     FrameRegistry,
     berry_to_base,
     build_registry,
     cam1_target_to_base,
-    default_registration_points,
     look_at,
-    register_rigid,
     simulate_observation,
 )
 
 GEOM = default_geometry()
-
-
-class TestRegisterRigid:
-    def test_identity(self):
-        pts = default_registration_points()
-        pose, residual = register_rigid(pts, pts)
-        np.testing.assert_allclose(pose.position, np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-12)
-        assert residual < 1e-12
-
-    def test_recovers_synthetic_transform(self):
-        pts = default_registration_points()
-        R = rot_z(np.deg2rad(30.0))
-        t = np.array([0.3, -0.1, 0.25])
-        moved = pts @ R.T + t
-        pose, residual = register_rigid(pts, moved)
-        np.testing.assert_allclose(pose.rotation, R, atol=1e-10)
-        np.testing.assert_allclose(pose.position, t, atol=1e-10)
-        assert residual < 1e-10
-
-    @settings(max_examples=100, deadline=None)
-    @given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3), angle=st.floats(0.0, np.pi),
-           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), distance=st.floats(0.0, 1.0),
-           points=st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 3), min_size=3, max_size=8))
-    def test_recovers_random_rigid_motion(self, axis, angle, direction, distance, points):
-        axis, direction, A = np.array(axis), np.array(direction), np.array(points)
-        assume(np.linalg.norm(axis) > 0.1 and np.linalg.norm(direction) > 0.1)
-        # Non-collinear, with the second spread at least 1 cm.
-        assume(np.linalg.svd(A - A.mean(axis=0), compute_uv=False)[1] > 1e-2)
-        R = rotvec_to_matrix(angle * axis / np.linalg.norm(axis))
-        t = distance * direction / np.linalg.norm(direction)
-        pose, residual = register_rigid(A, A @ R.T + t)
-        assert np.abs(pose.rotation - R).max() <= 1e-9
-        assert np.abs(pose.position - t).max() <= 1e-9
-        assert residual <= 1e-9
-
-    def test_collinear_points_degenerate(self):
-        line = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0],
-                         [0.3, 0.0, 0.0]])
-        with pytest.raises(DegenerateConfiguration):
-            register_rigid(line, line)
-
-    def test_too_few_points(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(DegenerateConfiguration):
-            register_rigid(pts, pts)
-
-    def test_returns_proper_rotation_under_noise(self):
-        rng = np.random.default_rng(0)
-        pts = default_registration_points()
-        for _ in range(20):
-            R = rot_z(rng.uniform(-np.pi, np.pi)) @ rot_x(rng.uniform(-np.pi, np.pi))
-            moved = pts @ R.T + rng.normal(size=3) + rng.normal(0.0, 0.01, pts.shape)
-            pose, _ = register_rigid(pts, moved)
-            assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-9)
-
-    def test_residual_reported_for_noisy_fit(self):
-        rng = np.random.default_rng(1)
-        pts = default_registration_points()
-        moved = pts + rng.normal(0.0, 0.005, pts.shape)
-        _, residual = register_rigid(pts, moved)
-        assert 0.001 < residual < 0.02
 
 
 class TestFrameChains:
@@ -270,12 +205,56 @@ class TestHelpers:
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(direction, expected, atol=1e-12)
 
-    def test_build_registry_registration_is_exact(self):
-        # build_registry's fiducials, seen noise-free by its default C1.
-        points = default_registration_points()
-        truth = look_at((0.0, -1.2, 0.4), (0.0, 0.25, 0.35)).inverse()
-        pose, residual = register_rigid(points, [truth.transform_point(p) for p in points])
-        assert residual < 1e-12
-        registry = build_registry()
-        _same_bytes(registry.base_in_cam1.position, pose.position)
-        _same_bytes(registry.base_in_cam1.rotation, pose.rotation)
+    @settings(max_examples=150, deadline=None)
+    @given(eye=_points(-1.5, 1.5), point=_points(-0.5, 0.5))
+    def test_look_at_is_level_and_aims_at_the_point(self, eye, point):
+        assume(np.linalg.norm((point - eye)[:2]) > 1e-3)
+        pose = look_at(eye, point)
+        R = pose.rotation
+        _same_bytes(pose.position, eye)
+        np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(R[:, 2], (point - eye) / np.linalg.norm(point - eye),
+                                   atol=1e-12)
+        assert R[2, 0] == 0.0   # +X is normal to the parent's +Z
+
+    @pytest.mark.parametrize("eye, point, x", [
+        ((0.1, 0.2, 1.0), (0.1, 0.2, 0.0), (-1.0, 0.0, 0.0)),
+        ((0.1, 0.2, 0.0), (0.1, 0.2, 1.0), (1.0, 0.0, 0.0)),
+    ], ids=["down", "up"])
+    def test_look_at_vertical_view_takes_x_from_the_y_axis(self, eye, point, x):
+        R = look_at(eye, point).rotation
+        np.testing.assert_array_equal(R[:, 0], x)
+        np.testing.assert_array_equal(R[:, 1], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(R[:, 2], np.subtract(point, eye))
+
+    @pytest.mark.parametrize("eye, point", [
+        ((0.0, -1.2, 0.4), (0.0, -1.2, 0.4)),
+        # 1e-200 squared underflows to 0: no direction can be normalised.
+        ((0.0, 0.0, 0.0), (1e-200, 0.0, 0.0)),
+    ], ids=["same-point", "underflowing-distance"])
+    def test_look_at_without_a_direction_raises(self, eye, point):
+        with pytest.raises(ValueError, match="cannot look at its own position"):
+            look_at(eye, point)
+
+    @pytest.mark.parametrize("eye, point", [
+        ((1e300, 0.0, 0.0), (0.0, 0.25, 0.35)),
+        ((0.0, -1.2, 0.4), (0.0, 1e200, 1e200)),
+    ], ids=["far-eye", "far-point"])
+    def test_look_at_overflowing_distance_raises_without_a_warning(self, eye, point):
+        # The suite turns RuntimeWarnings into errors: numpy's overflow
+        # warning would fail this before the ValueError is reached.
+        with pytest.raises(ValueError, match="squared distance overflows"):
+            look_at(eye, point)
+
+    @pytest.mark.parametrize("layout", [
+        {},
+        # Aimed at a berry, as config._harvest_runs builds a harvest's registry.
+        {"cam1_target": np.array([0.0, 0.4, 0.45])},
+    ], ids=["default", "aimed_at_a_berry"])
+    def test_build_registry_is_the_inverse_of_the_c1_pose(self, layout):
+        c1 = {"cam1_position": (0.0, -1.2, 0.4), "cam1_target": (0.0, 0.25, 0.35)} | layout
+        expected = look_at(c1["cam1_position"], c1["cam1_target"]).inverse()
+        registry = build_registry(**layout)
+        _same_bytes(registry.base_in_cam1.position, expected.position)
+        _same_bytes(registry.base_in_cam1.rotation, expected.rotation)
