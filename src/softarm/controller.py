@@ -44,11 +44,11 @@ class TaskError:
         object.__setattr__(self, "orientation_norm", norm(self.e_zeta))
 
 
-def pose_error(desired: Pose, current: Pose) -> TaskError:
-    """Base-frame task error: e_p = p_d - p_c, e_zeta = axis-angle of
-    R_d R_c^T (consistent with the spatial angular Jacobian)."""
-    e_p = desired.position - current.position
-    e_zeta = matrix_to_rotvec(desired.rotation.dot(current.rotation.T))
+def pose_error(position: np.ndarray, rotation: np.ndarray, current: Pose) -> TaskError:
+    """Base-frame task error toward ``position`` and ``rotation``: e_p = p_d - p_c,
+    e_zeta = axis-angle of R_d R_c^T (consistent with the spatial angular Jacobian)."""
+    e_p = position - current.position
+    e_zeta = matrix_to_rotvec(rotation.dot(current.rotation.T))
     return TaskError(e_p=e_p, e_zeta=e_zeta)
 
 
@@ -149,6 +149,22 @@ TRACKS = {
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 50
+
+
+@dataclass
+class Divergence:
+    """The divergence rule of ``solve`` and the harvest stages: True once some norm
+    has stayed above ``DIVERGENCE_FACTOR`` times its start, the first norms, for
+    ``DIVERGENCE_WINDOW`` calls in a row. A start at or below 1e-12 never counts."""
+
+    starts: tuple
+    streak: int = field(default=0, init=False)
+
+    def __call__(self, norms: tuple) -> bool:
+        grown = any(now > DIVERGENCE_FACTOR * start
+                    for now, start in zip(norms, self.starts) if start > 1e-12)
+        self.streak = self.streak + 1 if grown else 0
+        return self.streak >= DIVERGENCE_WINDOW
 
 
 def tracked_norms(e: TaskError, mode: ControllerMode) -> tuple:
@@ -316,16 +332,12 @@ def _tolerance_met(e: TaskError, norms: tuple, cfg: ControllerConfig) -> bool:
 
 def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) -> Trajectory:
     """Run the configured step law in closed loop until the error tolerance,
-    the iteration budget, or sustained divergence.
+    the iteration budget, or :class:`Divergence` of the tracked norms.
 
     ``plant`` is any object with ``reset(q0)`` and ``apply_command(q)``,
     which return observations with ``pose_filtered`` (the feedback pose)
-    and ``infeasible_flags``, and ``true_pose()``, the
-    noise-free pose the true errors are measured on (see
-    :mod:`softarm.plant`).
-    Stops with ``diverged=True`` when a tracked error norm stays above
-    ``DIVERGENCE_FACTOR`` times its initial value for ``DIVERGENCE_WINDOW``
-    consecutive steps.
+    and ``infeasible_flags``, and ``true_pose()``, the noise-free pose the
+    true errors are measured on (see :mod:`softarm.plant`).
     """
     q = as_actuator_vector(q0).copy()
     obs = plant.reset(q)
@@ -334,7 +346,7 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
 
     def record(q_now, observation):
         pose = observation.pose_filtered
-        e = pose_error(desired, pose)
+        e = pose_error(desired.position, desired.rotation, pose)
         true_pose = plant.true_pose()
         rows.append((q_now.copy(), pose.position.copy(), pose.rotation, e.position_norm,
                      e.orientation_norm, norm(desired.position - true_pose.position),
@@ -350,8 +362,8 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
                           np.array(flags, dtype=bool), converged, diverged)
 
     e = record(q, obs)
-    norms = norms0 = tracked_norms(e, cfg.mode)
-    growth_streak = 0
+    norms = tracked_norms(e, cfg.mode)
+    diverging = Divergence(norms)
     for _ in range(cfg.max_iterations):
         if _tolerance_met(e, norms, cfg):
             return finish(converged=True, diverged=False)
@@ -359,9 +371,6 @@ def solve(q0, desired: Pose, gains: GainSchedule, cfg: ControllerConfig, plant) 
         obs = plant.apply_command(q)
         e = record(q, obs)
         norms = tracked_norms(e, cfg.mode)
-        ratio = max((now / start for now, start in zip(norms, norms0) if start > 1e-12),
-                    default=0.0)
-        growth_streak = growth_streak + 1 if ratio > DIVERGENCE_FACTOR else 0
-        if growth_streak >= DIVERGENCE_WINDOW:
+        if diverging(norms):
             return finish(converged=False, diverged=True)
     return finish(converged=_tolerance_met(e, norms, cfg), diverged=False)

@@ -40,9 +40,10 @@ SERIES_SWITCH = 1e-2
 _SQRT3 = math.sqrt(3.0)
 
 
-def _check_position(position: np.ndarray) -> None:
+def _check_position(position: np.ndarray) -> np.ndarray:
     if not all(map(math.isfinite, position.tolist())):
         raise ValueError("position must be finite")
+    return position
 
 
 def _check_rotation(drift: float, det: float) -> None:

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controller import (
-    DIVERGENCE_FACTOR,
-    DIVERGENCE_WINDOW,
     ControllerConfig,
     ControllerMode,
+    Divergence,
     GainSchedule,
     TaskError,
     gains_full_default,
     gains_position_default,
+    pose_error,
     step_full,
 )
 from .geometry import norm
@@ -116,14 +116,6 @@ class HarvestLog:
     failure_reason: str | None = None
 
 
-def _placement_error(position: np.ndarray, approach: np.ndarray, pose: Pose) -> TaskError:
-    """``pose_error(Pose(position, approach), pose)`` for an ``approach``
-    that has passed the rotation check of ``Pose()``: only the desired
-    position is checked, and the error takes the same operations."""
-    _check_position(position)
-    return TaskError(position - pose.position, matrix_to_rotvec(approach.dot(pose.rotation.T)))
-
-
 def run_harvest(berry_base_truth, desired_approach_orientation, plant,
                 registry: FrameRegistry, cfg: WorkflowConfig) -> HarvestLog:
     """Execute one harvesting attempt against a simulated plant.
@@ -190,7 +182,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
         (HarvestState.InitialPlacement, "c1", cfg.coarse_threshold,
          cfg.placement_max_iterations, cfg.placement_gains, ControllerMode.FullThreeTask,
          lambda target, pose: cam1_target_to_base(target, registry),
-         lambda berry, pose: _placement_error(berry + standoff, approach, pose)),
+         lambda berry, pose: pose_error(_check_position(berry + standoff), approach, pose)),
         (HarvestState.FinePositioning, "c2", cfg.grasp_threshold,
          cfg.fine_max_iterations, cfg.fine_gains, ControllerMode.PositionWithJL,
          lambda target, pose: berry_to_base(target, pose, registry),
@@ -198,9 +190,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
     )
     for stage, source, threshold, budget, gains, mode, locate, task_error in closed_loop_stages:
         stage_start = iteration
-        first_row = len(log.rows)
         ctrl_cfg = replace(cfg.controller, mode=mode)
-        growth_streak = 0
         while True:
             fix = locate(observe(iteration), obs.pose_filtered)
             if fix is None and berry_est is None:
@@ -214,9 +204,9 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             if iteration - stage_start >= budget:
                 close_stage(stage, stage_start, "timeout")
                 return fail(f"StageTimeout({stage.value})")
-            growth_streak = (growth_streak + 1
-                             if dist > DIVERGENCE_FACTOR * log.rows[first_row].dist_est else 0)
-            if growth_streak >= DIVERGENCE_WINDOW:
+            if iteration == stage_start:  # the stage's first row
+                diverging = Divergence((dist,))
+            if diverging((dist,)):
                 close_stage(stage, stage_start, "diverged")
                 return fail(f"{stage.value}: diverged")
             q = step_full(q, task_error(berry_est, obs.pose_filtered), gains, ctrl_cfg)

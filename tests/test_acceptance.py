@@ -126,7 +126,7 @@ def test_criterion_3_task_priority_algebra():
                                                                switch_threshold=0.0))
             pos_only = GainSchedule(alpha=0.05, gamma_position=1.0,
                                     gamma_orientation=0.0, joint_limit=None)
-            e = pose_error(desired, pose)
+            e = pose_error(desired.position, desired.rotation, pose)
             dq_full = step_full(q, e, full, cfg) - q
             dq_pos = step_full(q, e, pos_only, cfg) - q
             rate_full = Jv @ dq_full

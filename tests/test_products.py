@@ -15,7 +15,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from softarm import controller, vision, workflow
+from softarm import controller, vision
 from softarm.geometry import default_geometry
 from softarm.jacobian import jacobian, pinv
 from softarm.kinematics import Pose
@@ -97,7 +97,6 @@ PER_STEP = [
     controller._pinv,
     pinv,
     controller.pose_error,
-    workflow._placement_error,
     controller.solve,
     jacobian,
     Plant._filter,

@@ -131,7 +131,7 @@ def test_pose_error_is_continuous_as_the_tilt_crosses_pi():
     # the rotation it stands for stay continuous.
     current = Pose(np.zeros(3), np.eye(3))
     for tilt in np.pi + np.linspace(-1e-6, 1e-6, 201):
-        e = pose_error(Pose(np.zeros(3), rot_x(tilt)), current)
+        e = pose_error(np.zeros(3), rot_x(tilt), current)
         assert e.orientation_norm == pytest.approx(np.pi - abs(tilt - np.pi), abs=1e-12)
         assert e.orientation_norm <= np.pi
         np.testing.assert_allclose(rotvec_to_matrix(e.e_zeta), rot_x(tilt), atol=1e-12)

@@ -4,20 +4,21 @@ from itertools import count
 import numpy as np
 import pytest
 
+import softarm.controller
 from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     DIVERGENCE_FACTOR,
-    DIVERGENCE_WINDOW,
     ControllerConfig,
     ControllerMode,
-    pose_error,
+    gains_position_default,
+    solve,
     step_full,
 )
 from softarm import workflow
 from softarm.geometry import default_geometry
-from softarm.kinematics import Pose
+from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig
-from softarm.rotations import matrix_to_rotvec, rot_x, rot_z, rotvec_to_matrix
+from softarm.rotations import matrix_to_rotvec, rot_x, rot_z
 from softarm.vision import build_registry
 from softarm.workflow import (
     HarvestRow,
@@ -121,9 +122,9 @@ class TestHarvestRun:
         # Orientation is frozen in the fine stage, so no pose error (and no
         # rotation log) is formed there; its steps get a zero e_zeta.
         poses, fine_errors = [], []
-        placement_error = workflow._placement_error
-        monkeypatch.setattr(workflow, "_placement_error",
-                            lambda *args: poses.append(args) or placement_error(*args))
+        pose_error = workflow.pose_error
+        monkeypatch.setattr(workflow, "pose_error",
+                            lambda *args: poses.append(args) or pose_error(*args))
 
         def recording_step(q, e, gains, cfg):
             if cfg.mode is ControllerMode.PositionWithJL:
@@ -178,20 +179,32 @@ class TestHarvestRun:
                         make_workflow())
 
     @pytest.mark.parametrize("stage", ["InitialPlacement", "FinePositioning"])
-    def test_divergence_reads_the_controller_rule(self, stage):
-        # The reported pose recedes from the berry faster every step; the
-        # stage closes as diverged once the distance has stayed above
-        # DIVERGENCE_FACTOR times its value on the stage's first row for
-        # DIVERGENCE_WINDOW steps.
-        log = run_harvest(BERRY, APPROACH, receding_plant(stage), registry(),
-                          make_workflow())
+    def test_divergence_reads_the_controller_rule(self, monkeypatch, stage):
+        # The reported pose recedes faster every step. With the controller's
+        # window patched, solve and the harvest stage both stop once the
+        # error has stayed above DIVERGENCE_FACTOR times its first value for
+        # that many checks: the rule has one home, read by both loops.
+        window = 7
+        monkeypatch.setattr(softarm.controller, "DIVERGENCE_WINDOW", window)
+        wf = make_workflow()
+        home = forward_kinematics(wf.home_q, GEOM)
+        desired = Pose(home.position + np.array([0.0, 0.0, 0.005]), home.rotation)
+        cfg = replace(wf.controller, mode=ControllerMode.PositionWithJL)
+        traj = solve(wf.home_q, desired, gains_position_default(), cfg,
+                     RecedingPlant(PlantConfig()))
+        assert traj.diverged and not traj.converged
+        errors = traj.err_pos
+        passed = next(k for k, e in enumerate(errors) if e > DIVERGENCE_FACTOR * errors[0])
+        assert traj.iterations_used == passed + window - 1
+
+        log = run_harvest(BERRY, APPROACH, receding_plant(stage), registry(), wf)
         closed = log.stages[-1]
         assert (closed.stage, closed.outcome) == (stage, "diverged")
         assert log.failure_reason == f"{stage}: diverged"
         dists = [row.dist_est for row in log.rows if row.stage == stage]
         passed = next(k for k, d in enumerate(dists) if d > DIVERGENCE_FACTOR * dists[0])
-        assert closed.end_iteration - closed.start_iteration == passed + DIVERGENCE_WINDOW - 1
-        assert len(dists) == passed + DIVERGENCE_WINDOW
+        assert closed.end_iteration - closed.start_iteration == passed + window - 1
+        assert len(dists) == passed + window
 
     @pytest.mark.parametrize("stage, budget", [
         ("InitialPlacement", "placement_max_iterations"),
@@ -239,39 +252,26 @@ class TestHarvestRun:
         assert (3, 9) not in [A.shape for A in blocks]
 
 
-def error_bytes(error) -> tuple:
-    return (error.e_p.tobytes(), error.e_zeta.tobytes(), error.position_norm,
-            error.orientation_norm)
-
-
 class TestPlacementError:
-    """Placement steps form ``pose_error(Pose(berry + standoff, approach),
-    pose)`` with the approach checked once per harvest."""
+    """Placement steps form ``pose_error(berry + standoff, approach, pose)``
+    with the approach checked once per harvest."""
 
-    def test_has_the_bytes_of_pose_error(self):
-        rng = np.random.default_rng(31)
-        offset = make_workflow().standoff_offset
-        for _ in range(2000):
-            # Rotation vectors past pi in norm, so errors near pi are drawn too.
-            approach, measured = (rotvec_to_matrix(w) for w in
-                                  rng.normal(size=(2, 3)) * rng.uniform(0.0, 1.2, (2, 1)))
-            berry = rng.uniform(-0.5, 0.5, 3)
-            pose = Pose(rng.uniform(-0.5, 0.5, 3), measured)
-            standoff = approach @ offset
-            assert error_bytes(workflow._placement_error(berry + standoff, approach, pose)) == \
-                error_bytes(pose_error(Pose(berry + standoff, approach), pose))
-
-    def test_every_placement_step_takes_it(self, monkeypatch):
-        calls = []
-        placement_error = workflow._placement_error
-        monkeypatch.setattr(workflow, "_placement_error", lambda *args: calls.append(
-            (args, placement_error(*args))) or calls[-1][1])
+    def test_every_placement_step_takes_pose_error(self, monkeypatch):
+        # Each placement step hands step_full the error pose_error returned,
+        # toward the approach and from the row's measured pose.
+        calls, steps = [], []
+        pose_error = workflow.pose_error
+        monkeypatch.setattr(workflow, "pose_error", lambda *args: calls.append(
+            (args, pose_error(*args))) or calls[-1][1])
+        monkeypatch.setattr(workflow, "step_full",
+                            lambda q, e, *args: steps.append(e) or step_full(q, e, *args))
         log = run_harvest(BERRY, APPROACH, Plant(PlantConfig()), registry(), make_workflow())
         placement = log.stages[0]
         assert len(calls) == placement.end_iteration - placement.start_iteration > 0
-        for (position, approach, pose), error in calls:
+        for ((_, approach, pose), error), step_error, row in zip(calls, steps, log.rows):
+            assert error is step_error
             assert approach.tobytes() == APPROACH.tobytes()
-            assert error_bytes(error) == error_bytes(pose_error(Pose(position, APPROACH), pose))
+            assert pose.position.tobytes() == row.position.tobytes()
 
     @pytest.mark.parametrize("approach, message", [
         (APPROACH * [[1.0], [1.0], [-1.0]], "proper"),
