@@ -153,24 +153,6 @@ def upright_rotation(geom: RobotGeometry) -> np.ndarray:
 # Geometry
 # ---------------------------------------------------------------------------
 
-def geometry_from_dict(data) -> RobotGeometry:
-    """Build a RobotGeometry from the config representation.
-
-    Accepts the string "default" or {"sections": [{...} x3]} with keys
-    radius, initial_length, plate_offset_length, plate_offset_angle,
-    actuator_max_elongation (meters/radians).
-    """
-    if data == "default" or data is None:
-        return default_geometry()
-    section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), _number)
-    with _at("geometry"):
-        geom_sections = []
-        for i, sec in enumerate(_read(data, ("sections",), sections=_list)["sections"]):
-            with _at(f"sections[{i}]"):
-                geom_sections.append(SectionGeometry(**_read(sec, ("radius",), **section_keys)))
-        return RobotGeometry(sections=geom_sections)
-
-
 def _read_text(path, what: str) -> str:
     """The UTF-8 text of the file at ``path``; a path that is not a readable
     file, or bytes that are not UTF-8, are a config error."""
@@ -206,15 +188,24 @@ def _parse_json(text: str, source: str):
         raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _geometry(value) -> RobotGeometry:
-    """A scenario's geometry: "default", inline, or the path of a geometry
-    JSON file (same schema as the inline form). An error in the file's
-    contents is at ``geometry``; one that keeps the file from being read as
-    JSON names the file."""
-    if not isinstance(value, str) or value == "default":
-        return geometry_from_dict(value)
-    return geometry_from_dict(_parse_json(_read_text(value, "geometry file"),
-                                          f"geometry file {value}"))
+def geometry_from_dict(data) -> RobotGeometry:
+    """A scenario's geometry: "default" or absent (None), the inline form
+    {"sections": [{...} x3]} with keys radius, initial_length,
+    plate_offset_length, plate_offset_angle, actuator_max_elongation
+    (meters/radians), or the path of a geometry JSON file holding either.
+    An error in the file's contents is at ``geometry``; one that keeps the
+    file from being read as JSON names the file."""
+    if isinstance(data, str) and data != "default":
+        data = _parse_json(_read_text(data, "geometry file"), f"geometry file {data}")
+    if data == "default" or data is None:
+        return default_geometry()
+    section_keys = dict.fromkeys((f.name for f in fields(SectionGeometry)), _number)
+    with _at("geometry"):
+        geom_sections = []
+        for i, sec in enumerate(_read(data, ("sections",), sections=_list)["sections"]):
+            with _at(f"sections[{i}]"):
+                geom_sections.append(SectionGeometry(**_read(sec, ("radius",), **section_keys)))
+        return RobotGeometry(sections=geom_sections)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +534,6 @@ def parse_scenario(data, seed_override=None) -> Scenario:
     seed = given.get("seed", 0) if seed_override is None else int(seed_override)
     if seed < 0:
         raise ConfigError(f"seed: must be non-negative, got {seed}")
-    geom = _geometry(given.get("geometry"))
+    geom = geometry_from_dict(given.get("geometry"))
     return Scenario(name=given["name"], kind=given["kind"], seed=seed,
                     strict=given.get("strict", False), runs=resolve(given, geom, seed))

@@ -36,7 +36,10 @@ class SectionGeometry:
     Actuators sit 120 degrees apart at ``radius`` from the section
     centerline; the local X axis points toward actuator 1. A field that is
     not finite raises ValueError, and so does a radius, initial_length or
-    actuator_max_elongation that is not positive.
+    actuator_max_elongation (l_max) that is not positive, or an l_max over
+    3 pi radius: a command in the box bends the section by phi = |d| / (3 r)
+    with |d| <= 2 l_max, so the bound keeps a full stroke within one turn,
+    phi^2 <= 4 pi^2, where a radius near 0 would overflow phi^2.
     """
 
     radius: float                       # actuator placement radius r_i, m
@@ -51,6 +54,9 @@ class SectionGeometry:
                 raise ValueError(f"{name}: must be finite, got {value}")
             if not value > 0 and name in ("radius", "initial_length", "actuator_max_elongation"):
                 raise ValueError(f"{name}: must be positive, got {value}")
+        if not self.actuator_max_elongation <= 3.0 * math.pi * self.radius:
+            raise ValueError(f"actuator_max_elongation: must be at most 3 pi radius = "
+                             f"{3.0 * math.pi * self.radius}, got {self.actuator_max_elongation}")
 
 
 @dataclass(frozen=True)

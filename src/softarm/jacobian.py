@@ -21,23 +21,6 @@ from .kinematics import section_chain
 #: drops the singular values at or below SV_TOL times the largest, so
 #: SV_TOL alone decides a task block's rank.
 SV_TOL = 1e-8
-#: Guard of the controller step's Gram form X0 = A^T G^-1, G = A A^T, for a
-#: 3-row block. With eigenvalues l1 >= l2 >= l3 >= 0 of G and m2 the trace
-#: of its cofactor matrix, det G / (tr G m2) = l1 l2 l3 / ((l1 + l2 + l3)
-#: (l1 l2 + l1 l3 + l2 l3)) lies in [l3 / (9 l1), l3 / l1], so a ratio over
-#: GRAM_TOL gives cond(G) < 1e6, cond(A) < 1e3; every other block takes the
-#: SVD, and as 1e-6 >> SV_TOL^2 the form keeps no direction the cutoff
-#: drops. X0 alone is not accurate to eps cond(G), as its cofactors cancel:
-#: on 20,000 random blocks with ratios in (1e-6, 1e-3] it is up to 7e-7 off
-#: np.linalg.pinv, and E0 = I - A X0 up to 2.8e-6. So every Gram block takes
-#: one Newton-Schulz step X0 (2I - A X0) (Ben-Israel & Cohen, SIAM J. Numer.
-#: Anal. 1966): X0 lies in A's row space, X0 = A^+ (I - E0), and the step
-#: gives A^+ (I - E0^2) plus rounding of order eps cond(A). |E0|^2 alone
-#: could reach 7.8e-12, so the 1e-12 agreement with the written-out pinv law
-#: that the controller's tests hold rests on measurement: on those blocks
-#: the result is within 4.7e-13 relative (3.3 eps cond(A)) of np.linalg.pinv,
-#: and on 20,000 with ratios over 1e-3 within 1.1e-14 (X0: 1.3e-12).
-GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,13 @@ def _check_rotation(drift: float, det: float) -> None:
         raise ValueError("rotation must be proper (det +1)")
 
 
+def _check_rotations(rows) -> None:
+    """:func:`_check_rotation` of a stack of rotations, rows of (N,) arrays,
+    on the worst lane at once; max and min pass a NaN on."""
+    drift, det = rows_drift_and_det(rows, np.sqrt)
+    _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: position (m) and proper rotation matrix."""
@@ -62,13 +69,9 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
-        # Reshape only when needed: a same-shape reshape adds a view object.
-        position = np.asarray(self.position, dtype=float)
-        rotation = np.asarray(self.rotation, dtype=float)
-        object.__setattr__(self, "position",
-                           position if position.shape == (3,) else position.reshape(3))
+        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         object.__setattr__(self, "rotation",
-                           rotation if rotation.shape == (3, 3) else rotation.reshape(3, 3))
+                           np.asarray(self.rotation, dtype=float).reshape(3, 3))
         _check_position(self.position)
         _check_rotation(*rows_drift_and_det(self.rotation.tolist()))
 
@@ -227,9 +230,6 @@ def forward_kinematics_many(qs, geom: RobotGeometry) -> tuple:
     """
     qs = as_actuator_batch(qs)
     (p0, p1, p2), rows, _ = _walk(qs.T, geom, _arc_coefficients_many)
-    drift, det = rows_drift_and_det(rows, np.sqrt)
+    _check_rotations(rows)
     positions = np.stack((p0, p1, p2), axis=-1)
-    rotations = np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)
-    # max and min pass a NaN on.
-    _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
-    return positions, rotations
+    return positions, np.stack(rows[0] + rows[1] + rows[2], axis=-1).reshape(-1, 3, 3)

@@ -25,7 +25,7 @@ from .geometry import (
     as_actuator_vector,
     default_geometry,
 )
-from .kinematics import Pose, _check_rotation, forward_kinematics, forward_kinematics_many
+from .kinematics import Pose, _check_rotations, forward_kinematics, forward_kinematics_many
 from .rotations import rows_drift_and_det, rows_to_rotvec, rotvec_to_rows
 
 
@@ -87,13 +87,16 @@ class Plant:
         as of the last command; None before the first."""
         return self._true_pose
 
+    def _model(self, q_cmd: np.ndarray) -> tuple:
+        """The infeasible flags of a (9,) command or an (N, 9) batch, and the
+        elongations the arm takes: scaled by the mismatch, then saturated."""
+        lower, upper = self._limits.lower, self._limits.upper
+        return ((q_cmd < lower) | (q_cmd > upper),
+                np.minimum(np.maximum(q_cmd * self._scale, lower), upper))
+
     def apply_command(self, q_cmd) -> PlantObservation:
-        q_cmd = as_actuator_vector(q_cmd)
-        limits = self._limits
-        flags = (q_cmd < limits.lower) | (q_cmd > limits.upper)
-        pose_true = forward_kinematics(
-            np.minimum(np.maximum(q_cmd * self._scale, limits.lower), limits.upper),
-            self.config.true_geometry)
+        flags, q_true = self._model(as_actuator_vector(q_cmd))
+        pose_true = forward_kinematics(q_true, self.config.true_geometry)
         self._true_pose = pose_true
         position_f, rotation_f = self._filter(*pose_true.position.tolist(), pose_true.rotation)
         return PlantObservation(Pose._checked(np.array(position_f), rotation_f,
@@ -115,24 +118,18 @@ class Plant:
         the batch: filter state, noise stream and :meth:`true_pose`.
         Otherwise :meth:`true_pose` is the last lane's pose afterwards.
         """
-        q_cmds = as_actuator_batch(q_cmds)
-        limits = self._limits
-        flags = (q_cmds < limits.lower) | (q_cmds > limits.upper)
-        positions, rotations = forward_kinematics_many(
-            np.minimum(np.maximum(q_cmds * self._scale, limits.lower), limits.upper),
-            self.config.true_geometry)
+        flags, q_true = self._model(as_actuator_batch(q_cmds))
+        positions, rotations = forward_kinematics_many(q_true, self.config.true_geometry)
         filtered, rng_state = self._filtered, self._rng.bit_generator.state
         try:
             lanes = list(map(self._filter, *positions.T.tolist(), rotations))
             positions_f = np.array([position_f for position_f, _ in lanes]).reshape(-1, 3)
             rotations_f = np.array([rotation_f for _, rotation_f in lanes]).reshape(-1, 3, 3)
-            drift, det = rows_drift_and_det(rotations_f.transpose(1, 2, 0), np.sqrt)
-            # The worst lane; max and min pass a NaN on.
-            _check_rotation(drift.max(initial=0.0), det.min(initial=1.0))
+            _check_rotations(rotations_f.transpose(1, 2, 0))
         except ValueError:
             self._filtered, self._rng.bit_generator.state = filtered, rng_state
             raise
-        if len(q_cmds):  # The returned positions are the caller's; keep a copy.
+        if len(flags):  # The returned positions are the caller's; keep a copy.
             self._true_pose = Pose(positions[-1].copy(), rotations[-1])
         return flags, positions, positions_f, rotations_f
 

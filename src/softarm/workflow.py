@@ -167,8 +167,7 @@ def run_harvest(berry_base_truth, desired_approach_orientation, plant,
             stage=stage.value, start_iteration=start, end_iteration=iteration,
             outcome=outcome, final_dist_est=last.dist_est, final_dist_true=last.dist_true))
 
-    def fail(reason: str):
-        log.final_state = HarvestState.Failed
+    def fail(reason: str):  # final_state stays Failed, its default
         log.failure_reason = reason
         return log
 

@@ -9,7 +9,8 @@ The ``bundled`` fixture runs each bundled scenario through
 ``run_scenario`` once per session, on first use, so the golden, acceptance,
 tail-rate and CSV checks all read one run instead of each solving it again.
 ``svd_spy`` records what np.linalg.svd is handed, for the tests of the
-controller step's SVD fallback. ``section_fields`` names the slots of the
+controller step's SVD fallback, and ``kept_cond`` is the condition number
+their rounding bounds scale with. ``section_fields`` names the slots of the
 flat section record that ``section_chain`` returns.
 """
 
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import settings
 
 from softarm.cli import run_scenario
+from softarm.jacobian import SV_TOL
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
@@ -106,6 +108,14 @@ def svd_spy():
         yield blocks
     finally:
         np.linalg.svd = svd
+
+
+def kept_cond(M) -> float:
+    """cond(M) over the singular values np.linalg.pinv(M, rcond=SV_TOL)
+    keeps; 1 for a zero M, whose pinv is 0."""
+    s = np.linalg.svd(M, compute_uv=False)
+    kept = s[s > SV_TOL * s[0]]
+    return kept[0] / kept[-1] if kept.size else 1.0
 
 
 class SectionFields(NamedTuple):

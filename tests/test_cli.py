@@ -181,7 +181,19 @@ class TestConfigParsing:
          r"geometry: sections\[1\]: radius: must be positive, got -0.05"),
         ([{"radius": 0.06}, {"radius": 0.05}, {"radius": 0.04, "initial_length": 0.0}],
          r"geometry: sections\[2\]: initial_length: must be positive, got 0.0"),
-    ], ids=["growing-radii", "two-sections", "negative-radius", "zero-length"])
+        # A full stroke that bends a section past one turn: these ended in a
+        # traceback from the kinematics, a math domain error for the radii
+        # and a non-finite actuator vector for the elongation.
+        ([{"radius": 1e-300}] * 3,
+         r"geometry: sections\[0\]: actuator_max_elongation: must be at most 3 pi radius"),
+        ([{"radius": 1e-200}] * 3,
+         r"geometry: sections\[0\]: actuator_max_elongation: must be at most 3 pi radius"),
+        ([{"radius": 0.06}, {"radius": 0.05, "actuator_max_elongation": 1e300},
+          {"radius": 0.04}],
+         r"geometry: sections\[1\]: actuator_max_elongation: must be at most 3 pi radius "
+         r"= 0.47\d*, got 1e\+300"),
+    ], ids=["growing-radii", "two-sections", "negative-radius", "zero-length",
+            "radii-1e-300", "radii-1e-200", "elongation-1e300"])
     def test_geometry_validation_enforced(self, tmp_path, capsys, sections, message):
         with pytest.raises(ConfigError, match=message):
             geometry_from_dict({"sections": sections})
@@ -1073,6 +1085,15 @@ class TestRunScenario:
         cfg = minimal_controller_config(geometry=str(geom_path))
         path = write_config(tmp_path, cfg)
         assert run_scenario(path, out_dir=tmp_path / "out", quiet=True) == 0
+
+    @pytest.mark.parametrize("content", ['"default"', "null"])
+    def test_geometry_file_may_name_the_default(self, tmp_path, content):
+        """The path is read first, then its content tested for the default."""
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text(content, encoding="utf-8")
+        assert geometry_from_dict(str(geom_path)) == default_geometry()
+        assert parse_scenario(minimal_controller_config(
+            geometry=str(geom_path))).runs[0].controller.geometry == default_geometry()
 
 
 class TestCompare:

@@ -14,6 +14,7 @@ from softarm.config import load_scenario_dict, parse_scenario
 from softarm.controller import (
     DIVERGENCE_FACTOR,
     DIVERGENCE_WINDOW,
+    GRAM_TOL,
     TRACKS,
     ControllerConfig,
     ControllerMode,
@@ -31,12 +32,12 @@ from softarm.controller import (
     step_full,
 )
 from softarm.geometry import default_geometry, elongation_to_pressure, norm
-from softarm.jacobian import GRAM_TOL, SV_TOL, Jacobian6x9, jacobian
+from softarm.jacobian import SV_TOL, Jacobian6x9, jacobian
 from softarm.kinematics import Pose, forward_kinematics
 from softarm.plant import Plant, PlantConfig, PlantObservation
 from softarm.rotations import matrix_to_rotvec, rot_x, rot_z, rotvec_to_matrix
 
-from conftest import svd_spy
+from conftest import kept_cond, svd_spy
 from oracles import fd_gradient, log_rotvec, random_feasible_q
 from strategies import actuator_vectors
 
@@ -642,14 +643,6 @@ def written_out_tolerance(q, mode) -> float:
         J_t = J[3:] @ (np.eye(9) - np.linalg.pinv(J[:3], rcond=SV_TOL) @ J[:3])
         return max(1e-12, 1e3 * np.finfo(float).eps * kept_cond(J_t))
     return 1e-12
-
-
-def kept_cond(M) -> float:
-    """cond(M) over the singular values np.linalg.pinv(M, rcond=SV_TOL)
-    keeps; 1 for a zero M, whose pinv is 0."""
-    s = np.linalg.svd(M, compute_uv=False)
-    kept = s[s > SV_TOL * s[0]]
-    return kept[0] / kept[-1] if kept.size else 1.0
 
 
 def assert_matches_written_out(q, desired, gains, mode, written_mode=None, written_gains=None,

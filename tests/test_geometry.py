@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 
@@ -16,7 +17,7 @@ from softarm.geometry import (
     elongation_to_pressure,
     norm,
 )
-from softarm.kinematics import forward_kinematics
+from softarm.kinematics import forward_kinematics, section_chain
 
 
 @pytest.mark.parametrize("field", [
@@ -33,6 +34,24 @@ def test_section_rejects_non_finite_field(field, value):
 def test_section_rejects_non_positive_size(field, value):
     with pytest.raises(ValueError, match=f"{field}: must be positive"):
         SectionGeometry(**{"radius": 0.05, field: value})
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-3, 0.05, 1e300])
+def test_full_stroke_bends_a_section_at_most_one_turn(radius):
+    """At l_max = 3 pi r the box corner (0, 0, l_max) bends the section by
+    phi = |d| / (3 r) = 2 l_max / (3 r) = 2 pi, and the pose there is
+    finite; the next float up is rejected."""
+    limit = 3.0 * math.pi * radius
+    with pytest.raises(ValueError, match="actuator_max_elongation: must be at most 3 pi radius"):
+        SectionGeometry(radius=radius, actuator_max_elongation=math.nextafter(limit, math.inf))
+    geom = RobotGeometry(sections=[SectionGeometry(radius=radius,
+                                                   actuator_max_elongation=limit)] * 3)
+    q = np.zeros(9)
+    q[2] = limit
+    _, _, ((c0, c1, *_), *_) = section_chain(q, geom)
+    assert math.isclose(math.hypot(c0, c1), 2.0 * math.pi, rel_tol=1e-14)
+    pose = forward_kinematics(q, geom)
+    assert np.isfinite(pose.position).all()
 
 
 def test_section_accepts_zero_and_negative_plate_offsets():
